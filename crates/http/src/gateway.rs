@@ -24,18 +24,22 @@
 //!      │  │                ▼                             ▼
 //!      │  │            dispatched ──────────────────► writing
 //!      │  │            (parked on pool tickets;          │
-//!      │  │             completion via self-pipe)        │ flushed
+//!      │  │             completion via self-pipe;        │
+//!      │  │             hot-tier hits skip it)           │ flushed
 //!      │  └──────────────────────────────────────────────┘ keep-alive
 //!      └── idle (empty buffer; evicted after `idle_timeout`)
 //! ```
 //!
 //! Extraction dispatch is **asynchronous**: the loop submits through the
-//! pool's [`try_submit_with_notify`](ExtractionServer::try_submit_with_notify)
+//! pool's [`try_serve_with_notify`](ExtractionServer::try_serve_with_notify)
 //! and parks the connection; when the job resolves, the worker's
 //! completion callback pushes a token into the loop's inbox and wakes
 //! its self-pipe. A slow extraction therefore never stalls unrelated
 //! connections sharing the loop, and a full shard queue surfaces as
-//! `429 Too Many Requests` immediately.
+//! `429 Too Many Requests` immediately. The exception is the common
+//! case: an inline document whose result is in the pool's hot tier is
+//! answered by that same call, on the loop, with no queue, worker or
+//! wake — so cache hits keep answering even while every worker is busy.
 //!
 //! Timeouts are threaded per state: `idle_timeout` evicts quiet
 //! keep-alive sessions, `read_timeout` bounds how long one request may
@@ -122,13 +126,13 @@ use lixto_obs::{
 use lixto_server::{
     parse_provenance_key, provenance_key, ChangedEntry, DeployError, DiffEntry, ExtractionRequest,
     ExtractionResponse, ExtractionServer, JobTicket, LatencyHistogram, MetricsSnapshot,
-    RequestSource, ServerError, WatchEvent, WatchRegistry, WatchSample, WatchScheduler, WatchSpec,
-    WatchStatus, WrapperSpec, XmlDesign,
+    RequestSource, Served, ServerError, WatchEvent, WatchRegistry, WatchSample, WatchScheduler,
+    WatchSpec, WatchStatus, WrapperSpec, XmlDesign,
 };
 
 use crate::client::{HttpClient, RetryPolicy};
 use crate::http::{parse_request_with_body_limit, Limits, Request, RequestError, Response};
-use crate::json::{obj, Json};
+use crate::json::{obj, write_escaped, write_number, Json};
 use crate::monitor::{AlertsSnapshot, Monitor, TickSample};
 use crate::poll::{poll, PollFd, SelfPipe, POLLIN, POLLOUT};
 
@@ -987,6 +991,8 @@ enum DispatchItem {
     /// Resolved synchronously (parse error, submission error, oversized
     /// item): the status and JSON body to answer with.
     Ready(u16, Json),
+    /// Answered from the pool's hot tier on this loop thread.
+    Answered(ExtractionResponse),
     /// Parked on a pool ticket; redeemed when its completion arrives.
     Pending(JobTicket),
 }
@@ -1955,39 +1961,44 @@ fn server_error_parts(error: &ServerError) -> (u16, Json) {
     (status, error_body(code, &error.to_string()))
 }
 
-/// Parse one `/extract` body (or one batch item) into a pool request.
-/// Errors come back as the 400 status + body the old synchronous
-/// handler produced, byte for byte.
-fn extraction_request_from_json(parsed: &Json) -> Result<ExtractionRequest, (u16, Json)> {
+/// Parse one `/extract` body (or one batch item) into a pool request,
+/// moving the strings out of the parsed document rather than copying
+/// them. Errors come back as the 400 status + body the old synchronous
+/// handler produced, byte for byte (a repeated key counts at its first
+/// occurrence, as [`Json::get`] reads it).
+fn extraction_request_from_json(parsed: Json) -> Result<ExtractionRequest, (u16, Json)> {
     let bad = |message: &str| (400, error_body("bad_request", message));
-    let Some(wrapper) = parsed.get("wrapper").and_then(Json::as_str) else {
+    let mut fields = match parsed {
+        Json::Obj(fields) => fields,
+        _ => Vec::new(),
+    };
+    let mut take = |key: &str| {
+        fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| std::mem::replace(v, Json::Null))
+    };
+    let Some(Json::Str(wrapper)) = take("wrapper") else {
         return Err(bad("missing string field \"wrapper\""));
     };
-    let version = match parsed.get("version") {
+    let version = match take("version") {
         None | Some(Json::Null) => None,
         Some(v) => match v.as_u64().and_then(|n| u32::try_from(n).ok()) {
             Some(n) => Some(n),
             None => return Err(bad("\"version\" must be an unsigned integer")),
         },
     };
-    let Some(url) = parsed.get("url").and_then(Json::as_str) else {
+    let Some(Json::Str(url)) = take("url") else {
         return Err(bad("missing string field \"url\""));
     };
-    let source = match parsed.get("html") {
-        None | Some(Json::Null) => RequestSource::Web {
-            url: url.to_string(),
-        },
-        Some(html) => match html.as_str() {
-            Some(html) => RequestSource::Inline {
-                url: url.to_string(),
-                html: html.to_string(),
-            },
-            None => return Err(bad("\"html\" must be a string")),
-        },
+    let source = match take("html") {
+        None | Some(Json::Null) => RequestSource::Web { url },
+        Some(Json::Str(html)) => RequestSource::Inline { url, html },
+        Some(_) => return Err(bad("\"html\" must be a string")),
     };
     Ok(ExtractionRequest {
         trace: None,
-        wrapper: wrapper.to_string(),
+        wrapper,
         version,
         source,
     })
@@ -1995,18 +2006,19 @@ fn extraction_request_from_json(parsed: &Json) -> Result<ExtractionRequest, (u16
 
 /// The completion callback handed to the pool: push a token and wake
 /// the owning loop. Runs on a worker thread (or wherever an unprocessed
-/// job is destroyed), so it does nothing but that.
-fn completion_notify(ctx: &ConnCtx, generation: u64) -> Box<dyn FnOnce() + Send> {
+/// job is destroyed), so it does nothing but that. A request answered
+/// from the hot tier drops it unrun.
+fn completion_notify(ctx: &ConnCtx, generation: u64) -> impl FnOnce() + Send + 'static {
     let ls = ctx.ls.clone();
     let slot = ctx.slot;
-    Box::new(move || {
+    move || {
         let completion = Completion {
             slot,
             generation,
             finished_at: Instant::now(),
         };
         ls.wake_with(|inbox| inbox.completions.push(completion));
-    })
+    }
 }
 
 /// The request's trace context: the client's `X-Request-Id` when it
@@ -2032,7 +2044,7 @@ fn dispatch_extract(conn: &mut Conn, ctx: &ConnCtx, request: &Request, keep_aliv
         Some(body) => match Json::parse(body) {
             Err(e) => DispatchItem::Ready(400, error_body("bad_request", &e.to_string())),
             Ok(parsed) => submit_item(
-                &parsed,
+                parsed,
                 ctx,
                 conn.generation,
                 trace.as_ref().map(|t| t.id.to_string()),
@@ -2067,7 +2079,7 @@ fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request, keep_alive:
         Ok(v) => v,
         Err(e) => return reject(conn, 400, "bad_request", &e.to_string()),
     };
-    let Some(items) = parsed.as_array() else {
+    let Json::Arr(items) = parsed else {
         return reject(
             conn,
             400,
@@ -2095,7 +2107,7 @@ fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request, keep_alive:
     let mut dispatch_items = Vec::with_capacity(items.len());
     let mut outstanding = 0usize;
     let mut scratch = String::new(); // one reusable buffer for all size checks
-    for (index, item) in items.iter().enumerate() {
+    for (index, item) in items.into_iter().enumerate() {
         // An item bigger than a single request may carry is answered
         // exactly as the framing layer would have answered the
         // equivalent individual POST (its serialized form *is* that
@@ -2134,12 +2146,13 @@ fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request, keep_alive:
     }
 }
 
-/// Parse and submit one extraction item; synchronous failures (bad
-/// shape, unknown wrapper, backpressure, shutdown) resolve immediately.
-/// `trace` rides into the pool on [`ExtractionRequest::trace`] so
-/// worker-side log events name the request.
+/// Parse and submit one extraction item. Hot-tier hits and synchronous
+/// failures (bad shape, unknown wrapper, backpressure, shutdown) resolve
+/// immediately, on this loop thread; everything else parks on a pool
+/// ticket. `trace` rides into the pool on [`ExtractionRequest::trace`]
+/// so worker-side log events name the request.
 fn submit_item(
-    parsed: &Json,
+    parsed: Json,
     ctx: &ConnCtx,
     generation: u64,
     trace: Option<String>,
@@ -2151,9 +2164,10 @@ fn submit_item(
             match ctx
                 .shared
                 .server
-                .try_submit_with_notify(request, completion_notify(ctx, generation))
+                .try_serve_with_notify(request, completion_notify(ctx, generation))
             {
-                Ok(ticket) => DispatchItem::Pending(ticket),
+                Ok(Served::Hit(response)) => DispatchItem::Answered(response),
+                Ok(Served::Queued(ticket)) => DispatchItem::Pending(ticket),
                 Err(e) => {
                     let (status, body) = server_error_parts(&e);
                     DispatchItem::Ready(status, body)
@@ -2174,33 +2188,35 @@ struct ItemOutcome {
     stages: StageTimes,
 }
 
-/// Redeem one dispatched item into its status + response body, plus the
-/// telemetry its span record needs.
-fn resolve_item(item: DispatchItem) -> (u16, Json, ItemOutcome) {
-    match item {
-        DispatchItem::Ready(status, body) => (status, body, ItemOutcome::default()),
+/// Redeem one dispatched item: append its JSON response body to `body`
+/// and return its status, plus the telemetry its span record needs.
+fn resolve_item(item: DispatchItem, body: &mut String) -> (u16, ItemOutcome) {
+    let outcome = match item {
+        DispatchItem::Ready(status, json) => Err((status, json)),
+        DispatchItem::Answered(response) => Ok(response),
         DispatchItem::Pending(mut ticket) => match ticket.try_take() {
-            Some(Ok(response)) => {
-                let body = extraction_json(&response);
-                let outcome = ItemOutcome {
-                    wrapper: response.wrapper,
-                    version: response.version,
-                    cache_hit: response.cache_hit,
-                    stages: response.stages,
-                };
-                (200, body, outcome)
-            }
-            Some(Err(error)) => {
-                let (status, body) = server_error_parts(&error);
-                (status, body, ItemOutcome::default())
-            }
+            Some(Ok(response)) => Ok(response),
+            Some(Err(error)) => Err(server_error_parts(&error)),
             // Unreachable per the notify contract; fail soft if it ever
             // is.
-            None => {
-                let (status, body) = server_error_parts(&ServerError::Canceled);
-                (status, body, ItemOutcome::default())
-            }
+            None => Err(server_error_parts(&ServerError::Canceled)),
         },
+    };
+    match outcome {
+        Ok(response) => {
+            write_extraction_json(&response, body);
+            let outcome = ItemOutcome {
+                wrapper: response.wrapper,
+                version: response.version,
+                cache_hit: response.cache_hit,
+                stages: response.stages,
+            };
+            (200, outcome)
+        }
+        Err((status, json)) => {
+            json.dump_into(body);
+            (status, ItemOutcome::default())
+        }
     }
 }
 
@@ -2242,46 +2258,49 @@ fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
     let retry_after = dispatch.retry_after;
     let trace = dispatch.trace;
     let wake_ns = dispatch.wake_ns;
+    // Bodies are streamed into one buffer, byte-identical to building
+    // the equivalent `Json` tree and dumping it.
+    let mut body = String::new();
     let response = if dispatch.batch {
-        let count = dispatch.items.len();
-        let items: Vec<Json> = dispatch
-            .items
-            .into_iter()
-            .enumerate()
-            .map(|(index, item)| {
-                let (status, body, outcome) = resolve_item(item);
-                match &trace {
-                    // Batch items share the batch's wall clock and worst
-                    // wake: tickets resolve independently but the
-                    // response leaves as one.
-                    Some(trace) => {
-                        let id = format!("{}#{index}", trace.id);
-                        record_span(ctx, id.clone(), status, outcome, trace, wake_ns);
-                        obj([
-                            ("status", u64::from(status).into()),
-                            ("body", body),
-                            ("request_id", id.into()),
-                        ])
-                    }
-                    None => obj([("status", u64::from(status).into()), ("body", body)]),
-                }
-            })
-            .collect();
-        Response::json(
-            200,
-            &obj([("count", count.into()), ("items", items.into())]),
-        )
+        // `{"count":N,"items":[{"status":S,"body":B,"request_id":I},…]}`
+        body.push_str("{\"count\":");
+        write_number(dispatch.items.len() as f64, &mut body);
+        body.push_str(",\"items\":[");
+        let mut item_body = String::new();
+        for (index, item) in dispatch.items.into_iter().enumerate() {
+            item_body.clear();
+            let (status, outcome) = resolve_item(item, &mut item_body);
+            if index > 0 {
+                body.push(',');
+            }
+            body.push_str("{\"status\":");
+            write_number(f64::from(status), &mut body);
+            body.push_str(",\"body\":");
+            body.push_str(&item_body);
+            // Batch items share the batch's wall clock and worst wake:
+            // tickets resolve independently but the response leaves as
+            // one.
+            if let Some(trace) = &trace {
+                let id = format!("{}#{index}", trace.id);
+                body.push_str(",\"request_id\":");
+                write_escaped(&id, &mut body);
+                record_span(ctx, id, status, outcome, trace, wake_ns);
+            }
+            body.push('}');
+        }
+        body.push_str("]}");
+        Response::json_encoded(200, body)
     } else {
         let item = dispatch
             .items
             .into_iter()
             .next()
             .expect("single dispatch holds one item");
-        let (status, body, outcome) = resolve_item(item);
+        let (status, outcome) = resolve_item(item, &mut body);
         if let Some(trace) = &trace {
             record_span(ctx, trace.id.to_string(), status, outcome, trace, wake_ns);
         }
-        let response = Response::json(status, &body);
+        let response = Response::json_encoded(status, body);
         if status == 429 && retry_after {
             response.with_header("retry-after", "1")
         } else {
@@ -2467,31 +2486,56 @@ fn bad_request(message: &str) -> Response {
     Response::error(400, "bad_request", message)
 }
 
-/// The `/extract` response body: execution metadata, the designed XML
-/// document, and the extracted pattern instances as JSON.
-fn extraction_json(response: &ExtractionResponse) -> Json {
+/// Append the `/extract` response body — execution metadata, the
+/// designed XML document, and the extracted pattern instances — to
+/// `out`, streamed without a `Json` tree:
+///
+/// ```text
+/// {"wrapper":…,"version":…,"cache_hit":…,"latency_us":…,
+///  "provenance_key":…,"xml":…,"patterns":[{"name":…,"instances":[…]},…]}
+/// ```
+///
+/// (shown wrapped). Instance texts come from the stored provenance
+/// record, which holds each instance's text index-parallel to the base;
+/// a result without one is rendered from its document trees instead.
+fn write_extraction_json(response: &ExtractionResponse, out: &mut String) {
     let extraction = response.extraction();
-    let patterns: Vec<Json> = extraction
-        .patterns()
-        .iter()
-        .map(|name| {
-            let texts: Vec<Json> = extraction
-                .texts_of(name)
-                .into_iter()
-                .map(Json::from)
-                .collect();
-            obj([("name", name.as_str().into()), ("instances", texts.into())])
-        })
-        .collect();
-    obj([
-        ("wrapper", response.wrapper.as_str().into()),
-        ("version", response.version.into()),
-        ("cache_hit", response.cache_hit.into()),
-        ("latency_us", (response.latency.as_micros() as u64).into()),
-        ("provenance_key", provenance_key(&response.key).into()),
-        ("xml", response.xml().into()),
-        ("patterns", patterns.into()),
-    ])
+    out.push_str("{\"wrapper\":");
+    write_escaped(&response.wrapper, out);
+    out.push_str(",\"version\":");
+    write_number(f64::from(response.version), out);
+    out.push_str(",\"cache_hit\":");
+    out.push_str(if response.cache_hit { "true" } else { "false" });
+    out.push_str(",\"latency_us\":");
+    write_number(response.latency.as_micros() as u64 as f64, out);
+    out.push_str(",\"provenance_key\":");
+    write_escaped(&provenance_key(&response.key), out);
+    out.push_str(",\"xml\":");
+    write_escaped(response.xml(), out);
+    out.push_str(",\"patterns\":[");
+    let base = &extraction.base.instances;
+    let recorded = &response.result.provenance.instances;
+    let recorded = (recorded.len() == base.len()).then_some(recorded);
+    for (p, name) in extraction.patterns().iter().enumerate() {
+        if p > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        write_escaped(name, out);
+        out.push_str(",\"instances\":[");
+        let of_pattern = (0..base.len()).filter(|&i| *base[i].pattern == **name);
+        for (n, i) in of_pattern.enumerate() {
+            if n > 0 {
+                out.push(',');
+            }
+            match recorded {
+                Some(recorded) => write_escaped(&recorded[i].text, out),
+                None => write_escaped(&extraction.base.text_of(i, &extraction.docs), out),
+            }
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
 }
 
 /// `GET /provenance/{key}`: the derivation record persisted beside a
@@ -3089,7 +3133,7 @@ pub fn render_prometheus(
         (
             "lixto_requests_submitted_total",
             "counter",
-            "Requests accepted into a shard queue",
+            "Requests accepted: queued, or answered from the hot tier",
             snapshot.submitted.to_string(),
         ),
         (
@@ -3593,6 +3637,107 @@ mod tests {
         )
         .unwrap();
         (gateway, server)
+    }
+
+    /// The `/extract` body as a `Json` tree — the encoder
+    /// [`write_extraction_json`] replaced, kept as its byte-identity
+    /// reference.
+    fn extraction_json(response: &ExtractionResponse) -> Json {
+        let extraction = response.extraction();
+        let patterns: Vec<Json> = extraction
+            .patterns()
+            .iter()
+            .map(|name| {
+                let texts: Vec<Json> = extraction
+                    .texts_of(name)
+                    .into_iter()
+                    .map(Json::from)
+                    .collect();
+                obj([("name", name.as_str().into()), ("instances", texts.into())])
+            })
+            .collect();
+        obj([
+            ("wrapper", response.wrapper.as_str().into()),
+            ("version", response.version.into()),
+            ("cache_hit", response.cache_hit.into()),
+            ("latency_us", (response.latency.as_micros() as u64).into()),
+            ("provenance_key", provenance_key(&response.key).into()),
+            ("xml", response.xml().into()),
+            ("patterns", patterns.into()),
+        ])
+    }
+
+    #[test]
+    fn streamed_extract_body_is_byte_identical_to_the_json_tree() {
+        use lixto_server::{CachedExtraction, Provenance, Served};
+        use lixto_workloads::traffic;
+
+        let registry = Arc::new(WrapperRegistry::new());
+        for p in traffic::profiles() {
+            let design = p
+                .auxiliary
+                .iter()
+                .fold(XmlDesign::new().root(p.root), |d, a| d.auxiliary(a));
+            registry.register_source(p.name, p.program, design).unwrap();
+        }
+        registry
+            .register_source("shop", WRAPPER, XmlDesign::new().root("offers"))
+            .unwrap();
+        let server = ExtractionServer::start(
+            ServerConfig::default(),
+            registry,
+            Arc::new(lixto_elog::StaticWeb::new()),
+        );
+        let mut requests: Vec<(String, String, String)> = Vec::new();
+        for p in traffic::profiles() {
+            for seed in [1, 7] {
+                for variant in 0..traffic::VARIANTS_PER_WRAPPER {
+                    let html = traffic::page_for(p.name, seed, variant);
+                    requests.push((p.name.into(), p.entry_url.into(), html));
+                }
+            }
+        }
+        // Quotes, backslashes, control characters, entities and
+        // multi-byte UTF-8 in the extracted texts and the XML.
+        let nasty = "<ul><li>Zürich \"quoted\" back\\slash\ttab</li>\
+                     <li>€ &amp; &lt;tag&gt; \u{1}\u{1f} \u{1F600}\r\nline</li></ul>";
+        requests.push(("shop".into(), "http://shop/".into(), nasty.into()));
+        let mut checked = 0;
+        let mut bodies = String::new();
+        for (wrapper, url, html) in requests {
+            let request = ExtractionRequest {
+                trace: None,
+                wrapper,
+                version: None,
+                source: RequestSource::Inline { url, html },
+            };
+            let miss = server.execute(request.clone()).unwrap();
+            let Served::Hit(hit) = server.try_serve_with_notify(request, || {}).unwrap() else {
+                panic!("second request must hit the hot tier");
+            };
+            // A result without per-instance provenance renders its texts
+            // from the document trees.
+            let bare = ExtractionResponse {
+                result: Arc::new(CachedExtraction {
+                    provenance: Provenance::default(),
+                    ..(*miss.result).clone()
+                }),
+                ..miss.clone()
+            };
+            for response in [&miss, &hit, &bare] {
+                let mut streamed = String::new();
+                write_extraction_json(response, &mut streamed);
+                assert_eq!(streamed, extraction_json(response).dump());
+                bodies.push_str(&streamed);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 3 * (5 * 2 * 3 + 1));
+        // The escape-heavy page really reached the escaper, as instance
+        // text and not only inside the XML.
+        assert!(bodies.contains(r#"["Zürich \"quoted\" back\\slash\ttab","€ & "#));
+        assert!(bodies.contains(r#"\u0001\u001f 😀\r\nline"]"#));
+        server.shutdown();
     }
 
     #[test]

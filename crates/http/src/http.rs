@@ -291,11 +291,17 @@ pub struct Response {
 impl Response {
     /// A JSON response.
     pub fn json(status: u16, value: &Json) -> Response {
+        Response::json_encoded(status, value.dump())
+    }
+
+    /// A JSON response whose body is already encoded (a document
+    /// streamed straight into a buffer, without a [`Json`] tree).
+    pub fn json_encoded(status: u16, body: String) -> Response {
         Response {
             status,
             content_type: "application/json",
             extra_headers: Vec::new(),
-            body: value.dump().into_bytes(),
+            body: body.into_bytes(),
         }
     }
 

@@ -225,7 +225,9 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     )
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Append `n` exactly as a [`Json::Num`] serializes (integers without a
+/// fraction) — for writers that stream a document without a tree.
+pub(crate) fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null"); // JSON has no NaN/inf; never produced by parse
     } else if n.fract() == 0.0 && n.abs() <= 9.007_199_254_740_992e15 {
@@ -235,21 +237,35 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Append `s` as a quoted, escaped JSON string, exactly as a
+/// [`Json::Str`] serializes. Runs of bytes that need no escape are
+/// copied whole; only `"`, `\\` and control characters are rewritten
+/// (every byte of a multi-byte UTF-8 sequence is ≥ 0x80, so scanning
+/// bytes never splits a character).
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0x00..=0x1F => "",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        clean = i + 1;
+        if escape.is_empty() {
+            out.push_str(&format!("\\u{b:04x}"));
+        } else {
+            out.push_str(escape);
         }
     }
+    out.push_str(&s[clean..]);
     out.push('"');
 }
 
@@ -505,6 +521,43 @@ mod tests {
         // Parses the standard escapes, \uXXXX and surrogate pairs.
         let v = Json::parse(r#""a\u0041 \ud83d\ude00 \/ \b\f""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "aA \u{1F600} / \u{08}\u{0C}");
+    }
+
+    #[test]
+    fn run_copying_escaper_matches_per_character_escaping() {
+        // The per-character reference the run-copying escaper replaced.
+        fn reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    '\u{08}' => out.push_str("\\b"),
+                    '\u{0C}' => out.push_str("\\f"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let mut all: String = (0u8..0x80).map(char::from).collect();
+        all.push_str("Zürich €5 \u{1F600}\"\\ end");
+        for s in [
+            all.as_str(),
+            "",
+            "plain",
+            "\"",
+            "\u{7f}\u{80}é\n",
+            "ends with \\",
+        ] {
+            let mut out = String::new();
+            write_escaped(s, &mut out);
+            assert_eq!(out, reference(s), "escaping {s:?}");
+        }
     }
 
     #[test]

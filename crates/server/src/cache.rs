@@ -67,8 +67,9 @@ pub fn content_address(url: &str, html: &str) -> u64 {
 /// not the registry version number: two versions that compile to the
 /// same plan over the same design (an operator redeploying unchanged
 /// source) share cache entries, while any semantic change — program,
-/// design or limits — keys separately.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// design or limits — keys separately. Keys order by wrapper, then plan,
+/// then content address.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CacheKey {
     /// Wrapper name.
     pub wrapper: String,

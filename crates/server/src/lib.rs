@@ -13,7 +13,9 @@
 //! * [`server`] — the [`ExtractionServer`]: requests hash to one of N
 //!   shards, each a bounded queue drained by worker threads (backpressure
 //!   via blocking [`submit`](ExtractionServer::submit) or non-blocking
-//!   [`try_submit`](ExtractionServer::try_submit)), with graceful
+//!   [`try_submit`](ExtractionServer::try_submit); event loops use
+//!   [`try_serve_with_notify`](ExtractionServer::try_serve_with_notify),
+//!   which answers hot-tier hits on the calling thread), with graceful
 //!   [`shutdown`](ExtractionServer::shutdown) that drains queues and
 //!   joins every thread;
 //! * [`cache`] — a content-addressed [`ResultCache`], sharded over
@@ -74,7 +76,7 @@ pub use metrics::{
 pub use registry::{DeployError, RegisteredWrapper, WrapperRegistry, WrapperSpec};
 pub use server::{
     ExtractionRequest, ExtractionResponse, ExtractionServer, JobTicket, PoolSample, RequestSource,
-    ServerConfig, ServerError, ShutdownReport,
+    Served, ServerConfig, ServerError, ShutdownReport,
 };
 pub use store::{
     durability_layout, parse_provenance_key, provenance_key, DurabilityLayout, InstanceProvenance,

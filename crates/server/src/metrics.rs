@@ -154,7 +154,8 @@ pub struct StageSummary {
 
 /// Shared mutable counters the server and its workers write into.
 pub struct ServerMetrics {
-    /// Requests accepted into a shard queue.
+    /// Requests accepted: queued, or answered from the hot tier on
+    /// submission.
     pub submitted: AtomicU64,
     /// Requests completed successfully.
     pub completed: AtomicU64,
@@ -165,7 +166,8 @@ pub struct ServerMetrics {
     /// End-to-end latency (enqueue → response) histogram.
     pub latency: LatencyHistogram,
     /// Per-stage latency histograms (queue wait, fetch, parse, cache,
-    /// exec, serialize), fed by the workers per completed request.
+    /// exec, serialize), fed per completed request — by the workers, or
+    /// by the submitting thread for a hot-tier hit.
     pub stages: StageHistograms,
     /// When the server started (throughput denominator).
     pub started_at: Instant,
@@ -195,7 +197,8 @@ impl Default for ServerMetrics {
 /// A point-in-time, copyable view of the service's health.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
-    /// Requests accepted into a shard queue.
+    /// Requests accepted: queued, or answered from the hot tier on
+    /// submission.
     pub submitted: u64,
     /// Requests completed successfully.
     pub completed: u64,

@@ -10,6 +10,12 @@
 //! blocks the producer when its shard is full, `try_submit` returns
 //! [`ServerError::Backpressure`] instead.
 //!
+//! Event-driven frontends submit through
+//! [`ExtractionServer::try_serve_with_notify`], which answers an inline
+//! request whose result sits in the hot tier on the calling thread —
+//! no queue, no worker, no completion callback — and queues everything
+//! else. The disk tier is only ever read by workers.
+//!
 //! Shutdown is drain-ordered and callable through a shared handle
 //! ([`ExtractionServer::initiate_shutdown`], which `shutdown` wraps):
 //! intake stops first, the workers finish every queued job — answering
@@ -23,7 +29,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 use crossbeam_channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
@@ -60,6 +66,15 @@ impl RequestSource {
     fn url(&self) -> &str {
         match self {
             RequestSource::Inline { url, .. } | RequestSource::Web { url } => url,
+        }
+    }
+
+    /// The content address of an `Inline` document; `Web` documents are
+    /// addressed after the fetch, in the worker.
+    fn inline_address(&self) -> Option<u64> {
+        match self {
+            RequestSource::Inline { url, html } => Some(content_address(url, html)),
+            RequestSource::Web { .. } => None,
         }
     }
 }
@@ -237,6 +252,17 @@ impl JobTicket {
     }
 }
 
+/// What [`ExtractionServer::try_serve_with_notify`] did with a request.
+#[derive(Debug)]
+pub enum Served {
+    /// Answered from the hot tier on the calling thread; the completion
+    /// callback was dropped without running.
+    Hit(ExtractionResponse),
+    /// Queued on the pool; the completion callback runs once the ticket
+    /// is redeemable.
+    Queued(JobTicket),
+}
+
 /// Fires its callback exactly once, on drop. Declared as the *last*
 /// field of [`Job`], so by the time the callback runs the job's reply
 /// sender has already been dropped (fields drop in declaration order):
@@ -265,8 +291,9 @@ struct Job {
     request: ExtractionRequest,
     wrapper: Arc<RegisteredWrapper>,
     /// Content address of an `Inline` document, computed once at submit
-    /// (it doubles as the shard key); `Web` documents are addressed
-    /// after the fetch, in the worker.
+    /// (it doubles as the shard key, and as the hot-tier key of
+    /// [`ExtractionServer::try_serve_with_notify`]); `Web` documents are
+    /// addressed after the fetch, in the worker.
     content: Option<u64>,
     submitted_at: Instant,
     reply: Sender<Result<ExtractionResponse, ServerError>>,
@@ -292,7 +319,8 @@ pub struct ShutdownReport {
 /// instantaneous.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolSample {
-    /// Requests accepted into a shard queue.
+    /// Requests accepted: queued, or answered from the hot tier on
+    /// submission.
     pub submitted: u64,
     /// Requests completed successfully.
     pub completed: u64,
@@ -460,6 +488,60 @@ struct Shared {
     sources: SourceTrackers,
 }
 
+impl Shared {
+    /// Count a cache hit and build its response — the one place a hit
+    /// is answered, whether a worker or the submitting thread found it.
+    fn hit_response(
+        &self,
+        wrapper: &RegisteredWrapper,
+        key: CacheKey,
+        cached: Arc<CachedExtraction>,
+        submitted_at: Instant,
+        cache_started: Instant,
+        mut stages: StageTimes,
+    ) -> ExtractionResponse {
+        self.store.record_hit();
+        stages.add(Stage::CacheLookup, cache_started.elapsed());
+        ExtractionResponse {
+            wrapper: wrapper.name.clone(),
+            version: wrapper.version,
+            key,
+            result: cached,
+            cache_hit: true,
+            latency: submitted_at.elapsed(),
+            stages,
+        }
+    }
+
+    /// Count one finished request — completion or error, stage times,
+    /// end-to-end latency — wherever it was answered.
+    fn record_outcome(
+        &self,
+        request: &ExtractionRequest,
+        outcome: &Result<ExtractionResponse, ServerError>,
+        submitted_at: Instant,
+    ) {
+        match outcome {
+            Ok(response) => {
+                self.metrics.completed.fetch_add(1, Ordering::Relaxed);
+                self.metrics.stages.record(&response.stages);
+                debug_event!(
+                    "job_done",
+                    "request_id" => request.trace.as_deref().unwrap_or(""),
+                    "wrapper" => &response.wrapper,
+                    "version" => response.version,
+                    "cache_hit" => response.cache_hit,
+                    "latency_us" => submitted_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
+                );
+            }
+            Err(_) => {
+                self.metrics.errors.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        self.metrics.latency.record(submitted_at.elapsed());
+    }
+}
+
 /// The wrapper-execution service.
 ///
 /// The pool is safe to share behind an `Arc` (the HTTP gateway does):
@@ -624,9 +706,21 @@ impl ExtractionServer {
         }
     }
 
+    /// The shard senders, or [`ServerError::ShuttingDown`] once intake
+    /// has stopped. Holding the guard orders the caller's enqueue before
+    /// any shutdown (see [`initiate_shutdown`](Self::initiate_shutdown)).
+    fn intake(&self) -> Result<RwLockReadGuard<'_, Vec<Sender<Job>>>, ServerError> {
+        let queues = self.queues.read().expect("queues poisoned");
+        if queues.is_empty() {
+            return Err(ServerError::ShuttingDown);
+        }
+        Ok(queues)
+    }
+
     fn make_job(
         request: ExtractionRequest,
         wrapper: Arc<RegisteredWrapper>,
+        content: Option<u64>,
         shards: usize,
         notify: Option<Box<dyn FnOnce() + Send>>,
     ) -> (usize, Job, JobTicket) {
@@ -635,13 +729,7 @@ impl ExtractionServer {
         // inline documents the source key *is* the content address, which
         // the worker then reuses as the cache key — the document is
         // hashed exactly once.
-        let (content, source_key) = match &request.source {
-            RequestSource::Inline { url, html } => {
-                let address = content_address(url, html);
-                (Some(address), address)
-            }
-            RequestSource::Web { url } => (None, fxhash64(url.as_bytes())),
-        };
+        let source_key = content.unwrap_or_else(|| fxhash64(request.source.url().as_bytes()));
         let shard = ((fxhash64(request.wrapper.as_bytes()).rotate_left(1) ^ source_key)
             % shards as u64) as usize;
         let (tx, rx) = bounded(1);
@@ -663,11 +751,9 @@ impl ExtractionServer {
     /// (producer-side backpressure).
     pub fn submit(&self, request: ExtractionRequest) -> Result<JobTicket, ServerError> {
         let wrapper = self.resolve(&request)?;
-        let queues = self.queues.read().expect("queues poisoned");
-        if queues.is_empty() {
-            return Err(ServerError::ShuttingDown);
-        }
-        let (shard, job, ticket) = Self::make_job(request, wrapper, queues.len(), None);
+        let queues = self.intake()?;
+        let content = request.source.inline_address();
+        let (shard, job, ticket) = Self::make_job(request, wrapper, content, queues.len(), None);
         queues[shard]
             .send(job)
             .map_err(|_| ServerError::ShuttingDown)?;
@@ -703,17 +789,78 @@ impl ExtractionServer {
         self.try_submit_inner(request, Some(notify))
     }
 
+    /// The event-loop entry point: like
+    /// [`try_submit_with_notify`](ExtractionServer::try_submit_with_notify),
+    /// but an `Inline` request whose result is in the **hot tier** is
+    /// answered right here, on the calling thread, and `notify` is
+    /// dropped without running. Such a hit never enters a shard queue or
+    /// wakes a worker, and is counted exactly as a worker counts one
+    /// (submitted, completed, cache hit, latency and `cache`-stage
+    /// histograms); its stage times hold only the `cache` stage.
+    ///
+    /// Everything else is queued as by `try_submit_with_notify`: `Web`
+    /// sources, hot-tier misses (the disk tier is never read on the
+    /// calling thread) and entries with a crawl manifest, which a worker
+    /// must revalidate. A queued inline request carries its content
+    /// address along, so the document is still hashed once. After
+    /// shutdown began the call fails with [`ServerError::ShuttingDown`],
+    /// hit or not.
+    pub fn try_serve_with_notify(
+        &self,
+        request: ExtractionRequest,
+        notify: impl FnOnce() + Send + 'static,
+    ) -> Result<Served, ServerError> {
+        let submitted_at = Instant::now();
+        let wrapper = self.resolve(&request)?;
+        let queues = self.intake()?;
+        let content = request.source.inline_address();
+        if let Some(content) = content {
+            let key = CacheKey {
+                wrapper: wrapper.name.clone(),
+                plan: wrapper.plan_id,
+                content,
+            };
+            let cache_started = Instant::now();
+            let cached = self.shared.store.peek_hot(&key);
+            if let Some(cached) = cached.filter(|c| c.crawl.is_empty()) {
+                let shared = &self.shared;
+                shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+                let outcome = Ok(shared.hit_response(
+                    &wrapper,
+                    key,
+                    cached,
+                    submitted_at,
+                    cache_started,
+                    StageTimes::new(),
+                ));
+                shared.record_outcome(&request, &outcome, submitted_at);
+                return outcome.map(Served::Hit);
+            }
+        }
+        self.try_enqueue(&queues, request, wrapper, content, Some(Box::new(notify)))
+            .map(Served::Queued)
+    }
+
     fn try_submit_inner(
         &self,
         request: ExtractionRequest,
         notify: Option<Box<dyn FnOnce() + Send>>,
     ) -> Result<JobTicket, ServerError> {
         let wrapper = self.resolve(&request)?;
-        let queues = self.queues.read().expect("queues poisoned");
-        if queues.is_empty() {
-            return Err(ServerError::ShuttingDown);
-        }
-        let (shard, job, ticket) = Self::make_job(request, wrapper, queues.len(), notify);
+        let queues = self.intake()?;
+        let content = request.source.inline_address();
+        self.try_enqueue(&queues, request, wrapper, content, notify)
+    }
+
+    fn try_enqueue(
+        &self,
+        queues: &[Sender<Job>],
+        request: ExtractionRequest,
+        wrapper: Arc<RegisteredWrapper>,
+        content: Option<u64>,
+        notify: Option<Box<dyn FnOnce() + Send>>,
+    ) -> Result<JobTicket, ServerError> {
+        let (shard, job, ticket) = Self::make_job(request, wrapper, content, queues.len(), notify);
         match queues[shard].try_send(job) {
             Ok(()) => {
                 self.shared
@@ -875,24 +1022,7 @@ fn worker_loop(rx: Receiver<Job>, shared: Arc<Shared>) {
                 );
                 Err(ServerError::Internal(message))
             });
-        match &outcome {
-            Ok(response) => {
-                shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.stages.record(&response.stages);
-                debug_event!(
-                    "job_done",
-                    "request_id" => job.request.trace.as_deref().unwrap_or(""),
-                    "wrapper" => &response.wrapper,
-                    "version" => response.version,
-                    "cache_hit" => response.cache_hit,
-                    "latency_us" => job.submitted_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-                );
-            }
-            Err(_) => {
-                shared.metrics.errors.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        shared.metrics.latency.record(job.submitted_at.elapsed());
+        shared.record_outcome(&job.request, &outcome, job.submitted_at);
         // The client may have dropped its ticket; that is its business.
         let _ = job.reply.send(outcome);
     }
@@ -903,22 +1033,21 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
     let url = job.request.source.url();
     let mut stages = StageTimes::new();
     stages.add(Stage::QueueWait, job.submitted_at.elapsed());
-    let (html, from_web) = match &job.request.source {
-        RequestSource::Inline { html, .. } => (html.clone(), false),
+    let fetched;
+    let (html, from_web): (&str, bool) = match &job.request.source {
+        RequestSource::Inline { html, .. } => (html, false),
         RequestSource::Web { url } => {
             let fetch_started = Instant::now();
             let body = shared.web.fetch(url);
             stages.add(Stage::Fetch, fetch_started.elapsed());
-            (
-                body.ok_or_else(|| ServerError::FetchFailed(url.clone()))?,
-                true,
-            )
+            fetched = body.ok_or_else(|| ServerError::FetchFailed(url.clone()))?;
+            (&fetched, true)
         }
     };
     let key = CacheKey {
         wrapper: job.wrapper.name.clone(),
         plan: job.wrapper.plan_id,
-        content: job.content.unwrap_or_else(|| content_address(url, &html)),
+        content: job.content.unwrap_or_else(|| content_address(url, html)),
     };
     if from_web {
         // Change detection over the live source: a changed body drops
@@ -940,17 +1069,14 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
     if let Some(cached) = shared.store.peek(&key) {
         if cached.crawl.is_empty() || cached.crawl_live == from_web {
             if crawl_current(&cached.crawl, crawl_web) {
-                shared.store.record_hit();
-                stages.add(Stage::CacheLookup, cache_started.elapsed());
-                return Ok(ExtractionResponse {
-                    wrapper: job.wrapper.name.clone(),
-                    version: job.wrapper.version,
+                return Ok(shared.hit_response(
+                    &job.wrapper,
                     key,
-                    result: cached,
-                    cache_hit: true,
-                    latency: job.submitted_at.elapsed(),
+                    cached,
+                    job.submitted_at,
+                    cache_started,
                     stages,
-                });
+                ));
             }
             shared.store.invalidate(&key);
         }
@@ -961,7 +1087,7 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
     stages.add(Stage::CacheLookup, cache_started.elapsed());
     let page = PinnedPage {
         url,
-        html: &html,
+        html,
         rest: crawl_web,
     };
     let recorder = RecordingWeb {
@@ -1559,6 +1685,140 @@ mod tests {
             0,
             "defused callback never fired, even through drop and shutdown"
         );
+    }
+
+    /// `try_serve_with_notify`, expecting the request to be queued; waits
+    /// for the answer.
+    fn serve_queued(server: &ExtractionServer, request: ExtractionRequest) -> ExtractionResponse {
+        match server.try_serve_with_notify(request, || {}).unwrap() {
+            Served::Queued(ticket) => ticket.wait().unwrap(),
+            Served::Hit(_) => panic!("expected the pool to answer"),
+        }
+    }
+
+    #[test]
+    fn hot_hits_are_served_on_the_calling_thread_and_counted_like_worker_hits() {
+        use std::sync::atomic::AtomicBool;
+
+        let server = server_with(Arc::new(StaticWeb::new()));
+        let first = serve_queued(&server, inline_req(&["espresso"]));
+        assert!(!first.cache_hit);
+        let fired = Arc::new(AtomicBool::new(false));
+        let flag = fired.clone();
+        let served = server
+            .try_serve_with_notify(inline_req(&["espresso"]), move || {
+                flag.store(true, Ordering::SeqCst)
+            })
+            .unwrap();
+        let Served::Hit(hit) = served else {
+            panic!("a hot-tier entry must be answered inline");
+        };
+        assert!(hit.cache_hit);
+        assert_eq!(hit.xml(), first.xml());
+        assert_eq!(hit.key, first.key);
+        assert!(!fired.load(Ordering::SeqCst), "a hit never notifies");
+        let touched: Vec<Stage> = hit.stages.iter().map(|(s, _)| s).collect();
+        assert_eq!(touched, vec![Stage::CacheLookup]);
+        let snap = server.metrics();
+        assert_eq!((snap.submitted, snap.completed), (2, 2));
+        assert_eq!((snap.cache.hits, snap.cache.misses), (1, 1));
+        let count = |name: &str| snap.stages.iter().find(|s| s.stage == name).unwrap().count;
+        assert_eq!(count("cache"), 2);
+        assert_eq!(count("queue_wait"), 1, "only the miss waited in a queue");
+        assert_eq!(server.shared.metrics.latency.count(), 2);
+        // Shutdown refuses hits too.
+        server.initiate_shutdown();
+        assert_eq!(
+            server
+                .try_serve_with_notify(inline_req(&["espresso"]), || {})
+                .unwrap_err(),
+            ServerError::ShuttingDown
+        );
+    }
+
+    #[test]
+    fn web_sources_and_crawl_manifests_fall_through_to_the_pool() {
+        let mut web = StaticWeb::new();
+        web.put("http://shop/", page(&["web"]));
+        let server = server_with(Arc::new(web));
+        let web_req = ExtractionRequest {
+            trace: None,
+            wrapper: "shop".into(),
+            version: None,
+            source: RequestSource::Web {
+                url: "http://shop/".into(),
+            },
+        };
+        assert!(!serve_queued(&server, web_req.clone()).cache_hit);
+        assert!(serve_queued(&server, web_req).cache_hit, "hit via the pool");
+        server.shutdown();
+
+        // An inline request whose wrapper crawled beyond its entry page:
+        // the manifest needs a worker's revalidation.
+        let registry = Arc::new(WrapperRegistry::new());
+        registry
+            .register_source("crawler", CRAWLER, XmlDesign::new().root("pages"))
+            .unwrap();
+        let server = ExtractionServer::start(
+            ServerConfig::default(),
+            registry,
+            Arc::new(StaticWeb::new()),
+        );
+        let crawl_req = ExtractionRequest {
+            trace: None,
+            wrapper: "crawler".into(),
+            version: None,
+            source: RequestSource::Inline {
+                url: "http://start/".into(),
+                html: "<body><a href='http://sub/'>next</a></body>".into(),
+            },
+        };
+        let first = serve_queued(&server, crawl_req.clone());
+        assert_eq!(first.result.crawl.len(), 1);
+        let second = serve_queued(&server, crawl_req);
+        assert!(second.cache_hit);
+        assert!(second.stages.touched(Stage::QueueWait));
+        server.shutdown();
+    }
+
+    #[test]
+    fn disk_only_entries_are_answered_by_a_worker() {
+        let dir = std::env::temp_dir().join(format!(
+            "lixto-server-disk-only-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let start = || {
+            let registry = Arc::new(WrapperRegistry::new());
+            registry
+                .register_source("shop", WRAPPER, XmlDesign::new().root("offers"))
+                .unwrap();
+            ExtractionServer::start(
+                ServerConfig {
+                    store: Some(StoreConfig::new(&dir)),
+                    ..ServerConfig::default()
+                },
+                registry,
+                Arc::new(StaticWeb::new()),
+            )
+        };
+        let server = start();
+        let first = serve_queued(&server, inline_req(&["durable"]));
+        server.shutdown();
+        // Warm restart: the entry is on disk only, so a worker reads it.
+        let server = start();
+        let warm = serve_queued(&server, inline_req(&["durable"]));
+        assert!(warm.cache_hit);
+        assert_eq!(warm.xml(), first.xml());
+        assert_eq!(server.metrics().store.disk_hits, 1);
+        // Promoted: now the calling thread answers.
+        assert!(matches!(
+            server.try_serve_with_notify(inline_req(&["durable"]), || {}),
+            Ok(Served::Hit(_))
+        ));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn key_for(content: u64) -> CacheKey {

@@ -52,10 +52,13 @@
 //!
 //! When the WAL grows past half the configured byte budget, or live
 //! entries exceed the budget, the store compacts: expired entries are
-//! dropped, then the oldest entries are evicted until the live set fits
-//! the budget, and `snapshot.log` is rewritten (entries sorted by key,
-//! so equivalent stores compact to byte-identical snapshots) and the
-//! WAL truncated back to its header.
+//! dropped; if the live set is over the budget, the oldest entries are
+//! evicted until it fits the *low-water mark* (7/8 of the budget), so a
+//! full store absorbs an eighth of its budget in new inserts before it
+//! compacts again instead of rewriting the snapshot on every insert;
+//! then `snapshot.log` is rewritten (entries sorted by key, so
+//! equivalent stores compact to byte-identical snapshots) and the WAL
+//! truncated back to its header.
 //!
 //! # Durability model
 //!
@@ -214,8 +217,9 @@ pub struct StoreConfig {
     /// Drop entries older than this at recovery, lookup and compaction;
     /// `None` keeps entries until evicted by the byte budget.
     pub ttl: Option<Duration>,
-    /// Byte budget for live entries; compaction evicts oldest-first past
-    /// it, and the WAL compacts at half this size.
+    /// Byte budget for live entries; past it, compaction evicts
+    /// oldest-first down to 7/8 of it, and the WAL compacts at half this
+    /// size.
     pub budget_bytes: u64,
 }
 
@@ -264,11 +268,21 @@ struct DiskEntry {
     bytes: u64,
 }
 
+/// The live-byte level an over-budget compaction evicts down to: 7/8 of
+/// the budget, so compactions are at least `budget / 8` inserted bytes
+/// apart.
+fn low_water(budget: u64) -> u64 {
+    budget - budget / 8
+}
+
 struct DiskTier {
     dir: PathBuf,
     wal: File,
     wal_bytes: u64,
     index: HashMap<CacheKey, DiskEntry>,
+    /// Sum of `bytes` over `index`, kept current by every insert and
+    /// removal.
+    live_bytes: u64,
     ttl: Option<Duration>,
     budget: u64,
     persisted: u64,
@@ -529,11 +543,13 @@ impl DiskTier {
         }
         let wal_bytes = fs::metadata(&wal_path)?.len();
         let recovered = index.len() as u64;
+        let live_bytes = index.values().map(|e| e.bytes).sum();
         Ok(DiskTier {
             dir: config.dir.clone(),
             wal,
             wal_bytes,
             index,
+            live_bytes,
             ttl: config.ttl,
             budget: config.budget_bytes.max(1),
             persisted: 0,
@@ -552,6 +568,7 @@ impl DiskTier {
             let now = epoch_secs();
             if let Some(entry) = self.index.get(key) {
                 if entry.created.saturating_add(ttl.as_secs()) <= now {
+                    self.live_bytes -= entry.bytes;
                     self.index.remove(key);
                     self.expired += 1;
                     return None;
@@ -579,7 +596,7 @@ impl DiskTier {
             }
             Err(_) => self.write_errors += 1,
         }
-        self.index.insert(
+        let replaced = self.index.insert(
             key,
             DiskEntry {
                 value,
@@ -587,16 +604,20 @@ impl DiskTier {
                 bytes,
             },
         );
-        let live: u64 = self.index.values().map(|e| e.bytes).sum();
-        if self.wal_bytes > self.budget / 2 || live > self.budget {
+        self.live_bytes += bytes;
+        if let Some(old) = replaced {
+            self.live_bytes -= old.bytes;
+        }
+        if self.wal_bytes > self.budget / 2 || self.live_bytes > self.budget {
             self.compact();
         }
     }
 
     fn invalidate(&mut self, key: &CacheKey) -> bool {
-        if self.index.remove(key).is_none() {
+        let Some(removed) = self.index.remove(key) else {
             return false;
-        }
+        };
+        self.live_bytes -= removed.bytes;
         let mut line = encode_del(key);
         line.push('\n');
         match self
@@ -611,33 +632,42 @@ impl DiskTier {
     }
 
     fn compact(&mut self) {
-        // TTL sweep, then oldest-first eviction down to the budget.
+        // TTL sweep, then — over budget — oldest-first eviction down to
+        // the low-water mark.
         if let Some(ttl) = self.ttl {
             let now = epoch_secs();
             let before = self.index.len();
             self.index
                 .retain(|_, e| e.created.saturating_add(ttl.as_secs()) > now);
             self.expired += (before - self.index.len()) as u64;
+            self.live_bytes = self.index.values().map(|e| e.bytes).sum();
         }
-        let mut live: u64 = self.index.values().map(|e| e.bytes).sum();
-        while live > self.budget && self.index.len() > 1 {
-            let victim = self
-                .index
-                .iter()
-                .min_by_key(|(_, e)| e.created)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty index");
-            if let Some(dropped) = self.index.remove(&victim) {
-                live -= dropped.bytes;
-                self.evictions += 1;
+        if self.live_bytes > self.budget {
+            let target = low_water(self.budget);
+            let mut by_age: Vec<(u64, &CacheKey)> =
+                self.index.iter().map(|(k, e)| (e.created, k)).collect();
+            by_age.sort_unstable();
+            let mut live = self.live_bytes;
+            let mut victims = Vec::new();
+            // Keep at least one entry, however large.
+            for (_, key) in &by_age[..by_age.len() - 1] {
+                if live <= target {
+                    break;
+                }
+                live -= self.index[*key].bytes;
+                victims.push((*key).clone());
+            }
+            for victim in victims {
+                if let Some(dropped) = self.index.remove(&victim) {
+                    self.live_bytes -= dropped.bytes;
+                    self.evictions += 1;
+                }
             }
         }
         // Deterministic snapshot: entries sorted by key, written to a
         // tmp file and renamed over the old snapshot.
         let mut entries: Vec<(&CacheKey, &DiskEntry)> = self.index.iter().collect();
-        entries.sort_by(|(a, _), (b, _)| {
-            (&a.wrapper, a.plan, a.content).cmp(&(&b.wrapper, b.plan, b.content))
-        });
+        entries.sort_unstable_by_key(|(key, _)| *key);
         let mut out = header("snapshot");
         for (key, entry) in entries {
             out.push_str(&encode_put(key, &entry.value, entry.created));
@@ -667,7 +697,7 @@ impl DiskTier {
             recovered: self.recovered,
             disk_hits: self.disk_hits,
             disk_len: self.index.len(),
-            disk_bytes: self.index.values().map(|e| e.bytes).sum(),
+            disk_bytes: self.live_bytes,
             corrupt_records: self.corrupt,
             compactions: self.compactions,
             expired: self.expired,
@@ -713,13 +743,22 @@ impl TieredStore {
     /// [`record_miss`](TieredStore::record_miss), exactly like
     /// [`ResultCache::peek`]).
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
-        if let Some(value) = self.hot.peek(key) {
+        if let Some(value) = self.peek_hot(key) {
             return Some(value);
         }
         let disk = self.disk.as_ref()?;
         let value = disk.lock().expect("store poisoned").get(key)?;
         self.hot.insert(key.clone(), value.clone());
         Some(value)
+    }
+
+    /// Look up `key` in the hot tier only, without touching the hit/miss
+    /// counters. The disk tier is never consulted, so the call costs one
+    /// hot-tier segment lock and never waits on the disk tier's mutex or
+    /// its I/O — safe on a thread that must not block, such as an HTTP
+    /// event loop.
+    pub fn peek_hot(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
+        self.hot.peek(key)
     }
 
     /// Count one hit (pairs with [`peek`](TieredStore::peek)).
@@ -962,6 +1001,62 @@ mod tests {
         drop(store);
         let store = TieredStore::open(64, &config).unwrap();
         assert!(store.store_stats().recovered >= 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn full_store_compacts_once_per_low_water_gap_not_per_insert() {
+        let dir = temp_dir("low-water");
+        let mut config = StoreConfig::new(&dir);
+        config.budget_bytes = 32 * 1024;
+        let store = TieredStore::open(8, &config).unwrap();
+        let value = entry("shop", &"x".repeat(300), &["t"]);
+        let record_bytes = encode_put(&key("shop", 0), &value, epoch_secs()).len() as u64 + 1;
+        let inserts = 400;
+        for i in 0..inserts {
+            store.insert(key("shop", i), value.clone());
+        }
+        let stats = store.store_stats();
+        let inserted = record_bytes * inserts;
+        assert!(
+            inserted > 4 * config.budget_bytes,
+            "the store must overflow"
+        );
+        assert_eq!(stats.persisted, inserts);
+        assert!(
+            stats.disk_bytes <= config.budget_bytes,
+            "live bytes over budget"
+        );
+        assert!(stats.disk_evictions > 0);
+        // Every over-budget compaction frees budget − low-water bytes, so
+        // that many bytes must be inserted before the next one.
+        let gap = config.budget_bytes - low_water(config.budget_bytes);
+        assert!(stats.compactions >= 1);
+        assert!(
+            stats.compactions <= inserted / gap,
+            "{} compactions for {inserted} inserted bytes",
+            stats.compactions
+        );
+        assert_ne!(stats.compactions, stats.persisted);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn peek_hot_never_reads_the_disk_tier() {
+        let dir = temp_dir("peek-hot");
+        {
+            let store = TieredStore::open(4, &StoreConfig::new(&dir)).unwrap();
+            store.insert(key("shop", 1), entry("shop", "<a/>", &["x"]));
+            assert!(store.peek_hot(&key("shop", 1)).is_some());
+        }
+        let store = TieredStore::open(4, &StoreConfig::new(&dir)).unwrap();
+        assert!(store.peek_hot(&key("shop", 1)).is_none());
+        assert_eq!(store.store_stats().disk_hits, 0);
+        // The full peek promotes it; from then on the hot tier answers.
+        assert!(store.peek(&key("shop", 1)).is_some());
+        assert!(store.peek_hot(&key("shop", 1)).is_some());
+        let cache = store.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (0, 0), "peeks count nothing");
         fs::remove_dir_all(&dir).unwrap();
     }
 
