@@ -40,6 +40,9 @@
 //! case: an inline document whose result is in the pool's hot tier is
 //! answered by that same call, on the loop, with no queue, worker or
 //! wake — so cache hits keep answering even while every worker is busy.
+//! A hit's body is a freshly written prefix plus the entry's memoised
+//! `xml`/`patterns` tail, encoded once per hot-tier entry (see
+//! `write_extraction_json`).
 //!
 //! Timeouts are threaded per state: `idle_timeout` evicts quiet
 //! keep-alive sessions, `read_timeout` bounds how long one request may
@@ -124,10 +127,10 @@ use lixto_obs::{
     unix_millis, warn_event, RuleStat, SpanBuffer, SpanRecord, Stage, StageTimes, TraceId,
 };
 use lixto_server::{
-    parse_provenance_key, provenance_key, ChangedEntry, DeployError, DiffEntry, ExtractionRequest,
-    ExtractionResponse, ExtractionServer, JobTicket, LatencyHistogram, MetricsSnapshot,
-    RequestSource, Served, ServerError, WatchEvent, WatchRegistry, WatchSample, WatchScheduler,
-    WatchSpec, WatchStatus, WrapperSpec, XmlDesign,
+    parse_provenance_key, provenance_key, CachedExtraction, ChangedEntry, DeployError, DiffEntry,
+    ExtractionRequest, ExtractionResponse, ExtractionServer, JobTicket, LatencyHistogram,
+    MetricsSnapshot, RequestSource, Served, ServerError, WatchEvent, WatchRegistry, WatchSample,
+    WatchScheduler, WatchSpec, WatchStatus, WrapperSpec, XmlDesign,
 };
 
 use crate::client::{HttpClient, RetryPolicy};
@@ -2495,11 +2498,13 @@ fn bad_request(message: &str) -> Response {
 ///  "provenance_key":…,"xml":…,"patterns":[{"name":…,"instances":[…]},…]}
 /// ```
 ///
-/// (shown wrapped). Instance texts come from the stored provenance
-/// record, which holds each instance's text index-parallel to the base;
-/// a result without one is rendered from its document trees instead.
+/// (shown wrapped). The fields up to `provenance_key` vary per response
+/// and are written fresh. The rest — `,"xml":…,"patterns":[…]}` —
+/// depends on the stored result alone: a cache hit copies it from the
+/// hot-tier entry's [`ResponseMemo`](lixto_server::ResponseMemo),
+/// encoding it into the memo first if this is the entry's first served
+/// hit; a miss encodes it directly.
 fn write_extraction_json(response: &ExtractionResponse, out: &mut String) {
-    let extraction = response.extraction();
     out.push_str("{\"wrapper\":");
     write_escaped(&response.wrapper, out);
     out.push_str(",\"version\":");
@@ -2510,11 +2515,28 @@ fn write_extraction_json(response: &ExtractionResponse, out: &mut String) {
     write_number(response.latency.as_micros() as u64 as f64, out);
     out.push_str(",\"provenance_key\":");
     write_escaped(&provenance_key(&response.key), out);
+    match &response.memo {
+        Some(memo) => out.push_str(memo.get_or_init(|| {
+            let mut tail = String::new();
+            write_extraction_tail(&response.result, &mut tail);
+            tail
+        })),
+        None => write_extraction_tail(&response.result, out),
+    }
+}
+
+/// Append the entry-invariant tail of the `/extract` body,
+/// `,"xml":…,"patterns":[…]}`. Instance texts come from the stored
+/// provenance record, which holds each instance's text index-parallel
+/// to the base; a result without one is rendered from its document
+/// trees instead.
+fn write_extraction_tail(cached: &CachedExtraction, out: &mut String) {
+    let extraction = &cached.result;
     out.push_str(",\"xml\":");
-    write_escaped(response.xml(), out);
+    write_escaped(&cached.xml, out);
     out.push_str(",\"patterns\":[");
     let base = &extraction.base.instances;
-    let recorded = &response.result.provenance.instances;
+    let recorded = &cached.provenance.instances;
     let recorded = (recorded.len() == base.len()).then_some(recorded);
     for (p, name) in extraction.patterns().iter().enumerate() {
         if p > 0 {
@@ -3737,6 +3759,190 @@ mod tests {
         // text and not only inside the XML.
         assert!(bodies.contains(r#"["Zürich \"quoted\" back\\slash\ttab","€ & "#));
         assert!(bodies.contains(r#"\u0001\u001f 😀\r\nline"]"#));
+        server.shutdown();
+    }
+
+    /// Stream `response` and check it byte for byte against the
+    /// `Json`-tree reference; returns the streamed body.
+    fn assert_streams_like_the_tree(response: &ExtractionResponse) -> String {
+        let mut streamed = String::new();
+        write_extraction_json(response, &mut streamed);
+        assert_eq!(streamed, extraction_json(response).dump());
+        streamed
+    }
+
+    /// The text memoised for `response`'s hot-tier entry, if any yet.
+    fn memo_of(response: &ExtractionResponse) -> Option<String> {
+        let memo = response.memo.as_ref().expect("a hit carries its memo");
+        memo.get().map(str::to_string)
+    }
+
+    #[test]
+    fn memoised_tails_stay_byte_identical_to_the_json_tree() {
+        use lixto_elog::SharedWeb;
+        use lixto_server::{Served, StoreConfig};
+
+        let dir = std::env::temp_dir().join(format!("lixto-gateway-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let url = "http://shop/";
+        let page = "<ul><li>Zürich \"quoted\" back\\slash</li><li>€ \u{1}\u{1F600}</li></ul>";
+        let web = Arc::new(SharedWeb::new());
+        web.put(url, page);
+        let start = || {
+            let registry = Arc::new(WrapperRegistry::new());
+            registry
+                .register_source("shop", WRAPPER, XmlDesign::new().root("offers"))
+                .unwrap();
+            ExtractionServer::start(
+                ServerConfig {
+                    store: Some(StoreConfig::new(&dir)),
+                    ..ServerConfig::default()
+                },
+                registry,
+                web.clone(),
+            )
+        };
+        let request = |version: Option<u32>, inline: bool| ExtractionRequest {
+            trace: None,
+            wrapper: "shop".into(),
+            version,
+            source: if inline {
+                RequestSource::Inline {
+                    url: url.into(),
+                    html: page.into(),
+                }
+            } else {
+                RequestSource::Web { url: url.into() }
+            },
+        };
+        let loop_hit = |server: &ExtractionServer, version: Option<u32>| match server
+            .try_serve_with_notify(request(version, true), || {})
+        {
+            Ok(Served::Hit(hit)) => hit,
+            other => panic!("expected a loop-served hit, got {other:?}"),
+        };
+
+        // A miss encodes its body directly and carries no memo.
+        let server = start();
+        let miss = server.execute(request(None, true)).unwrap();
+        assert!(miss.memo.is_none());
+        let miss_body = assert_streams_like_the_tree(&miss);
+        // The pool hands a hit its entry's memo but never fills it.
+        let executed = server.execute(request(None, true)).unwrap();
+        assert!(executed.cache_hit);
+        assert_eq!(memo_of(&executed), None);
+        // The first served hit fills the memo; later hits copy it.
+        let first = loop_hit(&server, None);
+        assert_eq!(memo_of(&first), None);
+        assert_streams_like_the_tree(&first);
+        let tail = memo_of(&first).expect("filled by the first serve");
+        assert!(tail.starts_with(",\"xml\":") && miss_body.ends_with(&tail));
+        let again = loop_hit(&server, None);
+        assert_eq!(memo_of(&again).as_ref(), Some(&tail));
+        assert_streams_like_the_tree(&again);
+        assert_eq!(memo_of(&executed).as_ref(), Some(&tail), "one slot");
+
+        // A plan-sharing redeploy: both versions hit the one entry and
+        // its tail; only the prefix tells them apart.
+        let redeployed = server
+            .registry()
+            .register_source("shop", WRAPPER, XmlDesign::new().root("offers"))
+            .unwrap();
+        assert_eq!(redeployed, 2);
+        for (version, expected) in [(None, 2), (Some(1), 1)] {
+            let hit = loop_hit(&server, version);
+            assert_eq!(hit.version, expected);
+            assert_eq!(memo_of(&hit).as_ref(), Some(&tail));
+            let body = assert_streams_like_the_tree(&hit);
+            assert!(body.contains(&format!(",\"version\":{expected},")));
+        }
+        server.shutdown();
+
+        // Restart: the entry is on disk only, so a worker serves it and
+        // promotes it with an empty memo — memos are never persisted.
+        let server = start();
+        let Served::Queued(ticket) = server
+            .try_serve_with_notify(request(None, true), || {})
+            .unwrap()
+        else {
+            panic!("a disk-only entry must be served by the pool");
+        };
+        let promoted = ticket.wait().unwrap();
+        assert!(promoted.cache_hit);
+        assert_eq!(memo_of(&promoted), None);
+        assert_streams_like_the_tree(&promoted);
+        assert_eq!(memo_of(&promoted).as_ref(), Some(&tail));
+        assert_eq!(memo_of(&loop_hit(&server, None)).as_ref(), Some(&tail));
+
+        // Invalidation, then re-insert: the page changes (the live
+        // source's change detection drops the entry) and changes back
+        // (the result is recomputed under the same key). The new entry
+        // starts with an empty memo.
+        let web_hit = server.execute(request(None, false)).unwrap();
+        assert!(web_hit.cache_hit, "same URL and bytes, same entry");
+        web.put(url, "<ul><li>changed</li></ul>");
+        assert!(!server.execute(request(None, false)).unwrap().cache_hit);
+        web.put(url, page);
+        let recomputed = server.execute(request(None, false)).unwrap();
+        assert!(!recomputed.cache_hit);
+        let fresh = loop_hit(&server, None);
+        assert_eq!(memo_of(&fresh), None);
+        assert_streams_like_the_tree(&fresh);
+        assert_eq!(memo_of(&fresh).as_ref(), Some(&tail));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_result_recomputed_in_place_never_serves_the_replaced_tail() {
+        use lixto_elog::SharedWeb;
+
+        // A crawling wrapper: a result computed with live-web access and
+        // one computed self-contained differ, yet share one cache key.
+        const CRAWLER: &str = r#"
+            link(S, X) :- document("http://start/", S), subelem(S, (?.a, []), X).
+            page(S, X) :- link(_, S), attrbind(S, href, U), document(U, X).
+        "#;
+        let start_page = "<body><a href='http://sub/'>next</a></body>";
+        let web = Arc::new(SharedWeb::new());
+        web.put("http://start/", start_page);
+        web.put("http://sub/", "<p>only reachable live</p>");
+        let registry = Arc::new(WrapperRegistry::new());
+        registry
+            .register_source("crawler", CRAWLER, XmlDesign::new().root("pages"))
+            .unwrap();
+        let server = ExtractionServer::start(ServerConfig::default(), registry, web);
+        let request = |inline: bool| ExtractionRequest {
+            trace: None,
+            wrapper: "crawler".into(),
+            version: None,
+            source: if inline {
+                RequestSource::Inline {
+                    url: "http://start/".into(),
+                    html: start_page.into(),
+                }
+            } else {
+                RequestSource::Web {
+                    url: "http://start/".into(),
+                }
+            },
+        };
+
+        assert!(!server.execute(request(false)).unwrap().cache_hit);
+        let live = server.execute(request(false)).unwrap();
+        assert!(live.cache_hit);
+        assert_streams_like_the_tree(&live);
+        let live_tail = memo_of(&live).expect("filled");
+        // The self-contained request cannot judge the live manifest, so
+        // it recomputes and replaces the entry under the same key.
+        let replaced = server.execute(request(true)).unwrap();
+        assert!(!replaced.cache_hit);
+        assert_eq!(replaced.key, live.key);
+        let offline = server.execute(request(true)).unwrap();
+        assert!(offline.cache_hit);
+        assert_eq!(memo_of(&offline), None, "a replaced entry's memo died");
+        assert_streams_like_the_tree(&offline);
+        assert_ne!(memo_of(&offline), Some(live_tail));
         server.shutdown();
     }
 

@@ -50,6 +50,7 @@ impl Json {
     /// trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             src: text.as_bytes(),
             pos: 0,
         };
@@ -270,6 +271,7 @@ pub(crate) fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
 }
@@ -441,17 +443,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(&b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(&b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Multi-byte UTF-8: copy the whole scalar.
-                    let rest = std::str::from_utf8(&self.src[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("bad UTF-8"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte. Those are ASCII, and every byte of a
+                    // multi-byte UTF-8 sequence is ≥ 0x80, so the run ends
+                    // on a character boundary of the (already valid)
+                    // source text.
+                    let start = self.pos;
+                    self.pos += self.src[start..]
+                        .iter()
+                        .take_while(|&&b| b >= 0x20 && b != b'"' && b != b'\\')
+                        .count();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -558,6 +561,29 @@ mod tests {
             write_escaped(s, &mut out);
             assert_eq!(out, reference(s), "escaping {s:?}");
         }
+    }
+
+    #[test]
+    fn non_ascii_strings_decode_in_linear_time() {
+        // 1 MiB of 2-, 3- and 4-byte characters with escapes between
+        // them. A decoder that re-validates the rest of the input at
+        // every multi-byte character needs minutes for this.
+        let unit = "ééééé€€😀\"é\\\n";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        let encoded = Json::Str(text.clone()).dump();
+        let started = std::time::Instant::now();
+        let decoded = Json::parse(&encoded).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(decoded.as_str(), Some(text.as_str()));
+        assert!(
+            elapsed < std::time::Duration::from_secs(3),
+            "decoding {} bytes took {elapsed:?}",
+            encoded.len()
+        );
+        // A raw control byte inside a non-ASCII run is still rejected,
+        // at its own offset.
+        let err = Json::parse("\"éé\u{1}é\"").unwrap_err();
+        assert_eq!(err.at, 5);
     }
 
     #[test]

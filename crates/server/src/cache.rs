@@ -21,10 +21,16 @@
 //! Eviction is LRU over a fixed per-segment capacity, implemented as a
 //! recency counter per entry (O(1) touch, O(n) eviction scan — eviction
 //! is the rare path and capacities are small).
+//!
+//! Each entry also owns a [`ResponseMemo`]: an initially empty slot a
+//! frontend fills, on the first response it serves from the entry, with
+//! the part of its encoding that depends on the entry alone. The slot
+//! lives and dies with its entry — eviction, invalidation or a
+//! re-insert of the key starts over empty — and is never persisted.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use lixto_elog::eval::ExtractionResult;
 
@@ -115,8 +121,34 @@ pub struct CachedExtraction {
     pub provenance: crate::store::Provenance,
 }
 
+/// A hot-tier entry's lazily filled encoding memo.
+///
+/// Opaque to the cache: a frontend stores whatever it derives from the
+/// entry's [`CachedExtraction`] alone (the HTTP gateway keeps the
+/// entry-invariant tail of its `/extract` body here), so every later
+/// response served from the same entry copies it instead of encoding it
+/// again. Clones share one slot; the first
+/// [`get_or_init`](ResponseMemo::get_or_init) fills it, concurrent
+/// callers wait for that fill rather than racing it.
+#[derive(Debug, Clone, Default)]
+pub struct ResponseMemo(Arc<OnceLock<Box<str>>>);
+
+impl ResponseMemo {
+    /// The memoised text, `None` until the slot is filled.
+    pub fn get(&self) -> Option<&str> {
+        self.0.get().map(|text| &**text)
+    }
+
+    /// The memoised text, computing and storing it with `fill` first if
+    /// the slot is still empty.
+    pub fn get_or_init(&self, fill: impl FnOnce() -> String) -> &str {
+        self.0.get_or_init(|| fill().into_boxed_str())
+    }
+}
+
 struct Entry {
     value: Arc<CachedExtraction>,
+    memo: ResponseMemo,
     last_used: u64,
 }
 
@@ -222,7 +254,7 @@ impl ResultCache {
     /// Look up `key`, counting a hit or miss and refreshing recency.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
         match self.peek(key) {
-            Some(value) => {
+            Some((value, _)) => {
                 self.record_hit();
                 Some(value)
             }
@@ -237,13 +269,14 @@ impl ResultCache {
     /// counters. The server uses this to revalidate a candidate's crawl
     /// manifest first and then record the lookup as a hit or a miss
     /// depending on the verdict, keeping the aggregate counters exact.
-    pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
+    /// The entry's [`ResponseMemo`] comes along with its value.
+    pub fn peek(&self, key: &CacheKey) -> Option<(Arc<CachedExtraction>, ResponseMemo)> {
         let mut seg = self.segment(key).lock().expect("cache poisoned");
         seg.clock += 1;
         let clock = seg.clock;
         seg.map.get_mut(key).map(|entry| {
             entry.last_used = clock;
-            entry.value.clone()
+            (entry.value.clone(), entry.memo.clone())
         })
     }
 
@@ -258,8 +291,11 @@ impl ResultCache {
     }
 
     /// Insert `value` under `key`, evicting the segment's least-recently-
-    /// used entry when the segment is at capacity.
-    pub fn insert(&self, key: CacheKey, value: Arc<CachedExtraction>) {
+    /// used entry when the segment is at capacity. Returns the new
+    /// entry's empty [`ResponseMemo`]; a key that was already present
+    /// gets a fresh one too, since the old memo belonged to the old
+    /// value.
+    pub fn insert(&self, key: CacheKey, value: Arc<CachedExtraction>) -> ResponseMemo {
         let capacity = self.segment_capacity;
         let mut seg = self.segment(&key).lock().expect("cache poisoned");
         seg.clock += 1;
@@ -275,13 +311,16 @@ impl ResultCache {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        let memo = ResponseMemo::default();
         seg.map.insert(
             key,
             Entry {
                 value,
+                memo: memo.clone(),
                 last_used: clock,
             },
         );
+        memo
     }
 
     /// Drop `key` because its source content changed; true if present.
@@ -462,6 +501,39 @@ mod tests {
         assert_eq!(s.hits, total, "every second lookup hits");
         assert_eq!(s.misses, total, "every first lookup misses");
         assert_eq!(s.hits + s.misses, 2 * total, "no lookup lost");
+    }
+
+    #[test]
+    fn memo_is_shared_by_hits_and_dies_with_its_entry() {
+        let fill = |memo: &ResponseMemo, text: &str| {
+            assert_eq!(memo.get_or_init(|| text.to_string()), text);
+        };
+        let memo_of = |cache: &ResultCache, k: &CacheKey| cache.peek(k).unwrap().1;
+        // One segment of two entries, so eviction is predictable.
+        let cache = ResultCache::with_segments(2, 1);
+        let k = key("w", 1);
+        let inserted = cache.insert(k.clone(), dummy("x"));
+        assert_eq!(inserted.get(), None);
+        fill(&memo_of(&cache, &k), "tail");
+        assert_eq!(inserted.get(), Some("tail"), "every hit shares one slot");
+        // A second fill never overwrites the first.
+        assert_eq!(memo_of(&cache, &k).get_or_init(|| "other".into()), "tail");
+
+        // Re-inserting the key starts over empty.
+        cache.insert(k.clone(), dummy("x"));
+        assert_eq!(memo_of(&cache, &k).get(), None);
+        // So does invalidation followed by re-insert.
+        fill(&memo_of(&cache, &k), "tail");
+        assert!(cache.invalidate(&k));
+        cache.insert(k.clone(), dummy("x"));
+        assert_eq!(memo_of(&cache, &k).get(), None);
+        // And eviction followed by re-insert.
+        fill(&memo_of(&cache, &k), "tail");
+        cache.insert(key("w", 2), dummy("y"));
+        cache.insert(key("w", 3), dummy("z"));
+        assert!(cache.peek(&k).is_none(), "evicted");
+        cache.insert(k.clone(), dummy("x"));
+        assert_eq!(memo_of(&cache, &k).get(), None);
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub mod watch;
 pub use lixto_core::XmlDesign;
 
 pub use cache::{
-    content_address, fxhash64, CacheKey, CacheStats, CachedExtraction, CrawlRecord, ResultCache,
-    DEFAULT_CACHE_SEGMENTS,
+    content_address, fxhash64, CacheKey, CacheStats, CachedExtraction, CrawlRecord, ResponseMemo,
+    ResultCache, DEFAULT_CACHE_SEGMENTS,
 };
 pub use lixto_elog::{CompileError, ParseError, WrapperPlan};
 pub use lixto_transform::{ChangedEntry, DiffEntry, InstanceDiff};

@@ -39,7 +39,9 @@ use lixto_elog::{ExecProbe, Extractor, WebSource};
 use lixto_obs::{debug_event, error_event, warn_event, Stage, StageTimes};
 use lixto_transform::ChangeDetector;
 
-use crate::cache::{content_address, fxhash64, CacheKey, CachedExtraction, CrawlRecord};
+use crate::cache::{
+    content_address, fxhash64, CacheKey, CachedExtraction, CrawlRecord, ResponseMemo,
+};
 use crate::metrics::{MetricsSnapshot, ServerMetrics, LATENCY_BUCKETS};
 use crate::registry::{RegisteredWrapper, WrapperRegistry};
 use crate::store::{InstanceProvenance, Provenance, StoreConfig, TieredStore};
@@ -119,6 +121,11 @@ pub struct ExtractionResponse {
     /// hit — are untouched. The gateway folds these into its span
     /// records and the pool records them into the per-stage histograms.
     pub stages: StageTimes,
+    /// On a cache hit, the hot-tier entry's encoding memo, shared by
+    /// every hit of that entry (see [`ResponseMemo`]); `None` on a miss.
+    /// The pool never fills it: only a frontend that encodes the
+    /// response does.
+    pub memo: Option<ResponseMemo>,
 }
 
 impl ExtractionResponse {
@@ -495,7 +502,7 @@ impl Shared {
         &self,
         wrapper: &RegisteredWrapper,
         key: CacheKey,
-        cached: Arc<CachedExtraction>,
+        (cached, memo): (Arc<CachedExtraction>, ResponseMemo),
         submitted_at: Instant,
         cache_started: Instant,
         mut stages: StageTimes,
@@ -510,6 +517,7 @@ impl Shared {
             cache_hit: true,
             latency: submitted_at.elapsed(),
             stages,
+            memo: Some(memo),
         }
     }
 
@@ -822,7 +830,7 @@ impl ExtractionServer {
             };
             let cache_started = Instant::now();
             let cached = self.shared.store.peek_hot(&key);
-            if let Some(cached) = cached.filter(|c| c.crawl.is_empty()) {
+            if let Some(cached) = cached.filter(|(c, _)| c.crawl.is_empty()) {
                 let shared = &self.shared;
                 shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
                 let outcome = Ok(shared.hit_response(
@@ -1066,13 +1074,13 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
     // here: recompute, but leave the entry alone — it is still valid
     // for requests of its own kind.
     let cache_started = Instant::now();
-    if let Some(cached) = shared.store.peek(&key) {
+    if let Some((cached, memo)) = shared.store.peek_entry(&key) {
         if cached.crawl.is_empty() || cached.crawl_live == from_web {
             if crawl_current(&cached.crawl, crawl_web) {
                 return Ok(shared.hit_response(
                     &job.wrapper,
                     key,
-                    cached,
+                    (cached, memo),
                     job.submitted_at,
                     cache_started,
                     stages,
@@ -1151,6 +1159,7 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
         cache_hit: false,
         latency: job.submitted_at.elapsed(),
         stages,
+        memo: None,
     })
 }
 

@@ -36,7 +36,9 @@
 //! ```
 //!
 //! (shown wrapped; on disk it is a single tab-separated line). A `del`
-//! record is `del <wrapper> <plan:016x> <content:016x>`.
+//! record is `del <wrapper> <plan:016x> <content:016x>`. A hot-tier
+//! entry's [`ResponseMemo`] is never written: an entry promoted from
+//! disk starts with an empty one.
 //!
 //! # Recovery
 //!
@@ -79,7 +81,9 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use lixto_elog::eval::ExtractionResult;
 use lixto_elog::instances::{Instance, InstanceBase, Target};
 
-use crate::cache::{CacheKey, CacheStats, CachedExtraction, CrawlRecord, ResultCache};
+use crate::cache::{
+    CacheKey, CacheStats, CachedExtraction, CrawlRecord, ResponseMemo, ResultCache,
+};
 use crate::registry::{escape, unescape};
 
 /// File-format magic, first field of each header line.
@@ -743,21 +747,32 @@ impl TieredStore {
     /// [`record_miss`](TieredStore::record_miss), exactly like
     /// [`ResultCache::peek`]).
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
-        if let Some(value) = self.peek_hot(key) {
-            return Some(value);
+        self.peek_entry(key).map(|(value, _)| value)
+    }
+
+    /// [`peek`](TieredStore::peek), also handing out the hot-tier entry's
+    /// [`ResponseMemo`] — empty after a promotion, since the disk tier
+    /// never stores one.
+    pub(crate) fn peek_entry(
+        &self,
+        key: &CacheKey,
+    ) -> Option<(Arc<CachedExtraction>, ResponseMemo)> {
+        if let Some(hit) = self.peek_hot(key) {
+            return Some(hit);
         }
         let disk = self.disk.as_ref()?;
         let value = disk.lock().expect("store poisoned").get(key)?;
-        self.hot.insert(key.clone(), value.clone());
-        Some(value)
+        let memo = self.hot.insert(key.clone(), value.clone());
+        Some((value, memo))
     }
 
     /// Look up `key` in the hot tier only, without touching the hit/miss
     /// counters. The disk tier is never consulted, so the call costs one
     /// hot-tier segment lock and never waits on the disk tier's mutex or
     /// its I/O — safe on a thread that must not block, such as an HTTP
-    /// event loop.
-    pub fn peek_hot(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
+    /// event loop. The entry's [`ResponseMemo`] comes along with its
+    /// value.
+    pub fn peek_hot(&self, key: &CacheKey) -> Option<(Arc<CachedExtraction>, ResponseMemo)> {
         self.hot.peek(key)
     }
 
@@ -1058,6 +1073,32 @@ mod tests {
         let cache = store.cache_stats();
         assert_eq!((cache.hits, cache.misses), (0, 0), "peeks count nothing");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn memos_are_never_persisted_and_start_empty_on_promotion() {
+        let dir = temp_dir("memo");
+        {
+            let store = TieredStore::open(8, &StoreConfig::new(&dir)).unwrap();
+            store.insert(key("shop", 1), entry("shop", "<a/>", &["one"]));
+            let (_, memo) = store.peek_hot(&key("shop", 1)).unwrap();
+            memo.get_or_init(|| "MEMOISED-TAIL".into());
+            store.compact();
+            store.insert(key("shop", 2), entry("shop", "<b/>", &["two"]));
+        }
+        for file in ["snapshot.log", "wal.log"] {
+            let text = fs::read_to_string(dir.join(file)).unwrap();
+            assert!(!text.contains("MEMOISED-TAIL"), "{file} holds a memo");
+        }
+        let store = TieredStore::open(8, &StoreConfig::new(&dir)).unwrap();
+        assert!(store.peek_hot(&key("shop", 1)).is_none());
+        let (_, promoted) = store.peek_entry(&key("shop", 1)).expect("disk hit");
+        assert_eq!(promoted.get(), None);
+        // The promoted entry's memo is the one later hot hits share.
+        promoted.get_or_init(|| "tail".into());
+        let (_, hot) = store.peek_hot(&key("shop", 1)).unwrap();
+        assert_eq!(hot.get(), Some("tail"));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
