@@ -13,7 +13,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::json::{Json, JsonError};
+use crate::json::{decimal, Json, JsonError};
 
 /// How [`HttpClient::request_with_retry`] treats 429/503 responses and
 /// transient connection failures.
@@ -89,7 +89,13 @@ pub struct HttpClient {
     /// the connection (e.g. a `Connection: close` on a 503 drain).
     peer: SocketAddr,
     buf: Vec<u8>,
+    /// The outgoing request, framed in place and reused across requests.
+    out: Vec<u8>,
 }
+
+/// Capacity a client keeps in its request buffer between requests; one
+/// large body does not pin its size for the connection's lifetime.
+const RETAINED_OUT_BYTES: usize = 64 * 1024;
 
 impl HttpClient {
     /// Connect with a 30 s read timeout.
@@ -102,6 +108,7 @@ impl HttpClient {
             stream,
             peer,
             buf: Vec::with_capacity(4096),
+            out: Vec::new(),
         })
     }
 
@@ -125,18 +132,27 @@ impl HttpClient {
         headers: &[(&str, &str)],
         body: Option<&[u8]>,
     ) -> std::io::Result<HttpResponse> {
-        let mut out = Vec::with_capacity(256 + body.map_or(0, <[u8]>::len));
-        out.extend_from_slice(format!("{method} {path} HTTP/1.1\r\nhost: lixto\r\n").as_bytes());
+        let body = body.unwrap_or_default();
+        let out = &mut self.out;
+        out.clear();
+        out.reserve(256 + body.len());
+        for piece in [method, " ", path, " HTTP/1.1\r\nhost: lixto\r\n"] {
+            out.extend_from_slice(piece.as_bytes());
+        }
         for (name, value) in headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+            for piece in [name, ": ", value, "\r\n"] {
+                out.extend_from_slice(piece.as_bytes());
+            }
         }
-        out.extend_from_slice(
-            format!("content-length: {}\r\n\r\n", body.map_or(0, <[u8]>::len)).as_bytes(),
-        );
-        if let Some(body) = body {
-            out.extend_from_slice(body);
+        out.extend_from_slice(b"content-length: ");
+        out.extend_from_slice(decimal(body.len() as u64, &mut [0; 20]).as_bytes());
+        out.extend_from_slice(b"\r\n\r\n");
+        out.extend_from_slice(body);
+        let sent = self.stream.write_all(out);
+        if out.capacity() > RETAINED_OUT_BYTES {
+            *out = Vec::new();
         }
-        self.stream.write_all(&out)?;
+        sent?;
         self.read_response()
     }
 
@@ -245,8 +261,16 @@ impl HttpClient {
                 format!("bad response: {what}"),
             )
         };
+        // Bytes before `searched` are known not to start the head's
+        // terminator, so each read only scans what it added (plus the
+        // three bytes a terminator split across reads may start in).
+        let mut searched = 0;
         loop {
-            if let Some(header_end) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            if let Some(at) = self.buf[searched..]
+                .windows(4)
+                .position(|w| w == b"\r\n\r\n")
+            {
+                let header_end = searched + at;
                 let head = std::str::from_utf8(&self.buf[..header_end])
                     .map_err(|_| malformed("not UTF-8"))?;
                 let mut lines = head.split("\r\n");
@@ -278,6 +302,7 @@ impl HttpClient {
                     body,
                 });
             }
+            searched = self.buf.len().saturating_sub(3);
             self.fill()?;
         }
     }
@@ -428,6 +453,39 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         assert_eq!(served.load(Ordering::SeqCst), 1, "no duplicate POST");
+    }
+
+    #[test]
+    fn a_head_arriving_one_byte_per_read_parses() {
+        // The server writes the response one byte at a time with a pause
+        // between bytes, so the client's reads end mid-head and split
+        // the terminator at every point (a read that happens to take
+        // several bytes only makes the case easier).
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let response = "HTTP/1.1 200 OK\r\nx-pad: abc\r\ncontent-length: 5\r\n\r\nhello";
+        let expected: &[u8] =
+            b"POST /p HTTP/1.1\r\nhost: lixto\r\nx-a: 1\r\ncontent-length: 2\r\n\r\n{}";
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut request = vec![0u8; expected.len()];
+            stream.read_exact(&mut request).unwrap();
+            for byte in response.as_bytes() {
+                stream.write_all(std::slice::from_ref(byte)).unwrap();
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            request
+        });
+        let mut client = HttpClient::connect(addr).unwrap();
+        let answer = client
+            .request("POST", "/p", &[("x-a", "1")], Some(b"{}"))
+            .unwrap();
+        assert_eq!(answer.status, 200);
+        assert_eq!(answer.header("x-pad"), Some("abc"));
+        assert_eq!(answer.body, b"hello");
+        assert!(client.buf.is_empty(), "nothing left over");
+        assert_eq!(server.join().unwrap(), expected, "the framed request");
     }
 
     #[test]

@@ -41,8 +41,8 @@
 //! answered by that same call, on the loop, with no queue, worker or
 //! wake — so cache hits keep answering even while every worker is busy.
 //! A hit's body is a freshly written prefix plus the entry's memoised
-//! `xml`/`patterns` tail, encoded once per hot-tier entry (see
-//! `write_extraction_json`).
+//! `provenance_key`/`xml`/`patterns` tail, encoded once per hot-tier
+//! entry (see `write_extraction_json`).
 //!
 //! Timeouts are threaded per state: `idle_timeout` evicts quiet
 //! keep-alive sessions, `read_timeout` bounds how long one request may
@@ -127,10 +127,10 @@ use lixto_obs::{
     unix_millis, warn_event, RuleStat, SpanBuffer, SpanRecord, Stage, StageTimes, TraceId,
 };
 use lixto_server::{
-    parse_provenance_key, provenance_key, CachedExtraction, ChangedEntry, DeployError, DiffEntry,
-    ExtractionRequest, ExtractionResponse, ExtractionServer, JobTicket, LatencyHistogram,
-    MetricsSnapshot, RequestSource, Served, ServerError, WatchEvent, WatchRegistry, WatchSample,
-    WatchScheduler, WatchSpec, WatchStatus, WrapperSpec, XmlDesign,
+    parse_provenance_key, provenance_key, CacheKey, CachedExtraction, ChangedEntry, DeployError,
+    DiffEntry, ExtractionRequest, ExtractionResponse, ExtractionServer, JobTicket,
+    LatencyHistogram, MetricsSnapshot, RequestSource, Served, ServerError, WatchEvent,
+    WatchRegistry, WatchSample, WatchScheduler, WatchSpec, WatchStatus, WrapperSpec, XmlDesign,
 };
 
 use crate::client::{HttpClient, RetryPolicy};
@@ -1152,10 +1152,21 @@ impl Conn {
     /// Queue `response` (appending after any pending interim bytes) and
     /// enter the writing state.
     fn queue_response(&mut self, response: &Response, keep_alive: bool) {
+        self.queue_response_with(response, keep_alive, &[]);
+    }
+
+    /// [`queue_response`](Conn::queue_response) with `more` headers
+    /// borrowed from the caller (see [`Response::write_with_headers`]).
+    fn queue_response_with(
+        &mut self,
+        response: &Response,
+        keep_alive: bool,
+        more: &[(&str, &str)],
+    ) {
         if self.out.is_empty() {
             self.write_started = Instant::now();
         }
-        response.write_to(&mut self.out, keep_alive);
+        response.write_with_headers(&mut self.out, keep_alive, more);
         self.close_after_write = !keep_alive;
         self.state = ConnState::Writing;
     }
@@ -2223,13 +2234,21 @@ fn resolve_item(item: DispatchItem, body: &mut String) -> (u16, ItemOutcome) {
     }
 }
 
-/// Finish one item's span record and admit it to the span buffer.
+impl RequestTrace {
+    /// Nanoseconds since the gateway started dispatching the request.
+    fn elapsed_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+    }
+}
+
+/// Finish one item's span record, `total_ns` long, and admit it to the
+/// span buffer.
 fn record_span(
     ctx: &ConnCtx,
     id: String,
     status: u16,
     outcome: ItemOutcome,
-    trace: &RequestTrace,
+    total_ns: u64,
     wake_ns: Option<u64>,
 ) {
     let mut stages = outcome.stages;
@@ -2242,7 +2261,7 @@ fn record_span(
         version: outcome.version,
         status,
         cache_hit: outcome.cache_hit,
-        total_ns: trace.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+        total_ns,
         stages,
         unix_ms: unix_millis(),
     }));
@@ -2264,7 +2283,7 @@ fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
     // Bodies are streamed into one buffer, byte-identical to building
     // the equivalent `Json` tree and dumping it.
     let mut body = String::new();
-    let response = if dispatch.batch {
+    let (response, single) = if dispatch.batch {
         // `{"count":N,"items":[{"status":S,"body":B,"request_id":I},…]}`
         body.push_str("{\"count\":");
         write_number(dispatch.items.len() as f64, &mut body);
@@ -2287,12 +2306,12 @@ fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
                 let id = format!("{}#{index}", trace.id);
                 body.push_str(",\"request_id\":");
                 write_escaped(&id, &mut body);
-                record_span(ctx, id, status, outcome, trace, wake_ns);
+                record_span(ctx, id, status, outcome, trace.elapsed_ns(), wake_ns);
             }
             body.push('}');
         }
         body.push_str("]}");
-        Response::json_encoded(200, body)
+        (Response::json_encoded(200, body), None)
     } else {
         let item = dispatch
             .items
@@ -2300,22 +2319,36 @@ fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
             .next()
             .expect("single dispatch holds one item");
         let (status, outcome) = resolve_item(item, &mut body);
-        if let Some(trace) = &trace {
-            record_span(ctx, trace.id.to_string(), status, outcome, trace, wake_ns);
-        }
         let response = Response::json_encoded(status, body);
-        if status == 429 && retry_after {
+        let response = if status == 429 && retry_after {
             response.with_header("retry-after", "1")
         } else {
             response
-        }
-    };
-    let response = match &trace {
-        Some(trace) => response.with_header("x-request-id", trace.id.as_str()),
-        None => response,
+        };
+        (response, Some((status, outcome)))
     };
     count_response(ctx.shared, response.status);
-    conn.queue_response(&response, keep_alive);
+    match trace {
+        Some(trace) => {
+            // The header borrows the id; a single request's span record
+            // then takes it, its clock stopped before the response is
+            // written, as a batch item's is.
+            let total_ns = trace.elapsed_ns();
+            let echo = [("x-request-id", trace.id.as_str())];
+            conn.queue_response_with(&response, keep_alive, &echo);
+            if let Some((status, outcome)) = single {
+                record_span(
+                    ctx,
+                    trace.id.into_string(),
+                    status,
+                    outcome,
+                    total_ns,
+                    wake_ns,
+                );
+            }
+        }
+        None => conn.queue_response(&response, keep_alive),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -2498,13 +2531,25 @@ fn bad_request(message: &str) -> Response {
 ///  "provenance_key":…,"xml":…,"patterns":[{"name":…,"instances":[…]},…]}
 /// ```
 ///
-/// (shown wrapped). The fields up to `provenance_key` vary per response
-/// and are written fresh. The rest — `,"xml":…,"patterns":[…]}` —
-/// depends on the stored result alone: a cache hit copies it from the
-/// hot-tier entry's [`ResponseMemo`](lixto_server::ResponseMemo),
-/// encoding it into the memo first if this is the entry's first served
-/// hit; a miss encodes it directly.
+/// (shown wrapped). The fields up to `latency_us` vary per response
+/// and are written fresh. The rest — `,"provenance_key":…,"xml":…,
+/// "patterns":[…]}` — depends on the cache key and the stored result
+/// alone: a cache hit copies it from the hot-tier entry's
+/// [`ResponseMemo`](lixto_server::ResponseMemo), encoding it into the
+/// memo first if this is the entry's first served hit; a miss encodes
+/// it directly.
 fn write_extraction_json(response: &ExtractionResponse, out: &mut String) {
+    let tail = response.memo.as_ref().map(|memo| {
+        memo.get_or_init(|| {
+            let mut tail = String::new();
+            write_extraction_tail(&response.key, &response.result, &mut tail);
+            tail
+        })
+    });
+    // One reservation for the whole body: the prefix's fixed text and
+    // numbers take under 128 bytes besides the wrapper name; a miss's
+    // tail is mostly its XML.
+    out.reserve(128 + response.wrapper.len() + tail.map_or(response.xml().len(), str::len));
     out.push_str("{\"wrapper\":");
     write_escaped(&response.wrapper, out);
     out.push_str(",\"version\":");
@@ -2513,25 +2558,21 @@ fn write_extraction_json(response: &ExtractionResponse, out: &mut String) {
     out.push_str(if response.cache_hit { "true" } else { "false" });
     out.push_str(",\"latency_us\":");
     write_number(response.latency.as_micros() as u64 as f64, out);
-    out.push_str(",\"provenance_key\":");
-    write_escaped(&provenance_key(&response.key), out);
-    match &response.memo {
-        Some(memo) => out.push_str(memo.get_or_init(|| {
-            let mut tail = String::new();
-            write_extraction_tail(&response.result, &mut tail);
-            tail
-        })),
-        None => write_extraction_tail(&response.result, out),
+    match tail {
+        Some(tail) => out.push_str(tail),
+        None => write_extraction_tail(&response.key, &response.result, out),
     }
 }
 
 /// Append the entry-invariant tail of the `/extract` body,
-/// `,"xml":…,"patterns":[…]}`. Instance texts come from the stored
-/// provenance record, which holds each instance's text index-parallel
-/// to the base; a result without one is rendered from its document
-/// trees instead.
-fn write_extraction_tail(cached: &CachedExtraction, out: &mut String) {
+/// `,"provenance_key":…,"xml":…,"patterns":[…]}`. Instance texts come
+/// from the stored provenance record, which holds each instance's text
+/// index-parallel to the base; a result without one is rendered from
+/// its document trees instead.
+fn write_extraction_tail(key: &CacheKey, cached: &CachedExtraction, out: &mut String) {
     let extraction = &cached.result;
+    out.push_str(",\"provenance_key\":");
+    write_escaped(&provenance_key(key), out);
     out.push_str(",\"xml\":");
     write_escaped(&cached.xml, out);
     out.push_str(",\"patterns\":[");
@@ -3836,7 +3877,7 @@ mod tests {
         assert_eq!(memo_of(&first), None);
         assert_streams_like_the_tree(&first);
         let tail = memo_of(&first).expect("filled by the first serve");
-        assert!(tail.starts_with(",\"xml\":") && miss_body.ends_with(&tail));
+        assert!(tail.starts_with(",\"provenance_key\":") && miss_body.ends_with(&tail));
         let again = loop_hit(&server, None);
         assert_eq!(memo_of(&again).as_ref(), Some(&tail));
         assert_streams_like_the_tree(&again);

@@ -9,7 +9,7 @@
 //! only; `Transfer-Encoding` is not supported (the gateway's clients
 //! always know their body size up front).
 
-use crate::json::Json;
+use crate::json::{decimal, Json};
 
 /// One parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -331,19 +331,35 @@ impl Response {
 
     /// Serialize into `out`, with the connection-persistence header.
     pub fn write_to(&self, out: &mut Vec<u8>, keep_alive: bool) {
-        out.extend_from_slice(
-            format!(
-                "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n",
-                self.status,
-                status_reason(self.status),
-                self.content_type,
-                self.body.len(),
-                if keep_alive { "keep-alive" } else { "close" },
-            )
-            .as_bytes(),
-        );
-        for (name, value) in &self.extra_headers {
-            out.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+        self.write_with_headers(out, keep_alive, &[]);
+    }
+
+    /// [`write_to`](Response::write_to) plus `more` headers after the
+    /// response's own, borrowed from the caller — for a value the caller
+    /// still needs afterwards (the gateway's `x-request-id` goes on to
+    /// name a span record), so it is not copied into the response.
+    pub fn write_with_headers(&self, out: &mut Vec<u8>, keep_alive: bool, more: &[(&str, &str)]) {
+        let mut digits = [0; 20];
+        out.reserve(160 + self.body.len());
+        out.extend_from_slice(b"HTTP/1.1 ");
+        out.extend_from_slice(decimal(u64::from(self.status), &mut digits).as_bytes());
+        out.push(b' ');
+        out.extend_from_slice(status_reason(self.status).as_bytes());
+        out.extend_from_slice(b"\r\ncontent-type: ");
+        out.extend_from_slice(self.content_type.as_bytes());
+        out.extend_from_slice(b"\r\ncontent-length: ");
+        out.extend_from_slice(decimal(self.body.len() as u64, &mut digits).as_bytes());
+        out.extend_from_slice(if keep_alive {
+            b"\r\nconnection: keep-alive\r\n"
+        } else {
+            b"\r\nconnection: close\r\n"
+        });
+        let own = self.extra_headers.iter().map(|(n, v)| (*n, v.as_str()));
+        for (name, value) in own.chain(more.iter().copied()) {
+            out.extend_from_slice(name.as_bytes());
+            out.extend_from_slice(b": ");
+            out.extend_from_slice(value.as_bytes());
+            out.extend_from_slice(b"\r\n");
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
@@ -531,5 +547,23 @@ mod tests {
         assert!(text.contains("connection: close\r\n"));
         assert!(text.contains("retry-after: 1\r\n"));
         assert!(text.contains(r#""error":"backpressure""#));
+
+        // Borrowed headers follow the response's own; the bytes are what
+        // the response would write with them as its own headers.
+        let response = Response::text(404, "gone").with_header("retry-after", "1");
+        let mut borrowed = Vec::new();
+        response.write_with_headers(&mut borrowed, true, &[("x-request-id", "r-1")]);
+        let mut owned = Vec::new();
+        response
+            .clone()
+            .with_header("x-request-id", "r-1")
+            .write_to(&mut owned, true);
+        assert_eq!(borrowed, owned);
+        assert_eq!(
+            String::from_utf8(borrowed).unwrap(),
+            "HTTP/1.1 404 Not Found\r\ncontent-type: text/plain; charset=utf-8\r\n\
+             content-length: 4\r\nconnection: keep-alive\r\nretry-after: 1\r\n\
+             x-request-id: r-1\r\n\r\ngone"
+        );
     }
 }

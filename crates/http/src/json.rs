@@ -6,6 +6,33 @@
 //! with full string escaping in both directions (including `\uXXXX`
 //! and surrogate pairs). Object keys keep insertion order, so responses
 //! serialize deterministically.
+//!
+//! ## Scanning strings
+//!
+//! Both directions cut strings into *plain runs*: the bytes up to the
+//! next `"`, `\\` or control byte (below 0x20), which need no escape.
+//! `plain_run` finds the end of a run eight bytes at a time: it loads a
+//! little-endian `u64` and flags, with the classic SWAR zero-byte and
+//! less-than masks, every lane that is a quote, a backslash or below
+//! 0x20; the lowest flagged lane is the first such byte (a mask's false
+//! positives only ever sit above a true hit). The last < 8 bytes are
+//! checked one at a time. All three stop bytes are ASCII and every byte
+//! of a multi-byte UTF-8 sequence is ≥ 0x80, so a run always ends on a
+//! character boundary. The decoder copies a string without escapes with
+//! one exact-size allocation; a string with escapes is decoded into a
+//! per-thread buffer reused across parses (up to 64 KiB of it is kept)
+//! and then copied out at its exact size, so it too costs one
+//! allocation. The encoder copies each run whole and rewrites only the
+//! stop bytes.
+//!
+//! ## Numbers
+//!
+//! Numbers follow the RFC 8259 grammar exactly,
+//! `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`: leading
+//! zeros (`01`), a bare or trailing `.` (`-.5`, `1.`, `1.e5`) and a
+//! leading `+` are rejected, as are values that overflow to infinity.
+//! A rejected number reports the offset just past its longest run of
+//! number characters.
 
 use std::fmt;
 
@@ -53,6 +80,8 @@ impl Json {
             text,
             src: text.as_bytes(),
             pos: 0,
+            items: Vec::new(),
+            fields: Vec::new(),
         };
         p.ws();
         let value = p.value(0)?;
@@ -232,48 +261,113 @@ pub(crate) fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null"); // JSON has no NaN/inf; never produced by parse
     } else if n.fract() == 0.0 && n.abs() <= 9.007_199_254_740_992e15 {
-        out.push_str(&format!("{}", n as i64));
+        if n < 0.0 {
+            out.push('-');
+        }
+        out.push_str(decimal(n.abs() as u64, &mut [0; 20]));
     } else {
-        out.push_str(&format!("{n}"));
+        use std::fmt::Write;
+        let _ = write!(out, "{n}"); // writing into a String cannot fail
     }
 }
 
-/// Append `s` as a quoted, escaped JSON string, exactly as a
-/// [`Json::Str`] serializes. Runs of bytes that need no escape are
-/// copied whole; only `"`, `\\` and control characters are rewritten
-/// (every byte of a multi-byte UTF-8 sequence is ≥ 0x80, so scanning
-/// bytes never splits a character).
-pub(crate) fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    let mut clean = 0;
-    for (i, b) in s.bytes().enumerate() {
-        let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0x08 => "\\b",
-            0x0C => "\\f",
-            0x00..=0x1F => "",
-            _ => continue,
-        };
-        out.push_str(&s[clean..i]);
-        clean = i + 1;
-        if escape.is_empty() {
-            out.push_str(&format!("\\u{b:04x}"));
-        } else {
-            out.push_str(escape);
+/// `n` in decimal, written into the tail of `digits` — integer
+/// formatting without `format!`'s allocation.
+pub(crate) fn decimal(mut n: u64, digits: &mut [u8; 20]) -> &str {
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push_str(&s[clean..]);
+    std::str::from_utf8(&digits[at..]).expect("ASCII digits")
+}
+
+/// Length of the plain run at the start of `bytes`: the bytes before the
+/// first `"`, `\\` or byte below 0x20 (all of `bytes` if there is none).
+/// Checks eight bytes per step; see the module docs.
+pub(crate) fn plain_run(bytes: &[u8]) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    /// High bit of every lane of `word` that is zero (exact for the
+    /// lowest such lane).
+    fn zero_lanes(word: u64) -> u64 {
+        word.wrapping_sub(ONES) & !word & HIGHS
+    }
+    let mut chunks = bytes.chunks_exact(8);
+    for (i, chunk) in chunks.by_ref().enumerate() {
+        let word = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let stops = zero_lanes(word ^ (ONES * u64::from(b'"')))
+            | zero_lanes(word ^ (ONES * u64::from(b'\\')))
+            | (word.wrapping_sub(ONES * 0x20) & !word & HIGHS);
+        if stops != 0 {
+            return i * 8 + (stops.trailing_zeros() / 8) as usize;
+        }
+    }
+    let tail = chunks.remainder();
+    let done = bytes.len() - tail.len();
+    done + tail
+        .iter()
+        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+        .unwrap_or(tail.len())
+}
+
+/// Append `s` as a quoted, escaped JSON string, exactly as a
+/// [`Json::Str`] serializes. Plain runs are copied whole; only `"`,
+/// `\\` and control characters are rewritten.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut at = 0;
+    loop {
+        let run = plain_run(&bytes[at..]);
+        out.push_str(&s[at..at + run]);
+        at += run;
+        let Some(&b) = bytes.get(at) else { break };
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xF)]));
+            }
+        }
+        at += 1;
+    }
     out.push('"');
 }
+
+thread_local! {
+    /// Decode buffer for escaped strings, reused by every parse on the
+    /// thread (see `Parser::string`).
+    static UNESCAPED: std::cell::Cell<String> = const { std::cell::Cell::new(String::new()) };
+}
+
+/// Capacity [`UNESCAPED`] keeps between strings, so one huge escaped
+/// string does not pin its size for the thread's lifetime.
+const RETAINED_UNESCAPED_BYTES: usize = 64 * 1024;
 
 struct Parser<'a> {
     text: &'a str,
     src: &'a [u8],
     pos: usize,
+    /// Scratch stacks for the children of the arrays and objects being
+    /// parsed: each container pushes its children above its own mark and
+    /// moves them into an exact-size `Vec` when it closes, so nested
+    /// containers share one growing buffer per parse.
+    items: Vec<Json>,
+    fields: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
@@ -318,12 +412,12 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.pos += 1; // '{'
-        let mut fields = Vec::new();
         self.ws();
         if self.src.get(self.pos) == Some(&b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(Json::Obj(Vec::new()));
         }
+        let mark = self.fields.len();
         loop {
             self.ws();
             if self.src.get(self.pos) != Some(&b'"') {
@@ -337,13 +431,13 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             self.ws();
             let value = self.value(depth + 1)?;
-            fields.push((key, value));
+            self.fields.push((key, value));
             self.ws();
             match self.src.get(self.pos) {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(Json::Obj(self.fields.drain(mark..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -352,21 +446,22 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.pos += 1; // '['
-        let mut items = Vec::new();
         self.ws();
         if self.src.get(self.pos) == Some(&b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        let mark = self.items.len();
         loop {
             self.ws();
-            items.push(self.value(depth + 1)?);
+            let item = self.value(depth + 1)?;
+            self.items.push(item);
             self.ws();
             match self.src.get(self.pos) {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.drain(mark..).collect()));
                 }
                 _ => return Err(self.err("expected ',' or ']'")),
             }
@@ -386,107 +481,129 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.pos += 1; // opening quote
-        let mut out = String::new();
+        let start = self.pos;
+        self.pos += plain_run(&self.src[start..]);
+        if self.src.get(self.pos) == Some(&b'"') {
+            // The common case: one plain run up to the closing quote.
+            self.pos += 1;
+            return Ok(self.text[start..self.pos - 1].to_owned());
+        }
+        // An escaped string is decoded into this thread's buffer and
+        // copied out at its exact size, instead of growing a buffer of
+        // its own by doubling.
+        let mut buf = UNESCAPED.take();
+        buf.clear();
+        buf.push_str(&self.text[start..self.pos]);
+        let decoded = self.unescape(&mut buf).map(|()| buf.as_str().to_owned());
+        if buf.capacity() <= RETAINED_UNESCAPED_BYTES {
+            UNESCAPED.set(buf);
+        }
+        decoded
+    }
+
+    /// Decode the rest of a string that holds an escape into `out`, up
+    /// to and including its closing quote.
+    fn unescape(&mut self, out: &mut String) -> Result<(), JsonError> {
         loop {
             match self.src.get(self.pos) {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let simple = |b: u8| match b {
-                        b'"' => Some('"'),
-                        b'\\' => Some('\\'),
-                        b'/' => Some('/'),
-                        b'b' => Some('\u{08}'),
-                        b'f' => Some('\u{0C}'),
-                        b'n' => Some('\n'),
-                        b'r' => Some('\r'),
-                        b't' => Some('\t'),
-                        _ => None,
-                    };
-                    match self.src.get(self.pos) {
-                        Some(&b) if simple(b).is_some() => {
-                            out.push(simple(b).expect("checked"));
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: expect \uXXXX low half.
-                                if self.src.get(self.pos) != Some(&b'\\')
-                                    || self.src.get(self.pos + 1) != Some(&b'u')
-                                {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let combined = 0x10000
-                                    + ((u32::from(hi) - 0xD800) << 10)
-                                    + (u32::from(lo) - 0xDC00);
-                                char::from_u32(combined).ok_or_else(|| self.err("bad codepoint"))?
-                            } else if (0xDC00..0xE000).contains(&hi) {
-                                return Err(self.err("unpaired surrogate"));
-                            } else {
-                                char::from_u32(u32::from(hi))
-                                    .ok_or_else(|| self.err("bad codepoint"))?
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
+                    self.escape(out)?;
                 }
                 Some(&b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Copy the whole run up to the next quote, escape or
-                    // control byte. Those are ASCII, and every byte of a
-                    // multi-byte UTF-8 sequence is ≥ 0x80, so the run ends
-                    // on a character boundary of the (already valid)
-                    // source text.
+                    // Plain runs end on a character boundary of the
+                    // (already valid) source text; see the module docs.
                     let start = self.pos;
-                    self.pos += self.src[start..]
-                        .iter()
-                        .take_while(|&&b| b >= 0x20 && b != b'"' && b != b'\\')
-                        .count();
+                    self.pos += plain_run(&self.src[start..]);
                     out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
     }
 
+    /// Decode the escape sequence after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let simple = match self.src.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: expect \uXXXX low half.
+                    if self.src.get(self.pos) != Some(&b'\\')
+                        || self.src.get(self.pos + 1) != Some(&b'u')
+                    {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let combined =
+                        0x10000 + ((u32::from(hi) - 0xD800) << 10) + (u32::from(lo) - 0xDC00);
+                    char::from_u32(combined).ok_or_else(|| self.err("bad codepoint"))?
+                } else if (0xDC00..0xE000).contains(&hi) {
+                    return Err(self.err("unpaired surrogate"));
+                } else {
+                    char::from_u32(u32::from(hi)).ok_or_else(|| self.err("bad codepoint"))?
+                };
+                out.push(c);
+                return Ok(());
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        out.push(simple);
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Scan the longest run of number characters (as every earlier
+    /// version of this parser did, so a rejected number reports the same
+    /// offset), then accept it only if it matches the RFC 8259 grammar.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
+        let digits = |p: &mut Self| {
+            let from = p.pos;
+            while matches!(p.src.get(p.pos), Some(b'0'..=b'9')) {
+                p.pos += 1;
+            }
+            p.pos - from
+        };
         if self.src.get(self.pos) == Some(&b'-') {
             self.pos += 1;
         }
-        while matches!(self.src.get(self.pos), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let int_start = self.pos;
+        let int_digits = digits(self);
+        let mut valid = int_digits == 1 || (int_digits > 1 && self.src[int_start] != b'0');
         if self.src.get(self.pos) == Some(&b'.') {
             self.pos += 1;
-            while matches!(self.src.get(self.pos), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= digits(self) > 0;
         }
         if matches!(self.src.get(self.pos), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.src.get(self.pos), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.src.get(self.pos), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            valid &= digits(self) > 0;
         }
         let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
         text.parse::<f64>()
             .ok()
-            .filter(|n| n.is_finite())
+            .filter(|n| valid && n.is_finite())
             .map(Json::Num)
             .ok_or_else(|| self.err("invalid number"))
     }
@@ -588,22 +705,173 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for text in [
-            "",
-            "{",
-            "[1,",
-            "{\"a\"}",
-            "{\"a\":}",
-            "tru",
-            "\"unterminated",
-            "1 2",
-            "[1] garbage",
-            "{'single':1}",
-            "\"\\ud800\"", // unpaired surrogate
-            "nan",
-            "+1",
+        // (document, offset of the failure). The offsets are the ones the
+        // byte-at-a-time scanner this module used to have reported.
+        for (text, at) in [
+            ("", 0),
+            ("{", 1),
+            ("[1,", 3),
+            ("{\"a\"}", 4),
+            ("{\"a\":}", 5),
+            ("tru", 0),
+            ("\"unterminated", 13),
+            ("1 2", 2),
+            ("[1] garbage", 4),
+            ("{'single':1}", 1),
+            ("\"\\ud800\"", 7), // unpaired surrogate
+            ("nan", 0),
+            ("+1", 0),
+            ("\"abc", 4),                // unterminated string
+            ("\"a\\", 3),                // backslash at the end of input
+            ("\"a\\x\"", 3),             // bad escape
+            ("[\"ok\",\"bad\\q\"]", 11), // bad escape behind a plain run
+            ("\"\\u12\"", 3),            // truncated \u escape
+            ("\"\\u12g4\"", 3),          // bad \u escape
+            ("\"\\udc00\"", 7),          // lone low surrogate
+            ("\"\\ud800\\u0041\"", 13),  // high surrogate, no low half
+            ("{\"k\":\"v\u{1}\"}", 7),   // raw control byte in a value
+            ("-", 1),
+            ("--1", 1),
+            ("1e", 2),
+            ("1e+", 3),
+            ("1.5e", 4),
+            ("1e999", 5), // overflows to infinity
+            ("[1,]", 3),
+            ("{\"a\":1,}", 7),
+            // Not RFC 8259 numbers: leading zeros, bare or trailing '.'.
+            ("01", 2),
+            ("00", 2),
+            ("-01.5", 5),
+            ("1.", 2),
+            ("1.e5", 4),
+            ("-.5", 3),
+            ("[0,012]", 6),
+            (".5", 0),
         ] {
-            assert!(Json::parse(text).is_err(), "{text:?} must be rejected");
+            let err = Json::parse(text).expect_err(text);
+            assert_eq!(err.at, at, "{text:?} must fail at byte {at}: {err}");
+        }
+        // A raw control byte k bytes into a string fails at its own
+        // offset, whether it sits in the first eight-byte word, on a word
+        // boundary or in the byte-at-a-time tail, behind ASCII or
+        // multi-byte characters.
+        for k in 0..40 {
+            for b in [0u8, 0x1f, b'\n'] {
+                let ascii = format!("\"{}{}tail\"", "x".repeat(k), char::from(b));
+                let wide = format!(
+                    "\"{}{}{}\"",
+                    "é".repeat(k / 2),
+                    "x".repeat(k % 2),
+                    char::from(b)
+                );
+                for text in [ascii, wide] {
+                    let err = Json::parse(&text).expect_err(&text);
+                    assert_eq!(err.at, 1 + k, "{text:?}");
+                    assert_eq!(err.message, "raw control character in string");
+                }
+            }
+        }
+        // A string that failed half-decoded leaves nothing behind in the
+        // thread's reused decode buffer.
+        assert!(Json::parse("\"left\\nover\\q\"").is_err());
+        assert_eq!(Json::parse("\"a\\\"b\""), Ok(Json::from("a\"b")));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("7", 7.0),
+            ("-12", -12.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.25", -0.25),
+            ("1e3", 1000.0),
+            ("1E+3", 1000.0),
+            ("25e-2", 0.25),
+            ("0e0", 0.0),
+            ("1.5E-1", 0.15),
+            ("9007199254740993", 9_007_199_254_740_992.0),
+        ] {
+            assert_eq!(Json::parse(text), Ok(Json::Num(value)), "{text}");
+        }
+    }
+
+    /// Byte-at-a-time reference for [`plain_run`].
+    fn plain_run_reference(bytes: &[u8]) -> usize {
+        bytes
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+            .unwrap_or(bytes.len())
+    }
+
+    #[test]
+    fn plain_run_matches_the_byte_at_a_time_reference() {
+        // Fillers include the neighbours of every stop byte (0x20 above
+        // the control range, '#' above '"', ']' above '\\'), where a SWAR
+        // mask's borrow could fake a hit, and multi-byte UTF-8.
+        let utf8 = "é€😀".as_bytes();
+        let fillers: Vec<Vec<u8>> = [b'a', 0x20, b'#', b']', 0x7f, 0x80, 0xff]
+            .iter()
+            .map(|&f| vec![f; 32])
+            .chain(std::iter::once(
+                utf8.iter().copied().cycle().take(32).collect(),
+            ))
+            .collect();
+        let mut checked = 0;
+        for filler in &fillers {
+            for align in 0..8 {
+                // No stop byte at all, every length (the tail included).
+                for len in 0..=24 {
+                    let bytes = &filler[align..align + len];
+                    assert_eq!(plain_run(bytes), len);
+                }
+                // Every byte value in every lane of the first three words
+                // and the tail, alone and behind an earlier stop byte.
+                for len in [5, 8, 13, 16, 24] {
+                    for lane in 0..len {
+                        for v in 0..=255u8 {
+                            let mut buf = filler[..align + len].to_vec();
+                            buf[align + lane] = v;
+                            let bytes = &buf[align..];
+                            assert_eq!(plain_run(bytes), plain_run_reference(bytes));
+                            for earlier in [b'"', b'\\', 0x00, 0x1f] {
+                                let first = lane / 2;
+                                if first < lane {
+                                    buf[align + first] = earlier;
+                                    let bytes = &buf[align..];
+                                    assert_eq!(plain_run(bytes), first);
+                                    buf[align + first] = filler[align + first];
+                                }
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, fillers.len() * 8 * (5 + 8 + 13 + 16 + 24) * 256);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        #[test]
+        fn string_dump_parses_back(codes in proptest::collection::vec(0u32..0x1_0000, 0..48)) {
+            // A quarter ASCII (controls, quotes and backslashes included),
+            // the rest two-, three- and (folded up from the surrogate
+            // range) four-byte characters.
+            let s: String = codes
+                .iter()
+                .map(|&c| match c {
+                    0..=0x3fff => char::from((c % 0x80) as u8),
+                    0x4000..=0x7fff => char::from_u32(0x80 + c % 0x780).expect("two bytes"),
+                    0xd800..=0xdfff => char::from_u32(0x1_0000 + c).expect("astral plane"),
+                    _ => char::from_u32(c).expect("not a surrogate"),
+                })
+                .collect();
+            let dumped = Json::Str(s.clone()).dump();
+            proptest::prop_assert_eq!(Json::parse(&dumped), Ok(Json::Str(s)));
         }
     }
 

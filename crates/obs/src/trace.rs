@@ -1,5 +1,6 @@
 //! Trace identifiers, pipeline stages, and per-request span records.
 
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -33,7 +34,9 @@ impl TraceId {
             .unwrap_or(0);
         let mixed =
             splitmix64(now ^ seq.rotate_left(32) ^ u64::from(std::process::id()).rotate_left(48));
-        TraceId(format!("{mixed:016x}"))
+        let mut id = String::with_capacity(16);
+        let _ = write!(id, "{mixed:016x}"); // writing into a String cannot fail
+        TraceId(id)
     }
 
     /// Accept a client-supplied id if it is 1–64 visible ASCII
@@ -53,6 +56,11 @@ impl TraceId {
     /// The id as a string slice.
     pub fn as_str(&self) -> &str {
         &self.0
+    }
+
+    /// The id as an owned string, without copying it.
+    pub fn into_string(self) -> String {
+        self.0
     }
 }
 

@@ -1,11 +1,11 @@
 //! The memoised `/extract` body tail over HTTP: every hot-tier entry
-//! encodes `,"xml":…,"patterns":[…]}` once, on its first served hit, and
-//! every later hit — single or batch item — copies it behind a freshly
-//! written prefix. These tests pin that batch items and single requests
-//! answer the same bytes, that watch rechecks and in-process calls never
-//! fill the memo, and that a request body full of multi-byte characters
-//! is decoded in linear time, so it cannot stall the hits its event loop
-//! also serves.
+//! encodes `,"provenance_key":…,"xml":…,"patterns":[…]}` once, on its
+//! first served hit, and every later hit — single or batch item — copies
+//! it behind a freshly written prefix. These tests pin that batch items
+//! and single requests answer the same bytes, that watch rechecks and
+//! in-process calls never fill the memo, and that a request body full of
+//! multi-byte characters is decoded in linear time, so it cannot stall
+//! the hits its event loop also serves.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -123,6 +123,7 @@ fn batch_items_and_single_hits_answer_the_same_bytes() {
         );
     }
     let memo_b = memo_text(&server.execute(cached_b).unwrap()).expect("filled by the batch");
+    assert!(memo_b.starts_with(",\"provenance_key\":"), "{memo_b}");
     assert!(hit_b.text().ends_with(&memo_b));
 
     gateway.shutdown();
@@ -170,6 +171,7 @@ fn watch_rechecks_and_in_process_calls_never_fill_the_memo() {
     let mut client = HttpClient::connect(gateway.addr()).unwrap();
     let served = post(&mut client, "/extract", &extract_body_web("shop", URL));
     let tail = memo_text(&executed).expect("filled by the HTTP answer");
+    assert!(tail.starts_with(",\"provenance_key\":"), "{tail}");
     assert!(served.text().ends_with(&tail));
     let hits = server.metrics().cache.hits;
     while server.metrics().cache.hits < hits + 3 {
