@@ -1,84 +1,47 @@
-//! The experiment runner: prints the paper-shaped table/series for every
-//! experiment E1…E14 of DESIGN.md §4. Run with `--release`:
+//! The experiment runner: prints the paper-shaped table or series for
+//! each of the paper's experiments E1…E14 (§7). Run with `--release`:
 //!
 //! ```text
-//! cargo run --release -p lixto-bench --bin experiments          # all
-//! cargo run --release -p lixto-bench --bin experiments e4 e8    # a subset
+//! cargo run --release -p lixto_bench --bin experiments          # all
+//! cargo run --release -p lixto_bench --bin experiments e4 e8    # a subset
 //! ```
+//!
+//! An unknown experiment name is an error. The serving stack is measured
+//! by `perfbench/`, not here.
 
 use lixto_bench::{print_table, time_us};
 
+/// The paper's experiments, by the name the command line selects.
+const EXPERIMENTS: [(&str, fn()); 14] = [
+    ("e1", e1_monadic_datalog_linear),
+    ("e2", e2_tmnf_translation),
+    ("e3", e3_general_vs_tree),
+    ("e4", e4_xpath_exponential_vs_ptime),
+    ("e5", e5_core_xpath_linear),
+    ("e6", e6_negation_ablation),
+    ("e7", e7_xpath_to_tmnf),
+    ("e8", e8_cq_dichotomy),
+    ("e9", e9_ebay_wrapper),
+    ("e10", e10_robustness),
+    ("e11", e11_induction_vs_visual),
+    ("e12", e12_pipeline),
+    ("e13", e13_now_playing_and_flights),
+    ("e14", e14_mso_equivalence),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
-    if want("e1") {
-        e1_monadic_datalog_linear();
+    if let Some(unknown) = args
+        .iter()
+        .find(|a| !EXPERIMENTS.iter().any(|(name, _)| name == a))
+    {
+        eprintln!("unknown experiment {unknown:?}; expected names e1 to e14");
+        std::process::exit(2);
     }
-    if want("e2") {
-        e2_tmnf_translation();
-    }
-    if want("e3") {
-        e3_general_vs_tree();
-    }
-    if want("e4") {
-        e4_xpath_exponential_vs_ptime();
-    }
-    if want("e5") {
-        e5_core_xpath_linear();
-    }
-    if want("e6") {
-        e6_negation_ablation();
-    }
-    if want("e7") {
-        e7_xpath_to_tmnf();
-    }
-    if want("e8") {
-        e8_cq_dichotomy();
-    }
-    if want("e9") {
-        e9_ebay_wrapper();
-    }
-    if want("e10") {
-        e10_robustness();
-    }
-    if want("e11") {
-        e11_induction_vs_visual();
-    }
-    if want("e12") {
-        e12_pipeline();
-    }
-    if want("e13") {
-        e13_now_playing_and_flights();
-    }
-    if want("e13_server") {
-        e13_server_throughput();
-    }
-    if want("e14") {
-        e14_mso_equivalence();
-    }
-    if want("e14_http") {
-        e14_http_throughput();
-    }
-    if want("e15_plan") {
-        e15_plan_compile();
-    }
-    if want("e16_multiplex") {
-        e16_multiplex();
-    }
-    if want("e17_persistence") {
-        e17_persistence();
-    }
-    if want("e18_observability") {
-        e18_observability();
-    }
-    if want("e19_watchdog") {
-        e19_watchdog();
-    }
-    if want("e20_optimizer") {
-        e20_optimizer();
-    }
-    if want("e21_watch") {
-        e21_watch();
+    for (name, run) in EXPERIMENTS {
+        if args.is_empty() || args.iter().any(|a| a == name) {
+            run();
+        }
     }
 }
 
@@ -734,1868 +697,4 @@ fn e14_mso_equivalence() {
         &rows,
     );
     println!("compiled MSO automaton: {} states", q.automaton().n_states);
-}
-
-fn e13_server_throughput() {
-    use lixto_server::{ExtractionRequest, ExtractionServer, RequestSource, ServerConfig};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const USERS: usize = 32;
-    const PER_USER: usize = 25;
-    let requests: Vec<ExtractionRequest> =
-        lixto_workloads::traffic::requests(2026, USERS, PER_USER)
-            .into_iter()
-            .map(|r| ExtractionRequest {
-                trace: None,
-                wrapper: r.wrapper.to_string(),
-                version: None,
-                source: RequestSource::Inline {
-                    url: r.url,
-                    html: r.html,
-                },
-            })
-            .collect();
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    for shards in [1usize, 2, 4, 8] {
-        let server = ExtractionServer::start(
-            ServerConfig {
-                shards,
-                workers_per_shard: 1,
-                queue_capacity: 64,
-                cache_capacity: 64,
-                store: None,
-            },
-            lixto_bench::workload_registry(),
-            Arc::new(lixto_elog::StaticWeb::new()),
-        );
-        let t = Instant::now();
-        let tickets: Vec<_> = requests
-            .iter()
-            .map(|r| server.submit(r.clone()).expect("submit"))
-            .collect();
-        for ticket in tickets {
-            ticket.wait().expect("job completes");
-        }
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        let snap = server.metrics();
-        let rps = requests.len() as f64 / (wall_ms / 1e3);
-        rows.push(vec![
-            shards.to_string(),
-            requests.len().to_string(),
-            format!("{wall_ms:.1}"),
-            format!("{rps:.0}"),
-            snap.p50_us.to_string(),
-            snap.p99_us.to_string(),
-            format!("{:.0}%", snap.cache.hit_rate() * 100.0),
-        ]);
-        json_rows.push(format!(
-            r#"    {{"shards": {shards}, "requests": {}, "wall_ms": {wall_ms:.3}, "throughput_rps": {rps:.1}, "p50_us": {}, "p99_us": {}, "cache_hits": {}, "cache_misses": {}, "cache_evictions": {}}}"#,
-            requests.len(),
-            snap.p50_us,
-            snap.p99_us,
-            snap.cache.hits,
-            snap.cache.misses,
-            snap.cache.evictions,
-        ));
-        server.shutdown();
-    }
-    print_table(
-        "E13c — serving layer: mixed traffic (32 users × 25 reqs) through the sharded worker pool",
-        &[
-            "shards",
-            "requests",
-            "wall ms",
-            "req/s",
-            "p50 µs",
-            "p99 µs",
-            "cache hit",
-        ],
-        &rows,
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"e13_server_throughput\",\n  \"users\": {USERS},\n  \"requests_per_user\": {PER_USER},\n  \"workers_per_shard\": 1,\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let path = "BENCH_e13.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn e14_http_throughput() {
-    use lixto_http::{GatewayConfig, HttpClient, HttpGateway, Json};
-    use lixto_server::{ExtractionServer, ServerConfig};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const USERS: usize = 32;
-    const PER_USER: usize = 50;
-    let requests = lixto_workloads::http_traffic::requests(2026, USERS, PER_USER);
-
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    for clients in [2usize, 8, 16, 32] {
-        // Fresh pool + gateway per run, so every run's counters start at
-        // zero and the metrics-agreement check is exact.
-        let server = Arc::new(ExtractionServer::start(
-            ServerConfig {
-                shards: 4,
-                workers_per_shard: 2,
-                queue_capacity: 128,
-                cache_capacity: 64,
-                store: None,
-            },
-            lixto_bench::workload_registry(),
-            Arc::new(lixto_elog::StaticWeb::new()),
-        ));
-        let gateway = HttpGateway::bind(
-            "127.0.0.1:0",
-            GatewayConfig {
-                handler_threads: clients,
-                ..GatewayConfig::default()
-            },
-            server.clone(),
-        )
-        .expect("bind gateway");
-        let addr = gateway.addr();
-        let t = Instant::now();
-        // One keep-alive connection per client thread, the stream split
-        // between them.
-        let hits: usize = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for chunk in requests.chunks(requests.len().div_ceil(clients)) {
-                handles.push(scope.spawn(move || {
-                    let mut client = HttpClient::connect(addr).expect("connect");
-                    let mut hits = 0usize;
-                    for r in chunk {
-                        let response = client.post_json("/extract", &r.body).expect("extract");
-                        assert_eq!(response.status, 200, "{}", response.text());
-                        hits += response.text().contains("\"cache_hit\":true") as usize;
-                    }
-                    hits
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("client")).sum()
-        });
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        let rps = requests.len() as f64 / (wall_ms / 1e3);
-
-        // The acceptance check: GET /metrics must agree, counter for
-        // counter, with the in-process MetricsSnapshot (both taken at
-        // quiescence — serving /metrics itself submits no pool jobs).
-        let snap = server.metrics();
-        let mut probe = HttpClient::connect(addr).expect("connect");
-        let wire = probe
-            .get_accept("/metrics", "application/json")
-            .expect("metrics")
-            .json()
-            .expect("metrics json");
-        let field = |name: &str| wire.get(name).and_then(Json::as_u64);
-        let cache_field = |name: &str| {
-            wire.get("cache")
-                .and_then(|c| c.get(name))
-                .and_then(Json::as_u64)
-        };
-        let agree = field("submitted") == Some(snap.submitted)
-            && field("completed") == Some(snap.completed)
-            && field("errors") == Some(snap.errors)
-            && field("rejected") == Some(snap.rejected)
-            && cache_field("hits") == Some(snap.cache.hits)
-            && cache_field("misses") == Some(snap.cache.misses)
-            && cache_field("evictions") == Some(snap.cache.evictions)
-            && cache_field("invalidations") == Some(snap.cache.invalidations);
-        assert!(agree, "GET /metrics diverged from the in-process snapshot");
-
-        rows.push(vec![
-            clients.to_string(),
-            requests.len().to_string(),
-            format!("{wall_ms:.1}"),
-            format!("{rps:.0}"),
-            snap.p50_us.to_string(),
-            snap.p99_us.to_string(),
-            format!("{:.0}%", 100.0 * hits as f64 / requests.len() as f64),
-            agree.to_string(),
-        ]);
-        json_rows.push(format!(
-            r#"    {{"clients": {clients}, "requests": {}, "wall_ms": {wall_ms:.3}, "throughput_rps": {rps:.1}, "p50_us": {}, "p99_us": {}, "cache_hits": {}, "cache_misses": {}, "http_4xx": {}, "http_5xx": {}, "metrics_agree": {agree}}}"#,
-            requests.len(),
-            snap.p50_us,
-            snap.p99_us,
-            snap.cache.hits,
-            snap.cache.misses,
-            gateway.stats().responses_4xx,
-            gateway.stats().responses_5xx,
-        ));
-        // Close the probe's keep-alive connection before shutdown, or
-        // the handler serving it idles out the full timeout first.
-        drop(probe);
-        gateway.shutdown();
-        server.initiate_shutdown();
-    }
-    print_table(
-        "E14 — HTTP gateway: mixed traffic (32 users × 50 reqs) through the loopback HTTP path",
-        &[
-            "clients",
-            "requests",
-            "wall ms",
-            "req/s",
-            "p50 µs",
-            "p99 µs",
-            "cache hit",
-            "metrics agree",
-        ],
-        &rows,
-    );
-    let json = format!(
-        "{{\n  \"experiment\": \"e14_http_throughput\",\n  \"users\": {USERS},\n  \"requests_per_user\": {PER_USER},\n  \"pool\": {{\"shards\": 4, \"workers_per_shard\": 2}},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_rows.join(",\n")
-    );
-    let path = "BENCH_e14.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn e15_plan_compile() {
-    use lixto_elog::{parse_program, Extractor, SinglePage, WrapperPlan};
-    use lixto_server::{ExtractionRequest, ExtractionServer, RequestSource, ServerConfig};
-    use lixto_workloads::traffic;
-    use std::collections::HashMap;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const USERS: usize = 32;
-    const PER_USER: usize = 25;
-
-    // Per-wrapper miss-path microbenchmark: one full extraction of a
-    // fresh document, interpreted AST walk vs compiled-plan execution.
-    let mut rows = Vec::new();
-    let mut wrapper_json = Vec::new();
-    for profile in traffic::profiles() {
-        let program = parse_program(profile.program).expect("workload program parses");
-        let plan = Arc::new(
-            WrapperPlan::compile(&program, &lixto_elog::ConceptRegistry::builtin())
-                .expect("workload program compiles"),
-        );
-        let web = SinglePage {
-            url: profile.entry_url.to_string(),
-            html: traffic::page_for(profile.name, 2026, 0),
-        };
-        let interpreted_ex = Extractor::new(program.clone(), &web);
-        let compiled_ex = Extractor::from_plan(plan.clone(), &web);
-        assert_eq!(
-            interpreted_ex.run_interpreted(),
-            compiled_ex.run(),
-            "{}: compiled execution must be result-identical",
-            profile.name
-        );
-        let interp_us = time_us(21, || {
-            std::hint::black_box(interpreted_ex.run_interpreted().base.len());
-        });
-        let plan_us = time_us(21, || {
-            std::hint::black_box(compiled_ex.run().base.len());
-        });
-        let compile_us = time_us(21, || {
-            std::hint::black_box(
-                WrapperPlan::compile(&program, &lixto_elog::ConceptRegistry::builtin())
-                    .expect("compiles")
-                    .rules()
-                    .len(),
-            );
-        });
-        rows.push(vec![
-            profile.name.to_string(),
-            format!("{interp_us:.0}"),
-            format!("{plan_us:.0}"),
-            format!("{compile_us:.1}"),
-            format!("{:.2}x", interp_us / plan_us),
-        ]);
-        wrapper_json.push(format!(
-            r#"    {{"wrapper": "{}", "interpreted_us": {interp_us:.1}, "compiled_us": {plan_us:.1}, "compile_once_us": {compile_us:.2}, "speedup": {:.3}}}"#,
-            profile.name,
-            interp_us / plan_us,
-        ));
-    }
-    print_table(
-        "E15a — compile-once plans: miss-path extraction per wrapper (fresh document, no cache)",
-        &["wrapper", "interp µs", "plan µs", "compile µs", "speedup"],
-        &rows,
-    );
-
-    // Long-tail stream: ~0% cache hit rate, so throughput is the miss
-    // path. Interpreted baseline is exactly what the pre-plan server did
-    // per miss (clone the AST, walk it); compiled is the plan fast path.
-    let stream = traffic::long_tail_requests(2026, USERS, PER_USER);
-    let programs: HashMap<&str, _> = traffic::profiles()
-        .into_iter()
-        .map(|p| (p.name, parse_program(p.program).expect("parses")))
-        .collect();
-    let plans: HashMap<&str, Arc<WrapperPlan>> = programs
-        .iter()
-        .map(|(name, prog)| {
-            (
-                *name,
-                Arc::new(
-                    WrapperPlan::compile(prog, &lixto_elog::ConceptRegistry::builtin())
-                        .expect("compiles"),
-                ),
-            )
-        })
-        .collect();
-
-    let t = Instant::now();
-    let mut interp_instances = 0usize;
-    for r in &stream {
-        let web = SinglePage {
-            url: r.url.clone(),
-            html: r.html.clone(),
-        };
-        let result = Extractor::new(programs[r.wrapper].clone(), &web).run_interpreted();
-        interp_instances += result.base.len();
-    }
-    let interp_wall = t.elapsed().as_secs_f64();
-    let interp_rps = stream.len() as f64 / interp_wall;
-
-    let t = Instant::now();
-    let mut plan_instances = 0usize;
-    for r in &stream {
-        let web = SinglePage {
-            url: r.url.clone(),
-            html: r.html.clone(),
-        };
-        let result = Extractor::from_plan(plans[r.wrapper].clone(), &web).run();
-        plan_instances += result.base.len();
-    }
-    let plan_wall = t.elapsed().as_secs_f64();
-    let plan_rps = stream.len() as f64 / plan_wall;
-    assert_eq!(
-        interp_instances, plan_instances,
-        "both engines must extract the same instances over the long tail"
-    );
-    let speedup = plan_rps / interp_rps;
-
-    // The same stream through the serving stack (plans end to end).
-    let requests: Vec<ExtractionRequest> = stream
-        .iter()
-        .map(|r| ExtractionRequest {
-            trace: None,
-            wrapper: r.wrapper.to_string(),
-            version: None,
-            source: RequestSource::Inline {
-                url: r.url.clone(),
-                html: r.html.clone(),
-            },
-        })
-        .collect();
-    let server = ExtractionServer::start(
-        ServerConfig {
-            shards: 4,
-            workers_per_shard: 2,
-            queue_capacity: 128,
-            cache_capacity: 64,
-            store: None,
-        },
-        lixto_bench::workload_registry(),
-        Arc::new(lixto_elog::StaticWeb::new()),
-    );
-    let t = Instant::now();
-    let tickets: Vec<_> = requests
-        .iter()
-        .map(|r| server.submit(r.clone()).expect("submit"))
-        .collect();
-    for ticket in tickets {
-        ticket.wait().expect("job completes");
-    }
-    let pool_wall = t.elapsed().as_secs_f64();
-    let pool_rps = requests.len() as f64 / pool_wall;
-    let snap = server.metrics();
-    let hit_rate = snap.cache.hit_rate();
-    server.shutdown();
-
-    print_table(
-        "E15b — long-tail miss-path throughput (32 users × 25 reqs, ~0% hit rate)",
-        &["engine", "requests", "wall ms", "req/s", "speedup"],
-        &[
-            vec![
-                "interpreted AST".into(),
-                stream.len().to_string(),
-                format!("{:.1}", interp_wall * 1e3),
-                format!("{interp_rps:.0}"),
-                "1.00x".into(),
-            ],
-            vec![
-                "compiled plan".into(),
-                stream.len().to_string(),
-                format!("{:.1}", plan_wall * 1e3),
-                format!("{plan_rps:.0}"),
-                format!("{speedup:.2}x"),
-            ],
-            vec![
-                "pool (4x2, plans)".into(),
-                requests.len().to_string(),
-                format!("{:.1}", pool_wall * 1e3),
-                format!("{pool_rps:.0}"),
-                format!("{:.2}x", pool_rps / interp_rps),
-            ],
-        ],
-    );
-    println!(
-        "long-tail cache hit rate through the pool: {:.1}%",
-        hit_rate * 100.0
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e15_plan_compile\",\n  \"users\": {USERS},\n  \"requests_per_user\": {PER_USER},\n  \"long_tail\": {{\"requests\": {}, \"interpreted_rps\": {interp_rps:.1}, \"compiled_rps\": {plan_rps:.1}, \"speedup\": {speedup:.3}, \"results_identical\": true, \"pool_rps\": {pool_rps:.1}, \"pool_cache_hit_rate\": {hit_rate:.4}}},\n  \"wrappers\": [\n{}\n  ]\n}}\n",
-        stream.len(),
-        wrapper_json.join(",\n")
-    );
-    let path = "BENCH_e15.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// E16: the event-driven gateway under three regimes the
-/// thread-per-connection design could not serve at once — thousands of
-/// mostly-idle keep-alive portal clients, the e14 mixed busy path (no
-/// regression allowed), and batched `/extract` on tiny documents.
-fn e16_multiplex() {
-    use lixto_http::{GatewayConfig, HttpClient, HttpGateway, Json};
-    use lixto_server::{ExtractionServer, ServerConfig, WrapperRegistry};
-    use std::io::{Read as _, Write as _};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    // ----------------------------------------------------------------
-    // Phase 1 — idle capacity: 2,000 concurrent keep-alive connections
-    // held by two event loops, every one of them live.
-    // ----------------------------------------------------------------
-    const IDLE_CONNS: usize = 2000;
-    const EVENT_LOOPS: usize = 2;
-
-    let pool_config = ServerConfig {
-        shards: 4,
-        workers_per_shard: 2,
-        queue_capacity: 128,
-        cache_capacity: 64,
-        store: None,
-    };
-    let server = Arc::new(ExtractionServer::start(
-        pool_config.clone(),
-        lixto_bench::workload_registry(),
-        Arc::new(lixto_elog::StaticWeb::new()),
-    ));
-    let gateway = HttpGateway::bind(
-        "127.0.0.1:0",
-        GatewayConfig {
-            event_loops: EVENT_LOOPS,
-            max_connections_per_loop: IDLE_CONNS, // 2 loops → headroom over the target
-            idle_timeout: Duration::from_secs(300),
-            ..GatewayConfig::default()
-        },
-        server.clone(),
-    )
-    .expect("bind gateway");
-    let addr = gateway.addr();
-
-    let healthz = b"GET /healthz HTTP/1.1\r\nhost: e16\r\ncontent-length: 0\r\n\r\n";
-    let read_one_response = |socket: &mut std::net::TcpStream| -> bool {
-        let mut buf = [0u8; 1024];
-        let mut seen = Vec::new();
-        loop {
-            // One healthz response is < 1 KiB; read until the body's
-            // closing brace has arrived.
-            match socket.read(&mut buf) {
-                Ok(0) | Err(_) => return false,
-                Ok(n) => {
-                    seen.extend_from_slice(&buf[..n]);
-                    if seen.windows(15).any(|w| w == b"{\"status\":\"ok\"}") {
-                        return true;
-                    }
-                }
-            }
-        }
-    };
-
-    let t_open = Instant::now();
-    let mut idle_conns = Vec::with_capacity(IDLE_CONNS);
-    let mut served_on_open = 0usize;
-    for _ in 0..IDLE_CONNS {
-        let mut socket = std::net::TcpStream::connect(addr).expect("connect idle client");
-        socket
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        socket.write_all(healthz).expect("healthz");
-        served_on_open += usize::from(read_one_response(&mut socket));
-        idle_conns.push(socket);
-    }
-    let open_wall = t_open.elapsed();
-
-    // Sustained: with all 2,000 still open, sweep every connection with
-    // a second request — each must answer, proving none were dropped
-    // and the loops still serve under full occupancy.
-    let t_sweep = Instant::now();
-    let mut served_on_sweep = 0usize;
-    for socket in idle_conns.iter_mut() {
-        if socket.write_all(healthz).is_ok() {
-            served_on_sweep += usize::from(read_one_response(socket));
-        }
-    }
-    let sweep_wall = t_sweep.elapsed();
-
-    // And a busy probe *while* the 2,000 idle connections are parked:
-    // mixed extraction traffic must still flow.
-    let probe_requests = lixto_workloads::http_traffic::idle_portal_requests(7, 8, 16);
-    let t_probe = Instant::now();
-    let mut probe = HttpClient::connect(addr).expect("probe connect");
-    for r in &probe_requests {
-        let response = probe.post_json("/extract", &r.body).expect("probe extract");
-        assert_eq!(response.status, 200, "{}", response.text());
-    }
-    let probe_rps = probe_requests.len() as f64 / t_probe.elapsed().as_secs_f64();
-    drop(probe);
-    drop(idle_conns);
-    let idle_stats = gateway.stats();
-    gateway.shutdown();
-    server.initiate_shutdown();
-
-    let threads_total =
-        EVENT_LOOPS + 1 /* acceptor */ + pool_config.shards * pool_config.workers_per_shard;
-
-    // ----------------------------------------------------------------
-    // Phase 2 — busy path: the e14 mixed workload, compared against the
-    // committed thread-per-connection baseline in BENCH_e14.json.
-    // ----------------------------------------------------------------
-    const USERS: usize = 32;
-    const PER_USER: usize = 50;
-    let requests = lixto_workloads::http_traffic::requests(2026, USERS, PER_USER);
-    let mut busy_rows = Vec::new();
-    let mut busy_json = Vec::new();
-    let baseline: Option<Json> = std::fs::read_to_string("BENCH_e14.json")
-        .ok()
-        .and_then(|text| Json::parse(&text).ok());
-    let baseline_rps = |clients: usize| -> Option<f64> {
-        baseline
-            .as_ref()?
-            .get("runs")?
-            .as_array()?
-            .iter()
-            .find(|run| run.get("clients").and_then(Json::as_u64) == Some(clients as u64))?
-            .get("throughput_rps")?
-            .as_f64()
-    };
-    let mut worst_ratio = f64::INFINITY;
-    for clients in [2usize, 8, 16, 32] {
-        let server = Arc::new(ExtractionServer::start(
-            pool_config.clone(),
-            lixto_bench::workload_registry(),
-            Arc::new(lixto_elog::StaticWeb::new()),
-        ));
-        let gateway = HttpGateway::bind("127.0.0.1:0", GatewayConfig::default(), server.clone())
-            .expect("bind gateway");
-        let addr = gateway.addr();
-        let t = Instant::now();
-        std::thread::scope(|scope| {
-            for chunk in requests.chunks(requests.len().div_ceil(clients)) {
-                scope.spawn(move || {
-                    let mut client = HttpClient::connect(addr).expect("connect");
-                    for r in chunk {
-                        let response = client.post_json("/extract", &r.body).expect("extract");
-                        assert_eq!(response.status, 200, "{}", response.text());
-                    }
-                });
-            }
-        });
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        let rps = requests.len() as f64 / (wall_ms / 1e3);
-        let base = baseline_rps(clients);
-        let ratio = base.map(|b| rps / b);
-        if let Some(r) = ratio {
-            worst_ratio = worst_ratio.min(r);
-        }
-        gateway.shutdown();
-        server.initiate_shutdown();
-        busy_rows.push(vec![
-            clients.to_string(),
-            requests.len().to_string(),
-            format!("{wall_ms:.1}"),
-            format!("{rps:.0}"),
-            base.map_or("n/a".into(), |b| format!("{b:.0}")),
-            ratio.map_or("n/a".into(), |r| format!("{r:.2}x")),
-        ]);
-        busy_json.push(format!(
-            r#"    {{"clients": {clients}, "requests": {}, "wall_ms": {wall_ms:.3}, "throughput_rps": {rps:.1}, "baseline_rps": {}, "vs_baseline": {}}}"#,
-            requests.len(),
-            base.map_or("null".into(), |b| format!("{b:.1}")),
-            ratio.map_or("null".into(), |r| format!("{r:.3}")),
-        ));
-    }
-
-    // ----------------------------------------------------------------
-    // Phase 3 — batch amortization: tiny documents, individually vs in
-    // `/extract/batch` payloads.
-    // ----------------------------------------------------------------
-    const TINY_WRAPPER: &str =
-        r#"offer(S, X) :- document("http://tiny/", S), subelem(S, (?.li, []), X)."#;
-    const TINY_REQUESTS: usize = 1024;
-    const BATCH_SIZE: usize = 32;
-    let tiny_stack = || {
-        let registry = Arc::new(WrapperRegistry::new());
-        registry
-            .register_source(
-                "tiny",
-                TINY_WRAPPER,
-                lixto_core::XmlDesign::new().root("items"),
-            )
-            .unwrap();
-        let server = Arc::new(ExtractionServer::start(
-            ServerConfig {
-                shards: 2,
-                workers_per_shard: 1,
-                queue_capacity: 256,
-                cache_capacity: 64,
-                store: None,
-            },
-            registry,
-            Arc::new(lixto_elog::StaticWeb::new()),
-        ));
-        let gateway = HttpGateway::bind(
-            "127.0.0.1:0",
-            GatewayConfig {
-                max_batch_items: 256,
-                ..GatewayConfig::default()
-            },
-            server.clone(),
-        )
-        .expect("bind gateway");
-        (gateway, server)
-    };
-    let bodies = lixto_workloads::http_traffic::tiny_extract_bodies(
-        "tiny",
-        "http://tiny/",
-        TINY_REQUESTS,
-        16,
-    );
-
-    let individual_rps = {
-        let (gateway, server) = tiny_stack();
-        let mut client = HttpClient::connect(gateway.addr()).expect("connect");
-        let mut run = || {
-            for body in &bodies {
-                let response = client.post_json("/extract", body).expect("extract");
-                assert_eq!(response.status, 200);
-            }
-        };
-        run(); // warm pass (cold cache)
-        let t = Instant::now();
-        run(); // measured steady-state pass
-        let rps = bodies.len() as f64 / t.elapsed().as_secs_f64();
-        drop(client);
-        gateway.shutdown();
-        server.initiate_shutdown();
-        rps
-    };
-    let batch_rps = {
-        let (gateway, server) = tiny_stack();
-        let batches = lixto_workloads::http_traffic::batch_bodies(&bodies, BATCH_SIZE);
-        let mut client = HttpClient::connect(gateway.addr()).expect("connect");
-        let mut run = || {
-            for batch in &batches {
-                let response = client.post_json("/extract/batch", batch).expect("batch");
-                assert_eq!(response.status, 200, "{}", response.text());
-            }
-        };
-        run(); // warm pass
-        let t = Instant::now();
-        run(); // measured steady-state pass
-        let rps = bodies.len() as f64 / t.elapsed().as_secs_f64();
-        drop(client);
-        gateway.shutdown();
-        server.initiate_shutdown();
-        rps
-    };
-    let batch_speedup = batch_rps / individual_rps;
-
-    // ----------------------------------------------------------------
-    // Report
-    // ----------------------------------------------------------------
-    print_table(
-        "E16 — multiplexed gateway: idle capacity (2 event loops)",
-        &[
-            "connections",
-            "served@open",
-            "served@sweep",
-            "open ms",
-            "sweep ms",
-            "probe req/s",
-            "threads",
-        ],
-        &[vec![
-            IDLE_CONNS.to_string(),
-            served_on_open.to_string(),
-            served_on_sweep.to_string(),
-            format!("{:.0}", open_wall.as_secs_f64() * 1e3),
-            format!("{:.0}", sweep_wall.as_secs_f64() * 1e3),
-            format!("{probe_rps:.0}"),
-            threads_total.to_string(),
-        ]],
-    );
-    print_table(
-        "E16 — busy path: e14 mixed workload through the event-driven core",
-        &[
-            "clients",
-            "requests",
-            "wall ms",
-            "req/s",
-            "e14 baseline",
-            "ratio",
-        ],
-        &busy_rows,
-    );
-    print_table(
-        "E16 — tiny documents: batched vs per-request /extract",
-        &["mode", "requests", "req/s", "speedup"],
-        &[
-            vec![
-                "individual".into(),
-                TINY_REQUESTS.to_string(),
-                format!("{individual_rps:.0}"),
-                "1.00x".into(),
-            ],
-            vec![
-                format!("batch x{BATCH_SIZE}"),
-                TINY_REQUESTS.to_string(),
-                format!("{batch_rps:.0}"),
-                format!("{batch_speedup:.2}x"),
-            ],
-        ],
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e16_multiplex\",\n  \"idle\": {{\"connections\": {IDLE_CONNS}, \"event_loops\": {EVENT_LOOPS}, \"served_on_open\": {served_on_open}, \"served_on_sweep\": {served_on_sweep}, \"open_ms\": {:.1}, \"sweep_ms\": {:.1}, \"probe_rps_while_idle_held\": {probe_rps:.1}, \"threads_total\": {threads_total}, \"gateway_connections\": {}}},\n  \"busy\": [\n{}\n  ],\n  \"busy_worst_ratio_vs_e14\": {},\n  \"batch\": {{\"requests\": {TINY_REQUESTS}, \"batch_size\": {BATCH_SIZE}, \"individual_rps\": {individual_rps:.1}, \"batch_rps\": {batch_rps:.1}, \"speedup\": {batch_speedup:.3}}}\n}}\n",
-        open_wall.as_secs_f64() * 1e3,
-        sweep_wall.as_secs_f64() * 1e3,
-        idle_stats.connections,
-        busy_json.join(",\n"),
-        if worst_ratio.is_finite() {
-            format!("{worst_ratio:.3}")
-        } else {
-            "null".into()
-        },
-    );
-    let path = "BENCH_e16.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-/// E17 — persistence: warm-restart time-to-first-hit vs cold rewarm.
-///
-/// A gateway restart with a durable result store should answer its first
-/// request from the recovered disk tier instead of re-executing the
-/// wrapper plan. Both lives replay the same restart-heavy traffic (tiny
-/// per-wrapper document pools, near-total repetition); the cold run gets
-/// a fresh empty store directory, the warm run reopens the one the
-/// seeding phase filled.
-fn e17_persistence() {
-    use lixto_server::{
-        ExtractionRequest, ExtractionServer, RequestSource, ServerConfig, StoreConfig,
-    };
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const USERS: usize = 16;
-    const PER_USER: usize = 25;
-    const POOL: u64 = 3;
-    let requests: Vec<ExtractionRequest> =
-        lixto_workloads::traffic::restart_requests(2026, USERS, PER_USER, POOL)
-            .into_iter()
-            .map(|r| ExtractionRequest {
-                trace: None,
-                wrapper: r.wrapper.to_string(),
-                version: None,
-                source: RequestSource::Inline {
-                    url: r.url,
-                    html: r.html,
-                },
-            })
-            .collect();
-
-    let root = std::env::temp_dir().join(format!("lixto-e17-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let start_server = |dir: &std::path::Path| {
-        ExtractionServer::start(
-            ServerConfig {
-                shards: 4,
-                workers_per_shard: 1,
-                queue_capacity: 64,
-                cache_capacity: 64,
-                store: Some(StoreConfig::new(dir)),
-            },
-            lixto_bench::workload_registry(),
-            Arc::new(lixto_elog::StaticWeb::new()),
-        )
-    };
-    // Replay the stream; returns (time-to-first-response µs, wall ms).
-    let replay = |server: &ExtractionServer| {
-        let t = Instant::now();
-        let first = server
-            .submit(requests[0].clone())
-            .expect("submit")
-            .wait()
-            .expect("first job");
-        let ttfr_us = t.elapsed().as_secs_f64() * 1e6;
-        let first_hit = first.cache_hit;
-        let tickets: Vec<_> = requests[1..]
-            .iter()
-            .map(|r| server.submit(r.clone()).expect("submit"))
-            .collect();
-        for ticket in tickets {
-            ticket.wait().expect("job completes");
-        }
-        (ttfr_us, first_hit, t.elapsed().as_secs_f64() * 1e3)
-    };
-
-    // Seed: one full pass fills the store, then the process "dies".
-    let warm_dir = root.join("warm");
-    let seed = start_server(&warm_dir);
-    let (_, _, seed_wall_ms) = replay(&seed);
-    let seeded = seed.metrics();
-    seed.shutdown();
-
-    // Cold rewarm: an empty store — every distinct document re-executes
-    // its plan once before the repeats can hit.
-    let cold = start_server(&root.join("cold"));
-    let (cold_ttfr_us, cold_first_hit, cold_wall_ms) = replay(&cold);
-    let cold_snap = cold.metrics();
-    cold.shutdown();
-
-    // Warm restart: recover the seeded store and replay.
-    let warm = start_server(&warm_dir);
-    let (warm_ttfr_us, warm_first_hit, warm_wall_ms) = replay(&warm);
-    let warm_snap = warm.metrics();
-    warm.shutdown();
-
-    let rows = vec![
-        vec![
-            "cold rewarm".to_string(),
-            requests.len().to_string(),
-            format!("{cold_ttfr_us:.0}"),
-            cold_first_hit.to_string(),
-            format!("{cold_wall_ms:.1}"),
-            cold_snap.store.recovered.to_string(),
-            cold_snap.store.disk_hits.to_string(),
-            format!("{:.0}%", cold_snap.cache.hit_rate() * 100.0),
-        ],
-        vec![
-            "warm restart".to_string(),
-            requests.len().to_string(),
-            format!("{warm_ttfr_us:.0}"),
-            warm_first_hit.to_string(),
-            format!("{warm_wall_ms:.1}"),
-            warm_snap.store.recovered.to_string(),
-            warm_snap.store.disk_hits.to_string(),
-            format!("{:.0}%", warm_snap.cache.hit_rate() * 100.0),
-        ],
-    ];
-    print_table(
-        "E17 — persistence: warm restart (recovered store) vs cold rewarm, restart-heavy traffic",
-        &[
-            "life",
-            "requests",
-            "first µs",
-            "first hit",
-            "wall ms",
-            "recovered",
-            "disk hits",
-            "cache hit",
-        ],
-        &rows,
-    );
-    let ttfr_speedup = cold_ttfr_us / warm_ttfr_us.max(1e-9);
-    println!("time-to-first-hit: cold {cold_ttfr_us:.0}µs vs warm {warm_ttfr_us:.0}µs ({ttfr_speedup:.1}x)");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e17_persistence\",\n  \"users\": {USERS},\n  \"requests_per_user\": {PER_USER},\n  \"variant_pool\": {POOL},\n  \"seed\": {{\"wall_ms\": {seed_wall_ms:.3}, \"persisted\": {}, \"distinct_documents\": {}}},\n  \"cold\": {{\"time_to_first_response_us\": {cold_ttfr_us:.1}, \"first_was_hit\": {cold_first_hit}, \"wall_ms\": {cold_wall_ms:.3}, \"recovered\": {}, \"disk_hits\": {}, \"cache_hits\": {}, \"cache_misses\": {}}},\n  \"warm\": {{\"time_to_first_response_us\": {warm_ttfr_us:.1}, \"first_was_hit\": {warm_first_hit}, \"wall_ms\": {warm_wall_ms:.3}, \"recovered\": {}, \"disk_hits\": {}, \"cache_hits\": {}, \"cache_misses\": {}}},\n  \"warm_vs_cold\": {{\"time_to_first_hit_speedup\": {ttfr_speedup:.2}, \"wall_speedup\": {:.3}}}\n}}\n",
-        seeded.store.persisted,
-        seeded.cache.misses,
-        cold_snap.store.recovered,
-        cold_snap.store.disk_hits,
-        cold_snap.cache.hits,
-        cold_snap.cache.misses,
-        warm_snap.store.recovered,
-        warm_snap.store.disk_hits,
-        warm_snap.cache.hits,
-        warm_snap.cache.misses,
-        cold_wall_ms / warm_wall_ms.max(1e-9),
-    );
-    let path = "BENCH_e17.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-/// E18: the observability tax and its books. Two questions:
-///
-/// 1. What does request tracing cost on the E14 busy path? The same
-///    mixed HTTP traffic is served by two otherwise identical gateways,
-///    one with `tracing: true` (spans, ids, per-stage clocks) and one
-///    with `tracing: false`; alternating measured passes give a
-///    median-vs-median overhead that must stay under 5%.
-/// 2. Do the per-rule clocks add up? For the eBay and news wrappers,
-///    the sum of `lixto_rule_nanoseconds_total` over a wrapper's rules
-///    must land within 20% of the plan-execution stage wall time.
-///    Document fetch/parse happens *inside* rule application (a
-///    `document(...)` atom evaluates during its rule's body), so rule
-///    clocks cover it; the only exec-stage time outside any rule clock
-///    is fixpoint bookkeeping between applications.
-fn e18_observability() {
-    use lixto_http::{GatewayConfig, HttpClient, HttpGateway};
-    use lixto_obs::Stage;
-    use lixto_server::{ExtractionRequest, ExtractionServer, RequestSource, ServerConfig};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const USERS: usize = 32;
-    const PER_USER: usize = 50;
-    const CLIENTS: usize = 8;
-    const PASSES: usize = 3;
-    let requests = lixto_workloads::http_traffic::requests(2026, USERS, PER_USER);
-
-    // One measured pass of the E14 busy path against a fresh stack.
-    let run = |tracing: bool| -> f64 {
-        let server = Arc::new(ExtractionServer::start(
-            ServerConfig {
-                shards: 4,
-                workers_per_shard: 2,
-                queue_capacity: 128,
-                cache_capacity: 64,
-                store: None,
-            },
-            lixto_bench::workload_registry(),
-            Arc::new(lixto_elog::StaticWeb::new()),
-        ));
-        let gateway = HttpGateway::bind(
-            "127.0.0.1:0",
-            GatewayConfig {
-                handler_threads: CLIENTS,
-                tracing,
-                ..GatewayConfig::default()
-            },
-            server.clone(),
-        )
-        .expect("bind gateway");
-        let addr = gateway.addr();
-        // Warm pass fills the result cache; the measured pass serves the
-        // steady state, like E14.
-        let mut measured = 0.0f64;
-        for pass in 0..2 {
-            let t = Instant::now();
-            std::thread::scope(|scope| {
-                for chunk in requests.chunks(requests.len().div_ceil(CLIENTS)) {
-                    scope.spawn(move || {
-                        let mut client = HttpClient::connect(addr).expect("connect");
-                        for r in chunk {
-                            let response = client.post_json("/extract", &r.body).expect("extract");
-                            assert_eq!(response.status, 200, "{}", response.text());
-                        }
-                    });
-                }
-            });
-            if pass == 1 {
-                measured = requests.len() as f64 / t.elapsed().as_secs_f64();
-            }
-        }
-        if tracing {
-            // The traced gateway must actually have traced: spans
-            // retained, rule counters live.
-            let mut probe = HttpClient::connect(addr).expect("connect");
-            let slow = probe.get("/debug/slow").expect("debug/slow");
-            assert_eq!(slow.status, 200);
-            assert!(
-                slow.text().contains("\"id\""),
-                "traced run retained no spans"
-            );
-            drop(probe);
-        }
-        gateway.shutdown();
-        server.initiate_shutdown();
-        measured
-    };
-
-    // Alternate off/on passes so drift hits both modes equally.
-    let mut rps_off = Vec::with_capacity(PASSES);
-    let mut rps_on = Vec::with_capacity(PASSES);
-    for _ in 0..PASSES {
-        rps_off.push(run(false));
-        rps_on.push(run(true));
-    }
-    let median = |samples: &mut Vec<f64>| -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-    let off = median(&mut rps_off);
-    let on = median(&mut rps_on);
-    let overhead_pct = 100.0 * (off - on) / off;
-
-    // Part 2: rule clocks vs the exec stage, measured in-process so the
-    // per-request stage times are exact (no HTTP jitter in the ledger).
-    let registry = lixto_bench::workload_registry();
-    let server = ExtractionServer::start(
-        ServerConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            queue_capacity: 64,
-            cache_capacity: 16,
-            store: None,
-        },
-        registry.clone(),
-        Arc::new(lixto_elog::StaticWeb::new()),
-    );
-    let ledger_requests = lixto_workloads::traffic::long_tail_requests(7, 8, 40);
-    let mut exec_ns: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-    for r in &ledger_requests {
-        let response = server
-            .execute(ExtractionRequest {
-                trace: None,
-                wrapper: r.wrapper.to_string(),
-                version: None,
-                source: RequestSource::Inline {
-                    url: r.url.clone(),
-                    html: r.html.clone(),
-                },
-            })
-            .expect("ledger extraction");
-        *exec_ns.entry(r.wrapper).or_default() += response.stages.ns(Stage::PlanExec);
-    }
-    server.initiate_shutdown();
-
-    let mut rows = Vec::new();
-    let mut wrapper_rows = Vec::new();
-    let mut books_ok = true;
-    for name in ["ebay", "news"] {
-        let wrapper = registry.latest(name).expect("workload wrapper");
-        let rules = wrapper.telemetry.snapshot();
-        let rule_ns: u64 = rules.iter().map(|r| r.total_ns).sum();
-        let invocations: u64 = rules.iter().map(|r| r.invocations).sum();
-        assert!(rule_ns > 0, "{name}: rule clocks never ran");
-        assert!(invocations > 0, "{name}: rule counters never ran");
-        let body_ns = exec_ns[name];
-        let ratio = rule_ns as f64 / body_ns as f64;
-        let within = (ratio - 1.0).abs() <= 0.20;
-        books_ok &= within;
-        rows.push(vec![
-            name.to_string(),
-            rules.len().to_string(),
-            invocations.to_string(),
-            format!("{:.2}", rule_ns as f64 / 1e6),
-            format!("{:.2}", body_ns as f64 / 1e6),
-            format!("{ratio:.3}"),
-            within.to_string(),
-        ]);
-        wrapper_rows.push(format!(
-            r#"    {{"wrapper": "{name}", "rules": {}, "invocations": {invocations}, "rule_ns": {rule_ns}, "exec_stage_ns": {body_ns}, "ratio": {ratio:.4}, "within_20pct": {within}}}"#,
-            rules.len(),
-        ));
-    }
-
-    print_table(
-        "E18 — observability: per-rule clocks vs the exec stage (long-tail, in-process)",
-        &[
-            "wrapper",
-            "rules",
-            "invocs",
-            "rule ms",
-            "exec ms",
-            "ratio",
-            "within 20%",
-        ],
-        &rows,
-    );
-    print_table(
-        "E18 — observability: tracing overhead on the E14 busy path",
-        &["mode", "req/s (median of 3)"],
-        &[
-            vec!["tracing off".into(), format!("{off:.0}")],
-            vec!["tracing on".into(), format!("{on:.0}")],
-            vec!["overhead".into(), format!("{overhead_pct:.2}%")],
-        ],
-    );
-    assert!(
-        overhead_pct <= 5.0,
-        "tracing overhead {overhead_pct:.2}% exceeds the 5% budget"
-    );
-    assert!(books_ok, "per-rule clocks diverged from the exec stage");
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e18_observability\",\n  \"busy_path\": {{\"users\": {USERS}, \"requests_per_user\": {PER_USER}, \"clients\": {CLIENTS}, \"passes\": {PASSES}, \"rps_tracing_off\": {off:.1}, \"rps_tracing_on\": {on:.1}, \"overhead_pct\": {overhead_pct:.3}}},\n  \"rule_ledger\": [\n{}\n  ]\n}}\n",
-        wrapper_rows.join(",\n")
-    );
-    let path = "BENCH_e18.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn e19_watchdog() {
-    use lixto_core::XmlDesign;
-    use lixto_elog::WebSource;
-    use lixto_http::{GatewayConfig, HttpClient, HttpGateway, Json};
-    use lixto_server::{ExtractionServer, ServerConfig, WrapperRegistry};
-    use std::sync::{Arc, Condvar, Mutex};
-    use std::time::{Duration, Instant};
-
-    const USERS: usize = 32;
-    const PER_USER: usize = 50;
-    const PAIRS: usize = 6;
-    const MEASURED_REPS: usize = 6;
-    let requests = lixto_workloads::http_traffic::requests(2026, USERS, PER_USER);
-
-    // Part 1: the monitor's throughput tax on the E14/E18 traffic mix.
-    // Machine throughput drifts by several percent between runs — far
-    // more than the 2% budget — so the two modes must share everything
-    // that drifts: ONE extraction pool serves TWO gateways (monitor off
-    // and on), measured blocks interleave in order-balanced
-    // off/on/on/off pairs, and the headline ratio compares the two
-    // modes' MEDIAN block time over all blocks, which a few
-    // scheduler-stalled blocks cannot swing. The
-    // client is a single serial connection: on small hosts a fleet of
-    // client threads measures the scheduler, not the gateway.
-    let server = Arc::new(ExtractionServer::start(
-        ServerConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            queue_capacity: 64,
-            cache_capacity: 64,
-            store: None,
-        },
-        lixto_bench::workload_registry(),
-        Arc::new(lixto_elog::StaticWeb::new()),
-    ));
-    let bind = |monitor: bool| {
-        HttpGateway::bind(
-            "127.0.0.1:0",
-            GatewayConfig {
-                event_loops: 1,
-                monitor,
-                // Fast enough that the measured sweeps pay for real
-                // sampler ticks, not an idle thread.
-                monitor_interval: Duration::from_millis(100),
-                ..GatewayConfig::default()
-            },
-            server.clone(),
-        )
-        .expect("bind gateway")
-    };
-    let gateway_off = bind(false);
-    let gateway_on = bind(true);
-    let sweep = |client: &mut HttpClient| {
-        for r in &requests {
-            let response = client.post_json("/extract", &r.body).expect("extract");
-            assert_eq!(response.status, 200, "{}", response.text());
-        }
-    };
-    let mut client_off = HttpClient::connect(gateway_off.addr()).expect("connect");
-    let mut client_on = HttpClient::connect(gateway_on.addr()).expect("connect");
-    // Warm pass per gateway fills the shared result cache; measured
-    // blocks replay the stream enough times (hundreds of ms each) that
-    // a 2% budget is resolvable above timer noise.
-    sweep(&mut client_off);
-    sweep(&mut client_on);
-    let timed = |client: &mut HttpClient| -> f64 {
-        let t = Instant::now();
-        for _ in 0..MEASURED_REPS {
-            sweep(client);
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let mut secs_off = Vec::with_capacity(2 * PAIRS);
-    let mut secs_on = Vec::with_capacity(2 * PAIRS);
-    for _ in 0..PAIRS {
-        // Order-balanced within the pair (off, on, on, off): any linear
-        // drift across the four blocks hits both modes equally.
-        secs_off.push(timed(&mut client_off));
-        secs_on.push(timed(&mut client_on));
-        secs_on.push(timed(&mut client_on));
-        secs_off.push(timed(&mut client_off));
-    }
-    // Median block time per mode: on a shared host a single
-    // scheduler-stalled block would skew a sum, but not the median.
-    let median_secs = |samples: &mut Vec<f64>| -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-    let block_requests = (MEASURED_REPS * requests.len()) as f64;
-    let off = block_requests / median_secs(&mut secs_off);
-    let on = block_requests / median_secs(&mut secs_on);
-    let overhead_pct = 100.0 * (off - on) / off;
-    drop(client_off);
-    drop(client_on);
-
-    // The monitored gateway must actually have monitored.
-    {
-        let mut probe = HttpClient::connect(gateway_on.addr()).expect("connect");
-        let health = probe.get("/debug/health").expect("debug/health");
-        assert_eq!(health.status, 200);
-        let samples = health
-            .json()
-            .expect("health json")
-            .get("sampler")
-            .and_then(|s| s.get("samples"))
-            .and_then(Json::as_u64)
-            .expect("sampler.samples");
-        assert!(samples >= 1, "monitored run never sampled");
-    }
-    gateway_off.shutdown();
-    gateway_on.shutdown();
-    server.initiate_shutdown();
-
-    // Part 2: detection latency. A web source whose fetches block until
-    // released jams the one worker and fills the one shard queue; the
-    // watchdog's queue_saturation rule must flip /debug/health away
-    // from "ok" within two sampling intervals — and resolve it again
-    // once the gate opens.
-    struct GatedWeb {
-        open: Mutex<bool>,
-        cv: Condvar,
-    }
-    impl WebSource for GatedWeb {
-        fn fetch(&self, url: &str) -> Option<String> {
-            let mut open = self.open.lock().unwrap();
-            while !*open {
-                open = self.cv.wait(open).unwrap();
-            }
-            url.starts_with("http://shop/")
-                .then(|| "<ul><li>beans</li></ul>".to_string())
-        }
-    }
-    let web = Arc::new(GatedWeb {
-        open: Mutex::new(true),
-        cv: Condvar::new(),
-    });
-    let registry = Arc::new(WrapperRegistry::new());
-    registry
-        .register_source(
-            "shop",
-            r#"offer(S, X) :- document("http://shop/", S), subelem(S, (?.li, []), X)."#,
-            XmlDesign::new().root("offers"),
-        )
-        .expect("shop wrapper compiles");
-    let server = Arc::new(ExtractionServer::start(
-        ServerConfig {
-            shards: 1,
-            workers_per_shard: 1,
-            queue_capacity: 4,
-            cache_capacity: 16,
-            store: None,
-        },
-        registry,
-        web.clone(),
-    ));
-    const INTERVAL_MS: u64 = 150;
-    let gateway = HttpGateway::bind(
-        "127.0.0.1:0",
-        GatewayConfig {
-            event_loops: 2,
-            monitor_interval: Duration::from_millis(INTERVAL_MS),
-            monitor_eval_ticks: 4,
-            ..GatewayConfig::default()
-        },
-        server.clone(),
-    )
-    .expect("bind gateway");
-    let addr = gateway.addr();
-    let mut prober = HttpClient::connect(addr).expect("connect");
-    let verdict = |client: &mut HttpClient| -> String {
-        let health = client.get("/debug/health").expect("debug/health");
-        assert_eq!(health.status, 200);
-        health
-            .json()
-            .expect("health json")
-            .get("verdict")
-            .and_then(Json::as_str)
-            .expect("verdict")
-            .to_string()
-    };
-    let wait_for = |client: &mut HttpClient, want: &str| -> Duration {
-        let started = Instant::now();
-        loop {
-            if verdict(client) == want {
-                return started.elapsed();
-            }
-            assert!(
-                started.elapsed() < Duration::from_secs(20),
-                "verdict never became {want:?}"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    };
-    assert_eq!(verdict(&mut prober), "ok");
-
-    // Shut the gate and jam the pool: the first extraction pins the
-    // worker, the rest fill the queue.
-    *web.open.lock().unwrap() = false;
-    let batch: Vec<String> = (0..5)
-        .map(|i| format!(r#"{{"wrapper":"shop","url":"http://shop/{i}"}}"#))
-        .collect();
-    let batch = format!("[{}]", batch.join(","));
-    let jammed = std::thread::spawn(move || {
-        let mut client = HttpClient::connect(addr).expect("connect");
-        client.post_json("/extract/batch", &batch).expect("batch")
-    });
-    let detection = wait_for(&mut prober, "degraded");
-    let detection_ms = detection.as_secs_f64() * 1e3;
-    let detection_intervals = detection_ms / INTERVAL_MS as f64;
-
-    // Open the gate: the queue drains and the alert must resolve.
-    {
-        let mut open = web.open.lock().unwrap();
-        *open = true;
-        web.cv.notify_all();
-    }
-    let batch_response = jammed.join().expect("jam thread");
-    assert_eq!(batch_response.status, 200);
-    let resolution = wait_for(&mut prober, "ok");
-    let resolution_ms = resolution.as_secs_f64() * 1e3;
-    drop(prober);
-    gateway.shutdown();
-    server.initiate_shutdown();
-
-    print_table(
-        "E19 — watchdog: monitor overhead on the E14 busy path",
-        &["mode", "req/s (median block, 6 balanced pairs)"],
-        &[
-            vec!["monitor off".into(), format!("{off:.0}")],
-            vec!["monitor on".into(), format!("{on:.0}")],
-            vec!["overhead".into(), format!("{overhead_pct:.2}%")],
-        ],
-    );
-    print_table(
-        "E19 — watchdog: overload detection via /debug/health (150 ms sampling)",
-        &["phase", "latency ms", "sampling intervals"],
-        &[
-            vec![
-                "detect (queue saturated)".into(),
-                format!("{detection_ms:.0}"),
-                format!("{detection_intervals:.2}"),
-            ],
-            vec![
-                "resolve (queue drained)".into(),
-                format!("{resolution_ms:.0}"),
-                format!("{:.2}", resolution_ms / INTERVAL_MS as f64),
-            ],
-        ],
-    );
-    assert!(
-        overhead_pct <= 2.0,
-        "monitor overhead {overhead_pct:.2}% exceeds the 2% budget"
-    );
-    assert!(
-        detection_intervals <= 2.0,
-        "detection took {detection_intervals:.2} sampling intervals (> 2)"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e19_watchdog\",\n  \"busy_path\": {{\"users\": {USERS}, \"requests_per_user\": {PER_USER}, \"pairs\": {PAIRS}, \"measured_reps\": {MEASURED_REPS}, \"rps_monitor_off\": {off:.1}, \"rps_monitor_on\": {on:.1}, \"overhead_pct\": {overhead_pct:.3}}},\n  \"detection\": {{\"interval_ms\": {INTERVAL_MS}, \"detection_ms\": {detection_ms:.1}, \"detection_intervals\": {detection_intervals:.3}, \"within_two_intervals\": {}, \"resolution_ms\": {resolution_ms:.1}}}\n}}\n",
-        detection_intervals <= 2.0
-    );
-    let path = "BENCH_e19.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn e20_optimizer() {
-    use lixto_elog::{
-        parse_program, ConceptRegistry, ExecProbe, Extractor, OptimizedPlan, SinglePage,
-        WrapperPlan,
-    };
-    use lixto_workloads::traffic;
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    const REPS: usize = 301;
-    const WARMUP: usize = 50;
-    /// Records per benchmark page — large enough that extraction work
-    /// dominates per-run fixed costs (the serving-path `page_for`
-    /// variants stay at 6–12 records to keep latency tests fast).
-    const PAGE_ROWS: usize = 120;
-
-    // One timed single-document run: (wall µs, exec-phase µs, passes).
-    // The exec phase is wall minus the probe's fetch and parse time:
-    // HTML parsing is roughly half of a single-page run and the
-    // optimizer cannot touch it, so the extraction phase is where its
-    // effect is visible undiluted. Both engines are measured with a
-    // probe attached, so the probe's own clock reads cancel out.
-    fn sample(run: &mut impl FnMut(&ExecProbe) -> usize) -> (f64, f64, u64) {
-        let probe = ExecProbe::new(None);
-        let t = Instant::now();
-        std::hint::black_box(run(&probe));
-        let wall = t.elapsed().as_secs_f64() * 1e6;
-        let overhead = (probe.fetch_ns() + probe.parse_ns()) as f64 / 1e3;
-        ((wall - overhead).max(0.0), wall, probe.passes())
-    }
-
-    // Median (total µs, exec-phase µs, passes) per engine over REPS
-    // runs, the two engines interleaved A/B/A/B so clock drift and
-    // frequency scaling hit both distributions equally.
-    fn measure(
-        reps: usize,
-        warmup: usize,
-        mut unopt: impl FnMut(&ExecProbe) -> usize,
-        mut opt: impl FnMut(&ExecProbe) -> usize,
-    ) -> [(f64, f64, u64); 2] {
-        for _ in 0..warmup {
-            sample(&mut unopt);
-            sample(&mut opt);
-        }
-        let mut series = [
-            (Vec::with_capacity(reps), Vec::with_capacity(reps), 0u64),
-            (Vec::with_capacity(reps), Vec::with_capacity(reps), 0u64),
-        ];
-        for _ in 0..reps {
-            let (exec, wall, passes) = sample(&mut unopt);
-            series[0].0.push(exec);
-            series[0].1.push(wall);
-            series[0].2 = passes;
-            let (exec, wall, passes) = sample(&mut opt);
-            series[1].0.push(exec);
-            series[1].1.push(wall);
-            series[1].2 = passes;
-        }
-        series.map(|(mut execs, mut totals, passes)| {
-            execs.sort_by(f64::total_cmp);
-            totals.sort_by(f64::total_cmp);
-            (totals[reps / 2], execs[reps / 2], passes)
-        })
-    }
-
-    let mut rows = Vec::new();
-    let mut wrapper_json = Vec::new();
-    for profile in traffic::profiles() {
-        let program = parse_program(profile.program).expect("workload program parses");
-        let plan = Arc::new(
-            WrapperPlan::compile(&program, &ConceptRegistry::builtin())
-                .expect("workload program compiles"),
-        );
-        let optimized = Arc::new(OptimizedPlan::new(plan.clone()));
-        let report = optimized.report().clone();
-        let web = SinglePage {
-            url: profile.entry_url.to_string(),
-            html: traffic::page_sized(profile.name, 2026, PAGE_ROWS, 0),
-        };
-        // Hard equivalence gate: the numbers below are meaningless if
-        // the optimizer changed a single byte of output. Checked on the
-        // benchmark page and on every small serving variant.
-        assert_eq!(
-            Extractor::from_plan(plan.clone(), &web).run(),
-            Extractor::from_optimized(optimized.clone(), &web).run(),
-            "{}: optimized execution must be result-identical",
-            profile.name
-        );
-        for variant in 0..traffic::VARIANTS_PER_WRAPPER {
-            let small = SinglePage {
-                url: profile.entry_url.to_string(),
-                html: traffic::page_for(profile.name, 2026, variant),
-            };
-            assert_eq!(
-                Extractor::from_plan(plan.clone(), &small).run(),
-                Extractor::from_optimized(optimized.clone(), &small).run(),
-                "{} variant {variant}: optimized execution must be result-identical",
-                profile.name
-            );
-        }
-        let [(unopt_us, unopt_exec_us, unopt_passes), (opt_us, opt_exec_us, opt_passes)] = measure(
-            REPS,
-            WARMUP,
-            |probe| {
-                Extractor::from_plan(plan.clone(), &web)
-                    .with_probe(probe)
-                    .run()
-                    .base
-                    .len()
-            },
-            |probe| {
-                Extractor::from_optimized(optimized.clone(), &web)
-                    .with_probe(probe)
-                    .run()
-                    .base
-                    .len()
-            },
-        );
-        let optimize_us = time_us(REPS, || {
-            std::hint::black_box(OptimizedPlan::new(plan.clone()).report().fused_paths);
-        });
-        rows.push(vec![
-            profile.name.to_string(),
-            report.schedule.as_str().to_string(),
-            format!("{unopt_exec_us:.1}"),
-            format!("{opt_exec_us:.1}"),
-            format!("{:.2}x", unopt_exec_us / opt_exec_us),
-            format!("{:.2}x", unopt_us / opt_us),
-            format!("{unopt_passes}->{opt_passes}"),
-        ]);
-        wrapper_json.push(format!(
-            concat!(
-                r#"    {{"wrapper": "{}", "schedule": "{}", "strata": {}, "#,
-                r#""fused_paths": {}, "fallback_paths": {}, "hoist_groups": {}, "#,
-                r#""hoisted_sites": {}, "reordered_rules": {}, "optimize_once_us": {:.2}, "#,
-                r#""unoptimized": {{"total_us": {:.1}, "exec_us": {:.1}, "passes": {}}}, "#,
-                r#""optimized": {{"total_us": {:.1}, "exec_us": {:.1}, "passes": {}}}, "#,
-                r#""speedup_exec": {:.3}, "speedup_total": {:.3}, "results_identical": true}}"#
-            ),
-            profile.name,
-            report.schedule.as_str(),
-            report.strata,
-            report.fused_paths,
-            report.fallback_paths,
-            report.hoist_groups,
-            report.hoisted_sites,
-            report.reordered_rules,
-            optimize_us,
-            unopt_us,
-            unopt_exec_us,
-            unopt_passes,
-            opt_us,
-            opt_exec_us,
-            opt_passes,
-            unopt_exec_us / opt_exec_us,
-            unopt_us / opt_us,
-        ));
-    }
-    print_table(
-        "E20 — plan optimizer: unoptimized vs optimized execution per wrapper (fresh document, extraction phase = wall - fetch - parse)",
-        &[
-            "wrapper", "schedule", "unopt µs", "opt µs", "speedup", "total speedup", "passes",
-        ],
-        &rows,
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e20_optimizer\",\n  \"reps\": {REPS},\n  \"page_rows\": {PAGE_ROWS},\n  \"measurement\": \"median over interleaved unopt/opt single-document runs\",\n  \"exec_us_is\": \"wall minus probe fetch+parse time (the phase the optimizer targets)\",\n  \"results_identical\": true,\n  \"wrappers\": [\n{}\n  ]\n}}\n",
-        wrapper_json.join(",\n")
-    );
-    let path = "BENCH_e20.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-fn e21_watch() {
-    use lixto_core::XmlDesign;
-    use lixto_elog::SharedWeb;
-    use lixto_http::{GatewayConfig, HttpClient, HttpGateway, Json};
-    use lixto_server::{
-        ExtractionServer, ServerConfig, WatchEvent, WatchRegistry, WatchScheduler, WatchSpec,
-        WrapperRegistry,
-    };
-    use lixto_workloads::http_traffic::extract_body;
-    use lixto_workloads::traffic::{perturbed_requests, watch_page, watch_profiles};
-    use std::sync::{mpsc, Arc};
-    use std::time::{Duration, Instant};
-
-    const WATCHES: usize = 120;
-    const USERS: usize = 16;
-    const PER_USER: usize = 25;
-    const MEASURED_REPS: usize = 3;
-    const PAIRS: usize = 4;
-    const SEED: u64 = 2026;
-    const WATCH_INTERVAL_MS: u64 = 100;
-
-    let fleet = watch_profiles(WATCHES);
-
-    // Part 1: the interactive-path throughput tax of a live watch fleet.
-    // One pool, one gateway, one serial client (as in E19: a client
-    // thread fleet measures the scheduler, not the gateway). Measured
-    // blocks alternate watches-off / watches-on in order-balanced
-    // off/on/on/off pairs so machine drift hits both modes equally, and
-    // each block replays a distinct perturbed-traffic epoch (documents
-    // mutate between blocks, as live sources do). During every "on"
-    // phase all 120 watches tick against the shared pool AND absorb one
-    // full diff wave (every watched page content-mutates mid-phase).
-    let registry = lixto_bench::workload_registry();
-    for p in &fleet {
-        registry
-            .register_source(&p.name, &p.program, XmlDesign::new().root("offers"))
-            .expect("watch wrapper compiles");
-    }
-    let web = Arc::new(SharedWeb::new());
-    for (i, p) in fleet.iter().enumerate() {
-        web.put(&p.url, watch_page(i, SEED, 0, 0));
-    }
-    let server = Arc::new(ExtractionServer::start(
-        ServerConfig {
-            shards: 2,
-            // Two workers per shard: the fleet's ticks (cache hits plus
-            // one miss wave per phase) absorb into spare worker
-            // capacity instead of queueing behind the serial
-            // interactive client — the deployment shape the
-            // never-starve-interactive-traffic submission is for.
-            workers_per_shard: 2,
-            queue_capacity: 128,
-            cache_capacity: 1024,
-            store: None,
-        },
-        registry,
-        web.clone(),
-    ));
-    let gateway = HttpGateway::bind(
-        "127.0.0.1:0",
-        GatewayConfig {
-            event_loops: 1,
-            watch_tick: Duration::from_millis(25),
-            ..GatewayConfig::default()
-        },
-        server.clone(),
-    )
-    .expect("bind gateway");
-    let mut client = HttpClient::connect(gateway.addr()).expect("connect");
-
-    let blocks = 4 * PAIRS;
-    let bodies: Vec<Vec<String>> = (0..blocks as u64)
-        .map(|epoch| {
-            perturbed_requests(SEED, USERS, PER_USER, epoch)
-                .iter()
-                .map(|r| extract_body(r.wrapper, &r.url, &r.html))
-                .collect()
-        })
-        .collect();
-    let sweep = |client: &mut HttpClient, bodies: &[String]| {
-        for body in bodies {
-            let response = client.post_json("/extract", body).expect("extract");
-            assert_eq!(response.status, 200, "{}", response.text());
-        }
-    };
-    let timed = |client: &mut HttpClient, bodies: &[String]| -> f64 {
-        let t = Instant::now();
-        for _ in 0..MEASURED_REPS {
-            sweep(client, bodies);
-        }
-        t.elapsed().as_secs_f64()
-    };
-    let put_fleet = |client: &mut HttpClient| {
-        for (i, p) in fleet.iter().enumerate() {
-            let body = format!(
-                r#"{{"wrapper":"{}","url":"{}","interval_ms":{WATCH_INTERVAL_MS}}}"#,
-                p.name, p.url
-            );
-            let response = client
-                .put_json(&format!("/watches/w{i}"), &body)
-                .expect("put watch");
-            assert!(
-                response.status == 201 || response.status == 200,
-                "{}",
-                response.text()
-            );
-        }
-    };
-    let delete_fleet = |client: &mut HttpClient| {
-        for i in 0..fleet.len() {
-            let response = client
-                .request("DELETE", &format!("/watches/w{i}"), &[], None)
-                .expect("delete watch");
-            assert_eq!(response.status, 200, "{}", response.text());
-        }
-    };
-
-    // Warm pass: compile every plan, prime the first epoch's documents.
-    sweep(&mut client, &bodies[0]);
-    let mut secs_off = Vec::with_capacity(2 * PAIRS);
-    let mut secs_on = Vec::with_capacity(2 * PAIRS);
-    let mut block = 0usize;
-    for pair in 0..PAIRS {
-        secs_off.push(timed(&mut client, &bodies[block]));
-        block += 1;
-        put_fleet(&mut client);
-        // The diff wave: every watched page changes content while the
-        // fleet is live and interactive traffic is being measured.
-        for (i, p) in fleet.iter().enumerate() {
-            let revision = (pair + 1) as u64;
-            web.put(&p.url, watch_page(i, SEED, revision, revision));
-        }
-        secs_on.push(timed(&mut client, &bodies[block]));
-        block += 1;
-        secs_on.push(timed(&mut client, &bodies[block]));
-        block += 1;
-        if pair == PAIRS - 1 {
-            // The fleet must actually have been active while measured.
-            let metrics = client
-                .get_accept("/metrics", "application/json")
-                .expect("metrics")
-                .json()
-                .expect("metrics json");
-            let watches = metrics.get("watches").expect("watches section");
-            assert_eq!(
-                watches.get("registered").and_then(Json::as_u64),
-                Some(WATCHES as u64),
-                "fleet not registered during measurement"
-            );
-            let ticked: u64 = watches
-                .get("watches")
-                .and_then(Json::as_array)
-                .expect("watch list")
-                .iter()
-                .map(|w| w.get("ticks").and_then(Json::as_u64).unwrap_or(0))
-                .sum();
-            assert!(ticked >= WATCHES as u64, "fleet never ticked");
-        }
-        delete_fleet(&mut client);
-        secs_off.push(timed(&mut client, &bodies[block]));
-        block += 1;
-    }
-    let median_secs = |samples: &mut Vec<f64>| -> f64 {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
-    let block_requests = (MEASURED_REPS * USERS * PER_USER) as f64;
-    let rps_off = block_requests / median_secs(&mut secs_off);
-    let rps_on = block_requests / median_secs(&mut secs_on);
-    let ratio = rps_on / rps_off;
-    drop(client);
-    gateway.shutdown();
-    server.initiate_shutdown();
-
-    // Part 2: freshness — content-mutation-to-delivery latency across
-    // the fleet, measured at the scheduler sink (no HTTP in the timed
-    // path). Each round first replays a perturb-only epoch (bytes move,
-    // records do not): the instance-level differ must stay silent.
-    // Then every page's content revision advances and all 120 diffs
-    // must arrive.
-    let registry = Arc::new(WrapperRegistry::new());
-    for p in &fleet {
-        registry
-            .register_source(&p.name, &p.program, XmlDesign::new().root("offers"))
-            .expect("watch wrapper compiles");
-    }
-    let web = Arc::new(SharedWeb::new());
-    for (i, p) in fleet.iter().enumerate() {
-        web.put(&p.url, watch_page(i, SEED, 0, 0));
-    }
-    let server = Arc::new(ExtractionServer::start(
-        ServerConfig {
-            shards: 2,
-            workers_per_shard: 2,
-            queue_capacity: 256,
-            cache_capacity: 1024,
-            store: None,
-        },
-        registry,
-        web.clone(),
-    ));
-    let watches = Arc::new(WatchRegistry::new());
-    for (i, p) in fleet.iter().enumerate() {
-        watches.put(
-            &format!("w{i}"),
-            WatchSpec {
-                wrapper: p.name.clone(),
-                url: p.url.clone(),
-                interval: Duration::from_millis(WATCH_INTERVAL_MS),
-                webhook: None,
-            },
-        );
-    }
-    let (tx, rx) = mpsc::channel::<WatchEvent>();
-    let scheduler = WatchScheduler::start(
-        server.clone(),
-        watches.clone(),
-        Duration::from_millis(10),
-        Box::new(move |event| {
-            let _ = tx.send(event);
-        }),
-    );
-    // Baseline: every watch has seen its page once.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !watches.sample().watches.iter().all(|w| w.ticks >= 1) {
-        assert!(Instant::now() < deadline, "fleet never baselined");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-
-    const ROUNDS: u64 = 4;
-    let mut latencies_ms: Vec<f64> = Vec::with_capacity(WATCHES * ROUNDS as usize);
-    let mut perturb_only_events = 0usize;
-    for round in 1..=ROUNDS {
-        // Perturb-only epoch: same revision, new bytes on every page.
-        for (i, p) in fleet.iter().enumerate() {
-            web.put(&p.url, watch_page(i, SEED, round - 1, 100 + round));
-        }
-        std::thread::sleep(Duration::from_millis(4 * WATCH_INTERVAL_MS));
-        while rx.try_recv().is_ok() {
-            perturb_only_events += 1;
-        }
-        // Content mutation: the whole fleet must deliver, promptly.
-        let mutated_at = Instant::now();
-        for (i, p) in fleet.iter().enumerate() {
-            web.put(&p.url, watch_page(i, SEED, round, 200 + round));
-        }
-        for _ in 0..WATCHES {
-            let event = rx
-                .recv_timeout(Duration::from_secs(30))
-                .expect("diff wave delivery");
-            assert!(!event.diff.is_empty(), "a content mutation implies a diff");
-            latencies_ms.push(mutated_at.elapsed().as_secs_f64() * 1e3);
-        }
-    }
-    scheduler.stop();
-    server.initiate_shutdown();
-    latencies_ms.sort_by(f64::total_cmp);
-    let quantile = |q: f64| -> f64 {
-        let idx = ((latencies_ms.len() - 1) as f64 * q).round() as usize;
-        latencies_ms[idx]
-    };
-    let (p50_ms, p99_ms) = (quantile(0.50), quantile(0.99));
-
-    print_table(
-        "E21 — continuous extraction: interactive throughput with a 120-watch fleet",
-        &["mode", "req/s (median block, 4 balanced pairs)"],
-        &[
-            vec!["watches off".into(), format!("{rps_off:.0}")],
-            vec!["120 watches on".into(), format!("{rps_on:.0}")],
-            vec!["on/off ratio".into(), format!("{ratio:.3}")],
-        ],
-    );
-    print_table(
-        &format!(
-            "E21 — continuous extraction: freshness over {} mutation waves ({} diffs)",
-            ROUNDS,
-            latencies_ms.len()
-        ),
-        &["quantile", "mutation → delivery ms"],
-        &[
-            vec!["p50".into(), format!("{p50_ms:.0}")],
-            vec!["p99".into(), format!("{p99_ms:.0}")],
-            vec![
-                "perturb-only deliveries".into(),
-                format!("{perturb_only_events}"),
-            ],
-        ],
-    );
-    assert!(
-        ratio >= 0.95,
-        "interactive throughput with the fleet active is {ratio:.3}x baseline (< 0.95)"
-    );
-    assert_eq!(
-        perturb_only_events, 0,
-        "irrelevant-markup epochs must deliver nothing"
-    );
-
-    let json = format!(
-        "{{\n  \"experiment\": \"e21_watch\",\n  \"interactive\": {{\"users\": {USERS}, \"requests_per_user\": {PER_USER}, \"pairs\": {PAIRS}, \"measured_reps\": {MEASURED_REPS}, \"watches\": {WATCHES}, \"watch_interval_ms\": {WATCH_INTERVAL_MS}, \"rps_watches_off\": {rps_off:.1}, \"rps_watches_on\": {rps_on:.1}, \"throughput_ratio\": {ratio:.4}, \"meets_095_floor\": {}}},\n  \"freshness\": {{\"watches\": {WATCHES}, \"rounds\": {ROUNDS}, \"scheduler_tick_ms\": 10, \"p50_ms\": {p50_ms:.1}, \"p99_ms\": {p99_ms:.1}, \"perturb_only_deliveries\": {perturb_only_events}}}\n}}\n",
-        ratio >= 0.95
-    );
-    let path = "BENCH_e21.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
 }

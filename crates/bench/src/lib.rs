@@ -1,9 +1,13 @@
-//! # lixto-bench
+//! # lixto_bench
 //!
-//! Benchmark harness: regenerates every figure and testable claim of the
-//! paper (see DESIGN.md §4 for the experiment index, EXPERIMENTS.md for
-//! recorded results). Criterion benches live in `benches/`; the
-//! `experiments` binary prints the paper-shaped tables for E1…E14.
+//! The paper's experiment suite (§7). The `experiments` binary prints
+//! the paper-shaped tables for E1…E14, and the criterion benches in
+//! `benches/` time the theory results behind E1, E4, E8, E9 and E12.
+//! The README's *Committed benchmark baselines* section indexes both.
+//! The serving stack is measured by the gated benchmark in `perfbench/`.
+//!
+//! The library half is the workload setup shared with the serving
+//! examples and integration tests.
 
 #![forbid(unsafe_code)]
 
@@ -25,8 +29,7 @@ pub fn workload_design(profile: &WrapperProfile) -> XmlDesign {
 }
 
 /// A registry with every workload wrapper profile registered — the
-/// shared setup of the serving-layer examples, tests, benches and
-/// experiments.
+/// shared setup of the serving-layer examples and tests.
 pub fn workload_registry() -> Arc<WrapperRegistry> {
     let registry = Arc::new(WrapperRegistry::new());
     for p in traffic::profiles() {

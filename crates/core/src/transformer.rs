@@ -16,25 +16,42 @@ use crate::designer::XmlDesign;
 /// instances with no (kept) children carry their text value.
 pub fn to_xml(result: &ExtractionResult, design: &XmlDesign) -> Element {
     let base = &result.base;
+    // Child lists in insertion order, built in one pass over the base.
+    let mut tops = Vec::new();
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); base.len()];
+    for (i, inst) in base.instances.iter().enumerate() {
+        match inst.parent {
+            None => tops.push(i),
+            // A parent index outside the base names no instance, so
+            // its orphan is not emitted.
+            Some(p) => {
+                if let Some(siblings) = children.get_mut(p) {
+                    siblings.push(i);
+                }
+            }
+        }
+    }
     let mut root = Element::new(&design.root_label);
-    // children lists in insertion order
-    let tops: Vec<usize> = (0..base.len())
-        .filter(|&i| base.instances[i].parent.is_none())
-        .collect();
     for i in tops {
-        emit(result, design, i, &mut root);
+        emit(result, design, &children, i, &mut root);
     }
     root
 }
 
-fn emit(result: &ExtractionResult, design: &XmlDesign, idx: usize, parent: &mut Element) {
+fn emit(
+    result: &ExtractionResult,
+    design: &XmlDesign,
+    children: &[Vec<usize>],
+    idx: usize,
+    parent: &mut Element,
+) {
     let base = &result.base;
     let inst = &base.instances[idx];
-    let children = base.children_of(idx);
+    let kids = &children[idx];
     if design.is_auxiliary(&inst.pattern) {
         // Splice children upward.
-        for c in children {
-            emit(result, design, c, parent);
+        for &c in kids {
+            emit(result, design, children, c, parent);
         }
         return;
     }
@@ -46,15 +63,15 @@ fn emit(result: &ExtractionResult, design: &XmlDesign, idx: usize, parent: &mut 
             el.set_attr(k, v);
         }
     }
-    if children.is_empty() {
+    if kids.is_empty() {
         let text = base.text_of(idx, &result.docs);
         let trimmed = text.trim();
         if !trimmed.is_empty() {
             el.push_text(trimmed);
         }
     } else {
-        for c in children {
-            emit(result, design, c, &mut el);
+        for &c in kids {
+            emit(result, design, children, c, &mut el);
         }
     }
     parent.push_element(el);
@@ -109,5 +126,40 @@ mod tests {
         // With auxiliary: records are direct children of the root.
         let spliced = to_xml(&result, &XmlDesign::new().auxiliary("tableseq"));
         assert_eq!(spliced.children_named("record").count(), records.len());
+    }
+
+    #[test]
+    fn large_results_render_in_linear_time() {
+        // 12,500 records of three text fields each: 50,000 instances.
+        // Looking up each instance's children by scanning the whole base
+        // needs 2.5 billion parent comparisons for this.
+        use lixto_elog::{Instance, InstanceBase};
+        const RECORDS: usize = 12_500;
+        let mut base = InstanceBase::default();
+        let text = |pattern: &str, parent: Option<usize>, value: String| Instance {
+            pattern: pattern.into(),
+            parent,
+            target: Target::Text(value),
+        };
+        for r in 0..RECORDS {
+            let record = base.instances.len();
+            base.instances.push(text("record", None, String::new()));
+            for field in ["title", "author", "price"] {
+                base.instances
+                    .push(text(field, Some(record), format!("{field} {r}")));
+            }
+        }
+        let result = ExtractionResult::from_parts(base, Vec::new(), Vec::new(), Vec::new());
+        let started = std::time::Instant::now();
+        let xml = to_xml(&result, &XmlDesign::new().root("books"));
+        let elapsed = started.elapsed();
+        assert_eq!(xml.children_named("record").count(), RECORDS);
+        let last = xml.children_named("record").last().unwrap();
+        assert_eq!(last.child_text("price"), Some("price 12499"));
+        assert!(
+            elapsed < std::time::Duration::from_secs(3),
+            "rendering {} instances took {elapsed:?}",
+            4 * RECORDS
+        );
     }
 }

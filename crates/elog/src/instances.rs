@@ -75,14 +75,6 @@ impl InstanceBase {
             .collect()
     }
 
-    /// Children of instance `i` (instances whose parent is `i`), in
-    /// insertion order.
-    pub fn children_of(&self, i: usize) -> Vec<usize> {
-        (0..self.instances.len())
-            .filter(|&j| self.instances[j].parent == Some(i))
-            .collect()
-    }
-
     /// Total number of instances.
     pub fn len(&self) -> usize {
         self.instances.len()
@@ -138,9 +130,8 @@ mod tests {
         let (root, _) = b.add(node_inst("page", None, 0));
         let (r1, _) = b.add(node_inst("rec", Some(root), 1));
         let (_r2, _) = b.add(node_inst("rec", Some(root), 2));
-        let (_p1, _) = b.add(node_inst("price", Some(r1), 3));
+        let (p1, _) = b.add(node_inst("price", Some(r1), 3));
         assert_eq!(b.of_pattern("rec").len(), 2);
-        assert_eq!(b.children_of(root).len(), 2);
-        assert_eq!(b.children_of(r1).len(), 1);
+        assert_eq!(b.of_pattern("price"), vec![p1]);
     }
 }

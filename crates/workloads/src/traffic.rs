@@ -139,9 +139,8 @@ pub fn requests(seed: u64, users: usize, per_user: usize) -> Vec<TrafficRequest>
 /// request draws its document from an effectively unbounded variant
 /// space (the request index itself), so documents almost never repeat
 /// and a content-addressed result cache almost always misses. This is
-/// the stream that exercises the extraction *miss path* — the workload
-/// behind the E15 compiled-plan experiment — where [`requests`]'s small
-/// variant pools exercise the hit path.
+/// the stream that exercises the extraction *miss path*, where
+/// [`requests`]'s small variant pools exercise the hit path.
 pub fn long_tail_requests(seed: u64, users: usize, per_user: usize) -> Vec<TrafficRequest> {
     let profiles = profiles();
     let mut out = Vec::with_capacity(users * per_user);
@@ -163,8 +162,8 @@ pub fn long_tail_requests(seed: u64, users: usize, per_user: usize) -> Vec<Traff
     out
 }
 
-/// Restart-heavy traffic: the repetition-maximizing stream for the
-/// persistence experiments (E17). Every wrapper cycles through a pool
+/// Restart-heavy traffic: the repetition-maximizing stream for
+/// persistence measurements. Every wrapper cycles through a pool
 /// of just `pool` document variants (default the first
 /// [`VARIANTS_PER_WRAPPER`]), so a warmed result store answers almost
 /// the whole stream from cache — and, after a process restart, a
@@ -254,8 +253,7 @@ pub fn perturbed_page(wrapper: &str, seed: u64, variant: u64, epoch: u64) -> Str
 /// sources that mutate between scheduler ticks: every page's bytes
 /// change each epoch (so content-addressed caches miss and change
 /// trackers fire), while the records change only when the content
-/// revision advances. This is the interactive-traffic side of the E21
-/// continuous-extraction experiment.
+/// revision advances: interactive traffic to run beside a watch fleet.
 pub fn perturbed_requests(
     seed: u64,
     users: usize,
@@ -285,8 +283,8 @@ pub fn perturbed_requests(
 /// A continuously-watched source for the subscription experiments: a
 /// generated wrapper anchored at its own entry URL, extracting
 /// `offer`/`name` instances from the listing page [`watch_page`] builds.
-/// Fleets of these (one per watched URL) let the E21 experiment and the
-/// watch tests run hundreds of live subscriptions without inventing
+/// Fleets of these (one per watched URL) let perfbench's `watch_fleet`
+/// and the watch tests run hundreds of live subscriptions without inventing
 /// hundreds of scenarios.
 pub struct WatchProfile {
     /// Registry name (`watch{i}`).

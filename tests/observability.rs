@@ -1,8 +1,9 @@
 //! End-to-end request tracing: `X-Request-Id` minting/echoing on
 //! `/extract` and `/extract/batch`, span retention behind
 //! `/debug/requests/{id}` and `/debug/slow`, per-rule telemetry behind
-//! `/debug/wrappers/{name}`, and the byte-identity guarantee when
-//! tracing is disabled.
+//! `/debug/wrappers/{name}` (whose rule `matches` add up exactly to the
+//! instances served), and the byte-identity guarantee when tracing is
+//! disabled.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,6 +11,7 @@ use std::time::Duration;
 use lixto::core::XmlDesign;
 use lixto::http::{GatewayConfig, HttpClient, HttpGateway, Json};
 use lixto::server::{ExtractionServer, ServerConfig, WrapperRegistry};
+use lixto::workloads::{http_traffic, traffic};
 
 const WRAPPER: &str = r#"offer(S, X) :- document("http://shop/", S), subelem(S, (?.li, []), X)."#;
 
@@ -272,6 +274,87 @@ fn per_rule_telemetry_counts_real_executions() {
     let missing = client.get("/debug/wrappers/ghost").unwrap();
     assert_eq!(missing.status, 404);
     assert!(missing.text().contains("unknown_wrapper"));
+
+    drop(client);
+    gateway.shutdown();
+    server.initiate_shutdown();
+}
+
+#[test]
+fn rule_matches_sum_to_the_instances_served_by_misses() {
+    // The per-rule ledger is exact: over several distinct misses of a
+    // multi-rule wrapper, the `matches` counters of its rules add up to
+    // the instances in those misses' results, and a cache hit moves no
+    // counter at all.
+    let server = Arc::new(ExtractionServer::start(
+        ServerConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            queue_capacity: 64,
+            cache_capacity: 64,
+            store: None,
+        },
+        lixto_bench::workload_registry(),
+        Arc::new(lixto::elog::StaticWeb::new()),
+    ));
+    let gateway = HttpGateway::bind("127.0.0.1:0", traced_config(), server.clone()).unwrap();
+    let mut client = HttpClient::connect(gateway.addr()).unwrap();
+    let rules_of = |client: &mut HttpClient, name: &str| -> Vec<Json> {
+        let response = client.get(&format!("/debug/wrappers/{name}")).unwrap();
+        assert_eq!(response.status, 200, "{}", response.text());
+        let ledger = response.json().unwrap();
+        ledger
+            .get("rules")
+            .and_then(Json::as_array)
+            .unwrap()
+            .to_vec()
+    };
+    let extract = |client: &mut HttpClient, body: &str| -> Json {
+        let response = client.post_json("/extract", body).unwrap();
+        assert_eq!(response.status, 200, "{}", response.text());
+        response.json().unwrap()
+    };
+
+    for name in ["ebay", "news"] {
+        let profile = traffic::profiles()
+            .into_iter()
+            .find(|p| p.name == name)
+            .unwrap();
+        let bodies: Vec<String> = (0..4)
+            .map(|variant| {
+                let html = traffic::page_for(name, 7, variant);
+                http_traffic::extract_body(name, profile.entry_url, &html)
+            })
+            .collect();
+        let mut served = 0u64;
+        for body in &bodies {
+            let result = extract(&mut client, body);
+            assert_eq!(result.get("cache_hit").and_then(Json::as_bool), Some(false));
+            served += result
+                .get("patterns")
+                .and_then(Json::as_array)
+                .unwrap()
+                .iter()
+                .map(|p| p.get("instances").and_then(Json::as_array).unwrap().len() as u64)
+                .sum::<u64>();
+        }
+        let after_misses = rules_of(&mut client, name);
+        assert!(after_misses.len() > 1, "{name} is a multi-rule wrapper");
+        let matches: u64 = after_misses
+            .iter()
+            .map(|r| r.get("matches").and_then(Json::as_u64).unwrap())
+            .sum();
+        assert!(served > 0);
+        assert_eq!(matches, served, "{name}: rule matches vs served instances");
+
+        let hit = extract(&mut client, &bodies[0]);
+        assert_eq!(hit.get("cache_hit").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            rules_of(&mut client, name),
+            after_misses,
+            "{name}: a cache hit moved a rule counter"
+        );
+    }
 
     drop(client);
     gateway.shutdown();

@@ -87,6 +87,25 @@ fn corpus_sweep_all_wrappers_all_variants() {
     }
 }
 
+/// The 120-record pages the miss-path benchmarks run on, one per
+/// wrapper: larger than any serving variant, so rules meet many
+/// candidate rows.
+#[test]
+fn benchmark_sized_pages_are_engine_identical() {
+    for profile in traffic::profiles() {
+        let web = lixto::elog::SinglePage {
+            url: profile.entry_url.to_string(),
+            html: traffic::page_sized(profile.name, 2026, 120, 0),
+        };
+        assert_engines_agree(
+            profile.program,
+            &web,
+            &workload_design(&profile),
+            &format!("{} at 120 records", profile.name),
+        );
+    }
+}
+
 #[test]
 fn long_tail_stream_is_engine_identical() {
     let profiles: std::collections::HashMap<&str, _> = traffic::profiles()

@@ -1,9 +1,9 @@
 //! Continuous extraction end to end: a fleet of watches over a mutating
 //! web must deliver exactly one instance-level diff per change — the
 //! diff agreeing with a reference recompute — deliver nothing on
-//! unchanged ticks, stay fresh within a bounded latency while all
-//! watches tick concurrently, and survive a gateway restart through the
-//! durability spool.
+//! unchanged or markup-only ticks, stay fresh within a bounded latency
+//! while all watches tick concurrently, and survive a gateway restart
+//! through the durability spool.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -155,6 +155,29 @@ fn concurrent_watches_deliver_exact_diffs_once_and_stay_silent_otherwise() {
             .iter()
             .map(|w| (w.id.clone(), w.ticks, w.seq, w.suppressed))
             .collect::<Vec<_>>()
+    );
+
+    // Markup-only change: new bytes, the same records. Every watch
+    // re-extracts the changed page several times and still delivers
+    // nothing.
+    let ticked = registry.sample().watches.iter().map(|w| w.ticks).max();
+    for i in 0..WATCHES {
+        let banner = page(&items_v1(i)).replace("<body>", "<body><p>banner</p>");
+        web.put(&shop_url(i), banner);
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !registry
+        .sample()
+        .watches
+        .iter()
+        .all(|w| Some(w.ticks) >= ticked.map(|t| t + 3))
+    {
+        assert!(Instant::now() < deadline, "watches stopped ticking");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        rx.try_recv().is_err(),
+        "a markup-only change was delivered as a diff"
     );
 
     // Mutate every page at once, then collect exactly one event per
