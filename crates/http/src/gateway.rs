@@ -234,8 +234,9 @@ pub struct GatewayConfig {
     /// `/metrics`. Disabled, none of those endpoints or threads exist
     /// and every response is byte-identical to the watchless gateway.
     pub watches: bool,
-    /// How often the watch scheduler wakes to check for due
-    /// subscriptions (completion notifies wake it sooner).
+    /// The longest the watch scheduler sleeps in one go. It also wakes
+    /// when the next watch falls due, a recheck resolved a diff or a
+    /// watch is registered, so this is only a backstop.
     pub watch_tick: Duration,
     /// Durability directory for watch subscriptions (see
     /// [`lixto_server::durability_layout`]'s `watches` path). `None`
@@ -680,8 +681,9 @@ impl HttpGateway {
         if let Some(sampler) = self.sampler.take() {
             let _ = sampler.join();
         }
-        // Same for the watch scheduler: no new watch ticks or diff
-        // deliveries once the loops start finishing their streams.
+        // Same for the watch scheduler: it delivers the diffs already
+        // resolved, then no new watch ticks or deliveries once the loops
+        // start finishing their streams.
         if let Some(scheduler) = self.watch_scheduler.take() {
             scheduler.stop();
         }
@@ -2579,6 +2581,11 @@ fn write_extraction_tail(key: &CacheKey, cached: &CachedExtraction, out: &mut St
     let base = &extraction.base.instances;
     let recorded = &cached.provenance.instances;
     let recorded = (recorded.len() == base.len()).then_some(recorded);
+    // Each pattern's instance indices in base order, in one pass.
+    let mut of_pattern: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (i, instance) in base.iter().enumerate() {
+        of_pattern.entry(&instance.pattern).or_default().push(i);
+    }
     for (p, name) in extraction.patterns().iter().enumerate() {
         if p > 0 {
             out.push(',');
@@ -2586,8 +2593,8 @@ fn write_extraction_tail(key: &CacheKey, cached: &CachedExtraction, out: &mut St
         out.push_str("{\"name\":");
         write_escaped(name, out);
         out.push_str(",\"instances\":[");
-        let of_pattern = (0..base.len()).filter(|&i| *base[i].pattern == **name);
-        for (n, i) in of_pattern.enumerate() {
+        let indices = of_pattern.get(name.as_str()).map_or(&[][..], Vec::as_slice);
+        for (n, &i) in indices.iter().enumerate() {
             if n > 0 {
                 out.push(',');
             }
@@ -2823,8 +2830,8 @@ fn get_watch(id: &str, shared: &SharedGateway) -> Response {
     }
 }
 
-/// `DELETE /watches/{id}`: unregister; in-flight results for the id are
-/// dropped by the scheduler when they resolve.
+/// `DELETE /watches/{id}`: unregister; an in-flight recheck of the id is
+/// dropped when it resolves.
 fn delete_watch(id: &str, shared: &SharedGateway) -> Response {
     let registry = shared.watches.as_ref().expect("routed without watches");
     if registry.remove(id) {
@@ -3800,6 +3807,94 @@ mod tests {
         // text and not only inside the XML.
         assert!(bodies.contains(r#"["Zürich \"quoted\" back\\slash\ttab","€ & "#));
         assert!(bodies.contains(r#"\u0001\u001f 😀\r\nline"]"#));
+        server.shutdown();
+    }
+
+    #[test]
+    fn many_pattern_tails_match_the_per_pattern_rescan() {
+        // The tail as written before instances were bucketed by pattern:
+        // one scan of the whole base per pattern.
+        fn rescanned_tail(response: &ExtractionResponse) -> String {
+            let cached = &*response.result;
+            let extraction = &cached.result;
+            let base = &extraction.base.instances;
+            let mut out = String::from(",\"provenance_key\":");
+            write_escaped(&provenance_key(&response.key), &mut out);
+            out.push_str(",\"xml\":");
+            write_escaped(&cached.xml, &mut out);
+            out.push_str(",\"patterns\":[");
+            for (p, name) in extraction.patterns().iter().enumerate() {
+                if p > 0 {
+                    out.push(',');
+                }
+                out.push_str("{\"name\":");
+                write_escaped(name, &mut out);
+                out.push_str(",\"instances\":[");
+                let of_pattern = (0..base.len()).filter(|&i| *base[i].pattern == **name);
+                for (n, i) in of_pattern.enumerate() {
+                    if n > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(&cached.provenance.instances[i].text, &mut out);
+                }
+                out.push_str("]}");
+            }
+            out.push_str("]}");
+            out
+        }
+
+        const FIELDS: usize = 24;
+        const RECORDS: usize = 40;
+        let mut program = String::from(
+            "rec(S, X) :- document(\"http://many/\", S), subelem(S, (?.li, []), X).\n",
+        );
+        for k in 0..FIELDS {
+            program.push_str(&format!(
+                "f{k}(S, X) :- rec(_, S), subelem(S, (.span, [(class, c{k}, exact)]), X).\n"
+            ));
+        }
+        let mut html = String::from("<ul>");
+        for r in 0..RECORDS {
+            html.push_str("<li>");
+            // Fields in a different order per record, some missing.
+            for k in (0..FIELDS)
+                .map(|k| (k + r) % FIELDS)
+                .filter(|k| (k + r) % 5 != 0)
+            {
+                html.push_str(&format!("<span class=\"c{k}\">\"{r}.{k}\"</span>"));
+            }
+            html.push_str("</li>");
+        }
+        html.push_str("</ul>");
+        let registry = Arc::new(WrapperRegistry::new());
+        registry
+            .register_source("many", &program, XmlDesign::new().root("records"))
+            .unwrap();
+        let server = ExtractionServer::start(
+            ServerConfig::default(),
+            registry,
+            Arc::new(lixto_elog::StaticWeb::new()),
+        );
+        let response = server
+            .execute(ExtractionRequest {
+                trace: None,
+                wrapper: "many".into(),
+                version: None,
+                source: RequestSource::Inline {
+                    url: "http://many/".into(),
+                    html,
+                },
+            })
+            .unwrap();
+        assert_eq!(response.extraction().patterns().len(), FIELDS + 1);
+        let mut tail = String::new();
+        write_extraction_tail(&response.key, &response.result, &mut tail);
+        assert_eq!(tail, rescanned_tail(&response));
+        assert!(
+            tail.contains(r#"["\"0.1\"","\"1.1\"","\"2.1\"","#),
+            "{tail}"
+        );
+        assert_streams_like_the_tree(&response);
         server.shutdown();
     }
 

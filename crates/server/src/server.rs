@@ -16,6 +16,12 @@
 //! no queue, no worker, no completion callback — and queues everything
 //! else. The disk tier is only ever read by workers.
 //!
+//! The watch scheduler queues a second job kind on the same shards, a
+//! *recheck* (`ExtractionServer::try_recheck`): fetch, content
+//! address, change tracking and plan execution as for an extraction,
+//! then an instance snapshot instead of XML, provenance and a store
+//! entry. Its outcome goes to a callback that runs on the worker.
+//!
 //! Shutdown is drain-ordered and callable through a shared handle
 //! ([`ExtractionServer::initiate_shutdown`], which `shutdown` wraps):
 //! intake stops first, the workers finish every queued job — answering
@@ -25,6 +31,7 @@
 //! rather than hanging, so frontend handler threads blocked in
 //! [`JobTicket::wait`] always come back.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,7 +44,7 @@ use lixto_core::to_xml;
 use lixto_elog::eval::ExtractionResult;
 use lixto_elog::{ExecProbe, Extractor, WebSource};
 use lixto_obs::{debug_event, error_event, warn_event, Stage, StageTimes};
-use lixto_transform::ChangeDetector;
+use lixto_transform::{ChangeDetector, ExtractionSnapshot};
 
 use crate::cache::{
     content_address, fxhash64, CacheKey, CachedExtraction, CrawlRecord, ResponseMemo,
@@ -248,7 +255,7 @@ impl JobTicket {
     /// [`ServerError::Canceled`] if it was destroyed unprocessed),
     /// `None` while it is still in flight. After a completion
     /// notification fired (see
-    /// [`ExtractionServer::try_submit_with_notify`]) this is guaranteed
+    /// [`ExtractionServer::try_serve_with_notify`]) this is guaranteed
     /// to return `Some`.
     pub fn try_take(&mut self) -> Option<Result<ExtractionResponse, ServerError>> {
         match self.reply.try_recv() {
@@ -270,26 +277,84 @@ pub enum Served {
     Queued(JobTicket),
 }
 
-/// Fires its callback exactly once, on drop. Declared as the *last*
-/// field of [`Job`], so by the time the callback runs the job's reply
+/// Fires its callback exactly once, on drop. Declared after the reply
+/// sender in [`JobKind::Extract`], so by the time the callback runs the
 /// sender has already been dropped (fields drop in declaration order):
 /// whether the worker sent a real outcome or the job was destroyed
 /// unprocessed, [`JobTicket::try_take`] observes the resolution — never
 /// an empty channel — from inside or after the callback.
 struct CompletionNotice(Option<Box<dyn FnOnce() + Send>>);
 
-impl CompletionNotice {
-    /// Disarm without firing (the submission failed, so the caller never
-    /// received a ticket to redeem).
-    fn defuse(&mut self) {
-        self.0 = None;
-    }
-}
-
 impl Drop for CompletionNotice {
     fn drop(&mut self) {
         if let Some(notify) = self.0.take() {
             notify();
+        }
+    }
+}
+
+/// What a watch recheck compares the page against: the store key and
+/// crawl manifest of the last extraction it ran.
+pub(crate) struct Seen {
+    pub(crate) key: CacheKey,
+    pub(crate) crawl: Vec<CrawlRecord>,
+}
+
+/// What a watch recheck found.
+pub(crate) enum Recheck {
+    /// The page and every crawled page hash as they did at the [`Seen`]
+    /// extraction, under the same plan; nothing was executed.
+    Unchanged,
+    /// The plan ran: what it saw, and its `(pattern, text)` instances.
+    Extracted {
+        seen: Seen,
+        snapshot: ExtractionSnapshot,
+    },
+}
+
+type RecheckDone = Box<dyn FnOnce(Result<Recheck, ServerError>) + Send>;
+
+/// A recheck's completion callback: runs exactly once — with the outcome
+/// on the worker, or with [`ServerError::Canceled`] wherever an
+/// unprocessed job is destroyed — unless the submission failed.
+struct RecheckCallback(Option<RecheckDone>);
+
+impl RecheckCallback {
+    fn finish(&mut self, outcome: Result<Recheck, ServerError>) {
+        if let Some(done) = self.0.take() {
+            done(outcome);
+        }
+    }
+}
+
+impl Drop for RecheckCallback {
+    fn drop(&mut self) {
+        self.finish(Err(ServerError::Canceled));
+    }
+}
+
+/// Where a job's outcome goes.
+enum JobKind {
+    /// An extraction, answered through its [`JobTicket`].
+    Extract {
+        reply: Sender<Result<ExtractionResponse, ServerError>>,
+        /// Must stay after `reply` (see [`CompletionNotice`]).
+        notify: CompletionNotice,
+    },
+    /// A watch recheck against what the watch last saw.
+    Recheck {
+        seen: Option<Arc<Seen>>,
+        done: RecheckCallback,
+    },
+}
+
+impl JobKind {
+    /// Disarm the callbacks without firing them: the submission failed,
+    /// and the caller got the error instead.
+    fn defuse(&mut self) {
+        match self {
+            JobKind::Extract { notify, .. } => notify.0 = None,
+            JobKind::Recheck { done, .. } => done.0 = None,
         }
     }
 }
@@ -303,10 +368,22 @@ struct Job {
     /// addressed after the fetch, in the worker.
     content: Option<u64>,
     submitted_at: Instant,
-    reply: Sender<Result<ExtractionResponse, ServerError>>,
-    /// Completion callback; must stay the last field (see
-    /// [`CompletionNotice`] for the drop-order contract).
-    notify: CompletionNotice,
+    kind: JobKind,
+}
+
+impl Job {
+    /// Shard by wrapper name + source identity, so repeated work for the
+    /// same (wrapper, document) lands on the same queue. For inline
+    /// documents the source key *is* the content address, which the
+    /// worker then reuses as the cache key — the document is hashed
+    /// exactly once.
+    fn shard(&self, shards: usize) -> usize {
+        let source_key = self
+            .content
+            .unwrap_or_else(|| fxhash64(self.request.source.url().as_bytes()));
+        ((fxhash64(self.request.wrapper.as_bytes()).rotate_left(1) ^ source_key) % shards as u64)
+            as usize
+    }
 }
 
 /// Joint fate of a shutdown: how the pool wound down.
@@ -521,28 +598,31 @@ impl Shared {
         }
     }
 
-    /// Count one finished request — completion or error, stage times,
-    /// end-to-end latency — wherever it was answered.
+    /// Count one finished job — completion or error, stage times,
+    /// end-to-end latency — wherever it was answered. `done` carries the
+    /// stage times and whether the answer was a cache hit; `None` is an
+    /// error.
     fn record_outcome(
         &self,
         request: &ExtractionRequest,
-        outcome: &Result<ExtractionResponse, ServerError>,
+        version: u32,
+        done: Option<(&StageTimes, bool)>,
         submitted_at: Instant,
     ) {
-        match outcome {
-            Ok(response) => {
+        match done {
+            Some((stages, cache_hit)) => {
                 self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                self.metrics.stages.record(&response.stages);
+                self.metrics.stages.record(stages);
                 debug_event!(
                     "job_done",
                     "request_id" => request.trace.as_deref().unwrap_or(""),
-                    "wrapper" => &response.wrapper,
-                    "version" => response.version,
-                    "cache_hit" => response.cache_hit,
+                    "wrapper" => &request.wrapper,
+                    "version" => version,
+                    "cache_hit" => cache_hit,
                     "latency_us" => submitted_at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
                 );
             }
-            Err(_) => {
+            None => {
                 self.metrics.errors.fetch_add(1, Ordering::Relaxed);
             }
         };
@@ -725,31 +805,24 @@ impl ExtractionServer {
         Ok(queues)
     }
 
-    fn make_job(
+    /// An extraction job and the ticket that redeems it.
+    fn extract_job(
         request: ExtractionRequest,
         wrapper: Arc<RegisteredWrapper>,
         content: Option<u64>,
-        shards: usize,
         notify: Option<Box<dyn FnOnce() + Send>>,
-    ) -> (usize, Job, JobTicket) {
-        // Shard by wrapper name + source identity, so repeated work for
-        // the same (wrapper, document) lands on the same queue. For
-        // inline documents the source key *is* the content address, which
-        // the worker then reuses as the cache key — the document is
-        // hashed exactly once.
-        let source_key = content.unwrap_or_else(|| fxhash64(request.source.url().as_bytes()));
-        let shard = ((fxhash64(request.wrapper.as_bytes()).rotate_left(1) ^ source_key)
-            % shards as u64) as usize;
+    ) -> (Job, JobTicket) {
         let (tx, rx) = bounded(1);
         (
-            shard,
             Job {
                 request,
                 wrapper,
                 content,
                 submitted_at: Instant::now(),
-                reply: tx,
-                notify: CompletionNotice(notify),
+                kind: JobKind::Extract {
+                    reply: tx,
+                    notify: CompletionNotice(notify),
+                },
             },
             JobTicket { reply: rx },
         )
@@ -761,8 +834,8 @@ impl ExtractionServer {
         let wrapper = self.resolve(&request)?;
         let queues = self.intake()?;
         let content = request.source.inline_address();
-        let (shard, job, ticket) = Self::make_job(request, wrapper, content, queues.len(), None);
-        queues[shard]
+        let (job, ticket) = Self::extract_job(request, wrapper, content, None);
+        queues[job.shard(queues.len())]
             .send(job)
             .map_err(|_| ServerError::ShuttingDown)?;
         self.shared
@@ -775,44 +848,38 @@ impl ExtractionServer {
     /// Enqueue a request without blocking; a full shard queue is
     /// reported as [`ServerError::Backpressure`].
     pub fn try_submit(&self, request: ExtractionRequest) -> Result<JobTicket, ServerError> {
-        self.try_submit_inner(request, None)
+        let wrapper = self.resolve(&request)?;
+        let queues = self.intake()?;
+        let content = request.source.inline_address();
+        let (job, ticket) = Self::extract_job(request, wrapper, content, None);
+        self.try_enqueue(&queues, job)?;
+        Ok(ticket)
     }
 
-    /// Like [`try_submit`](ExtractionServer::try_submit), with a
-    /// completion callback for event-driven frontends that cannot block
-    /// in [`JobTicket::wait`]: `notify` runs exactly once, as soon as
-    /// the returned ticket is redeemable without blocking —
-    /// [`JobTicket::try_take`] is guaranteed to return `Some` from that
-    /// point on. It fires on the worker thread after the job completes,
-    /// or wherever an unprocessed job is destroyed (queue teardown
-    /// during shutdown), so keep it small and non-blocking — typically
-    /// "push a token and wake an event loop". When submission itself
-    /// fails (backpressure, shutdown, unknown wrapper) no ticket exists
-    /// and `notify` never runs.
-    pub fn try_submit_with_notify(
-        &self,
-        request: ExtractionRequest,
-        notify: Box<dyn FnOnce() + Send>,
-    ) -> Result<JobTicket, ServerError> {
-        self.try_submit_inner(request, Some(notify))
-    }
-
-    /// The event-loop entry point: like
-    /// [`try_submit_with_notify`](ExtractionServer::try_submit_with_notify),
-    /// but an `Inline` request whose result is in the **hot tier** is
-    /// answered right here, on the calling thread, and `notify` is
-    /// dropped without running. Such a hit never enters a shard queue or
-    /// wakes a worker, and is counted exactly as a worker counts one
-    /// (submitted, completed, cache hit, latency and `cache`-stage
-    /// histograms); its stage times hold only the `cache` stage.
+    /// The event-loop entry point, for frontends that cannot block in
+    /// [`JobTicket::wait`]. An `Inline` request whose result is in the
+    /// **hot tier** is answered right here, on the calling thread, and
+    /// `notify` is dropped without running. Such a hit never enters a
+    /// shard queue or wakes a worker, and is counted exactly as a worker
+    /// counts one (submitted, completed, cache hit, latency and
+    /// `cache`-stage histograms); its stage times hold only the `cache`
+    /// stage.
     ///
-    /// Everything else is queued as by `try_submit_with_notify`: `Web`
-    /// sources, hot-tier misses (the disk tier is never read on the
-    /// calling thread) and entries with a crawl manifest, which a worker
-    /// must revalidate. A queued inline request carries its content
-    /// address along, so the document is still hashed once. After
-    /// shutdown began the call fails with [`ServerError::ShuttingDown`],
-    /// hit or not.
+    /// Everything else is queued without blocking: `Web` sources,
+    /// hot-tier misses (the disk tier is never read on the calling
+    /// thread) and entries with a crawl manifest, which a worker must
+    /// revalidate. A queued inline request carries its content address
+    /// along, so the document is still hashed once. For a queued
+    /// request `notify` runs exactly once, as soon as the returned
+    /// ticket is redeemable without blocking — [`JobTicket::try_take`]
+    /// is guaranteed to return `Some` from that point on. It fires on
+    /// the worker thread after the job completes, or wherever an
+    /// unprocessed job is destroyed (queue teardown during shutdown), so
+    /// keep it small and non-blocking — typically "push a token and wake
+    /// an event loop". When the call fails (backpressure, shutdown,
+    /// unknown wrapper) no ticket exists and `notify` never runs; after
+    /// shutdown began it fails with [`ServerError::ShuttingDown`], hit
+    /// or not.
     pub fn try_serve_with_notify(
         &self,
         request: ExtractionRequest,
@@ -833,59 +900,81 @@ impl ExtractionServer {
             if let Some(cached) = cached.filter(|(c, _)| c.crawl.is_empty()) {
                 let shared = &self.shared;
                 shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                let outcome = Ok(shared.hit_response(
+                let hit = shared.hit_response(
                     &wrapper,
                     key,
                     cached,
                     submitted_at,
                     cache_started,
                     StageTimes::new(),
-                ));
-                shared.record_outcome(&request, &outcome, submitted_at);
-                return outcome.map(Served::Hit);
+                );
+                shared.record_outcome(
+                    &request,
+                    wrapper.version,
+                    Some((&hit.stages, true)),
+                    submitted_at,
+                );
+                return Ok(Served::Hit(hit));
             }
         }
-        self.try_enqueue(&queues, request, wrapper, content, Some(Box::new(notify)))
-            .map(Served::Queued)
+        let (job, ticket) = Self::extract_job(request, wrapper, content, Some(Box::new(notify)));
+        self.try_enqueue(&queues, job)?;
+        Ok(Served::Queued(ticket))
     }
 
-    fn try_submit_inner(
+    /// Queue a watch recheck of `request` (a `Web` source) without
+    /// blocking, as [`try_submit`](Self::try_submit) would queue the
+    /// request. The worker fetches the page, addresses it and feeds the
+    /// change tracker (a changed page still drops a stale entry of
+    /// interactive traffic). If the key and every crawled page match
+    /// `seen`, it answers [`Recheck::Unchanged`] without executing;
+    /// otherwise it runs the plan and answers the instance snapshot. It
+    /// renders no XML, builds no provenance and never reads or writes
+    /// the store. The job counts as submitted, completed or failed, in
+    /// the latency and stage histograms, never as a cache hit or miss.
+    ///
+    /// `done` runs exactly once on the worker with the outcome, or with
+    /// [`ServerError::Canceled`] wherever the job is destroyed
+    /// unprocessed. When the call itself fails, `done` never runs.
+    pub(crate) fn try_recheck(
         &self,
         request: ExtractionRequest,
-        notify: Option<Box<dyn FnOnce() + Send>>,
-    ) -> Result<JobTicket, ServerError> {
+        seen: Option<Arc<Seen>>,
+        done: impl FnOnce(Result<Recheck, ServerError>) + Send + 'static,
+    ) -> Result<(), ServerError> {
         let wrapper = self.resolve(&request)?;
         let queues = self.intake()?;
-        let content = request.source.inline_address();
-        self.try_enqueue(&queues, request, wrapper, content, notify)
+        let job = Job {
+            request,
+            wrapper,
+            content: None,
+            submitted_at: Instant::now(),
+            kind: JobKind::Recheck {
+                seen,
+                done: RecheckCallback(Some(Box::new(done))),
+            },
+        };
+        self.try_enqueue(&queues, job)
     }
 
-    fn try_enqueue(
-        &self,
-        queues: &[Sender<Job>],
-        request: ExtractionRequest,
-        wrapper: Arc<RegisteredWrapper>,
-        content: Option<u64>,
-        notify: Option<Box<dyn FnOnce() + Send>>,
-    ) -> Result<JobTicket, ServerError> {
-        let (shard, job, ticket) = Self::make_job(request, wrapper, content, queues.len(), notify);
-        match queues[shard].try_send(job) {
+    fn try_enqueue(&self, queues: &[Sender<Job>], job: Job) -> Result<(), ServerError> {
+        match queues[job.shard(queues.len())].try_send(job) {
             Ok(()) => {
                 self.shared
                     .metrics
                     .submitted
                     .fetch_add(1, Ordering::Relaxed);
-                Ok(ticket)
+                Ok(())
             }
             Err(TrySendError::Full(mut job)) => {
                 // The caller gets an error, not a ticket: the callback
                 // must not fire for a submission that never happened.
-                job.notify.defuse();
+                job.kind.defuse();
                 self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(ServerError::Backpressure)
             }
             Err(TrySendError::Disconnected(mut job)) => {
-                job.notify.defuse();
+                job.kind.defuse();
                 Err(ServerError::ShuttingDown)
             }
         }
@@ -1014,59 +1103,153 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn worker_loop(rx: Receiver<Job>, shared: Arc<Shared>) {
-    while let Ok(job) = rx.recv() {
-        // A panicking wrapper (or web source) must not take the worker
-        // down — that would strand every job queued behind it. Contain
-        // it and answer the ticket with an error instead.
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| process(&job, &shared))).unwrap_or_else(|payload| {
-                let message = panic_message(payload);
-                error_event!(
-                    "worker_panic",
-                    "request_id" => job.request.trace.as_deref().unwrap_or(""),
-                    "wrapper" => &job.request.wrapper,
-                    "url" => job.request.source.url(),
-                    "error" => &message,
+    while let Ok(mut job) = rx.recv() {
+        match &job.kind {
+            JobKind::Extract { reply, .. } => {
+                let outcome = contained(&job, || process(&job, &shared));
+                shared.record_outcome(
+                    &job.request,
+                    job.wrapper.version,
+                    outcome.as_ref().ok().map(|r| (&r.stages, r.cache_hit)),
+                    job.submitted_at,
                 );
-                Err(ServerError::Internal(message))
-            });
-        shared.record_outcome(&job.request, &outcome, job.submitted_at);
-        // The client may have dropped its ticket; that is its business.
-        let _ = job.reply.send(outcome);
+                // The client may have dropped its ticket; that is its
+                // business.
+                let _ = reply.send(outcome);
+            }
+            JobKind::Recheck { seen, .. } => {
+                let outcome = contained(&job, || recheck(&job, seen.as_deref(), &shared));
+                shared.record_outcome(
+                    &job.request,
+                    job.wrapper.version,
+                    outcome.as_ref().ok().map(|(_, stages)| (stages, false)),
+                    job.submitted_at,
+                );
+                if let JobKind::Recheck { done, .. } = &mut job.kind {
+                    done.finish(outcome.map(|(found, _)| found));
+                }
+            }
+        }
     }
 }
 
-fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError> {
-    let spec = &job.wrapper.spec;
-    let url = job.request.source.url();
-    let mut stages = StageTimes::new();
+/// Run one job's work with a panicking wrapper (or web source)
+/// contained: a dead worker would strand every job queued behind it, so
+/// the panic becomes an error answer instead.
+fn contained<T>(
+    job: &Job,
+    work: impl FnOnce() -> Result<T, ServerError>,
+) -> Result<T, ServerError> {
+    catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|payload| {
+        let message = panic_message(payload);
+        error_event!(
+            "worker_panic",
+            "request_id" => job.request.trace.as_deref().unwrap_or(""),
+            "wrapper" => &job.request.wrapper,
+            "url" => job.request.source.url(),
+            "error" => &message,
+        );
+        Err(ServerError::Internal(message))
+    })
+}
+
+/// A job's entry page, fetched for `Web` sources.
+struct Page<'a> {
+    url: &'a str,
+    html: Cow<'a, str>,
+    /// Fetched from the live web: crawl targets resolve against it too.
+    from_web: bool,
+}
+
+impl Page<'_> {
+    /// Where crawl targets resolve: the live web for a `Web` request;
+    /// nowhere for an `Inline` one (the client shipped one page).
+    fn crawl_web<'s>(&self, shared: &'s Shared) -> Option<&'s (dyn WebSource + Send + Sync)> {
+        self.from_web.then_some(shared.web.as_ref())
+    }
+}
+
+/// The prologue every job kind shares: fetch a `Web` page, compute its
+/// store key, and feed the change tracker — a changed body drops the
+/// stale entry instead of leaving it to age out of the LRU.
+fn fetch_page<'a>(
+    job: &'a Job,
+    shared: &Shared,
+    stages: &mut StageTimes,
+) -> Result<(Page<'a>, CacheKey), ServerError> {
     stages.add(Stage::QueueWait, job.submitted_at.elapsed());
-    let fetched;
-    let (html, from_web): (&str, bool) = match &job.request.source {
-        RequestSource::Inline { html, .. } => (html, false),
+    let url = job.request.source.url();
+    let (html, from_web) = match &job.request.source {
+        RequestSource::Inline { html, .. } => (Cow::Borrowed(html.as_str()), false),
         RequestSource::Web { url } => {
             let fetch_started = Instant::now();
             let body = shared.web.fetch(url);
             stages.add(Stage::Fetch, fetch_started.elapsed());
-            fetched = body.ok_or_else(|| ServerError::FetchFailed(url.clone()))?;
-            (&fetched, true)
+            (
+                Cow::Owned(body.ok_or_else(|| ServerError::FetchFailed(url.clone()))?),
+                true,
+            )
         }
     };
     let key = CacheKey {
         wrapper: job.wrapper.name.clone(),
         plan: job.wrapper.plan_id,
-        content: job.content.unwrap_or_else(|| content_address(url, html)),
+        content: job.content.unwrap_or_else(|| content_address(url, &html)),
     };
     if from_web {
-        // Change detection over the live source: a changed body drops
-        // the stale entry instead of leaving it to age out of the LRU.
         if let Some(stale) = shared.sources.observe(&job.wrapper.name, url, &key) {
             shared.store.invalidate(&stale);
         }
     }
-    // Crawl targets resolve against the live web for `Web` requests; an
-    // `Inline` request is self-contained (the client shipped one page).
-    let crawl_web = from_web.then_some(shared.web.as_ref());
+    Ok((
+        Page {
+            url,
+            html,
+            from_web,
+        },
+        key,
+    ))
+}
+
+/// Execute the job's optimized plan over `page`: the compile-once fast
+/// path shared by every job of this wrapper version — no AST clone, no
+/// per-request regex compilation (concepts are baked into the plan),
+/// rule schedule / fused path automata / hoist memo applied. The probe
+/// feeds this version's per-rule counters and splits out the
+/// fetch/parse time spent inside the run. Returns the result and the
+/// crawl manifest of every page fetched beyond the entry page.
+fn run_plan(
+    job: &Job,
+    shared: &Shared,
+    page: &Page<'_>,
+    stages: &mut StageTimes,
+) -> (ExtractionResult, Vec<CrawlRecord>) {
+    let spec = &job.wrapper.spec;
+    let pinned = PinnedPage {
+        url: page.url,
+        html: &page.html,
+        rest: page.crawl_web(shared),
+    };
+    let recorder = RecordingWeb {
+        inner: &pinned,
+        entry: page.url,
+        fetched: RefCell::new(Vec::new()),
+    };
+    let probe = ExecProbe::new(Some(job.wrapper.telemetry.clone()));
+    let exec_started = Instant::now();
+    let result = Extractor::from_optimized(spec.optimized.clone(), &recorder)
+        .with_options(spec.options.clone())
+        .with_probe(&probe)
+        .run();
+    stages.add(Stage::PlanExec, exec_started.elapsed());
+    stages.add_ns(Stage::Parse, probe.parse_ns());
+    stages.add_ns(Stage::Fetch, probe.fetch_ns());
+    (result, recorder.fetched.into_inner())
+}
+
+fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError> {
+    let mut stages = StageTimes::new();
+    let (page, key) = fetch_page(job, shared, &mut stages)?;
     // A candidate only counts as a hit once its crawl manifest
     // revalidates — the entry page being unchanged is not enough for a
     // wrapper that crawled beyond it. A manifest recorded with the
@@ -1075,8 +1258,8 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
     // for requests of its own kind.
     let cache_started = Instant::now();
     if let Some((cached, memo)) = shared.store.peek_entry(&key) {
-        if cached.crawl.is_empty() || cached.crawl_live == from_web {
-            if crawl_current(&cached.crawl, crawl_web) {
+        if cached.crawl.is_empty() || cached.crawl_live == page.from_web {
+            if crawl_current(&cached.crawl, page.crawl_web(shared)) {
                 return Ok(shared.hit_response(
                     &job.wrapper,
                     key,
@@ -1093,31 +1276,8 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
         shared.store.record_miss();
     }
     stages.add(Stage::CacheLookup, cache_started.elapsed());
-    let page = PinnedPage {
-        url,
-        html,
-        rest: crawl_web,
-    };
-    let recorder = RecordingWeb {
-        inner: &page,
-        entry: url,
-        fetched: RefCell::new(Vec::new()),
-    };
-    // The compile-once fast path: execute the optimized plan shared by
-    // every job of this wrapper version — no AST clone, no per-request
-    // regex compilation (concepts are baked into the plan), rule
-    // schedule / fused path automata / hoist memo applied. The probe
-    // feeds this version's per-rule counters and splits out the
-    // fetch/parse time spent inside the run.
-    let probe = ExecProbe::new(Some(job.wrapper.telemetry.clone()));
-    let exec_started = Instant::now();
-    let result = Extractor::from_optimized(spec.optimized.clone(), &recorder)
-        .with_options(spec.options.clone())
-        .with_probe(&probe)
-        .run();
-    stages.add(Stage::PlanExec, exec_started.elapsed());
-    stages.add_ns(Stage::Parse, probe.parse_ns());
-    stages.add_ns(Stage::Fetch, probe.fetch_ns());
+    let (result, crawl) = run_plan(job, shared, &page, &mut stages);
+    let spec = &job.wrapper.spec;
     let serialize_started = Instant::now();
     let xml = lixto_xml::to_string(&to_xml(&result, &spec.design));
     stages.add(Stage::Serialize, serialize_started.elapsed());
@@ -1139,15 +1299,15 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
         wrapper: job.wrapper.name.clone(),
         version: job.wrapper.version,
         plan: job.wrapper.plan_id,
-        source_url: url.to_string(),
-        source_hash: fxhash64(html.as_bytes()),
+        source_url: page.url.to_string(),
+        source_hash: fxhash64(page.html.as_bytes()),
         instances,
     };
     let value = Arc::new(CachedExtraction {
         result,
         xml,
-        crawl: recorder.fetched.into_inner(),
-        crawl_live: from_web,
+        crawl,
+        crawl_live: page.from_web,
         provenance,
     });
     shared.store.insert(key.clone(), value.clone());
@@ -1161,6 +1321,33 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
         stages,
         memo: None,
     })
+}
+
+/// A watch recheck (see [`ExtractionServer::try_recheck`]): the shared
+/// prologue, then either [`Recheck::Unchanged`] or the plan's instance
+/// snapshot. Returns the stage times beside the outcome.
+fn recheck(
+    job: &Job,
+    seen: Option<&Seen>,
+    shared: &Shared,
+) -> Result<(Recheck, StageTimes), ServerError> {
+    let mut stages = StageTimes::new();
+    let (page, key) = fetch_page(job, shared, &mut stages)?;
+    if let Some(seen) = seen.filter(|seen| seen.key == key) {
+        if crawl_current(&seen.crawl, page.crawl_web(shared)) {
+            return Ok((Recheck::Unchanged, stages));
+        }
+    }
+    let (result, crawl) = run_plan(job, shared, &page, &mut stages);
+    let base = &result.base;
+    let snapshot = ExtractionSnapshot::from_pairs(
+        base.instances
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| (&*inst.pattern, base.text_of(i, &result.docs))),
+    );
+    let seen = Seen { key, crawl };
+    Ok((Recheck::Extracted { seen, snapshot }, stages))
 }
 
 #[cfg(test)]
@@ -1570,15 +1757,15 @@ mod tests {
         let fired = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = mpsc::channel();
         let counter = fired.clone();
-        let mut ticket = server
-            .try_submit_with_notify(
-                inline_req(&["notified"]),
-                Box::new(move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    tx.send(()).unwrap();
-                }),
-            )
+        let served = server
+            .try_serve_with_notify(inline_req(&["notified"]), move || {
+                counter.fetch_add(1, Ordering::SeqCst);
+                tx.send(()).unwrap();
+            })
             .unwrap();
+        let Served::Queued(mut ticket) = served else {
+            panic!("an empty cache cannot answer on the calling thread");
+        };
         rx.recv_timeout(Duration::from_secs(10))
             .expect("notify fired");
         // The contract: once notify ran, try_take never returns None.
@@ -1603,8 +1790,8 @@ mod tests {
         }
         let server = server_with(Arc::new(PanickyWeb));
         let (tx, rx) = mpsc::channel();
-        let mut ticket = server
-            .try_submit_with_notify(
+        let served = server
+            .try_serve_with_notify(
                 ExtractionRequest {
                     trace: None,
                     wrapper: "shop".into(),
@@ -1613,9 +1800,12 @@ mod tests {
                         url: "http://shop/".into(),
                     },
                 },
-                Box::new(move || tx.send(()).unwrap()),
+                move || tx.send(()).unwrap(),
             )
             .unwrap();
+        let Served::Queued(mut ticket) = served else {
+            panic!("a web source is always queued");
+        };
         rx.recv_timeout(Duration::from_secs(10))
             .expect("notify fired for errored job");
         assert!(matches!(
@@ -1675,12 +1865,9 @@ mod tests {
         let counter = fired.clone();
         assert_eq!(
             server
-                .try_submit_with_notify(
-                    web_req(),
-                    Box::new(move || {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    })
-                )
+                .try_serve_with_notify(web_req(), move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                })
                 .unwrap_err(),
             ServerError::Backpressure
         );
@@ -1694,6 +1881,28 @@ mod tests {
             0,
             "defused callback never fired, even through drop and shutdown"
         );
+    }
+
+    #[test]
+    fn recheck_jobs_destroyed_unprocessed_answer_canceled() {
+        let server = server_with(Arc::new(StaticWeb::new()));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let job = Job {
+            request: inline_req(&["never"]),
+            wrapper: server.registry().latest("shop").unwrap(),
+            content: None,
+            submitted_at: Instant::now(),
+            kind: JobKind::Recheck {
+                seen: None,
+                done: RecheckCallback(Some(Box::new(move |outcome| {
+                    tx.send(outcome).unwrap();
+                }))),
+            },
+        };
+        drop(job);
+        assert!(matches!(rx.try_recv(), Ok(Err(ServerError::Canceled))));
+        assert!(rx.try_recv().is_err(), "exactly one answer");
+        server.shutdown();
     }
 
     /// `try_serve_with_notify`, expecting the request to be queued; waits

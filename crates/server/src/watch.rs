@@ -7,18 +7,25 @@
 //!
 //! * [`WatchRegistry`] — named (wrapper, url, interval) subscriptions,
 //!   optionally spooled to the durability dir so they survive restarts;
-//! * [`WatchScheduler`] — one thread that re-submits due watches through
-//!   [`ExtractionServer::try_submit_with_notify`] (watches share the
-//!   pool's queues and backpressure, so they can never starve
-//!   interactive traffic), diffs each result against the watch's last
-//!   delivered snapshot at the *instance* level
-//!   ([`lixto_transform::diff_snapshots`] over
-//!   pattern + text, never raw-HTML byte equality), and hands non-empty
-//!   diffs to a delivery sink — the gateway fans them out to long-poll
-//!   subscribers and webhook URLs.
+//! * [`WatchScheduler`] — one thread that queues due watches on the
+//!   pool as *recheck* jobs (watches share the pool's queues and
+//!   backpressure, so they can never starve interactive traffic), sleeps
+//!   until the next watch falls due, and hands non-empty diffs to a
+//!   delivery sink — the gateway fans them out to long-poll subscribers
+//!   and webhook URLs.
 //!
-//! An unchanged tick delivers nothing (it only bumps the watch's
-//! `suppressed` counter); the first tick after registration or restart
+//! A recheck fetches the page and stops at the instance snapshot: no
+//! XML, no provenance, no store entry. A page whose content address,
+//! plan and crawled pages match the watch's last extraction is not
+//! executed at all. The worker that ran the recheck also resolves it: it
+//! diffs the snapshot against the watch's last one at the *instance*
+//! level ([`lixto_transform::diff_snapshots`] over pattern + text, never
+//! raw-HTML byte equality) and queues a non-empty diff for the scheduler
+//! under the registry lock that ends the recheck, so every event is
+//! queued before the watch can be rechecked again.
+//!
+//! An unchanged recheck delivers nothing (it only bumps the watch's
+//! `suppressed` counter); the first recheck after registration or restart
 //! re-baselines silently. Snapshots are deliberately *not* persisted:
 //! they are recomputable from source, and a restarted server must not
 //! replay a diff the subscriber already saw.
@@ -30,7 +37,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use lixto_obs::{debug_event, warn_event};
@@ -38,7 +45,7 @@ use lixto_transform::{diff_snapshots, ExtractionSnapshot, InstanceDiff};
 
 use crate::registry::{escape, unescape};
 use crate::server::{
-    ExtractionRequest, ExtractionResponse, ExtractionServer, JobTicket, RequestSource, ServerError,
+    ExtractionRequest, ExtractionServer, Recheck, RequestSource, Seen, ServerError,
 };
 
 /// File-format magic (shared with the store and registry spools).
@@ -77,7 +84,7 @@ pub struct WatchStatus {
     pub interval_ms: u64,
     /// Webhook URL, if any.
     pub webhook: Option<String>,
-    /// Completed re-extractions (including suppressed and baseline ones).
+    /// Completed rechecks (including suppressed and baseline ones).
     pub ticks: u64,
     /// Diff events delivered so far (the sequence number of the latest).
     pub seq: u64,
@@ -111,12 +118,17 @@ struct WatchEntry {
     seq: u64,
     suppressed: u64,
     errors: u64,
-    /// Last delivered snapshot; `None` until the baseline tick.
+    /// Snapshot of the last extraction; `None` until the baseline tick.
     snapshot: Option<ExtractionSnapshot>,
+    /// Store key and crawl manifest `snapshot` was extracted from.
+    seen: Option<Arc<Seen>>,
     /// When the next re-extraction is due.
     next_due: Instant,
-    /// A submission for this watch is in the pool right now.
+    /// A recheck of this watch is in the pool right now.
     inflight: bool,
+    /// Tells this subscription apart from earlier ones under the same id,
+    /// so a recheck of a replaced spec never resolves into it.
+    generation: u64,
 }
 
 impl WatchEntry {
@@ -145,6 +157,16 @@ struct Spool {
 struct Inner {
     watches: HashMap<String, WatchEntry>,
     spool: Option<Spool>,
+    /// Generations handed out so far.
+    generations: u64,
+}
+
+/// A recheck claimed by [`Inner::take_due`], ready to queue.
+struct Due {
+    id: String,
+    generation: u64,
+    request: ExtractionRequest,
+    seen: Option<Arc<Seen>>,
 }
 
 /// Aggregate + per-watch counters for `/metrics` (`lixto_watch_*`).
@@ -166,6 +188,10 @@ pub struct WatchSample {
 /// the management routes and the metrics renderer.
 pub struct WatchRegistry {
     inner: Mutex<Inner>,
+    /// Paired with `inner`: a sleeping scheduler waits on it, and a new
+    /// registration, a queued event or a watch falling due early wakes
+    /// it.
+    wake: Condvar,
     /// Long-poll subscriber gauge (maintained by the delivery layer).
     subscribers: AtomicUsize,
     webhook_deliveries: AtomicU64,
@@ -185,7 +211,9 @@ impl WatchRegistry {
             inner: Mutex::new(Inner {
                 watches: HashMap::new(),
                 spool: None,
+                generations: 0,
             }),
+            wake: Condvar::new(),
             subscribers: AtomicUsize::new(0),
             webhook_deliveries: AtomicU64::new(0),
             webhook_failures: AtomicU64::new(0),
@@ -258,15 +286,21 @@ impl WatchRegistry {
         fs::rename(&tmp, &path)?;
         let file = OpenOptions::new().append(true).open(&path)?;
         let now = Instant::now();
+        let mut generations = 0;
         let entries = watches
             .into_iter()
-            .map(|(id, spec)| (id, new_entry(spec, now)))
+            .map(|(id, spec)| {
+                generations += 1;
+                (id, new_entry(spec, now, generations))
+            })
             .collect();
         Ok(WatchRegistry {
             inner: Mutex::new(Inner {
                 watches: entries,
                 spool: Some(Spool { path, file }),
+                generations,
             }),
+            wake: Condvar::new(),
             subscribers: AtomicUsize::new(0),
             webhook_deliveries: AtomicU64::new(0),
             webhook_failures: AtomicU64::new(0),
@@ -275,16 +309,17 @@ impl WatchRegistry {
 
     /// Register (or replace) a watch. Returns `true` when the id is new.
     /// Replacement resets counters and the baseline snapshot — a new
-    /// spec is a new subscription under the same name.
+    /// spec is a new subscription under the same name, and a recheck of
+    /// the old one still in flight is dropped when it lands.
     pub fn put(&self, id: &str, spec: WatchSpec) -> bool {
-        let mut inner = self.inner.lock().expect("watch registry poisoned");
+        let mut inner = self.lock();
         if let Some(spool) = &mut inner.spool {
             append_or_warn(spool, &put_record(id, &spec));
         }
-        let created = inner
-            .watches
-            .insert(id.to_string(), new_entry(spec, Instant::now()))
-            .is_none();
+        inner.generations += 1;
+        let entry = new_entry(spec, Instant::now(), inner.generations);
+        let created = inner.watches.insert(id.to_string(), entry).is_none();
+        self.wake.notify_all();
         debug_event!(
             "watch_registered",
             "watch" => id,
@@ -378,39 +413,17 @@ impl WatchRegistry {
         }
     }
 
-    /// Claim every watch due at `now`: marks it inflight, schedules its
-    /// next tick, and returns the request to submit.
-    fn take_due(&self, now: Instant) -> Vec<(String, ExtractionRequest)> {
-        let mut inner = self.inner.lock().expect("watch registry poisoned");
-        let mut due = Vec::new();
-        for (id, entry) in &mut inner.watches {
-            if entry.inflight || entry.next_due > now {
-                continue;
-            }
-            entry.inflight = true;
-            entry.next_due = now + entry.spec.interval;
-            due.push((
-                id.clone(),
-                ExtractionRequest {
-                    trace: None,
-                    wrapper: entry.spec.wrapper.clone(),
-                    version: None,
-                    source: RequestSource::Web {
-                        url: entry.spec.url.clone(),
-                    },
-                },
-            ));
-        }
-        due
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("watch registry poisoned")
     }
 
-    /// A submission claimed by [`take_due`](WatchRegistry::take_due)
-    /// never reached the pool. Backpressure is not an error — the watch
-    /// just waits for its next tick (interactive traffic keeps its
-    /// queue slots); anything else counts against the watch.
-    fn submission_failed(&self, id: &str, error: &ServerError) {
-        let mut inner = self.inner.lock().expect("watch registry poisoned");
-        if let Some(entry) = inner.watches.get_mut(id) {
+    /// A recheck claimed by [`Inner::take_due`] never reached the pool.
+    /// Backpressure is not an error — the watch just waits for its next
+    /// tick (interactive traffic keeps its queue slots); anything else
+    /// counts against the watch.
+    fn submission_failed(&self, id: &str, generation: u64, error: &ServerError) {
+        let mut inner = self.lock();
+        if let Some(entry) = inner.entry(id, generation) {
             entry.inflight = false;
             if !matches!(error, ServerError::Backpressure) {
                 entry.errors += 1;
@@ -418,35 +431,113 @@ impl WatchRegistry {
         }
     }
 
-    /// Fold a completed re-extraction into the watch: baseline on the
-    /// first tick, otherwise diff against the stored snapshot. Returns
-    /// the event to deliver iff something changed.
+    /// A finished recheck, on the worker that ran it: fold it into its
+    /// watch and queue any event on `scheduler`'s outbox under the same
+    /// lock that ends the recheck, so the event is queued before the
+    /// watch can be rechecked again. Wakes the scheduler when an event
+    /// was queued or the watch falls due before its planned wake. After
+    /// the scheduler stopped, the result is dropped unresolved.
     fn resolve(
         &self,
+        scheduler: &SchedulerShared,
         id: &str,
-        outcome: Result<ExtractionResponse, ServerError>,
+        generation: u64,
+        outcome: Result<Recheck, ServerError>,
+    ) {
+        let mut inner = self.lock();
+        let mut state = scheduler.state();
+        if state.stop {
+            if let Some(entry) = inner.entry(id, generation) {
+                entry.inflight = false;
+            }
+            return;
+        }
+        let event = inner.resolve(id, generation, outcome);
+        let due = inner.entry(id, generation).map(|entry| entry.next_due);
+        let wake =
+            event.is_some() || matches!((due, state.wake_at), (Some(due), Some(at)) if due < at);
+        state.outbox.extend(event);
+        drop(state);
+        drop(inner);
+        if wake {
+            self.wake.notify_all();
+        }
+    }
+}
+
+impl Inner {
+    /// The watch `id`, if it is still the subscription of `generation`.
+    fn entry(&mut self, id: &str, generation: u64) -> Option<&mut WatchEntry> {
+        self.watches
+            .get_mut(id)
+            .filter(|entry| entry.generation == generation)
+    }
+
+    /// Claim every watch due at `now`: marks it inflight, schedules its
+    /// next tick, and returns the recheck to queue.
+    fn take_due(&mut self, now: Instant) -> Vec<Due> {
+        let mut due = Vec::new();
+        for (id, entry) in &mut self.watches {
+            if entry.inflight || entry.next_due > now {
+                continue;
+            }
+            entry.inflight = true;
+            // At least a millisecond apart, so a zero interval cannot
+            // spin the scheduler on a full queue.
+            entry.next_due = now + entry.spec.interval.max(Duration::from_millis(1));
+            due.push(Due {
+                id: id.clone(),
+                generation: entry.generation,
+                request: ExtractionRequest {
+                    trace: None,
+                    wrapper: entry.spec.wrapper.clone(),
+                    version: None,
+                    source: RequestSource::Web {
+                        url: entry.spec.url.clone(),
+                    },
+                },
+                seen: entry.seen.clone(),
+            });
+        }
+        due
+    }
+
+    /// When the earliest watch not in flight falls due.
+    fn next_due(&self) -> Option<Instant> {
+        self.watches
+            .values()
+            .filter(|entry| !entry.inflight)
+            .map(|entry| entry.next_due)
+            .min()
+    }
+
+    /// Fold a finished recheck into its watch: baseline on the first
+    /// tick, otherwise diff against the stored snapshot. Returns the
+    /// event to deliver iff something changed.
+    fn resolve(
+        &mut self,
+        id: &str,
+        generation: u64,
+        outcome: Result<Recheck, ServerError>,
     ) -> Option<WatchEvent> {
-        let mut inner = self.inner.lock().expect("watch registry poisoned");
-        // The watch may have been deleted while its job was in flight;
-        // the result is then nobody's business.
-        let entry = inner.watches.get_mut(id)?;
+        // The watch may have been deleted or replaced while its recheck
+        // was in flight; the result is then nobody's business.
+        let entry = self.entry(id, generation)?;
         entry.inflight = false;
-        let response = match outcome {
-            Ok(response) => response,
+        let (seen, snapshot) = match outcome {
+            Ok(Recheck::Extracted { seen, snapshot }) => (seen, snapshot),
+            Ok(Recheck::Unchanged) => {
+                entry.ticks += 1;
+                entry.suppressed += 1;
+                return None;
+            }
             Err(_) => {
                 entry.errors += 1;
                 return None;
             }
         };
         entry.ticks += 1;
-        let snapshot = ExtractionSnapshot::from_pairs(
-            response
-                .result
-                .provenance
-                .instances
-                .iter()
-                .map(|i| (i.pattern.as_str(), i.text.as_str())),
-        );
+        entry.seen = Some(Arc::new(seen));
         let Some(previous) = entry.snapshot.take() else {
             // Baseline: remember, deliver nothing.
             entry.snapshot = Some(snapshot);
@@ -470,7 +561,7 @@ impl WatchRegistry {
     }
 }
 
-fn new_entry(spec: WatchSpec, now: Instant) -> WatchEntry {
+fn new_entry(spec: WatchSpec, now: Instant, generation: u64) -> WatchEntry {
     WatchEntry {
         spec,
         ticks: 0,
@@ -478,8 +569,10 @@ fn new_entry(spec: WatchSpec, now: Instant) -> WatchEntry {
         suppressed: 0,
         errors: 0,
         snapshot: None,
+        seen: None,
         next_due: now,
         inflight: false,
+        generation,
     }
 }
 
@@ -533,65 +626,78 @@ fn append_or_warn(spool: &mut Spool, record: &str) {
     }
 }
 
+/// What the scheduler thread shares with the workers resolving its
+/// rechecks. `state` is only locked by a holder of the registry lock,
+/// so the two never contend.
+#[derive(Default)]
 struct SchedulerShared {
-    /// `stop` latch + "a completion landed" flag, both under one lock so
-    /// the scheduler can sleep on a single condvar.
     state: Mutex<SchedulerState>,
-    wake: Condvar,
 }
 
 #[derive(Default)]
 struct SchedulerState {
     stop: bool,
-    completed: bool,
+    /// Resolved events the scheduler has not delivered yet.
+    outbox: Vec<WatchEvent>,
+    /// When the sleeping scheduler plans to wake; `None` while it works.
+    wake_at: Option<Instant>,
 }
 
-/// The scheduler thread: re-submits due watches through the pool and
-/// feeds resolved results back into the registry, delivering non-empty
-/// diffs to the sink. Completion notifies (from
-/// [`try_submit_with_notify`](ExtractionServer::try_submit_with_notify))
-/// wake it immediately, so change-to-notification latency is bounded by
-/// the watch interval plus one extraction, not by the polling tick.
+impl SchedulerShared {
+    fn state(&self) -> MutexGuard<'_, SchedulerState> {
+        self.state.lock().expect("scheduler poisoned")
+    }
+}
+
+/// The scheduler thread: queues due watches on the pool as rechecks and
+/// delivers the diffs the workers resolved to the sink. Between passes
+/// it sleeps until the earliest watch not in flight falls due; a worker
+/// wakes it sooner when it queued an event or its watch falls due before
+/// that. So a watch is rechecked every interval, not every tick, and
+/// change-to-notification latency is bounded by the watch interval plus
+/// one extraction.
 pub struct WatchScheduler {
+    registry: Arc<WatchRegistry>,
     shared: Arc<SchedulerShared>,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl WatchScheduler {
-    /// Start the scheduler. `tick` bounds how long it sleeps between
-    /// due-checks when nothing completes; `sink` receives every
-    /// delivered [`WatchEvent`] (called on the scheduler thread, outside
-    /// all registry locks).
+    /// Start the scheduler. `tick` bounds how long it sleeps in one go;
+    /// a newly registered watch wakes it at once. `sink` receives
+    /// every delivered [`WatchEvent`] (called on the scheduler thread,
+    /// outside all registry locks, never on a pool worker).
     pub fn start(
         server: Arc<ExtractionServer>,
         registry: Arc<WatchRegistry>,
         tick: Duration,
         sink: Box<dyn Fn(WatchEvent) + Send + Sync>,
     ) -> WatchScheduler {
-        let shared = Arc::new(SchedulerShared {
-            state: Mutex::new(SchedulerState::default()),
-            wake: Condvar::new(),
-        });
+        let shared = Arc::new(SchedulerShared::default());
         let tick = tick.max(Duration::from_millis(1));
         let loop_shared = shared.clone();
+        let loop_registry = registry.clone();
         let thread = std::thread::Builder::new()
             .name("lixto-watch-scheduler".into())
-            .spawn(move || scheduler_loop(server, registry, tick, sink, loop_shared))
+            .spawn(move || scheduler_loop(server, loop_registry, tick, sink, loop_shared))
             .expect("spawn watch scheduler");
         WatchScheduler {
+            registry,
             shared,
             thread: Mutex::new(Some(thread)),
         }
     }
 
-    /// Stop and join the scheduler thread. In-flight extractions keep
-    /// running in the pool; their results are dropped. Idempotent.
+    /// Stop and join the scheduler thread. Every event resolved before
+    /// the call is delivered before it returns; none is delivered after.
+    /// In-flight rechecks keep running in the pool; their results are
+    /// dropped. Idempotent.
     pub fn stop(&self) {
         {
-            let mut state = self.shared.state.lock().expect("scheduler poisoned");
-            state.stop = true;
-            self.shared.wake.notify_all();
+            let _registry = self.registry.lock();
+            self.shared.state().stop = true;
         }
+        self.registry.wake.notify_all();
         if let Some(thread) = self
             .thread
             .lock()
@@ -616,59 +722,69 @@ fn scheduler_loop(
     sink: Box<dyn Fn(WatchEvent) + Send + Sync>,
     shared: Arc<SchedulerShared>,
 ) {
-    let mut inflight: Vec<(String, JobTicket)> = Vec::new();
+    let mut inner = registry.lock();
     loop {
-        // Resolve whatever completed since the last pass.
-        let mut resolved = Vec::new();
-        inflight.retain_mut(|(id, ticket)| match ticket.try_take() {
-            None => true,
-            Some(outcome) => {
-                resolved.push((std::mem::take(id), outcome));
-                false
-            }
-        });
-        for (id, outcome) in resolved {
-            if let Some(event) = registry.resolve(&id, outcome) {
-                debug_event!(
-                    "watch_event",
-                    "watch" => &event.watch,
-                    "seq" => event.seq,
-                    "added" => event.diff.added.len() as u64,
-                    "removed" => event.diff.removed.len() as u64,
-                    "changed" => event.diff.changed.len() as u64,
-                );
-                sink(event);
-            }
+        let (events, stop) = {
+            let mut state = shared.state();
+            (std::mem::take(&mut state.outbox), state.stop)
+        };
+        let due = if stop {
+            Vec::new()
+        } else {
+            inner.take_due(Instant::now())
+        };
+        drop(inner);
+        for event in events {
+            debug_event!(
+                "watch_event",
+                "watch" => &event.watch,
+                "seq" => event.seq,
+                "added" => event.diff.added.len() as u64,
+                "removed" => event.diff.removed.len() as u64,
+                "changed" => event.diff.changed.len() as u64,
+            );
+            sink(event);
         }
-        // Submit everything due. A full shard queue is fine: the watch
-        // retries next tick and interactive traffic keeps its slots.
-        for (id, request) in registry.take_due(Instant::now()) {
-            let notify_shared = shared.clone();
-            match server.try_submit_with_notify(
-                request,
-                Box::new(move || {
-                    let mut state = notify_shared.state.lock().expect("scheduler poisoned");
-                    state.completed = true;
-                    notify_shared.wake.notify_all();
-                }),
-            ) {
-                Ok(ticket) => inflight.push((id, ticket)),
-                Err(e) => registry.submission_failed(&id, &e),
-            }
-        }
-        // Sleep until a completion lands, the tick elapses, or stop.
-        let mut state = shared.state.lock().expect("scheduler poisoned");
-        if !state.stop && !state.completed {
-            let (guard, _) = shared
-                .wake
-                .wait_timeout(state, tick)
-                .expect("scheduler poisoned");
-            state = guard;
-        }
-        if state.stop {
+        if stop {
             return;
         }
-        state.completed = false;
+        // A full shard queue is fine: the watch retries next interval and
+        // interactive traffic keeps its slots.
+        for Due {
+            id,
+            generation,
+            request,
+            seen,
+        } in due
+        {
+            let (resolver, state, watch) = (registry.clone(), shared.clone(), id.clone());
+            let queued = server.try_recheck(request, seen, move |outcome| {
+                resolver.resolve(&state, &watch, generation, outcome);
+            });
+            if let Err(e) = queued {
+                registry.submission_failed(&id, generation, &e);
+            }
+        }
+        // Sleep until the earliest due watch, a tick at most, unless an
+        // event or stop arrived meanwhile.
+        inner = registry.lock();
+        let now = Instant::now();
+        let wake_at = inner
+            .next_due()
+            .map_or(now + tick, |due| due.min(now + tick));
+        {
+            let mut state = shared.state();
+            if state.stop || !state.outbox.is_empty() || wake_at <= now {
+                continue;
+            }
+            state.wake_at = Some(wake_at);
+        }
+        inner = registry
+            .wake
+            .wait_timeout(inner, wake_at - now)
+            .expect("watch registry poisoned")
+            .0;
+        shared.state().wake_at = None;
     }
 }
 
@@ -678,7 +794,7 @@ mod tests {
     use crate::registry::WrapperRegistry;
     use crate::server::ServerConfig;
     use lixto_core::XmlDesign;
-    use lixto_elog::SharedWeb;
+    use lixto_elog::{SharedWeb, WebSource};
     use std::sync::mpsc;
 
     const WRAPPER: &str = r#"
@@ -835,6 +951,29 @@ mod tests {
         Arc::try_unwrap(server).ok().unwrap().shutdown();
     }
 
+    /// Queue one claimed recheck directly and wait for its outcome.
+    fn run(server: &ExtractionServer, due: &Due) -> Result<Recheck, ServerError> {
+        let (tx, rx) = mpsc::channel();
+        server
+            .try_recheck(due.request.clone(), due.seen.clone(), move |outcome| {
+                let _ = tx.send(outcome);
+            })
+            .unwrap();
+        rx.recv_timeout(Duration::from_secs(10)).unwrap()
+    }
+
+    /// Claim the one watch not in flight, due or not.
+    fn claim(registry: &WatchRegistry) -> Due {
+        let mut inner = registry.lock();
+        let now = Instant::now();
+        for entry in inner.watches.values_mut() {
+            entry.next_due = now;
+        }
+        let mut due = inner.take_due(now);
+        assert_eq!(due.len(), 1);
+        due.pop().unwrap()
+    }
+
     #[test]
     fn deleted_watch_in_flight_result_is_dropped() {
         let web = Arc::new(SharedWeb::new());
@@ -842,11 +981,57 @@ mod tests {
         let server = pool(web);
         let registry = Arc::new(WatchRegistry::new());
         registry.put("w", spec("http://shop/"));
-        let due = registry.take_due(Instant::now());
-        assert_eq!(due.len(), 1);
+        let due = claim(&registry);
         registry.remove("w");
-        let outcome = server.execute(due.into_iter().next().unwrap().1);
-        assert!(registry.resolve("w", outcome).is_none());
+        let scheduler = SchedulerShared::default();
+        registry.resolve(&scheduler, "w", due.generation, run(&server, &due));
+        assert!(scheduler.state().outbox.is_empty());
+        assert!(registry.get("w").is_none());
+        Arc::try_unwrap(server).ok().unwrap().shutdown();
+    }
+
+    #[test]
+    fn replaced_watch_in_flight_result_is_dropped() {
+        let web = Arc::new(SharedWeb::new());
+        web.put("http://shop/", page(&["old"]));
+        let server = pool(web.clone());
+        let registry = Arc::new(WatchRegistry::new());
+        registry.put("w", spec("http://shop/"));
+        let old = claim(&registry);
+        let old_outcome = run(&server, &old);
+        // The replacement is a new subscription: due at once, and
+        // claimed while the old spec's recheck is still in flight.
+        let replacement = WatchSpec {
+            interval: Duration::from_millis(7),
+            ..spec("http://shop/")
+        };
+        assert!(!registry.put("w", replacement));
+        let new = claim(&registry);
+        assert_ne!(old.generation, new.generation);
+        let scheduler = SchedulerShared::default();
+        registry.resolve(&scheduler, "w", old.generation, old_outcome);
+        let status = registry.get("w").unwrap();
+        assert_eq!(
+            (status.ticks, status.errors),
+            (0, 0),
+            "no tick on the new counters"
+        );
+        assert!(
+            registry.lock().watches["w"].inflight,
+            "the new spec's recheck is still in flight"
+        );
+        assert!(registry.lock().take_due(Instant::now()).is_empty());
+        // The new spec's own recheck is its baseline: nothing delivered,
+        // and the old page never became its snapshot.
+        web.put("http://shop/", page(&["new"]));
+        registry.resolve(&scheduler, "w", new.generation, run(&server, &new));
+        assert_eq!(registry.get("w").unwrap().ticks, 1);
+        let inner = registry.lock();
+        let baseline = inner.watches["w"].snapshot.as_ref().unwrap();
+        assert!(baseline.instances.iter().any(|i| i.text == "new"));
+        assert!(baseline.instances.iter().all(|i| i.text != "old"));
+        drop(inner);
+        assert!(scheduler.state().outbox.is_empty());
         Arc::try_unwrap(server).ok().unwrap().shutdown();
     }
 
@@ -856,17 +1041,415 @@ mod tests {
         let server = pool(web); // no pages: every fetch 404s
         let registry = Arc::new(WatchRegistry::new());
         registry.put("w", spec("http://shop/"));
-        let due = registry.take_due(Instant::now());
-        let outcome = server.execute(due.into_iter().next().unwrap().1);
+        let due = claim(&registry);
+        let outcome = run(&server, &due);
         assert!(outcome.is_err());
-        assert!(registry.resolve("w", outcome).is_none());
+        let scheduler = SchedulerShared::default();
+        registry.resolve(&scheduler, "w", due.generation, outcome);
+        assert!(scheduler.state().outbox.is_empty());
         assert_eq!(registry.get("w").unwrap().errors, 1);
         // Backpressure is not an error; other submit failures are.
-        registry.submission_failed("w", &ServerError::Backpressure);
+        registry.submission_failed("w", due.generation, &ServerError::Backpressure);
         assert_eq!(registry.get("w").unwrap().errors, 1);
-        registry.submission_failed("w", &ServerError::ShuttingDown);
+        registry.submission_failed("w", due.generation, &ServerError::ShuttingDown);
         assert_eq!(registry.get("w").unwrap().errors, 2);
+        // A recheck destroyed unprocessed ends as canceled: the watch is
+        // not left in flight.
+        let due = claim(&registry);
+        registry.resolve(&scheduler, "w", due.generation, Err(ServerError::Canceled));
+        assert!(!registry.lock().watches["w"].inflight);
+        assert_eq!(registry.get("w").unwrap().errors, 3);
         Arc::try_unwrap(server).ok().unwrap().shutdown();
+    }
+
+    /// Serves `page(["{url}#{n}"])` on the `n`-th fetch of a URL, so the
+    /// records change on every fetch, and holds fetches of a URL past
+    /// its allowance until [`allow`](GatedWeb::allow) raises it.
+    #[derive(Default)]
+    struct GatedWeb {
+        state: Mutex<GateState>,
+        moved: Condvar,
+    }
+
+    #[derive(Default)]
+    struct GateState {
+        fetched: HashMap<String, u64>,
+        allowed: HashMap<String, u64>,
+        /// URLs with a fetch waiting for its allowance.
+        held: Vec<String>,
+    }
+
+    impl GatedWeb {
+        fn allow(&self, url: &str, fetches: u64) {
+            self.state
+                .lock()
+                .unwrap()
+                .allowed
+                .insert(url.to_string(), fetches);
+            self.moved.notify_all();
+        }
+
+        /// Block until `cond` holds over the gate state.
+        fn until(&self, what: &str, cond: impl Fn(&GateState) -> bool) {
+            let state = self.state.lock().unwrap();
+            let (state, timeout) = self
+                .moved
+                .wait_timeout_while(state, Duration::from_secs(10), |s| !cond(s))
+                .unwrap();
+            drop(state);
+            assert!(!timeout.timed_out(), "timed out waiting for {what}");
+        }
+
+        fn fetched(&self, url: &str) -> u64 {
+            self.state
+                .lock()
+                .unwrap()
+                .fetched
+                .get(url)
+                .copied()
+                .unwrap_or(0)
+        }
+    }
+
+    impl WebSource for GatedWeb {
+        fn fetch(&self, url: &str) -> Option<String> {
+            let mut state = self.state.lock().unwrap();
+            let n = state.fetched.get(url).copied().unwrap_or(0);
+            if state.allowed.get(url).is_some_and(|allowed| n >= *allowed) {
+                state.held.push(url.to_string());
+                self.moved.notify_all();
+                state = self
+                    .moved
+                    .wait_while(state, |s| s.allowed.get(url).is_some_and(|a| n >= *a))
+                    .unwrap();
+                state.held.retain(|held| held != url);
+            }
+            state.fetched.insert(url.to_string(), n + 1);
+            self.moved.notify_all();
+            Some(page(&[&format!("{url}#{n}")]))
+        }
+    }
+
+    /// `pool` over `web`, with every wrapper of `programs` registered and
+    /// one shared queue, so a held fetch never blocks the jobs behind it.
+    fn shared_queue_pool(
+        web: Arc<dyn WebSource + Send + Sync>,
+        programs: &[(&str, &str)],
+        store: Option<crate::store::StoreConfig>,
+    ) -> Arc<ExtractionServer> {
+        let registry = Arc::new(WrapperRegistry::new());
+        for (name, program) in programs {
+            registry
+                .register_source(name, program, XmlDesign::new().root("offers"))
+                .unwrap();
+        }
+        Arc::new(ExtractionServer::start(
+            ServerConfig {
+                shards: 1,
+                workers_per_shard: 4,
+                store,
+                ..ServerConfig::default()
+            },
+            registry,
+            web,
+        ))
+    }
+
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn the_interval_paces_rechecks_not_the_tick() {
+        let web = Arc::new(GatedWeb::default());
+        let server = shared_queue_pool(web.clone(), &[("shop", WRAPPER)], None);
+        let registry = Arc::new(WatchRegistry::new());
+        let scheduler = WatchScheduler::start(
+            server.clone(),
+            registry.clone(),
+            Duration::from_secs(10),
+            Box::new(|_| {}),
+        );
+        // Registered while the scheduler sleeps out its tick.
+        let started = Instant::now();
+        registry.put(
+            "w",
+            WatchSpec {
+                interval: Duration::from_millis(20),
+                ..spec("http://shop/")
+            },
+        );
+        std::thread::sleep(Duration::from_millis(500).saturating_sub(started.elapsed()));
+        let ticks = registry.get("w").unwrap().ticks;
+        scheduler.stop();
+        assert!(
+            ticks >= 10,
+            "{ticks} rechecks in 500 ms at a 20 ms interval"
+        );
+        server.initiate_shutdown();
+    }
+
+    #[test]
+    fn rechecks_never_touch_the_store() {
+        let dir = std::env::temp_dir().join(format!(
+            "lixto-watch-store-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        let web = Arc::new(GatedWeb::default());
+        let server = shared_queue_pool(
+            web.clone(),
+            &[("shop", WRAPPER)],
+            Some(crate::store::StoreConfig::new(&dir)),
+        );
+        // An interactive extraction of the watched page is stored.
+        let request = ExtractionRequest {
+            trace: None,
+            wrapper: "shop".into(),
+            version: None,
+            source: RequestSource::Web {
+                url: "http://shop/".into(),
+            },
+        };
+        assert!(!server.execute(request).unwrap().cache_hit);
+        let before = server.metrics();
+        assert_eq!((before.store.persisted, before.cache.len), (1, 1));
+        let registry = Arc::new(WatchRegistry::new());
+        registry.put("w", spec("http://shop/"));
+        let (tx, rx) = mpsc::channel::<WatchEvent>();
+        let scheduler = WatchScheduler::start(
+            server.clone(),
+            registry.clone(),
+            Duration::from_millis(2),
+            Box::new(move |event| {
+                let _ = tx.send(event);
+            }),
+        );
+        let mut events = Vec::new();
+        while events.len() < 8 {
+            events.push(
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("a diff event"),
+            );
+        }
+        scheduler.stop();
+        let after = server.metrics();
+        assert_eq!(
+            after.store.persisted, before.store.persisted,
+            "no store put"
+        );
+        assert_eq!(after.cache.hits, before.cache.hits, "no cache hit counted");
+        assert_eq!(
+            after.cache.misses, before.cache.misses,
+            "no cache miss counted"
+        );
+        // The page changed under the interactive entry: the change
+        // tracker still drops it, and nothing took its place.
+        assert_eq!((after.cache.invalidations, after.cache.len), (1, 0));
+        assert_eq!(after.store.disk_len, 0);
+        assert!(
+            after.completed > before.completed + 8,
+            "rechecks count as completed"
+        );
+        // Each event is the exact diff between consecutive fetches.
+        for (k, event) in events.iter().enumerate() {
+            assert_eq!(event.seq, k as u64 + 1);
+            assert_eq!(event.diff.changed.len(), 2, "{:?}", event.diff);
+            for change in &event.diff.changed {
+                let before: u64 = change.before.rsplit('#').next().unwrap().parse().unwrap();
+                let after: u64 = change.after.rsplit('#').next().unwrap().parse().unwrap();
+                assert_eq!(after, before + 1, "{change:?}");
+            }
+        }
+        server.initiate_shutdown();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn invocations(server: &ExtractionServer, version: u32) -> u64 {
+        let wrapper = server.registry().version("shop", version).unwrap();
+        wrapper
+            .telemetry
+            .snapshot()
+            .iter()
+            .map(|r| r.invocations)
+            .sum()
+    }
+
+    #[test]
+    fn a_static_page_executes_once_until_a_redeploy() {
+        let web = Arc::new(SharedWeb::new());
+        web.put("http://shop/", page(&["steady"]));
+        let server = pool(web);
+        let registry = Arc::new(WatchRegistry::new());
+        registry.put("w", spec("http://shop/"));
+        let (tx, rx) = mpsc::channel::<WatchEvent>();
+        let scheduler = WatchScheduler::start(
+            server.clone(),
+            registry.clone(),
+            Duration::from_millis(2),
+            Box::new(move |event| {
+                let _ = tx.send(event);
+            }),
+        );
+        wait_for("the baseline", || registry.get("w").unwrap().ticks >= 1);
+        let executed = invocations(&server, 1);
+        assert!(executed > 0);
+        wait_for("five more rechecks", || {
+            registry.get("w").unwrap().ticks >= 6
+        });
+        assert_eq!(
+            invocations(&server, 1),
+            executed,
+            "an unchanged page ran the plan"
+        );
+        let status = registry.get("w").unwrap();
+        assert_eq!(status.suppressed, status.ticks - 1);
+        // A redeploy (new design, so a new plan) executes again, and the
+        // same records still deliver nothing.
+        server
+            .registry()
+            .register_source("shop", WRAPPER, XmlDesign::new().root("offers_v2"))
+            .unwrap();
+        wait_for("the new version to run", || invocations(&server, 2) > 0);
+        let ticks = registry.get("w").unwrap().ticks;
+        wait_for("more rechecks", || {
+            registry.get("w").unwrap().ticks >= ticks + 3
+        });
+        scheduler.stop();
+        assert!(rx.try_recv().is_err(), "no records changed");
+        assert_eq!(invocations(&server, 1), executed);
+        Arc::try_unwrap(server).ok().unwrap().shutdown();
+    }
+
+    #[test]
+    fn a_changed_subpage_of_a_crawl_wrapper_is_delivered() {
+        const CRAWLER: &str = r#"
+            link(S, X)  :- document("http://start/", S), subelem(S, (?.a, []), X).
+            page(S, X)  :- link(_, S), attrbind(S, href, U), document(U, X).
+            para(S, X)  :- page(_, S), subelem(S, (?.p, []), X).
+        "#;
+        let web = Arc::new(SharedWeb::new());
+        web.put(
+            "http://start/",
+            "<body><a href='http://sub/'>next</a></body>",
+        );
+        web.put("http://sub/", "<body><p>alpha</p></body>");
+        let server = shared_queue_pool(web.clone(), &[("crawler", CRAWLER)], None);
+        let registry = Arc::new(WatchRegistry::new());
+        registry.put(
+            "w",
+            WatchSpec {
+                wrapper: "crawler".into(),
+                ..spec("http://start/")
+            },
+        );
+        let (tx, rx) = mpsc::channel::<WatchEvent>();
+        let scheduler = WatchScheduler::start(
+            server.clone(),
+            registry.clone(),
+            Duration::from_millis(2),
+            Box::new(move |event| {
+                let _ = tx.send(event);
+            }),
+        );
+        wait_for("unchanged rechecks", || {
+            registry.get("w").unwrap().suppressed >= 2
+        });
+        web.put("http://sub/", "<body><p>beta</p></body>");
+        let event = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the subpage diff");
+        scheduler.stop();
+        assert!(event
+            .diff
+            .changed
+            .iter()
+            .any(|c| c.pattern == "para" && c.before == "alpha" && c.after == "beta"));
+        server.initiate_shutdown();
+    }
+
+    #[test]
+    fn stop_delivers_resolved_events_and_nothing_after() {
+        const A: &str = "http://a/";
+        const B: &str = "http://b/";
+        const C: &str = "http://c/";
+        let program = |url: &str| {
+            format!(
+                r#"
+                offer(S, X) :- document("{url}", S), subelem(S, (?.li, []), X).
+                name(S, X)  :- offer(_, S), subelem(S, (.b, []), X).
+                "#
+            )
+        };
+        let web = Arc::new(GatedWeb::default());
+        for url in [A, B, C] {
+            web.allow(url, 1);
+        }
+        let (pa, pb, pc) = (program(A), program(B), program(C));
+        let server = shared_queue_pool(web.clone(), &[("a", &pa), ("b", &pb), ("c", &pc)], None);
+        let registry = Arc::new(WatchRegistry::new());
+        for (name, url) in [("a", A), ("b", B), ("c", C)] {
+            let spec = WatchSpec {
+                wrapper: name.into(),
+                ..spec(url)
+            };
+            registry.put(name, spec);
+        }
+        // The sink holds the first event until released.
+        let (tx, rx) = mpsc::channel::<WatchEvent>();
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(Some(released));
+        let scheduler = Arc::new(WatchScheduler::start(
+            server.clone(),
+            registry.clone(),
+            Duration::from_millis(2),
+            Box::new(move |event| {
+                let _ = tx.send(event);
+                if let Some(released) = released.lock().unwrap().take() {
+                    let _ = released.recv();
+                }
+            }),
+        ));
+        // Every watch baselines, and its second fetch is held.
+        web.until("three held rechecks", |s| s.held.len() == 3);
+        // A's change reaches the sink, which holds it...
+        web.allow(A, 2);
+        let first = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!((first.watch.as_str(), first.seq), ("a", 1));
+        // ...while B's change resolves into the outbox.
+        web.allow(B, 2);
+        wait_for("B's event", || !scheduler.shared.state().outbox.is_empty());
+        let stopper = {
+            let scheduler = scheduler.clone();
+            std::thread::spawn(move || scheduler.stop())
+        };
+        wait_for("stop", || scheduler.shared.state().stop);
+        release.send(()).unwrap();
+        stopper.join().unwrap();
+        let flushed = rx.try_recv().expect("stop delivered the resolved event");
+        assert_eq!((flushed.watch.as_str(), flushed.seq), ("b", 1));
+        // C's change lands after stop: dropped unresolved, and the watch
+        // is not left in flight.
+        let completed = server.metrics().completed;
+        web.allow(C, 2);
+        wait_for("C's recheck", || server.metrics().completed > completed);
+        assert_eq!(web.fetched(C), 2);
+        assert!(rx.try_recv().is_err(), "an event arrived after stop");
+        let c = registry.get("c").unwrap();
+        assert_eq!((c.ticks, c.seq), (1, 0));
+        assert!(!registry.lock().watches["c"].inflight);
+        // The last pass may have queued A's or B's next recheck before it
+        // saw stop; let it finish so the pool can drain.
+        for url in [A, B, C] {
+            web.allow(url, u64::MAX);
+        }
+        server.initiate_shutdown();
+        assert!(rx.try_recv().is_err(), "an event arrived after stop");
     }
 
     #[test]

@@ -151,9 +151,10 @@ fn watch_rechecks_and_in_process_calls_never_fill_the_memo() {
         Duration::from_millis(2),
         Box::new(|_| {}),
     );
-    // Rechecks of an unchanged page are cache hits of one entry.
+    // Rechecks run outside the store: they neither add an entry nor
+    // count a hit.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while server.metrics().cache.hits < 3 {
+    while watches.get("steady").unwrap().ticks < 3 {
         assert!(Instant::now() < deadline, "the watch never rechecked");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -163,9 +164,15 @@ fn watch_rechecks_and_in_process_calls_never_fill_the_memo() {
         version: None,
         source: RequestSource::Web { url: URL.into() },
     };
+    assert!(!server.execute(request.clone()).unwrap().cache_hit);
+    assert_eq!(server.metrics().cache.hits, 0, "a recheck counted a hit");
     let executed = server.execute(request.clone()).unwrap();
     assert!(executed.cache_hit);
-    assert_eq!(memo_text(&executed), None, "a recheck filled the memo");
+    assert_eq!(
+        memo_text(&executed),
+        None,
+        "an in-process call filled the memo"
+    );
 
     // The first HTTP answer fills it; rechecks keep serving that entry.
     let mut client = HttpClient::connect(gateway.addr()).unwrap();
@@ -173,8 +180,8 @@ fn watch_rechecks_and_in_process_calls_never_fill_the_memo() {
     let tail = memo_text(&executed).expect("filled by the HTTP answer");
     assert!(tail.starts_with(",\"provenance_key\":"), "{tail}");
     assert!(served.text().ends_with(&tail));
-    let hits = server.metrics().cache.hits;
-    while server.metrics().cache.hits < hits + 3 {
+    let ticks = watches.get("steady").unwrap().ticks;
+    while watches.get("steady").unwrap().ticks < ticks + 3 {
         assert!(Instant::now() < deadline, "the watch stopped rechecking");
         std::thread::sleep(Duration::from_millis(5));
     }
