@@ -64,7 +64,7 @@
 //! | `PUT /wrappers/{name}`  | `{"program", "root"?, "auxiliary"?}` → registered version |
 //! | `GET /wrappers`         | the deployed catalog |
 //! | `GET /provenance/{key}` | derivation of a stored result: wrapper version, plan fingerprint, source page hash, producing rule per instance |
-//! | `GET /metrics`          | Prometheus text (cache, store, gateway, per-stage, per-rule and `lixto_alert_*` series), or JSON with `Accept: application/json` |
+//! | `GET /metrics`          | Prometheus text (cache, store, gateway, per-stage, per-rule, `lixto_alert_*` and `lixto_watch_*` series), or JSON with `Accept: application/json` |
 //! | `GET /metrics/history`  | windowed rates/quantiles over the sampler's history ring (`?window=SECS&step=SECS`) |
 //! | `GET /debug/health`     | SLO watchdog verdict (ok/degraded/critical), per-rule firing state, evidence window |
 //! | `GET /debug/live`       | chunked ndjson stream of sampler ticks and alert transitions (`?events=N` bounds it) |
@@ -129,14 +129,15 @@ use lixto_obs::{
 use lixto_server::{
     parse_provenance_key, provenance_key, CacheKey, CachedExtraction, ChangedEntry, DeployError,
     DiffEntry, ExtractionRequest, ExtractionResponse, ExtractionServer, JobTicket,
-    LatencyHistogram, MetricsSnapshot, RequestSource, Served, ServerError, WatchEvent,
-    WatchRegistry, WatchSample, WatchScheduler, WatchSpec, WatchStatus, WrapperSpec, XmlDesign,
+    LatencyHistogram, RequestSource, Served, ServerError, WatchEvent, WatchRegistry,
+    WatchScheduler, WatchSpec, WrapperSpec, XmlDesign,
 };
 
 use crate::client::{HttpClient, RetryPolicy};
 use crate::http::{parse_request_with_body_limit, Limits, Request, RequestError, Response};
 use crate::json::{obj, write_escaped, write_number, Json};
-use crate::monitor::{AlertsSnapshot, Monitor, TickSample};
+use crate::metrics::{watch_status_json, MetricInputs};
+use crate::monitor::{Monitor, TickSample};
 use crate::poll::{poll, PollFd, SelfPipe, POLLIN, POLLOUT};
 
 /// Sizing and protocol knobs for [`HttpGateway::bind`].
@@ -364,16 +365,15 @@ struct Completion {
 struct Inbox {
     accepted: Vec<TcpStream>,
     completions: Vec<Completion>,
-    /// Monitor events (ticks, alert transitions) to fan out to this
-    /// loop's `GET /debug/live` subscribers; pre-serialized once by the
-    /// sampler and shared across loops.
-    live: Vec<Arc<String>>,
-    /// Watch diff events `(watch id, serialized event)` to fan out to
-    /// this loop's `GET /watches/{id}/events` subscribers; serialized
-    /// once by the scheduler sink and shared across loops.
-    watch_events: Vec<(Arc<String>, Arc<String>)>,
+    /// Lines to fan out to this loop's NDJSON subscribers.
+    lines: Vec<StreamLine>,
     stop: bool,
 }
+
+/// One line of an NDJSON stream: its topic (`None` for the monitor's
+/// `GET /debug/live`, `Some(watch id)` for `GET /watches/{id}/events`)
+/// and the event, serialized once and shared across loops.
+type StreamLine = (Option<Arc<String>>, Arc<String>);
 
 /// The shared half of one event loop (the loop thread owns the
 /// connections themselves).
@@ -437,9 +437,9 @@ pub struct LoopGauges {
     pub parked: usize,
 }
 
-/// Gateway-side observability gauges fed to the metrics renderers
-/// alongside the pool's [`MetricsSnapshot`]: event-loop health, wake
-/// latency, and per-rule execution telemetry.
+/// Gateway-side observability gauges shown on `GET /metrics` (see
+/// [`MetricInputs`]) next to the pool's counters: event-loop health,
+/// wake latency, and per-rule execution telemetry.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GatewayObservations {
     /// Per-event-loop connection gauges, in loop order.
@@ -783,10 +783,10 @@ fn sampler_loop(shared: Arc<SharedGateway>) {
         if monitor.live_subscribers.load(Ordering::Relaxed) == 0 {
             continue;
         }
-        let events: Vec<Arc<String>> = events.into_iter().map(Arc::new).collect();
+        let lines: Vec<StreamLine> = events.into_iter().map(|e| (None, Arc::new(e))).collect();
         for event_loop in &shared.loops {
-            let events = events.clone();
-            event_loop.wake_with(|inbox| inbox.live.extend(events));
+            let lines = lines.clone();
+            event_loop.wake_with(|inbox| inbox.lines.extend(lines));
         }
     }
 }
@@ -832,12 +832,10 @@ fn deliver_watch_event(
     };
     let json = watch_event_json(&event).dump();
     if registry.subscribers() > 0 {
-        let id = Arc::new(event.watch.clone());
-        let line = Arc::new(json.clone());
+        let line: StreamLine = (Some(Arc::new(event.watch.clone())), Arc::new(json.clone()));
         for event_loop in &shared.loops {
-            let id = id.clone();
             let line = line.clone();
-            event_loop.wake_with(|inbox| inbox.watch_events.push((id, line)));
+            event_loop.wake_with(|inbox| inbox.lines.push(line));
         }
     }
     if let Some(webhook) = &event.webhook {
@@ -1053,9 +1051,8 @@ enum ConnState {
         remaining: Option<u64>,
         /// The terminal chunk is queued: close once it flushes.
         done: bool,
-        /// `None` for monitor live streams; `Some(id)` for a watch
-        /// event stream, which receives only that watch's diffs.
-        watch: Option<Arc<String>>,
+        /// The [`StreamLine`] topic this stream receives.
+        topic: Option<Arc<String>>,
     },
 }
 
@@ -1276,13 +1273,12 @@ impl EventLoop {
     }
 
     fn drain_inbox(&mut self) {
-        let (accepted, completions, live, watch_events, stop) = {
+        let (accepted, completions, lines, stop) = {
             let mut inbox = self.ls.inbox.lock().expect("loop inbox poisoned");
             (
                 std::mem::take(&mut inbox.accepted),
                 std::mem::take(&mut inbox.completions),
-                std::mem::take(&mut inbox.live),
-                std::mem::take(&mut inbox.watch_events),
+                std::mem::take(&mut inbox.lines),
                 inbox.stop,
             )
         };
@@ -1295,98 +1291,43 @@ impl EventLoop {
         for completion in completions {
             self.handle_completion(completion);
         }
-        if !live.is_empty() {
-            self.deliver_live(&live);
-        }
-        if !watch_events.is_empty() {
-            self.deliver_watch_events(&watch_events);
+        if !lines.is_empty() {
+            self.deliver(&lines);
         }
     }
 
-    /// Fan monitor events out to every `GET /debug/live` subscriber this
-    /// loop owns: frame each event as one chunk, count down bounded
-    /// subscriptions, and finish streams that used up their budget.
-    fn deliver_live(&mut self, events: &[Arc<String>]) {
+    /// Fan stream lines out to this loop's NDJSON subscribers: a line
+    /// reaches every unfinished stream of its topic as one chunk, and a
+    /// bounded stream ends once it used up its `?events=N` budget.
+    fn deliver(&mut self, lines: &[StreamLine]) {
         for slot in 0..self.conns.len() {
-            let streaming = self.conns[slot].as_ref().is_some_and(|c| {
-                matches!(
-                    c.state,
-                    ConnState::Streaming {
-                        done: false,
-                        watch: None,
-                        ..
-                    }
-                )
-            });
+            let streaming = self.conns[slot]
+                .as_ref()
+                .is_some_and(|c| matches!(c.state, ConnState::Streaming { done: false, .. }));
             if !streaming {
                 continue;
             }
             self.with_conn(slot, |conn, ctx| {
-                for event in events {
+                for (topic, line) in lines {
                     let ConnState::Streaming {
                         remaining,
                         done: false,
-                        watch: None,
+                        topic: subscribed,
                     } = &mut conn.state
                     else {
                         break;
                     };
-                    if conn.out.is_empty() {
-                        conn.write_started = Instant::now();
-                    }
-                    append_live_chunk(&mut conn.out, event);
-                    if let Some(budget) = remaining {
-                        *budget = budget.saturating_sub(1);
-                        if *budget == 0 {
-                            finish_live_stream(conn);
-                        }
-                    }
-                }
-                pump(conn, ctx)
-            });
-        }
-    }
-
-    /// Fan watch diff events out to this loop's `GET /watches/{id}/events`
-    /// subscribers: each event reaches only the streams parked on its
-    /// watch id, framed as one chunk, with the same budget countdown as
-    /// the monitor live stream.
-    fn deliver_watch_events(&mut self, events: &[(Arc<String>, Arc<String>)]) {
-        for slot in 0..self.conns.len() {
-            let watching = self.conns[slot].as_ref().is_some_and(|c| {
-                matches!(
-                    c.state,
-                    ConnState::Streaming {
-                        done: false,
-                        watch: Some(_),
-                        ..
-                    }
-                )
-            });
-            if !watching {
-                continue;
-            }
-            self.with_conn(slot, |conn, ctx| {
-                for (id, event) in events {
-                    let ConnState::Streaming {
-                        remaining,
-                        done: false,
-                        watch: Some(watch),
-                    } = &mut conn.state
-                    else {
-                        break;
-                    };
-                    if watch.as_str() != id.as_str() {
+                    if *subscribed != *topic {
                         continue;
                     }
                     if conn.out.is_empty() {
                         conn.write_started = Instant::now();
                     }
-                    append_live_chunk(&mut conn.out, event);
+                    append_chunk(&mut conn.out, line);
                     if let Some(budget) = remaining {
                         *budget = budget.saturating_sub(1);
                         if *budget == 0 {
-                            finish_live_stream(conn);
+                            finish_stream(conn);
                         }
                     }
                 }
@@ -1429,18 +1370,8 @@ impl EventLoop {
 
     fn release(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
-            match &conn.state {
-                ConnState::Streaming { watch: Some(_), .. } => {
-                    if let Some(watches) = &self.shared.watches {
-                        watches.subscriber_finished();
-                    }
-                }
-                ConnState::Streaming { watch: None, .. } => {
-                    if let Some(monitor) = &self.shared.monitor {
-                        monitor.live_subscribers.fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-                _ => {}
+            if let ConnState::Streaming { topic, .. } = &conn.state {
+                count_subscriber(&self.shared, topic, false);
             }
             self.free.push(slot);
             self.live -= 1;
@@ -1528,7 +1459,7 @@ impl EventLoop {
                 .is_some_and(|c| matches!(c.state, ConnState::Streaming { .. }));
             if streaming {
                 self.with_conn(slot, |conn, ctx| {
-                    finish_live_stream(conn);
+                    finish_stream(conn);
                     pump(conn, ctx)
                 });
                 continue;
@@ -1646,7 +1577,7 @@ fn on_readable(conn: &mut Conn, ctx: &ConnCtx) -> Action {
     pump(conn, ctx)
 }
 
-/// A `GET /debug/live` subscriber's socket turned readable: either the
+/// An NDJSON subscriber's socket turned readable: either the
 /// peer hung up (the stream's only disconnect signal) or it sent bytes
 /// a streaming response cannot use — drain and discard them.
 fn on_streaming_readable(conn: &mut Conn, ctx: &ConnCtx, writable: bool) -> Action {
@@ -1668,17 +1599,17 @@ fn on_streaming_readable(conn: &mut Conn, ctx: &ConnCtx, writable: bool) -> Acti
     }
 }
 
-/// Frame one monitor event as an HTTP chunk: the JSON line plus a
+/// Frame one stream event as an HTTP chunk: the JSON line plus a
 /// trailing newline, so the stream reads as newline-delimited JSON once
 /// de-chunked.
-fn append_live_chunk(out: &mut Vec<u8>, event: &str) {
+fn append_chunk(out: &mut Vec<u8>, event: &str) {
     out.extend_from_slice(format!("{:x}\r\n", event.len() + 1).as_bytes());
     out.extend_from_slice(event.as_bytes());
     out.extend_from_slice(b"\n\r\n");
 }
 
 /// Queue the terminal chunk and mark the stream finished (idempotent).
-fn finish_live_stream(conn: &mut Conn) {
+fn finish_stream(conn: &mut Conn) {
     if let ConnState::Streaming { done, .. } = &mut conn.state {
         if !*done {
             if conn.out.is_empty() {
@@ -1691,35 +1622,14 @@ fn finish_live_stream(conn: &mut Conn) {
 }
 
 /// `GET /debug/live`: subscribe this connection to the monitor's tick
-/// and alert-transition events as a chunked `application/x-ndjson`
-/// stream. `?events=N` bounds the subscription to N events after the
-/// greeting (the stream then ends cleanly); unbounded streams run until
-/// the client disconnects or the gateway shuts down.
+/// and alert-transition events.
 fn start_live_stream(conn: &mut Conn, ctx: &ConnCtx, request: &Request) {
     let monitor = ctx
         .shared
         .monitor
         .as_ref()
         .expect("live stream routed without monitor");
-    let remaining = query_param(request, "events").and_then(|v| v.parse::<u64>().ok());
-    count_response(ctx.shared, 200);
-    if conn.out.is_empty() {
-        conn.write_started = Instant::now();
-    }
-    conn.out.extend_from_slice(
-        b"HTTP/1.1 200 OK\r\nconnection: close\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\n\r\n",
-    );
-    append_live_chunk(&mut conn.out, &monitor.hello_event());
-    conn.close_after_write = true;
-    conn.state = ConnState::Streaming {
-        remaining,
-        done: false,
-        watch: None,
-    };
-    monitor.live_subscribers.fetch_add(1, Ordering::Relaxed);
-    if remaining == Some(0) {
-        finish_live_stream(conn);
-    }
+    start_stream(conn, ctx, request, None, &monitor.hello_event());
 }
 
 /// The watch id of a `/watches/{id}/events` path, if that is one.
@@ -1730,10 +1640,8 @@ fn watch_stream_id(path: &str) -> Option<&str> {
 }
 
 /// `GET /watches/{id}/events`: subscribe this connection to one watch's
-/// instance-level diff events as a chunked `application/x-ndjson`
-/// stream. The greeting chunk echoes the watch id and current sequence
-/// number; `?events=N` bounds the subscription to N diff events after
-/// the greeting. An unknown watch id answers a normal `404`.
+/// instance-level diff events. The greeting echoes the watch id and
+/// current sequence number. An unknown watch id answers a normal `404`.
 fn start_watch_stream(conn: &mut Conn, ctx: &ConnCtx, request: &Request, id: &str) {
     let registry = ctx
         .shared
@@ -1749,6 +1657,29 @@ fn start_watch_stream(conn: &mut Conn, ctx: &ConnCtx, request: &Request, id: &st
             return;
         }
     };
+    let hello = obj([
+        ("type", "watch_hello".into()),
+        ("watch", id.into()),
+        ("wrapper", status.wrapper.as_str().into()),
+        ("url", status.url.as_str().into()),
+        ("seq", status.seq.into()),
+    ]);
+    let topic = Some(Arc::new(id.to_string()));
+    start_stream(conn, ctx, request, topic, &hello.dump());
+}
+
+/// Turn this connection into a chunked `application/x-ndjson` stream of
+/// `topic`'s [`StreamLine`]s, opened by `greeting`. `?events=N` bounds
+/// the stream to N lines after the greeting (it then ends cleanly);
+/// unbounded streams run until the client disconnects or the gateway
+/// shuts down.
+fn start_stream(
+    conn: &mut Conn,
+    ctx: &ConnCtx,
+    request: &Request,
+    topic: Option<Arc<String>>,
+    greeting: &str,
+) {
     let remaining = query_param(request, "events").and_then(|v| v.parse::<u64>().ok());
     count_response(ctx.shared, 200);
     if conn.out.is_empty() {
@@ -1757,23 +1688,41 @@ fn start_watch_stream(conn: &mut Conn, ctx: &ConnCtx, request: &Request, id: &st
     conn.out.extend_from_slice(
         b"HTTP/1.1 200 OK\r\nconnection: close\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\n\r\n",
     );
-    let hello = obj([
-        ("type", "watch_hello".into()),
-        ("watch", id.into()),
-        ("wrapper", status.wrapper.as_str().into()),
-        ("url", status.url.as_str().into()),
-        ("seq", status.seq.into()),
-    ]);
-    append_live_chunk(&mut conn.out, &hello.dump());
+    append_chunk(&mut conn.out, greeting);
     conn.close_after_write = true;
+    count_subscriber(ctx.shared, &topic, true);
     conn.state = ConnState::Streaming {
         remaining,
         done: false,
-        watch: Some(Arc::new(id.to_string())),
+        topic,
     };
-    registry.subscriber_started();
     if remaining == Some(0) {
-        finish_live_stream(conn);
+        finish_stream(conn);
+    }
+}
+
+/// Count a subscriber of `topic` in (`joined`) or out: the monitor's
+/// live-stream gauge, or the watch registry's.
+fn count_subscriber(shared: &SharedGateway, topic: &Option<Arc<String>>, joined: bool) {
+    match topic {
+        None => {
+            if let Some(monitor) = &shared.monitor {
+                if joined {
+                    monitor.live_subscribers.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    monitor.live_subscribers.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+        }
+        Some(_) => {
+            if let Some(watches) = &shared.watches {
+                if joined {
+                    watches.subscriber_started();
+                } else {
+                    watches.subscriber_finished();
+                }
+            }
+        }
     }
 }
 
@@ -1809,7 +1758,7 @@ fn pump(conn: &mut Conn, ctx: &ConnCtx) -> Action {
             ConnState::Streaming { done, .. } => {
                 // Everything queued (including the terminal chunk, when
                 // `done`) is out; an unfinished stream waits for the
-                // next monitor event.
+                // next stream line.
                 return if done { Action::Close } else { Action::Keep };
             }
             ConnState::Reading => {}
@@ -2733,29 +2682,6 @@ fn put_wrapper(name: &str, request: &Request, shared: &SharedGateway) -> Respons
     }
 }
 
-/// One watch's counters as JSON (shared by `GET /watches` and
-/// `GET /watches/{id}`).
-fn watch_status_json(status: &WatchStatus) -> Json {
-    obj([
-        ("id", status.id.as_str().into()),
-        ("wrapper", status.wrapper.as_str().into()),
-        ("url", status.url.as_str().into()),
-        ("interval_ms", status.interval_ms.into()),
-        (
-            "webhook",
-            status
-                .webhook
-                .as_deref()
-                .map(Json::from)
-                .unwrap_or(Json::Null),
-        ),
-        ("ticks", status.ticks.into()),
-        ("seq", status.seq.into()),
-        ("suppressed", status.suppressed.into()),
-        ("errors", status.errors.into()),
-    ])
-}
-
 /// `GET /watches`: every registered subscription, id-sorted.
 fn get_watches(shared: &SharedGateway) -> Response {
     let registry = shared.watches.as_ref().expect("routed without watches");
@@ -2981,36 +2907,24 @@ fn get_debug_wrapper(name: &str, shared: &SharedGateway) -> Response {
 }
 
 fn get_metrics(request: &Request, shared: &SharedGateway) -> Response {
-    let snapshot = shared.server.metrics();
-    let stats = shared.stats();
-    let observations = shared.observations();
-    let alerts = shared.monitor.as_ref().map(|m| m.alerts_snapshot());
-    let watches = shared.watches.as_ref().map(|w| w.sample());
-    let wants_json = request
-        .header("accept")
-        .is_some_and(|accept| accept.contains("application/json"));
+    let inputs = MetricInputs {
+        snapshot: shared.server.metrics(),
+        stats: shared.stats(),
+        observations: shared.observations(),
+        alerts: shared.monitor.as_ref().map(|m| m.alerts_snapshot()),
+        watches: shared.watches.as_ref().map(|w| w.sample()),
+    };
+    // Media types are case-insensitive (RFC 9110 §8.3.1).
+    let wants_json = request.header("accept").is_some_and(|accept| {
+        accept
+            .as_bytes()
+            .windows(b"application/json".len())
+            .any(|w| w.eq_ignore_ascii_case(b"application/json"))
+    });
     if wants_json {
-        Response::json(
-            200,
-            &metrics_json_full(
-                &snapshot,
-                &stats,
-                &observations,
-                alerts.as_ref(),
-                watches.as_ref(),
-            ),
-        )
+        Response::json(200, &inputs.json())
     } else {
-        Response::text(
-            200,
-            render_prometheus_full(
-                &snapshot,
-                &stats,
-                &observations,
-                alerts.as_ref(),
-                watches.as_ref(),
-            ),
-        )
+        Response::text(200, inputs.prometheus())
     }
 }
 
@@ -3038,637 +2952,6 @@ fn get_metrics_history(request: &Request, shared: &SharedGateway) -> Response {
 fn get_debug_health(shared: &SharedGateway) -> Response {
     let monitor = shared.monitor.as_ref().expect("routed without monitor");
     Response::json(200, &monitor.health_json())
-}
-
-/// The snapshot as JSON — field for field the same numbers
-/// [`ExtractionServer::metrics`] reports in-process, plus the
-/// gateway-side [`GatewayObservations`] (per-stage latency summaries,
-/// event-loop gauges, wake latency, per-rule telemetry).
-pub fn metrics_json(
-    snapshot: &MetricsSnapshot,
-    stats: &GatewayStats,
-    observations: &GatewayObservations,
-) -> Json {
-    let depths: Vec<Json> = snapshot
-        .queue_depths
-        .iter()
-        .map(|&d| Json::from(d))
-        .collect();
-    let stages: Vec<Json> = snapshot
-        .stages
-        .iter()
-        .map(|s| {
-            obj([
-                ("stage", s.stage.into()),
-                ("count", s.count.into()),
-                ("p50_us", s.p50_us.into()),
-                ("p99_us", s.p99_us.into()),
-            ])
-        })
-        .collect();
-    let event_loops: Vec<Json> = observations
-        .event_loops
-        .iter()
-        .map(|l| {
-            obj([
-                ("connections", l.connections.into()),
-                ("parked", l.parked.into()),
-            ])
-        })
-        .collect();
-    let rules: Vec<Json> = observations
-        .rules
-        .iter()
-        .map(|(wrapper, rules)| {
-            let per_rule: Vec<Json> = rules
-                .iter()
-                .map(|r| {
-                    obj([
-                        ("rule", r.rule.into()),
-                        ("label", r.label.as_str().into()),
-                        ("invocations", r.invocations.into()),
-                        ("matches", r.matches.into()),
-                        ("total_ns", r.total_ns.into()),
-                    ])
-                })
-                .collect();
-            obj([
-                ("wrapper", wrapper.as_str().into()),
-                ("rules", per_rule.into()),
-            ])
-        })
-        .collect();
-    obj([
-        ("submitted", snapshot.submitted.into()),
-        ("completed", snapshot.completed.into()),
-        ("errors", snapshot.errors.into()),
-        ("rejected", snapshot.rejected.into()),
-        ("throughput_per_sec", snapshot.throughput_per_sec.into()),
-        ("p50_us", snapshot.p50_us.into()),
-        ("p99_us", snapshot.p99_us.into()),
-        ("stages", stages.into()),
-        ("queue_depths", depths.into()),
-        ("workers", snapshot.workers.into()),
-        ("rules", rules.into()),
-        (
-            "cache",
-            obj([
-                ("hits", snapshot.cache.hits.into()),
-                ("misses", snapshot.cache.misses.into()),
-                ("evictions", snapshot.cache.evictions.into()),
-                ("invalidations", snapshot.cache.invalidations.into()),
-                ("len", snapshot.cache.len.into()),
-                ("capacity", snapshot.cache.capacity.into()),
-                ("hit_rate", snapshot.cache.hit_rate().into()),
-            ]),
-        ),
-        (
-            "store",
-            obj([
-                ("persisted", snapshot.store.persisted.into()),
-                ("recovered", snapshot.store.recovered.into()),
-                ("disk_hits", snapshot.store.disk_hits.into()),
-                ("disk_len", snapshot.store.disk_len.into()),
-                ("disk_bytes", snapshot.store.disk_bytes.into()),
-                ("corrupt_records", snapshot.store.corrupt_records.into()),
-                ("compactions", snapshot.store.compactions.into()),
-                ("expired", snapshot.store.expired.into()),
-                ("disk_evictions", snapshot.store.disk_evictions.into()),
-                ("write_errors", snapshot.store.write_errors.into()),
-            ]),
-        ),
-        (
-            "gateway",
-            obj([
-                ("connections", stats.connections.into()),
-                ("requests", stats.requests.into()),
-                ("responses_4xx", stats.responses_4xx.into()),
-                ("responses_5xx", stats.responses_5xx.into()),
-                ("event_loops", event_loops.into()),
-                (
-                    "wake",
-                    obj([
-                        ("count", observations.wake_count.into()),
-                        ("p50_us", observations.wake_p50_us.into()),
-                        ("p99_us", observations.wake_p99_us.into()),
-                    ]),
-                ),
-            ]),
-        ),
-    ])
-}
-
-fn prometheus_metric(out: &mut String, name: &str, kind: &str, help: &str, value: &str) {
-    out.push_str(&format!(
-        "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"
-    ));
-}
-
-/// `# HELP` / `# TYPE` preamble for a family whose samples carry
-/// labels (emitted separately).
-fn prometheus_family(out: &mut String, name: &str, kind: &str, help: &str) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-}
-
-/// A label value escaped per the Prometheus text exposition format:
-/// backslash, double quote and newline must be escaped inside the
-/// quotes.
-fn prometheus_label_value(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A labelled metric family: name, Prometheus kind, and the accessor
-/// picking its value out of each labelled record.
-type MetricFamily<T> = (&'static str, &'static str, fn(&T) -> u64);
-
-/// The snapshot in the Prometheus text exposition format, including the
-/// per-stage latency summaries, event-loop gauges and `lixto_rule_*`
-/// per-rule series from [`GatewayObservations`].
-pub fn render_prometheus(
-    snapshot: &MetricsSnapshot,
-    stats: &GatewayStats,
-    observations: &GatewayObservations,
-) -> String {
-    let mut out = String::with_capacity(4096);
-    let pool_metrics = [
-        (
-            "lixto_requests_submitted_total",
-            "counter",
-            "Requests accepted: queued, or answered from the hot tier",
-            snapshot.submitted.to_string(),
-        ),
-        (
-            "lixto_requests_completed_total",
-            "counter",
-            "Requests completed successfully",
-            snapshot.completed.to_string(),
-        ),
-        (
-            "lixto_requests_errored_total",
-            "counter",
-            "Requests completed with an error",
-            snapshot.errors.to_string(),
-        ),
-        (
-            "lixto_requests_rejected_total",
-            "counter",
-            "Requests rejected by backpressure",
-            snapshot.rejected.to_string(),
-        ),
-        (
-            "lixto_throughput_per_second",
-            "gauge",
-            "Completions per second since start",
-            format!("{:.3}", snapshot.throughput_per_sec),
-        ),
-        (
-            "lixto_latency_p50_microseconds",
-            "gauge",
-            "Median end-to-end latency",
-            snapshot.p50_us.to_string(),
-        ),
-        (
-            "lixto_latency_p99_microseconds",
-            "gauge",
-            "99th-percentile end-to-end latency",
-            snapshot.p99_us.to_string(),
-        ),
-        (
-            "lixto_workers",
-            "gauge",
-            "Worker thread count",
-            snapshot.workers.to_string(),
-        ),
-    ];
-    for (name, kind, help, value) in &pool_metrics {
-        prometheus_metric(&mut out, name, kind, help, value);
-    }
-    out.push_str("# HELP lixto_queue_depth Jobs currently queued per shard\n");
-    out.push_str("# TYPE lixto_queue_depth gauge\n");
-    for (shard, depth) in snapshot.queue_depths.iter().enumerate() {
-        out.push_str(&format!("lixto_queue_depth{{shard=\"{shard}\"}} {depth}\n"));
-    }
-    let stage_families: [MetricFamily<lixto_server::StageSummary>; 3] = [
-        ("lixto_stage_observations_total", "counter", |s| s.count),
-        ("lixto_stage_latency_p50_microseconds", "gauge", |s| {
-            s.p50_us
-        }),
-        ("lixto_stage_latency_p99_microseconds", "gauge", |s| {
-            s.p99_us
-        }),
-    ];
-    let stage_help = [
-        "Requests that executed each pipeline stage",
-        "Median per-stage latency",
-        "99th-percentile per-stage latency",
-    ];
-    for ((name, kind, pick), help) in stage_families.iter().zip(stage_help) {
-        prometheus_family(&mut out, name, kind, help);
-        for summary in &snapshot.stages {
-            out.push_str(&format!(
-                "{name}{{stage=\"{}\"}} {}\n",
-                summary.stage,
-                pick(summary)
-            ));
-        }
-    }
-    prometheus_family(
-        &mut out,
-        "lixto_http_loop_connections",
-        "gauge",
-        "Connections currently assigned to each event loop",
-    );
-    for (i, l) in observations.event_loops.iter().enumerate() {
-        out.push_str(&format!(
-            "lixto_http_loop_connections{{loop=\"{i}\"}} {}\n",
-            l.connections
-        ));
-    }
-    prometheus_family(
-        &mut out,
-        "lixto_http_loop_parked",
-        "gauge",
-        "Connections parked on extraction tickets per event loop",
-    );
-    for (i, l) in observations.event_loops.iter().enumerate() {
-        out.push_str(&format!(
-            "lixto_http_loop_parked{{loop=\"{i}\"}} {}\n",
-            l.parked
-        ));
-    }
-    let wake_metrics = [
-        (
-            "lixto_http_wake_observations_total",
-            "counter",
-            "Completion tokens whose wake latency was measured",
-            observations.wake_count,
-        ),
-        (
-            "lixto_http_wake_p50_microseconds",
-            "gauge",
-            "Median completion-notify to event-loop dispatch latency",
-            observations.wake_p50_us,
-        ),
-        (
-            "lixto_http_wake_p99_microseconds",
-            "gauge",
-            "99th-percentile completion-notify to event-loop dispatch latency",
-            observations.wake_p99_us,
-        ),
-    ];
-    for (name, kind, help, value) in &wake_metrics {
-        prometheus_metric(&mut out, name, kind, help, &value.to_string());
-    }
-    let rule_families: [MetricFamily<RuleStat>; 3] = [
-        ("lixto_rule_invocations_total", "counter", |r| r.invocations),
-        ("lixto_rule_matches_total", "counter", |r| r.matches),
-        ("lixto_rule_nanoseconds_total", "counter", |r| r.total_ns),
-    ];
-    let rule_help = [
-        "Rule body evaluations per compiled wrapper rule",
-        "New pattern instances produced per rule",
-        "Cumulative rule evaluation wall time",
-    ];
-    for ((name, kind, pick), help) in rule_families.iter().zip(rule_help) {
-        prometheus_family(&mut out, name, kind, help);
-        for (wrapper, rules) in &observations.rules {
-            let wrapper = prometheus_label_value(wrapper);
-            for rule in rules {
-                out.push_str(&format!(
-                    "{name}{{wrapper=\"{wrapper}\",rule=\"{}\",pattern=\"{}\"}} {}\n",
-                    rule.rule,
-                    prometheus_label_value(&rule.label),
-                    pick(rule)
-                ));
-            }
-        }
-    }
-    let tail_metrics = [
-        (
-            "lixto_cache_hits_total",
-            "counter",
-            "Cache lookups answered from the cache",
-            snapshot.cache.hits.to_string(),
-        ),
-        (
-            "lixto_cache_misses_total",
-            "counter",
-            "Cache lookups that required a fresh extraction",
-            snapshot.cache.misses.to_string(),
-        ),
-        (
-            "lixto_cache_evictions_total",
-            "counter",
-            "Cache entries evicted by the LRU policy",
-            snapshot.cache.evictions.to_string(),
-        ),
-        (
-            "lixto_cache_invalidations_total",
-            "counter",
-            "Cache entries dropped by change detection or crawl revalidation",
-            snapshot.cache.invalidations.to_string(),
-        ),
-        (
-            "lixto_cache_entries",
-            "gauge",
-            "Cache entries currently held",
-            snapshot.cache.len.to_string(),
-        ),
-        (
-            "lixto_store_persisted_total",
-            "counter",
-            "Results appended to the durable store's write-ahead log",
-            snapshot.store.persisted.to_string(),
-        ),
-        (
-            "lixto_store_recovered_total",
-            "counter",
-            "Results recovered from disk at the last store open",
-            snapshot.store.recovered.to_string(),
-        ),
-        (
-            "lixto_store_disk_hits_total",
-            "counter",
-            "Lookups served from the disk tier (hot-tier misses)",
-            snapshot.store.disk_hits.to_string(),
-        ),
-        (
-            "lixto_store_entries",
-            "gauge",
-            "Entries currently live in the disk tier",
-            snapshot.store.disk_len.to_string(),
-        ),
-        (
-            "lixto_store_bytes",
-            "gauge",
-            "Encoded bytes of live entries in the disk tier",
-            snapshot.store.disk_bytes.to_string(),
-        ),
-        (
-            "lixto_store_corrupt_records_total",
-            "counter",
-            "Undecodable records skipped during recovery",
-            snapshot.store.corrupt_records.to_string(),
-        ),
-        (
-            "lixto_store_compactions_total",
-            "counter",
-            "Snapshot rewrites (TTL sweep + budget eviction + WAL truncation)",
-            snapshot.store.compactions.to_string(),
-        ),
-        (
-            "lixto_store_expired_total",
-            "counter",
-            "Entries dropped because their TTL elapsed",
-            snapshot.store.expired.to_string(),
-        ),
-        (
-            "lixto_store_evictions_total",
-            "counter",
-            "Entries evicted from disk to meet the size budget",
-            snapshot.store.disk_evictions.to_string(),
-        ),
-        (
-            "lixto_store_write_errors_total",
-            "counter",
-            "Failed WAL appends (result still served from memory)",
-            snapshot.store.write_errors.to_string(),
-        ),
-        (
-            "lixto_http_connections_total",
-            "counter",
-            "Connections accepted and assigned to an event loop (refusals count as 5xx responses)",
-            stats.connections.to_string(),
-        ),
-        (
-            "lixto_http_requests_total",
-            "counter",
-            "HTTP requests answered by the gateway",
-            stats.requests.to_string(),
-        ),
-        (
-            "lixto_http_responses_4xx_total",
-            "counter",
-            "HTTP responses with a 4xx status",
-            stats.responses_4xx.to_string(),
-        ),
-        (
-            "lixto_http_responses_5xx_total",
-            "counter",
-            "HTTP responses with a 5xx status",
-            stats.responses_5xx.to_string(),
-        ),
-    ];
-    for (name, kind, help, value) in &tail_metrics {
-        prometheus_metric(&mut out, name, kind, help, value);
-    }
-    out
-}
-
-/// [`metrics_json`] plus — when the monitor runs — an `alerts` object
-/// (the watchdog's verdict and every rule's firing state) and — when
-/// the watch layer runs — a `watches` object (registered/subscriber
-/// gauges, webhook delivery counters, per-watch tick/event/error
-/// counts). With both `None` the output is byte-identical to
-/// [`metrics_json`], which is how a gateway with those subsystems
-/// disabled keeps its `/metrics` surface unchanged.
-pub fn metrics_json_full(
-    snapshot: &MetricsSnapshot,
-    stats: &GatewayStats,
-    observations: &GatewayObservations,
-    alerts: Option<&AlertsSnapshot>,
-    watches: Option<&WatchSample>,
-) -> Json {
-    let mut json = metrics_json(snapshot, stats, observations);
-    if let Some(alerts) = alerts {
-        let rules: Vec<Json> = alerts
-            .rules
-            .iter()
-            .map(|r| {
-                obj([
-                    ("rule", r.rule.into()),
-                    ("metric", r.metric.into()),
-                    ("severity", r.severity.name().into()),
-                    ("value", r.value.into()),
-                    ("since_ms", r.since_ms.into()),
-                    ("fired_total", r.fired_total.into()),
-                    ("resolved_total", r.resolved_total.into()),
-                ])
-            })
-            .collect();
-        if let Json::Obj(fields) = &mut json {
-            fields.push((
-                "alerts".to_string(),
-                obj([
-                    ("verdict", alerts.verdict.name().into()),
-                    ("rules", rules.into()),
-                ]),
-            ));
-        }
-    }
-    if let Some(watches) = watches {
-        let per_watch: Vec<Json> = watches.watches.iter().map(watch_status_json).collect();
-        if let Json::Obj(fields) = &mut json {
-            fields.push((
-                "watches".to_string(),
-                obj([
-                    ("registered", watches.registered.into()),
-                    ("subscribers", watches.subscribers.into()),
-                    ("webhook_deliveries", watches.webhook_deliveries.into()),
-                    ("webhook_failures", watches.webhook_failures.into()),
-                    ("watches", per_watch.into()),
-                ]),
-            ));
-        }
-    }
-    json
-}
-
-/// [`render_prometheus`] plus — when the monitor runs — the
-/// `lixto_alert_*` families (the numeric verdict and per-rule severity
-/// and fired/resolved totals), and — when the watch layer runs — the
-/// `lixto_watch_*` families (registered/subscriber gauges, webhook
-/// delivery counters, per-watch tick/event/suppressed/error counts).
-/// With both `None` the output is byte-identical to
-/// [`render_prometheus`].
-pub fn render_prometheus_full(
-    snapshot: &MetricsSnapshot,
-    stats: &GatewayStats,
-    observations: &GatewayObservations,
-    alerts: Option<&AlertsSnapshot>,
-    watches: Option<&WatchSample>,
-) -> String {
-    let mut out = render_prometheus(snapshot, stats, observations);
-    if let Some(alerts) = alerts {
-        prometheus_metric(
-            &mut out,
-            "lixto_alert_verdict",
-            "gauge",
-            "Worst current alert severity (0 ok, 1 degraded, 2 critical)",
-            &alerts.verdict.rank().to_string(),
-        );
-        prometheus_family(
-            &mut out,
-            "lixto_alert_severity",
-            "gauge",
-            "Current severity per SLO rule (0 ok, 1 degraded, 2 critical)",
-        );
-        for rule in &alerts.rules {
-            out.push_str(&format!(
-                "lixto_alert_severity{{rule=\"{}\"}} {}\n",
-                rule.rule,
-                rule.severity.rank()
-            ));
-        }
-        prometheus_family(
-            &mut out,
-            "lixto_alert_fired_total",
-            "counter",
-            "Times each SLO rule started firing or escalated",
-        );
-        for rule in &alerts.rules {
-            out.push_str(&format!(
-                "lixto_alert_fired_total{{rule=\"{}\"}} {}\n",
-                rule.rule, rule.fired_total
-            ));
-        }
-        prometheus_family(
-            &mut out,
-            "lixto_alert_resolved_total",
-            "counter",
-            "Times each SLO rule cleared back to ok",
-        );
-        for rule in &alerts.rules {
-            out.push_str(&format!(
-                "lixto_alert_resolved_total{{rule=\"{}\"}} {}\n",
-                rule.rule, rule.resolved_total
-            ));
-        }
-    }
-    if let Some(watches) = watches {
-        let gauges = [
-            (
-                "lixto_watch_registered",
-                "gauge",
-                "Registered continuous-extraction watches",
-                watches.registered as u64,
-            ),
-            (
-                "lixto_watch_subscribers",
-                "gauge",
-                "Long-poll subscribers parked on watch event streams",
-                watches.subscribers as u64,
-            ),
-            (
-                "lixto_watch_webhook_deliveries_total",
-                "counter",
-                "Watch diff events delivered to webhooks",
-                watches.webhook_deliveries,
-            ),
-            (
-                "lixto_watch_webhook_failures_total",
-                "counter",
-                "Watch webhook deliveries that exhausted their retries",
-                watches.webhook_failures,
-            ),
-        ];
-        for (name, kind, help, value) in gauges {
-            prometheus_metric(&mut out, name, kind, help, &value.to_string());
-        }
-        type WatchFamily = (
-            &'static str,
-            &'static str,
-            &'static str,
-            fn(&WatchStatus) -> u64,
-        );
-        let families: [WatchFamily; 4] = [
-            (
-                "lixto_watch_ticks_total",
-                "counter",
-                "Completed re-extractions per watch",
-                |w| w.ticks,
-            ),
-            (
-                "lixto_watch_events_total",
-                "counter",
-                "Instance-level diff events delivered per watch",
-                |w| w.seq,
-            ),
-            (
-                "lixto_watch_suppressed_total",
-                "counter",
-                "Unchanged ticks suppressed per watch",
-                |w| w.suppressed,
-            ),
-            (
-                "lixto_watch_errors_total",
-                "counter",
-                "Failed ticks per watch",
-                |w| w.errors,
-            ),
-        ];
-        for (name, kind, help, value_of) in families {
-            prometheus_family(&mut out, name, kind, help);
-            for watch in &watches.watches {
-                out.push_str(&format!(
-                    "{}{{watch=\"{}\"}} {}\n",
-                    name,
-                    prometheus_label_value(&watch.id),
-                    value_of(watch)
-                ));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -4152,6 +3435,44 @@ mod tests {
         let stats = gateway.shutdown();
         assert_eq!(stats.connections, 1, "one keep-alive connection");
         assert!(stats.requests >= 9);
+        server.initiate_shutdown();
+    }
+
+    #[test]
+    fn metrics_content_negotiation_ignores_media_type_case() {
+        let (gateway, server) = gateway();
+        let mut client = HttpClient::connect(gateway.addr()).unwrap();
+        let content_type = |response: &crate::client::HttpResponse| {
+            response
+                .header("content-type")
+                .unwrap_or_default()
+                .to_string()
+        };
+        for accept in [
+            "application/json",
+            "Application/JSON",
+            "text/html, APPLICATION/JSON",
+        ] {
+            let response = client.get_accept("/metrics", accept).unwrap();
+            assert!(
+                content_type(&response).starts_with("application/json"),
+                "{accept}"
+            );
+            assert!(
+                response.json().unwrap().get("completed").is_some(),
+                "{accept}"
+            );
+        }
+        let text = [
+            client.get("/metrics").unwrap(),
+            client.get_accept("/metrics", "text/plain").unwrap(),
+        ];
+        for response in text {
+            assert!(content_type(&response).starts_with("text/plain"));
+            assert!(response.text().starts_with("# HELP lixto_"));
+        }
+        drop(client);
+        gateway.shutdown();
         server.initiate_shutdown();
     }
 

@@ -20,9 +20,10 @@
 //!   machines) with graceful drain shutdown, exposing `POST /extract`
 //!   and `POST /extract/batch`, `PUT`/`GET /wrappers`,
 //!   `GET /provenance/{key}` (the persisted derivation record of a
-//!   cached extraction), `GET /metrics` (Prometheus text or JSON,
-//!   including the durable result-store counters, per-stage latency
-//!   summaries and `lixto_rule_*` per-rule series),
+//!   cached extraction), `GET /metrics` (Prometheus text or JSON, both
+//!   rendered by [`MetricInputs`] from one schema that lists every
+//!   metric once: pool, cache and store counters, per-stage latency
+//!   summaries, `lixto_rule_*` per-rule series, alerts and watches),
 //!   `GET /debug/wrappers/{name}` / `GET /debug/slow` /
 //!   `GET /debug/requests/{id}` (request tracing: every extraction
 //!   carries an `X-Request-Id`, minted or client-supplied, with a
@@ -43,15 +44,16 @@ pub mod client;
 pub mod gateway;
 pub mod http;
 pub mod json;
+mod metrics;
 mod monitor;
 pub mod poll;
 
 pub use client::{HttpClient, HttpResponse, RetryPolicy};
 pub use gateway::{
-    metrics_json, metrics_json_full, render_prometheus, render_prometheus_full, AcceptBackoff,
-    GatewayConfig, GatewayObservations, GatewayStats, HttpGateway, LoopGauges,
+    AcceptBackoff, GatewayConfig, GatewayObservations, GatewayStats, HttpGateway, LoopGauges,
 };
 pub use http::{parse_request, Limits, Request, RequestError, Response};
 pub use json::{obj, Json, JsonError};
 pub use lixto_obs::{RuleSnapshot, Severity};
+pub use metrics::MetricInputs;
 pub use monitor::AlertsSnapshot;

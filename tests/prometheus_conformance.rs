@@ -3,16 +3,14 @@
 //! `# TYPE` before a family's samples, valid metric and label names,
 //! escaped label values), and every sample must agree with the JSON
 //! rendering of the same snapshot — the two formats are one
-//! measurement, twice serialized.
+//! measurement, twice serialized. `docs/OBSERVABILITY.md` must list
+//! exactly the families the gateway emits.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use lixto::core::XmlDesign;
-use lixto::http::{
-    metrics_json, metrics_json_full, render_prometheus, render_prometheus_full, AlertsSnapshot,
-    GatewayObservations, Json, LoopGauges,
-};
+use lixto::http::{AlertsSnapshot, GatewayObservations, Json, LoopGauges, MetricInputs};
 use lixto::obs::{RuleSnapshot, RuleStat, Severity};
 use lixto::server::{
     ExtractionRequest, ExtractionServer, RequestSource, ServerConfig, WatchSample, WatchStatus,
@@ -428,6 +426,64 @@ fn sample_key(sample: &Sample) -> String {
     key
 }
 
+/// Three alert rules, one per severity.
+fn alerts_fixture() -> AlertsSnapshot {
+    let rule = |name: &'static str, severity: Severity, fired: u64, resolved: u64| RuleSnapshot {
+        rule: name,
+        metric: name,
+        severity,
+        value: 0.5,
+        degraded: 0.75,
+        critical: 2.0,
+        clear: 0.3,
+        since_ms: 1_234,
+        fired_total: fired,
+        resolved_total: resolved,
+    };
+    AlertsSnapshot {
+        verdict: Severity::Critical,
+        rules: vec![
+            rule("error_rate", Severity::Critical, 3, 2),
+            rule("queue_saturation", Severity::Degraded, 1, 0),
+            rule("wake_latency", Severity::Ok, 0, 0),
+        ],
+    }
+}
+
+/// Two watches, one with an id hostile to the text format.
+fn watches_fixture() -> WatchSample {
+    WatchSample {
+        registered: 2,
+        subscribers: 1,
+        webhook_deliveries: 7,
+        webhook_failures: 2,
+        watches: vec![
+            WatchStatus {
+                id: "offers-hourly".into(),
+                wrapper: "shop".into(),
+                url: "http://shop/".into(),
+                interval_ms: 1_000,
+                webhook: None,
+                ticks: 12,
+                seq: 3,
+                suppressed: 8,
+                errors: 1,
+            },
+            WatchStatus {
+                id: "we\"ird\\watch".into(),
+                wrapper: "shop".into(),
+                url: "http://shop/b".into(),
+                interval_ms: 250,
+                webhook: Some("http://sink:1/hook".into()),
+                ticks: 4,
+                seq: 4,
+                suppressed: 0,
+                errors: 0,
+            },
+        ],
+    }
+}
+
 // ---------------------------------------------------------------------
 // The round trip
 // ---------------------------------------------------------------------
@@ -516,8 +572,15 @@ fn prometheus_text_round_trips_against_the_json_snapshot() {
         ],
     };
 
-    let json = metrics_json(&snapshot, &stats, &observations);
-    let text = render_prometheus(&snapshot, &stats, &observations);
+    let inputs = MetricInputs {
+        snapshot,
+        stats,
+        observations,
+        alerts: None,
+        watches: None,
+    };
+    let json = inputs.json();
+    let text = inputs.prometheus();
 
     // The text parses under the exposition grammar (this alone checks
     // HELP/TYPE ordering, name validity and label escaping).
@@ -557,90 +620,29 @@ fn prometheus_text_round_trips_against_the_json_snapshot() {
 
 #[test]
 fn alert_series_round_trip_and_vanish_when_the_monitor_is_off() {
-    let snapshot = lixto::server::MetricsSnapshot::default();
-    let stats = lixto::http::GatewayStats::default();
-    let observations = GatewayObservations::default();
-
-    // Monitor and watch layer off: the `_full` renderers with neither
-    // snapshot are byte-identical to the plain ones — the documented
-    // disabled surface.
-    assert_eq!(
-        metrics_json_full(&snapshot, &stats, &observations, None, None).to_string(),
-        metrics_json(&snapshot, &stats, &observations).to_string()
-    );
-    assert_eq!(
-        render_prometheus_full(&snapshot, &stats, &observations, None, None),
-        render_prometheus(&snapshot, &stats, &observations)
+    // Monitor and watch layer off: no `alerts` or `watches` key in the
+    // JSON and no `lixto_alert_*` or `lixto_watch_*` line in the text —
+    // the documented disabled surface.
+    let mut inputs = MetricInputs::default();
+    let json = inputs.json();
+    assert!(json.get("alerts").is_none(), "{json}");
+    assert!(json.get("watches").is_none(), "{json}");
+    let text = inputs.prometheus();
+    assert!(
+        !text
+            .lines()
+            .any(|line| line.contains("lixto_alert_") || line.contains("lixto_watch_")),
+        "{text}"
     );
 
     // Monitor on: the alert families obey the exposition grammar and
-    // agree with the JSON rendering, sample for sample.
-    let rule = |name: &'static str, severity: Severity, fired: u64, resolved: u64| RuleSnapshot {
-        rule: name,
-        metric: name,
-        severity,
-        value: 0.5,
-        degraded: 0.75,
-        critical: 2.0,
-        clear: 0.3,
-        since_ms: 1_234,
-        fired_total: fired,
-        resolved_total: resolved,
-    };
-    let alerts = AlertsSnapshot {
-        verdict: Severity::Critical,
-        rules: vec![
-            rule("error_rate", Severity::Critical, 3, 2),
-            rule("queue_saturation", Severity::Degraded, 1, 0),
-            rule("wake_latency", Severity::Ok, 0, 0),
-        ],
-    };
-    // Watch layer on: the per-watch families round-trip too, hostile
-    // watch ids escaped on the way out and unescaped by the parser.
-    let watches = WatchSample {
-        registered: 2,
-        subscribers: 1,
-        webhook_deliveries: 7,
-        webhook_failures: 2,
-        watches: vec![
-            WatchStatus {
-                id: "offers-hourly".into(),
-                wrapper: "shop".into(),
-                url: "http://shop/".into(),
-                interval_ms: 1_000,
-                webhook: None,
-                ticks: 12,
-                seq: 3,
-                suppressed: 8,
-                errors: 1,
-            },
-            WatchStatus {
-                id: "we\"ird\\watch".into(),
-                wrapper: "shop".into(),
-                url: "http://shop/b".into(),
-                interval_ms: 250,
-                webhook: Some("http://sink:1/hook".into()),
-                ticks: 4,
-                seq: 4,
-                suppressed: 0,
-                errors: 0,
-            },
-        ],
-    };
-    let json = metrics_json_full(
-        &snapshot,
-        &stats,
-        &observations,
-        Some(&alerts),
-        Some(&watches),
-    );
-    let text = render_prometheus_full(
-        &snapshot,
-        &stats,
-        &observations,
-        Some(&alerts),
-        Some(&watches),
-    );
+    // agree with the JSON rendering, sample for sample. Watch layer on:
+    // the per-watch families round-trip too, hostile watch ids escaped
+    // on the way out and unescaped by the parser.
+    inputs.alerts = Some(alerts_fixture());
+    inputs.watches = Some(watches_fixture());
+    let json = inputs.json();
+    let text = inputs.prometheus();
     let samples = parse_exposition(&text);
     let mut expected = expected_samples(&json);
     for sample in &samples {
@@ -700,9 +702,11 @@ fn escaping_is_reversible_for_every_special_character() {
         rules,
         ..GatewayObservations::default()
     };
-    let snapshot = lixto::server::MetricsSnapshot::default();
-    let stats = lixto::http::GatewayStats::default();
-    let text = render_prometheus(&snapshot, &stats, &observations);
+    let text = MetricInputs {
+        observations,
+        ..MetricInputs::default()
+    }
+    .prometheus();
     let samples = parse_exposition(&text);
     for name in hostile {
         assert!(
@@ -711,6 +715,163 @@ fn escaping_is_reversible_for_every_special_character() {
                 .any(|s| s.name == "lixto_rule_invocations_total"
                     && s.labels.iter().any(|(k, v)| k == "wrapper" && v == name)),
             "wrapper name {name:?} did not survive the escape round trip"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The documented families
+// ---------------------------------------------------------------------
+
+/// One row of the *Metrics* table in `docs/OBSERVABILITY.md`.
+#[derive(Debug, PartialEq)]
+struct DocumentedFamily {
+    kind: String,
+    labels: Vec<String>,
+    json_key: String,
+}
+
+/// The doc's family table, keyed by family name: rows of the form
+/// ``| `name` | type | `label`, ... (or —) | `json.key` |``.
+fn documented_families() -> HashMap<String, DocumentedFamily> {
+    const DOC: &str = include_str!("../docs/OBSERVABILITY.md");
+    let unquote = |cell: &str| cell.trim().trim_matches('`').to_string();
+    let mut out = HashMap::new();
+    for line in DOC.lines().filter(|l| l.starts_with("| `lixto_")) {
+        let cells: Vec<&str> = line.trim_matches('|').split('|').collect();
+        assert_eq!(cells.len(), 4, "family row needs four cells: {line}");
+        let labels = match cells[2].trim() {
+            "—" => Vec::new(),
+            list => list.split(',').map(unquote).collect(),
+        };
+        let family = DocumentedFamily {
+            kind: cells[1].trim().to_string(),
+            labels,
+            json_key: unquote(cells[3]),
+        };
+        let name = unquote(cells[0]);
+        assert!(
+            out.insert(name.clone(), family).is_none(),
+            "{name} documented twice"
+        );
+    }
+    out
+}
+
+/// Every value a documented JSON key names: `a.b` steps into an object,
+/// `a[]` into each element of an array.
+fn json_values<'a>(json: &'a Json, key: &str) -> Vec<&'a Json> {
+    let mut at = vec![json];
+    for step in key.split('.') {
+        let (name, each) = match step.strip_suffix("[]") {
+            Some(name) => (name, true),
+            None => (step, false),
+        };
+        at = at.into_iter().filter_map(|j| j.get(name)).collect();
+        if each {
+            at = at
+                .into_iter()
+                .flat_map(|j| j.as_array().unwrap_or(&[]))
+                .collect();
+        }
+    }
+    at
+}
+
+#[test]
+fn observability_doc_lists_exactly_the_emitted_families() {
+    // Every surface on, and every labelled table non-empty, so each
+    // family shows its labels.
+    let inputs = MetricInputs {
+        snapshot: lixto::server::MetricsSnapshot {
+            stages: vec![lixto::server::StageSummary {
+                stage: "exec",
+                count: 2,
+                p50_us: 8,
+                p99_us: 64,
+            }],
+            queue_depths: vec![1, 0],
+            ..Default::default()
+        },
+        stats: lixto::http::GatewayStats::default(),
+        observations: GatewayObservations {
+            event_loops: vec![LoopGauges {
+                connections: 1,
+                parked: 0,
+            }],
+            rules: vec![(
+                "shop".to_string(),
+                vec![RuleStat {
+                    rule: 0,
+                    label: "offer".to_string(),
+                    invocations: 1,
+                    matches: 1,
+                    total_ns: 10,
+                }],
+            )],
+            ..GatewayObservations::default()
+        },
+        alerts: Some(alerts_fixture()),
+        watches: Some(watches_fixture()),
+    };
+    let text = inputs.prometheus();
+    let json = inputs.json();
+    parse_exposition(&text);
+
+    // What the text emits: each family's type, label names and samples.
+    let mut emitted: HashMap<String, (String, Option<Vec<String>>, usize)> = HashMap::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').unwrap();
+            emitted.insert(name.to_string(), (kind.to_string(), None, 0));
+        } else if !line.starts_with('#') {
+            let sample = parse_sample(line);
+            let labels: Vec<String> = sample.labels.into_iter().map(|(k, _)| k).collect();
+            let (_, family_labels, count) = emitted.get_mut(&sample.name).unwrap();
+            let first = family_labels.get_or_insert_with(|| labels.clone());
+            assert_eq!(*first, labels, "{} mixes label sets", sample.name);
+            *count += 1;
+        }
+    }
+
+    let documented = documented_families();
+    let undocumented: Vec<&String> = emitted
+        .keys()
+        .filter(|name| !documented.contains_key(*name))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "emitted but missing from docs/OBSERVABILITY.md: {undocumented:?}"
+    );
+    let unemitted: Vec<&String> = documented
+        .keys()
+        .filter(|name| !emitted.contains_key(*name))
+        .collect();
+    assert!(
+        unemitted.is_empty(),
+        "documented in docs/OBSERVABILITY.md but never emitted: {unemitted:?}"
+    );
+    for (name, (kind, labels, samples)) in &emitted {
+        let doc = &documented[name];
+        assert_eq!(&doc.kind, kind, "{name}: documented type");
+        assert_eq!(
+            &doc.labels,
+            labels.as_ref().unwrap(),
+            "{name}: documented labels"
+        );
+        let values = json_values(&json, &doc.json_key);
+        assert_eq!(
+            values.len(),
+            *samples,
+            "{name}: JSON key {} names one value per sample",
+            doc.json_key
+        );
+        assert!(
+            values
+                .iter()
+                .all(|v| v.as_f64().is_some() || v.as_str().is_some()),
+            "{name}: JSON key {} holds scalars",
+            doc.json_key
         );
     }
 }

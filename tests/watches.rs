@@ -5,6 +5,8 @@
 //! while all watches tick concurrently, and survive a gateway restart
 //! through the durability spool.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -367,4 +369,153 @@ fn watch_subscriptions_survive_a_gateway_restart() {
         server.initiate_shutdown();
     }
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// Open an NDJSON subscription on a raw socket (the blocking client
+/// cannot read chunked bodies) and read until its greeting arrived.
+fn subscribe(addr: std::net::SocketAddr, path: &str, greeting: &str) -> (TcpStream, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .write_all(format!("GET {path} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes())
+        .unwrap();
+    let mut raw = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while !String::from_utf8_lossy(&raw).contains(greeting) {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "{path} closed before its greeting");
+        raw.extend_from_slice(&chunk[..n]);
+    }
+    (stream, raw)
+}
+
+/// Read a stream until the server ends it; every line of the body that
+/// is JSON, parsed.
+fn read_to_end(mut stream: TcpStream, mut raw: Vec<u8>) -> Vec<Json> {
+    stream.read_to_end(&mut raw).unwrap();
+    let text = String::from_utf8(raw).unwrap();
+    assert!(text.ends_with("0\r\n\r\n"), "terminal chunk: {text}");
+    text.lines()
+        .filter(|line| line.starts_with('{'))
+        .map(|line| Json::parse(line).unwrap())
+        .collect()
+}
+
+fn event_type(event: &Json) -> &str {
+    event.get("type").and_then(Json::as_str).unwrap()
+}
+
+#[test]
+fn live_and_watch_streams_on_one_loop_each_get_only_their_topic() {
+    let web = Arc::new(SharedWeb::new());
+    let wrappers = Arc::new(WrapperRegistry::new());
+    for i in 0..2 {
+        web.put(&shop_url(i), page(&items_v1(i)));
+        wrappers
+            .register_source(
+                &format!("shop{i}"),
+                &shop_program(i),
+                XmlDesign::new().root("offers"),
+            )
+            .unwrap();
+    }
+    let server = Arc::new(ExtractionServer::start(
+        ServerConfig::default(),
+        wrappers,
+        web.clone(),
+    ));
+    // One event loop owns all three subscriptions; the monitor ticks
+    // once a second, far slower than the watches recheck.
+    let gateway = HttpGateway::bind(
+        "127.0.0.1:0",
+        GatewayConfig {
+            event_loops: 1,
+            idle_timeout: Duration::from_secs(10),
+            watch_tick: Duration::from_millis(10),
+            ..GatewayConfig::default()
+        },
+        server.clone(),
+    )
+    .unwrap();
+    let mut client = HttpClient::connect(gateway.addr()).unwrap();
+    for (id, i) in [("a", 0), ("b", 1)] {
+        let body = format!(
+            r#"{{"wrapper":"shop{i}","url":"{}","interval_ms":10}}"#,
+            shop_url(i)
+        );
+        let put = client.put_json(&format!("/watches/{id}"), &body).unwrap();
+        assert_eq!(put.status, 201, "{}", put.text());
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    for id in ["a", "b"] {
+        loop {
+            let status = client
+                .get(&format!("/watches/{id}"))
+                .unwrap()
+                .json()
+                .unwrap();
+            if status.get("ticks").and_then(Json::as_u64).unwrap_or(0) >= 1 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "watch {id} never baselined");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    let addr = gateway.addr();
+    let live = subscribe(addr, "/debug/live?events=1", r#""type":"subscribed""#);
+    let a = subscribe(addr, "/watches/a/events?events=1", "watch_hello");
+    let (mut b, mut b_raw) = subscribe(addr, "/watches/b/events?events=1", "watch_hello");
+
+    // Only page a changes.
+    web.put(&shop_url(0), page(&items_v2(0)));
+
+    let a_events = read_to_end(a.0, a.1);
+    let diffs: Vec<&Json> = a_events
+        .iter()
+        .filter(|e| event_type(e) == "watch_event")
+        .collect();
+    assert_eq!(diffs.len(), 1, "{a_events:?}");
+    assert_eq!(diffs[0].get("watch").and_then(Json::as_str), Some("a"));
+
+    // b's page never changed: nothing but its greeting before the
+    // deadline.
+    b.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match b.read(&mut chunk) {
+            Ok(0) => panic!("b's stream ended: {}", String::from_utf8_lossy(&b_raw)),
+            Ok(n) => b_raw.extend_from_slice(&chunk[..n]),
+            Err(e) => {
+                assert!(
+                    matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                    "{e}"
+                );
+                break;
+            }
+        }
+    }
+    let b_text = String::from_utf8_lossy(&b_raw);
+    assert!(!b_text.contains("watch_event"), "{b_text}");
+
+    // The live stream carried its greeting and monitor events only.
+    let live_events = read_to_end(live.0, live.1);
+    assert!(live_events.len() >= 2, "{live_events:?}");
+    for event in &live_events {
+        assert!(
+            matches!(event_type(event), "subscribed" | "tick" | "alert"),
+            "{event}"
+        );
+    }
+
+    drop(b);
+    drop(client);
+    gateway.shutdown();
+    server.initiate_shutdown();
 }
