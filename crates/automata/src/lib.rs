@@ -26,6 +26,9 @@
 //!   the FCNS recursion, and a selection predicate gated on global
 //!   acceptance.
 //!
+//! The top-down path automaton the Elog executor runs element paths
+//! with lives next to the path code, in `lixto_elog::topdown`.
+//!
 //! # Example — an MSO unary query
 //!
 //! ```
@@ -49,8 +52,6 @@ pub mod mso;
 pub mod nta;
 pub mod ops;
 pub mod to_datalog;
-pub mod topdown;
 
 pub use dta::Dta;
 pub use nta::{Nta, SymbolClass};
-pub use topdown::PathAutomaton;

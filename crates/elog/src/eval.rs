@@ -23,7 +23,7 @@ use crate::concepts::{compare_values, ConceptRegistry};
 use crate::instances::{DocId, Instance, InstanceBase, Target};
 use crate::optimize::OptimizedPlan;
 use crate::path::{check_attr, eval_path, tag_matches, PathMatch};
-use crate::plan::{CompileError, WrapperPlan};
+use crate::plan::WrapperPlan;
 use crate::web::WebSource;
 
 /// Safety limits for the fixpoint loop.
@@ -169,25 +169,24 @@ fn pattern_names_of(base: &InstanceBase) -> Vec<String> {
     seen
 }
 
-/// How the extractor evaluates: walking the raw AST, executing a
-/// precompiled plan as-is, or executing an optimized plan (scheduled,
-/// path-fused, sub-matcher-hoisted — see [`crate::optimize`]).
+/// How the extractor evaluates: walking the raw AST (compiled and
+/// optimized on [`Extractor::run`]) or executing an already-optimized
+/// plan (scheduled, path-fused, sub-matcher-hoisted — see
+/// [`crate::optimize`]).
 enum Engine {
     Ast(ElogProgram),
-    Plan(Arc<WrapperPlan>),
     Optimized(Arc<OptimizedPlan>),
 }
 
 /// The Elog evaluator.
 ///
 /// [`Extractor::new`] takes a program AST; [`run`](Extractor::run)
-/// compiles it into a [`WrapperPlan`] and executes the plan (falling
-/// back to the interpreted reference evaluator for programs that do not
-/// compile — e.g. rules whose parent pattern is undefined, which the
-/// interpreter tolerates as silently-empty).
-/// [`Extractor::from_plan`] skips compilation entirely: services that
-/// compile a wrapper once at deploy time use it to pay only the cheap
-/// execution half per document.
+/// compiles and optimizes it, then executes the plan (falling back to
+/// the interpreted reference evaluator for programs that do not compile
+/// — e.g. rules whose parent pattern is undefined, which the interpreter
+/// tolerates as silently-empty). [`Extractor::from_optimized`] skips
+/// compilation entirely: services that compile a wrapper once at deploy
+/// time use it to pay only the cheap execution half per document.
 pub struct Extractor<'w> {
     engine: Engine,
     concepts: ConceptRegistry,
@@ -199,37 +198,24 @@ pub struct Extractor<'w> {
 impl<'w> Extractor<'w> {
     /// New extractor with built-in concepts and default limits.
     pub fn new(program: ElogProgram, web: &'w dyn WebSource) -> Extractor<'w> {
-        Extractor {
-            engine: Engine::Ast(program),
-            concepts: ConceptRegistry::builtin(),
-            web,
-            options: ExtractorOptions::default(),
-            probe: None,
-        }
+        Extractor::with_engine(Engine::Ast(program), web)
     }
 
-    /// The compiled-plan fast path: execute an already-compiled wrapper.
-    /// The plan carries its own concept matchers (baked in at compile
-    /// time), so [`with_concepts`](Extractor::with_concepts) only
-    /// affects the interpreted reference path.
-    pub fn from_plan(plan: Arc<WrapperPlan>, web: &'w dyn WebSource) -> Extractor<'w> {
-        Extractor {
-            engine: Engine::Plan(plan),
-            concepts: ConceptRegistry::builtin(),
-            web,
-            options: ExtractorOptions::default(),
-            probe: None,
-        }
-    }
-
-    /// The optimized fast path: execute a plan that has been through the
+    /// The compiled fast path: execute a plan that has been through the
     /// [`crate::optimize`] phase. Services optimize a wrapper once at
     /// deploy time and pay only the (scheduled, fused, hoisted)
     /// execution per request; results are byte-identical to
-    /// [`from_plan`](Extractor::from_plan) on the underlying plan.
+    /// [`run_interpreted`](Extractor::run_interpreted). The plan carries
+    /// its own concept matchers (baked in at compile time), so
+    /// [`with_concepts`](Extractor::with_concepts) only affects the
+    /// interpreted reference path.
     pub fn from_optimized(opt: Arc<OptimizedPlan>, web: &'w dyn WebSource) -> Extractor<'w> {
+        Extractor::with_engine(Engine::Optimized(opt), web)
+    }
+
+    fn with_engine(engine: Engine, web: &'w dyn WebSource) -> Extractor<'w> {
         Extractor {
-            engine: Engine::Optimized(opt),
+            engine,
             concepts: ConceptRegistry::builtin(),
             web,
             options: ExtractorOptions::default(),
@@ -259,45 +245,21 @@ impl<'w> Extractor<'w> {
         self
     }
 
-    /// Compile this extractor's program against its concept registry
-    /// (or return the already-compiled plan).
-    pub fn compile(&self) -> Result<Arc<WrapperPlan>, CompileError> {
-        match &self.engine {
-            Engine::Plan(plan) => Ok(plan.clone()),
-            Engine::Optimized(opt) => Ok(opt.plan().clone()),
-            Engine::Ast(program) => WrapperPlan::compile(program, &self.concepts).map(Arc::new),
-        }
-    }
-
-    /// Compile and optimize this extractor's program (or optimize the
-    /// already-compiled plan; an already-optimized plan is returned
-    /// as-is). The result can be cached and re-run via
-    /// [`from_optimized`](Extractor::from_optimized).
-    pub fn optimize(&self) -> Result<Arc<OptimizedPlan>, CompileError> {
-        match &self.engine {
-            Engine::Optimized(opt) => Ok(opt.clone()),
-            _ => Ok(Arc::new(crate::optimize::optimize(self.compile()?))),
-        }
-    }
-
     /// Run to fixpoint.
     ///
     /// Compiles, optimizes and executes the plan; a program the compiler
-    /// rejects (see [`CompileError`]) falls back to the interpreted
-    /// reference evaluator, whose semantics tolerate such programs as
-    /// empty matches — `run` itself never fails. An extractor built with
-    /// [`from_plan`](Extractor::from_plan) runs the plan unoptimized:
-    /// that is the baseline path equivalence tests and benchmarks
-    /// compare against.
+    /// rejects (see [`CompileError`](crate::plan::CompileError)) falls
+    /// back to the interpreted reference evaluator, whose semantics
+    /// tolerate such programs as empty matches — `run` itself never
+    /// fails.
     pub fn run(&self) -> ExtractionResult {
         match &self.engine {
-            Engine::Plan(plan) => crate::exec::execute(plan, self.web, &self.options, self.probe),
             Engine::Optimized(opt) => {
                 crate::exec::execute_optimized(opt, self.web, &self.options, self.probe)
             }
             Engine::Ast(program) => match WrapperPlan::compile(program, &self.concepts) {
                 Ok(plan) => {
-                    let opt = crate::optimize::optimize(Arc::new(plan));
+                    let opt = OptimizedPlan::new(Arc::new(plan));
                     crate::exec::execute_optimized(&opt, self.web, &self.options, self.probe)
                 }
                 Err(_) => self.interpret(program),
@@ -311,7 +273,6 @@ impl<'w> Extractor<'w> {
     pub fn run_interpreted(&self) -> ExtractionResult {
         match &self.engine {
             Engine::Ast(program) => self.interpret(program),
-            Engine::Plan(plan) => self.interpret(plan.program()),
             Engine::Optimized(opt) => self.interpret(opt.plan().program()),
         }
     }
@@ -971,14 +932,13 @@ mod tests {
             "cell".to_string(),
         ]));
         let probe = crate::ExecProbe::new(Some(stats.clone()));
-        let plan = std::sync::Arc::new(
-            WrapperPlan::compile(&program, &ConceptRegistry::builtin()).unwrap(),
-        );
-        let traced = Extractor::from_plan(plan.clone(), &web)
+        let plan = WrapperPlan::compile(&program, &ConceptRegistry::builtin()).unwrap();
+        let opt = std::sync::Arc::new(OptimizedPlan::new(std::sync::Arc::new(plan)));
+        let traced = Extractor::from_optimized(opt.clone(), &web)
             .with_probe(&probe)
             .run();
         // The probe must not change results.
-        let plain = Extractor::from_plan(plan, &web).run();
+        let plain = Extractor::from_optimized(opt, &web).run();
         assert_eq!(traced.base.instances, plain.base.instances);
 
         let snap = stats.snapshot();

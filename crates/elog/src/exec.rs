@@ -1,16 +1,20 @@
-//! Execution of compiled [`WrapperPlan`]s.
+//! Execution of [`OptimizedPlan`]s — the one compiled executor.
 //!
 //! The executor is the cheap, repeatable half of the compile-once /
 //! run-many split: every per-run cost the interpreted evaluator pays —
 //! regex compilation, `HashMap` environments keyed by variable name,
 //! linear scans of the instance base for parents, duplicates and pattern
 //! references — is replaced by slot frames (`Vec<Option<Value>>`),
-//! precompiled matchers, and per-pattern indexes. A semi-naive touch on
-//! the fixpoint skips rules whose inputs (parent pattern and referenced
-//! patterns) have not grown since the rule last ran.
+//! precompiled matchers, and per-pattern indexes. On top of that it
+//! applies the optimizer's decisions: the single-pass schedule, fused
+//! path automata and the shared sub-matcher memo. Under a
+//! [`Schedule::Fixpoint`] a semi-naive touch skips rules whose inputs
+//! (parent pattern and referenced patterns) have not grown since the
+//! rule last ran. Paths too long to fuse run through the step-by-step
+//! evaluator (`eval_plan_path`).
 //!
 //! Everything here deliberately mirrors the interpreted evaluator in
-//! `eval.rs` step for step: plan execution must be *result-identical*,
+//! `eval.rs` step for step: execution must be *result-identical*,
 //! instance order included, which the `plan_equivalence` integration
 //! test asserts across the workload corpus.
 
@@ -162,8 +166,8 @@ enum FusedSyms {
 /// automaton walks, and the shared sub-matcher memo. Interior mutability
 /// because path evaluation happens under shared borrows of the state.
 struct OptCtx<'o> {
-    opt: &'o OptimizedPlan,
-    /// DFS stack scratch for [`lixto_automata::PathAutomaton::run`].
+    plan: &'o OptimizedPlan,
+    /// DFS stack scratch for [`PathAutomaton::run`](crate::topdown::PathAutomaton::run).
     stack: RefCell<Vec<(NodeId, u64)>>,
     /// Step-match node scratch for non-hoisted fused evaluations.
     nodes: RefCell<Vec<NodeId>>,
@@ -240,7 +244,7 @@ impl OptCtx<'_> {
     ) -> Option<Rc<[Option<Symbol>]>> {
         let mut tabs = self.doc_syms.borrow_mut();
         while tabs.len() <= did.0 as usize {
-            tabs.push(vec![FusedSyms::Todo; self.opt.fused.len()]);
+            tabs.push(vec![FusedSyms::Todo; self.plan.fused.len()]);
         }
         let slot = &mut tabs[did.0 as usize][fid as usize];
         if matches!(slot, FusedSyms::Todo) {
@@ -273,7 +277,7 @@ impl OptCtx<'_> {
 
 struct PlanState<'p> {
     probe: Option<&'p ExecProbe>,
-    opt: Option<OptCtx<'p>>,
+    opt: OptCtx<'p>,
     /// URLs that failed to fetch (after the single immediate retry) —
     /// pinned for the rest of the run so results cannot depend on how
     /// many passes re-visit the fetching rule.
@@ -411,12 +415,12 @@ impl PlanState<'_> {
         }
     }
 
-    /// Evaluate an element-path against a forest. With an optimized plan
-    /// and a fused form for this path, runs the precompiled
-    /// [`PathAutomaton`] in a single downward traversal (consulting the
-    /// shared-sub-matcher memo when the path belongs to a hoist group and
-    /// a parent instance is known); otherwise falls back to the generic
-    /// step-by-step evaluator.
+    /// Evaluate an element-path against a forest. A fused path runs its
+    /// precompiled [`PathAutomaton`](crate::topdown::PathAutomaton) in a
+    /// single downward traversal (consulting the shared-sub-matcher memo
+    /// when the path belongs to a hoist group and a parent instance is
+    /// known); a path too long to fuse (`pu` is `None`) falls back to
+    /// the generic step-by-step evaluator.
     fn eval_path(
         &self,
         did: DocId,
@@ -426,8 +430,9 @@ impl PlanState<'_> {
         parent_idx: Option<usize>,
     ) -> Vec<PlanMatch> {
         let doc = &self.docs[did.0 as usize];
-        if let (Some(ctx), Some(pu)) = (self.opt.as_ref(), pu) {
-            let fused = &ctx.opt.fused[pu.fused as usize];
+        if let Some(pu) = pu {
+            let ctx = &self.opt;
+            let fused = &ctx.plan.fused[pu.fused as usize];
             let Some(syms) = ctx.syms_for(did, pu.fused, fused, doc) else {
                 return Vec::new();
             };
@@ -521,40 +526,18 @@ struct RuleMark {
     ref_gens: Vec<u64>,
 }
 
-/// Run `plan` to fixpoint over `web` — the compiled counterpart of the
-/// interpreted `Extractor::run_interpreted`. This is the *unoptimized*
-/// plan executor: the baseline the optimizer's equivalence tests and
-/// benchmarks compare against.
-pub(crate) fn execute(
-    plan: &WrapperPlan,
-    web: &dyn WebSource,
-    options: &ExtractorOptions,
-    probe: Option<&ExecProbe>,
-) -> ExtractionResult {
-    run(plan, None, web, options, probe)
-}
-
-/// Run an optimized plan: the same evaluation core, with the schedule,
-/// fused path automata, hoist memo and condition orderings of the
-/// [`OptimizedPlan`] applied. Every transformation is
-/// observation-equivalent, so the result is byte-identical to
-/// [`execute`] on the underlying plan.
+/// Run an optimized plan to fixpoint over `web` — the compiled
+/// counterpart of the interpreted `Extractor::run_interpreted`, with the
+/// schedule, fused path automata and hoist memo of the [`OptimizedPlan`]
+/// applied. Every transformation is observation-equivalent, so the
+/// result is byte-identical to the interpreted walker's.
 pub(crate) fn execute_optimized(
     opt: &OptimizedPlan,
     web: &dyn WebSource,
     options: &ExtractorOptions,
     probe: Option<&ExecProbe>,
 ) -> ExtractionResult {
-    run(opt.plan(), Some(opt), web, options, probe)
-}
-
-fn run(
-    plan: &WrapperPlan,
-    opt: Option<&OptimizedPlan>,
-    web: &dyn WebSource,
-    options: &ExtractorOptions,
-    probe: Option<&ExecProbe>,
-) -> ExtractionResult {
+    let plan = opt.plan();
     let n = plan.patterns().len();
     let mut refs: Vec<Option<RefIndex>> = (0..plan.patterns().len()).map(|_| None).collect();
     for rule in plan.rules() {
@@ -565,15 +548,15 @@ fn run(
     let rule_stats = probe.and_then(|p| p.rules.as_deref());
     let mut st = PlanState {
         probe,
-        opt: opt.map(|o| OptCtx {
-            opt: o,
+        opt: OptCtx {
+            plan: opt,
             stack: RefCell::new(Vec::new()),
             nodes: RefCell::new(Vec::new()),
             accepted: RefCell::new(Vec::new()),
             roots: RefCell::new(Vec::new()),
             doc_syms: RefCell::new(Vec::new()),
-            memo: RefCell::new(HoistMemo::new(o.report().hoist_groups)),
-        }),
+            memo: RefCell::new(HoistMemo::new(opt.report().hoist_groups)),
+        },
         failed: FxSet::default(),
         scratch: RefCell::new(PathScratch::default()),
         base: InstanceBase::default(),
@@ -593,7 +576,7 @@ fn run(
     // reaches the fixpoint (every dependency edge points strictly
     // forward and fetch failures are pinned), so the generic loop and
     // its per-rule marks bookkeeping are skipped entirely.
-    let single_pass = opt.is_some_and(|o| o.schedule() == Schedule::SinglePass);
+    let single_pass = opt.schedule() == Schedule::SinglePass;
     let mut marks: Vec<Option<RuleMark>> = (0..plan.rules().len()).map(|_| None).collect();
     let mut passes: u64 = 0;
     loop {
@@ -612,7 +595,7 @@ fn run(
                     ref_gens: rule.refs.iter().map(|&r| st.gens[r as usize]).collect(),
                 });
             }
-            let ori = opt.map(|o| &o.rules[ri]);
+            let ori = &opt.rules[ri];
             let rule_started = rule_stats.map(|_| Instant::now());
             let added = apply_rule(plan, rule, ri as u32, &mut st, web, options, ori);
             if let (Some(stats), Some(started)) = (rule_stats, rule_started) {
@@ -671,7 +654,7 @@ fn apply_rule(
     st: &mut PlanState<'_>,
     web: &dyn WebSource,
     options: &ExtractorOptions,
-    ori: Option<&OptRule>,
+    ori: &OptRule,
 ) -> usize {
     let parents: Vec<(Option<usize>, Target)> = match &rule.parent {
         PlanParent::Pattern(pid) => st.by_pattern[*pid as usize]
@@ -706,9 +689,16 @@ fn apply_rule(
         .iter()
         .all(|c| matches!(c, PlanCondition::Range));
     if trivial_conditions && matches!(rule.extraction, PlanExtraction::Subelem(_)) {
-        if let Some(pu) = ext_pu(ori) {
-            let sole = ori.is_some_and(|r| r.sole_producer);
-            return apply_simple_subelem(plan, rule, rule_index, st, parents, pu, sole);
+        if let Some(pu) = ori.extraction_path {
+            return apply_simple_subelem(
+                plan,
+                rule,
+                rule_index,
+                st,
+                parents,
+                pu,
+                ori.sole_producer,
+            );
         }
     }
 
@@ -724,7 +714,7 @@ fn apply_rule(
             .map(|(ci, c)| match c {
                 PlanCondition::Context { path, .. } => {
                     forest_of(&s_target, &st.docs).map(|(did, roots)| {
-                        st.eval_path(did, &roots, path, cond_pu(ori, ci), parent_idx)
+                        st.eval_path(did, &roots, path, ori.cond_paths[ci], parent_idx)
                     })
                 }
                 _ => None,
@@ -791,14 +781,10 @@ fn apply_simple_subelem(
     // Dedup keys are provably fresh when the sole producer of a pattern
     // runs exactly once (single pass) over distinct parents, emitting
     // distinct nodes per parent.
-    let unique = sole
-        && st
-            .opt
-            .as_ref()
-            .is_some_and(|c| c.opt.schedule() == Schedule::SinglePass);
+    let unique = sole && st.opt.plan.schedule() == Schedule::SinglePass;
     let mut added = 0;
     for (parent_idx, s_target) in parents {
-        let ctx = st.opt.as_ref().expect("fast path runs under an OptCtx");
+        let ctx = &st.opt;
         // The target's forest, without `forest_of`'s per-parent Vec:
         // a node target's roots are its children, collected into a
         // reused buffer.
@@ -815,7 +801,7 @@ fn apply_simple_subelem(
             }
             Target::Text(_) => continue,
         };
-        let fused = &ctx.opt.fused[pu.fused as usize];
+        let fused = &ctx.plan.fused[pu.fused as usize];
         let doc = &st.docs[did.0 as usize];
         let mut accepted = ctx.accepted.take();
         accepted.clear();
@@ -880,23 +866,9 @@ fn apply_simple_subelem(
                 added += 1;
             }
         }
-        st.opt
-            .as_ref()
-            .expect("fast path runs under an OptCtx")
-            .accepted
-            .replace(accepted);
+        st.opt.accepted.replace(accepted);
     }
     added
-}
-
-/// The optimized form of a rule's extraction path, when one exists.
-fn ext_pu(ori: Option<&OptRule>) -> Option<PathUse> {
-    ori.and_then(|r| r.extraction_path)
-}
-
-/// The optimized form of a rule's `ci`-th condition path, when one exists.
-fn cond_pu(ori: Option<&OptRule>, ci: usize) -> Option<PathUse> {
-    ori.and_then(|r| r.cond_paths[ci])
 }
 
 /// Apply the extraction atom, yielding (target, initial frame) pairs.
@@ -906,7 +878,7 @@ fn extract(
     st: &mut PlanState,
     web: &dyn WebSource,
     options: &ExtractorOptions,
-    ori: Option<&OptRule>,
+    ori: &OptRule,
     parent_idx: Option<usize>,
 ) -> Vec<(Target, Frame)> {
     let frame = || vec![None; rule.slots];
@@ -916,7 +888,7 @@ fn extract(
             let Some((did, roots)) = forest_of(s, &st.docs) else {
                 return vec![];
             };
-            st.eval_path(did, &roots, path, ext_pu(ori), parent_idx)
+            st.eval_path(did, &roots, path, ori.extraction_path, parent_idx)
                 .into_iter()
                 .map(|m| {
                     let mut env = frame();
@@ -941,7 +913,7 @@ fn extract(
             let Some((did, roots)) = forest_of(s, &st.docs) else {
                 return vec![];
             };
-            let contexts = st.eval_path(did, &roots, context, ext_pu(ori), parent_idx);
+            let contexts = st.eval_path(did, &roots, context, ori.extraction_path, parent_idx);
             let doc = &st.docs[did.0 as usize];
             let mut out = Vec::new();
             for ctx in contexts {
@@ -1048,10 +1020,8 @@ fn extract(
     }
 }
 
-/// Evaluate Φ(S, X) with environment-set semantics over slot frames.
-/// With an optimized rule, conditions run in its reordered sequence
-/// (cheapest pure filters first within binder-free segments) — the
-/// permutation is applied on the fly, never materialized.
+/// Evaluate Φ(S, X) with environment-set semantics over slot frames,
+/// conditions in source order.
 #[allow(clippy::too_many_arguments)]
 fn conditions_hold(
     rule: &PlanRule,
@@ -1060,14 +1030,11 @@ fn conditions_hold(
     initial: Frame,
     st: &PlanState,
     witnesses: &[Option<Vec<PlanMatch>>],
-    ori: Option<&OptRule>,
+    ori: &OptRule,
     parent_idx: Option<usize>,
 ) -> bool {
-    let order = ori.and_then(|r| r.cond_order.as_deref());
     let mut envs = vec![initial];
-    for k in 0..rule.conditions.len() {
-        let ci = order.map_or(k, |o| o[k]);
-        let cond = &rule.conditions[ci];
+    for (ci, cond) in rule.conditions.iter().enumerate() {
         match cond {
             PlanCondition::Range => continue,
             PlanCondition::AttrBind { attr, var } => {
@@ -1094,7 +1061,7 @@ fn conditions_hold(
                 env,
                 st,
                 witnesses[ci].as_deref(),
-                cond_pu(ori, ci),
+                ori.cond_paths[ci],
                 parent_idx,
             ));
         }
@@ -1327,6 +1294,9 @@ fn check_attr(doc: &Document, n: NodeId, cond: &PlanAttr) -> Option<Vec<(SlotId,
 
 /// Evaluate a compiled path against a forest context — the precompiled
 /// mirror of `path::eval_path`, with slot bindings instead of name maps.
+/// Runs only for paths longer than
+/// [`PathAutomaton::MAX_STEPS`](crate::topdown::PathAutomaton::MAX_STEPS),
+/// which the optimizer cannot fuse.
 /// The per-step candidate frontiers ping-pong between the two scratch
 /// vectors, so a whole run allocates no per-step buffers after warm-up.
 fn eval_plan_path(

@@ -63,6 +63,7 @@ pub mod parser;
 pub mod path;
 pub mod plan;
 pub mod pretty;
+pub mod topdown;
 pub mod web;
 
 pub use ast::{

@@ -21,8 +21,8 @@
 //!    generic fixpoint could only re-read inputs that were already
 //!    complete. Any cycle (crawling back to an earlier pattern) or
 //!    out-of-order producer falls back to [`Schedule::Fixpoint`] — rules
-//!    are never reordered, since instance insertion order is observable
-//!    through the XML output.
+//!    always run in source order, since instance insertion order is
+//!    observable through the XML output.
 //! 2. **Path-matcher fusion** — every element path (extraction paths,
 //!    `subsq` context paths, condition paths) with at most 64 steps is
 //!    compiled to a [`PathAutomaton`]: the path's positional NFA run by
@@ -36,31 +36,22 @@
 //!    tree walk per (parent instance) through a per-run memo table, each
 //!    site applying its own attribute conditions to the shared node list.
 //!
-//! Condition lists are additionally reordered cheapest-first within
-//! binder-free segments when the rule's condition hypergraph is an
-//! acyclic conjunctive query ([`lixto_cq::acyclic::is_acyclic`]): for an
-//! acyclic CQ the conjunction can be evaluated in any GYO order, so
-//! commuting pure per-environment filters between two binding atoms
-//! cannot change the rule's accept/reject decision.
-//!
-//! Every transformation is observation-equivalent — byte-identical
-//! instances, instance order and XML — which `tests/plan_equivalence.rs`
-//! asserts against both the unoptimized plan executor and the interpreted
-//! walker across the workload corpus. The [`OptimizeReport`] records what
-//! fired so `/debug/wrappers/{name}` can expose it.
+//! Conditions always run in source order. Every transformation is
+//! observation-equivalent — byte-identical instances, instance order and
+//! XML — which `tests/plan_equivalence.rs` asserts against the
+//! interpreted walker across the workload corpus. The [`OptimizeReport`]
+//! records what fired so `/debug/wrappers/{name}` can expose it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use lixto_automata::topdown::PathAutomaton;
-use lixto_cq::acyclic::is_acyclic;
-use lixto_cq::{Cq, CqAtom, CqAxis};
 use lixto_regexlite::Regex;
 
 use crate::plan::{
-    PatternId, PlanAttr, PlanAttrMatch, PlanCondition, PlanExtraction, PlanOperand, PlanParent,
-    PlanPath, PlanRule, PlanTag, PlanVarRef, WrapperPlan,
+    PatternId, PlanAttr, PlanCondition, PlanExtraction, PlanParent, PlanPath, PlanRule, PlanTag,
+    WrapperPlan,
 };
+use crate::topdown::PathAutomaton;
 
 /// How the executor drives the rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +60,8 @@ pub enum Schedule {
     /// every rule runs exactly once, in source order.
     SinglePass,
     /// Cyclic dependencies (or out-of-order producers): iterate to
-    /// global quiescence with semi-naive skipping, exactly like the
-    /// unoptimized executor.
+    /// global quiescence, skipping (semi-naively) every rule whose parent
+    /// and referenced patterns have not grown since it last ran.
     Fixpoint,
 }
 
@@ -139,9 +130,6 @@ pub(crate) struct OptRule {
     /// Fused matcher per condition (paths of `before`/`after`,
     /// `contains`, `firstsubtree`), parallel to `conditions`.
     pub(crate) cond_paths: Vec<Option<PathUse>>,
-    /// Evaluation order of the condition list when safely reordered
-    /// cheapest-first; `None` keeps source order.
-    pub(crate) cond_order: Option<Vec<usize>>,
     /// No other rule produces this rule's pattern. Under a single-pass
     /// schedule the rule then runs exactly once and a subelem extraction
     /// yields distinct nodes per parent, so every `(pattern, parent,
@@ -151,7 +139,7 @@ pub(crate) struct OptRule {
 }
 
 /// What the optimizer did to a wrapper — exposed through
-/// `/debug/wrappers/{name}` and the e20 experiment.
+/// `/debug/wrappers/{name}`.
 #[derive(Debug, Clone)]
 pub struct OptimizeReport {
     /// The chosen schedule.
@@ -170,12 +158,6 @@ pub struct OptimizeReport {
     pub hoist_groups: usize,
     /// Total path sites participating in a shared group.
     pub hoisted_sites: usize,
-    /// Rules whose condition list was reordered cheapest-first.
-    pub reordered_rules: usize,
-    /// Rules (with at least one condition) whose condition hypergraph is
-    /// an acyclic conjunctive query — the safety precondition for
-    /// reordering.
-    pub acyclic_condition_rules: usize,
 }
 
 /// A compiled-and-optimized wrapper: the [`WrapperPlan`] plus the
@@ -251,7 +233,7 @@ fn signature(path: &PlanPath) -> StepsSig {
 }
 
 /// Run the analysis. See the module docs for the three transformations.
-pub(crate) fn optimize(plan: Arc<WrapperPlan>) -> OptimizedPlan {
+fn optimize(plan: Arc<WrapperPlan>) -> OptimizedPlan {
     let rules = plan.rules();
     let (schedule, strata) = schedule_of(&plan);
 
@@ -321,8 +303,6 @@ pub(crate) fn optimize(plan: Arc<WrapperPlan>) -> OptimizedPlan {
         pattern_rules[rule.pattern as usize] += 1;
     }
     let mut opt_rules: Vec<OptRule> = Vec::with_capacity(rules.len());
-    let mut reordered_rules = 0usize;
-    let mut acyclic_condition_rules = 0usize;
     for rule in rules {
         let parent = match rule.parent {
             PlanParent::Pattern(p) => Some(p),
@@ -346,19 +326,9 @@ pub(crate) fn optimize(plan: Arc<WrapperPlan>) -> OptimizedPlan {
                 _ => None,
             })
             .collect();
-
-        let acyclic = !rule.conditions.is_empty() && is_acyclic(&condition_cq(rule));
-        if acyclic {
-            acyclic_condition_rules += 1;
-        }
-        let cond_order = if acyclic { reorder(rule) } else { None };
-        if cond_order.is_some() {
-            reordered_rules += 1;
-        }
         opt_rules.push(OptRule {
             extraction_path,
             cond_paths,
-            cond_order,
             sole_producer: pattern_rules[rule.pattern as usize] == 1,
         });
     }
@@ -371,8 +341,6 @@ pub(crate) fn optimize(plan: Arc<WrapperPlan>) -> OptimizedPlan {
         fallback_paths,
         hoist_groups: group_ids.len(),
         hoisted_sites,
-        reordered_rules,
-        acyclic_condition_rules,
     };
     OptimizedPlan {
         plan,
@@ -473,127 +441,6 @@ fn schedule_of(plan: &WrapperPlan) -> (Schedule, usize) {
     (Schedule::Fixpoint, strata)
 }
 
-/// The condition hypergraph of a rule as a Boolean conjunctive query:
-/// one variable for `S`, one for `X`, one per slot, one per condition,
-/// and an edge from each condition to every variable it touches. The
-/// axis is irrelevant to acyclicity — `Child` throughout.
-fn condition_cq(rule: &PlanRule) -> Cq {
-    const S: usize = 0;
-    const X: usize = 1;
-    let slot_var = |s: u32| 2 + s as usize;
-    let cond_var = |ci: usize| 2 + rule.slots + ci;
-    let mut atoms: Vec<CqAtom> = Vec::new();
-    for (ci, c) in rule.conditions.iter().enumerate() {
-        let mut touched: Vec<usize> = Vec::new();
-        let touch = |v: usize, touched: &mut Vec<usize>| {
-            if !touched.contains(&v) {
-                touched.push(v);
-            }
-        };
-        let touch_ref = |r: &PlanVarRef, touched: &mut Vec<usize>| match r {
-            PlanVarRef::Slot(s) => touch(slot_var(*s), touched),
-            PlanVarRef::SlotOrTarget(s) => {
-                touch(slot_var(*s), touched);
-                touch(X, touched);
-            }
-            PlanVarRef::TargetText => touch(X, touched),
-        };
-        match c {
-            PlanCondition::Context { path, bind, .. } => {
-                touch(S, &mut touched);
-                touch(X, &mut touched);
-                if let Some(b) = bind {
-                    touch(slot_var(*b), &mut touched);
-                }
-                for a in &path.attrs {
-                    if let PlanAttrMatch::Regvar(rv) = &a.matcher {
-                        for (_, slot) in &rv.captures {
-                            if let Some(s) = slot {
-                                touch(slot_var(*s), &mut touched);
-                            }
-                        }
-                    }
-                }
-            }
-            PlanCondition::Contains { .. } => touch(X, &mut touched),
-            PlanCondition::FirstSubtree { .. } => {
-                touch(S, &mut touched);
-                touch(X, &mut touched);
-            }
-            PlanCondition::Concept { var, .. } => touch_ref(var, &mut touched),
-            PlanCondition::Comparison { left, right, .. } => {
-                touch_ref(left, &mut touched);
-                if let PlanOperand::Var(v) = right {
-                    touch_ref(v, &mut touched);
-                }
-            }
-            PlanCondition::PatternRef { var, .. } => touch(slot_var(*var), &mut touched),
-            PlanCondition::AttrBind { var, .. } => {
-                touch(S, &mut touched);
-                touch(slot_var(*var), &mut touched);
-            }
-            PlanCondition::Range => {}
-        }
-        for v in touched {
-            atoms.push(CqAtom {
-                axis: CqAxis::Child,
-                x: cond_var(ci),
-                y: v,
-            });
-        }
-    }
-    Cq::boolean(2 + rule.slots + rule.conditions.len(), atoms, Vec::new())
-}
-
-/// A binding condition mutates or forks the environment set; it is a
-/// barrier the reorder must not move filters across.
-fn is_binder(c: &PlanCondition) -> bool {
-    match c {
-        PlanCondition::AttrBind { .. } => true,
-        PlanCondition::Context { bind, .. } => bind.is_some(),
-        _ => false,
-    }
-}
-
-/// Static cost class of a pure filter condition (lower = cheaper).
-fn cond_cost(c: &PlanCondition) -> u8 {
-    match c {
-        PlanCondition::Range => 0,
-        PlanCondition::PatternRef { .. } => 1, // indexed hash lookup
-        PlanCondition::Comparison {
-            right: PlanOperand::Literal(_),
-            ..
-        } => 1,
-        PlanCondition::Comparison { .. } => 2,
-        PlanCondition::Concept { .. } => 2,
-        PlanCondition::Context { .. } => 3, // witness list precomputed per parent
-        PlanCondition::FirstSubtree { .. } => 4, // parent-forest walk
-        PlanCondition::Contains { .. } => 5, // per-candidate subtree walk
-        PlanCondition::AttrBind { .. } => 0, // barrier; never sorted
-    }
-}
-
-/// Sort pure filters cheapest-first within binder-free segments (stable,
-/// so equal-cost conditions keep source order). Returns `None` when the
-/// result is the identity permutation.
-fn reorder(rule: &PlanRule) -> Option<Vec<usize>> {
-    let n = rule.conditions.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut start = 0usize;
-    for end in 0..=n {
-        let at_barrier = end == n || is_binder(&rule.conditions[end]);
-        if at_barrier {
-            order[start..end].sort_by_key(|&ci| cond_cost(&rule.conditions[ci]));
-            start = end + 1;
-        }
-    }
-    if order.iter().enumerate().all(|(k, &ci)| k == ci) {
-        None
-    } else {
-        Some(order)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -637,48 +484,16 @@ mod tests {
     }
 
     #[test]
-    fn cheap_filters_move_before_expensive_ones() {
-        // contains (subtree walk) before a literal comparison: the CQ
-        // {contains: X} ∪ {comparison: X} is acyclic, so the comparison
-        // moves first.
-        let opt = optimized(
-            r#"item(S, X) :- document("http://p/", S), subelem(S, (?.li, []), X),
-                            contains(X, (.b, [])), lt(X, "zzz")."#,
-        );
-        let order = opt.rules[0].cond_order.as_ref().expect("reordered");
-        assert_eq!(order, &[1, 0]);
-        assert_eq!(opt.report().reordered_rules, 1);
-        assert_eq!(opt.report().acyclic_condition_rules, 1);
-    }
-
-    #[test]
-    fn binders_are_barriers() {
-        // before(..., Y) binds Y: the pattern reference after it must not
-        // move ahead of the binder.
+    fn extraction_and_context_paths_share_a_hoist_group() {
         let opt = optimized(
             r#"row(S, X) :- document("http://p/", S), subelem(S, (?.tr, []), X).
                price(S, X) :- row(_, S), subelem(S, (.td, []), X).
                bids(S, X) :- row(_, S), subelem(S, (.td, []), X),
                              before(S, X, (.td, []), 0, 5, Y), price(_, Y)."#,
         );
-        assert!(opt.rules[2].cond_order.is_none());
         // price's `.td` extraction and bids' extraction + context path all
         // share one walk over each row.
         assert_eq!(opt.report().hoist_groups, 1);
         assert_eq!(opt.report().hoisted_sites, 3);
-    }
-
-    #[test]
-    fn cyclic_condition_hypergraph_blocks_reordering() {
-        // firstsubtree touches {S, X} and before touches {S, X}: the
-        // condition multigraph has a cycle, so source order is kept even
-        // though a swap would put the cheaper filter first.
-        let opt = optimized(
-            r#"item(S, X) :- document("http://p/", S), subelem(S, (?.li, []), X),
-                            firstsubtree(S, X, (.li, [])),
-                            before(S, X, (.h1, []), 0, 100)."#,
-        );
-        assert!(opt.rules[0].cond_order.is_none());
-        assert_eq!(opt.report().acyclic_condition_rules, 0);
     }
 }

@@ -442,8 +442,9 @@ pub struct PlanRule {
 }
 
 /// A compiled, immutable, shareable wrapper: the product of
-/// [`WrapperPlan::compile`](WrapperPlan::compile), executed by
-/// [`Extractor::from_plan`](crate::Extractor::from_plan).
+/// [`WrapperPlan::compile`](WrapperPlan::compile), optimized by
+/// [`OptimizedPlan::new`](crate::OptimizedPlan::new) and executed by
+/// [`Extractor::from_optimized`](crate::Extractor::from_optimized).
 #[derive(Debug, Clone)]
 pub struct WrapperPlan {
     /// The source program (kept for pretty-printing and the interpreted

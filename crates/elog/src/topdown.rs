@@ -6,11 +6,10 @@
 //! step `i`", a child step advances the position, and a descendant step
 //! additionally loops on its own position so candidacy survives any number
 //! of intermediate levels. [`PathAutomaton`] runs the subset construction
-//! of that NFA on the fly — the classic determinization idea (see
-//! [`crate::ops`]), but with the state set
-//! packed into a `u64` bitmask (one bit per path position) so a whole
-//! frontier of live positions advances with two shifts and a mask per
-//! node. One downward traversal replaces the per-step candidate-list
+//! of that NFA on the fly — the classic determinization idea, but with
+//! the state set packed into a `u64` bitmask (one bit per path position)
+//! so a whole frontier of live positions advances with two shifts and a
+//! mask per node. One downward traversal replaces the per-step candidate-list
 //! generation of a naive path evaluator: no intermediate materialization,
 //! no re-sorting into document order (a preorder DFS emits matches in
 //! document order by construction), and no deduplication (each node is
@@ -19,7 +18,7 @@
 //! Tag tests stay outside the automaton: [`PathAutomaton::run`] calls
 //! back into the caller (`test(step, node)`), so the caller can inline
 //! whatever test representation it has — interned label symbols, regexes —
-//! without this crate depending on it. The automaton only owns the step
+//! without this module depending on it. The automaton only owns the step
 //! *skeleton* (child vs descendant), which is what determines the
 //! transition structure.
 
@@ -219,21 +218,6 @@ mod tests {
         assert_eq!(got.len(), 1);
         assert_eq!(doc.label_str(got[0]), "span");
         assert_eq!(got, reference(&doc, &roots, &steps));
-    }
-
-    #[test]
-    fn single_descendant_step_agrees_with_mso_label_query() {
-        // `?.li` over the children of the root selects exactly the nodes
-        // labelled `li` (none of which is the root) — the unary MSO query
-        // φ(x) = label_li(x), evaluated through the bottom-up DTA
-        // pipeline, is the independent oracle.
-        let doc = lixto_html::parse("<ul><li>a</li><li><ul><li>b</li></ul></li></ul>");
-        let roots: Vec<NodeId> = doc.children(doc.root()).collect();
-        let got = automaton_matches(&doc, &roots, &[(true, "li")]);
-        let query = crate::mso::MsoQuery::new("x", crate::mso::label("x", "li")).unwrap();
-        let mut want = query.eval(&doc);
-        want.sort_by_key(|&n| doc.order().pre(n));
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -2889,11 +2889,6 @@ fn get_debug_wrapper(name: &str, shared: &SharedGateway) -> Response {
         ("fallback_paths", (report.fallback_paths as u64).into()),
         ("hoist_groups", (report.hoist_groups as u64).into()),
         ("hoisted_sites", (report.hoisted_sites as u64).into()),
-        ("reordered_rules", (report.reordered_rules as u64).into()),
-        (
-            "acyclic_condition_rules",
-            (report.acyclic_condition_rules as u64).into(),
-        ),
     ]);
     Response::json(
         200,

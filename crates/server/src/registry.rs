@@ -10,10 +10,10 @@
 //! Two properties were added for the compile-once architecture:
 //!
 //! * **Compilation happens at registration.** A [`WrapperSpec`] carries
-//!   the Elog source *and* the [`WrapperPlan`] compiled from it; the
+//!   the Elog source *and* the [`OptimizedPlan`] compiled from it; the
 //!   worker pool executes the shared plan
-//!   ([`Extractor::from_plan`](lixto_elog::Extractor::from_plan)) and
-//!   never re-walks the AST. Programs that do not compile are rejected
+//!   ([`Extractor::from_optimized`](lixto_elog::Extractor::from_optimized))
+//!   and never re-walks the AST. Programs that do not compile are rejected
 //!   here, once, with a structured [`DeployError`] — not per request.
 //! * **Optional durability.** A registry opened with
 //!   [`WrapperRegistry::with_spool`] persists every registered version
@@ -66,13 +66,10 @@ pub struct WrapperSpec {
     /// The Elog source the plan was compiled from (persisted by the
     /// spool; re-deployable as-is).
     pub source: String,
-    /// The compiled execution plan, shared with every in-flight job.
-    pub plan: Arc<WrapperPlan>,
-    /// The optimized form of `plan` (rule schedule, fused path automata,
-    /// hoist groups — see [`lixto_elog::optimize`]), built once at
-    /// deploy time; the worker pool executes this. Always derived from
-    /// `plan`, so it carries no independent semantic identity and does
-    /// not contribute to [`plan_id`](WrapperSpec::plan_id).
+    /// The compiled and optimized execution plan (rule schedule, fused
+    /// path automata, hoist groups — see [`lixto_elog::optimize`]),
+    /// built once at deploy time and shared with every in-flight job;
+    /// [`OptimizedPlan::plan`] is the underlying [`WrapperPlan`].
     pub optimized: Arc<OptimizedPlan>,
     /// Mapping from the instance base to the output XML document.
     pub design: XmlDesign,
@@ -90,46 +87,41 @@ impl WrapperSpec {
     /// Compile a program (with built-in concepts and default limits).
     /// The stored source is the program's canonical pretty-printed form.
     pub fn new(program: ElogProgram, design: XmlDesign) -> Result<WrapperSpec, DeployError> {
-        let source = program.to_string();
-        let concepts = ConceptRegistry::builtin();
-        let plan = WrapperPlan::compile(&program, &concepts).map_err(DeployError::Compile)?;
-        let plan = Arc::new(plan);
-        Ok(WrapperSpec {
-            source,
-            optimized: Arc::new(OptimizedPlan::new(plan.clone())),
-            plan,
-            design,
-            concepts,
-            options: ExtractorOptions::default(),
-        })
+        let (concepts, options) = (ConceptRegistry::builtin(), ExtractorOptions::default());
+        WrapperSpec::build(program.to_string(), &program, design, concepts, options)
     }
 
     /// Parse and compile `source` Elog text into a spec.
     pub fn from_source(source: &str, design: XmlDesign) -> Result<WrapperSpec, DeployError> {
         let program = parse_program(source).map_err(DeployError::Parse)?;
-        let concepts = ConceptRegistry::builtin();
-        let plan = WrapperPlan::compile(&program, &concepts).map_err(DeployError::Compile)?;
-        let plan = Arc::new(plan);
+        let (concepts, options) = (ConceptRegistry::builtin(), ExtractorOptions::default());
+        WrapperSpec::build(source.to_string(), &program, design, concepts, options)
+    }
+
+    /// Compile and optimize `program` against `concepts` into a spec.
+    fn build(
+        source: String,
+        program: &ElogProgram,
+        design: XmlDesign,
+        concepts: ConceptRegistry,
+        options: ExtractorOptions,
+    ) -> Result<WrapperSpec, DeployError> {
+        let plan = WrapperPlan::compile(program, &concepts).map_err(DeployError::Compile)?;
         Ok(WrapperSpec {
-            source: source.to_string(),
-            optimized: Arc::new(OptimizedPlan::new(plan.clone())),
-            plan,
+            source,
+            optimized: Arc::new(OptimizedPlan::new(Arc::new(plan))),
             design,
             concepts,
-            options: ExtractorOptions::default(),
+            options,
         })
     }
 
     /// Replace the concept registry. Concepts are baked into the plan at
     /// compile time, so this recompiles — and can now fail, e.g. when
     /// the program references a concept the new registry lacks.
-    pub fn with_concepts(mut self, concepts: ConceptRegistry) -> Result<Self, DeployError> {
-        let plan =
-            WrapperPlan::compile(self.plan.program(), &concepts).map_err(DeployError::Compile)?;
-        self.plan = Arc::new(plan);
-        self.optimized = Arc::new(OptimizedPlan::new(self.plan.clone()));
-        self.concepts = concepts;
-        Ok(self)
+    pub fn with_concepts(self, concepts: ConceptRegistry) -> Result<Self, DeployError> {
+        let program = self.optimized.plan().program();
+        WrapperSpec::build(self.source, program, self.design, concepts, self.options)
     }
 
     /// Replace the safety limits.
@@ -150,7 +142,7 @@ impl WrapperSpec {
     /// result cache keys on (see [`CacheKey`](crate::CacheKey)).
     pub fn plan_id(&self) -> u64 {
         let mut canon = String::new();
-        canon.push_str(&self.plan.program().to_string());
+        canon.push_str(&self.optimized.plan().program().to_string());
         canon.push('\u{1e}');
         canon.push_str(&self.design.root_label);
         let mut aux: Vec<&str> = self
@@ -343,11 +335,11 @@ impl WrapperRegistry {
         let plan_id = spec.plan_id();
         // Telemetry slots are indexed by the plan's dense rule ids and
         // labeled with each rule's target pattern.
-        let labels = spec
-            .plan
+        let plan = spec.optimized.plan();
+        let labels = plan
             .rules()
             .iter()
-            .map(|r| spec.plan.patterns()[r.pattern as usize].clone())
+            .map(|r| plan.patterns()[r.pattern as usize].clone())
             .collect();
         let mut inner = self.inner.write().expect("registry poisoned");
         let versions = inner.entry(name.to_string()).or_default();

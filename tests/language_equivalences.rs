@@ -160,6 +160,27 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
+    /// A one-step `?.label` path run by the Elog executor's top-down path
+    /// automaton selects exactly the nodes below the root that the unary
+    /// MSO query label(x), evaluated through the bottom-up DTA pipeline,
+    /// selects.
+    #[test]
+    fn single_descendant_step_agrees_with_mso_label_query(
+        html in arb_doc(),
+        label in prop::sample::select(vec!["div", "p", "td", "i"]),
+    ) {
+        let doc = lixto_html::parse(&html);
+        let roots: Vec<_> = doc.children(doc.root()).collect();
+        let auto = lixto_elog::topdown::PathAutomaton::new(&[true]).unwrap();
+        let mut got = Vec::new();
+        let test = |_, n| doc.label_str(n) == label;
+        auto.run(&doc, &roots, test, |n| got.push(n), &mut Vec::new());
+        let phi = lixto_automata::mso::label("x", label);
+        let mut want = lixto_automata::mso::MsoQuery::new("x", phi).unwrap().eval(&doc);
+        want.sort_by_key(|&n| doc.order().pre(n));
+        prop_assert_eq!(got, want, "?.{} over {}", label, html);
+    }
+
     /// The regex engine agrees with itself across equivalent pattern
     /// rewritings (a+ ≡ aa*), and find/captures are consistent.
     #[test]

@@ -1,26 +1,55 @@
-//! Compiled-plan execution — unoptimized *and* optimized — must be
-//! *result-identical* to the interpreted reference evaluator: instance
-//! for instance, byte for byte through the XML rendering, across the
-//! whole workload corpus (books / eBay / news / flights), on perturbed
-//! layouts, and on multi-page crawls. This is the safety net under the
-//! compile-once architecture: the plan executor and the optimizer may be
-//! arbitrarily cleverer than the AST walker, but never different.
+//! Optimized-plan execution must be *result-identical* to the interpreted
+//! reference evaluator: instance for instance, byte for byte through the
+//! XML rendering, across the whole workload corpus (books / eBay / news /
+//! flights), on perturbed layouts, on multi-page crawls, and on paths too
+//! long to fuse. This is the safety net under the compile-once
+//! architecture: the optimizing executor may be arbitrarily cleverer than
+//! the AST walker, but never different.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lixto::elog::{
-    parse_program, ConceptRegistry, Extractor, OptimizedPlan, StaticWeb, WebSource, WrapperPlan,
+    parse_program, ConceptRegistry, ExtractionResult, Extractor, OptimizedPlan, StaticWeb,
+    WebSource, WrapperPlan,
 };
 use lixto::workloads::perturb;
 use lixto::workloads::traffic::{self, VARIANTS_PER_WRAPPER};
 use lixto_bench::workload_design;
 
-/// Run all three engines — interpreted AST walker, unoptimized plan
-/// executor, optimized plan executor — over one (program, web) pair and
-/// demand identity of the full result, the pattern table, and the
-/// designed XML rendering.
+/// Compile and optimize `program_src`.
+fn optimized_plan(program_src: &str) -> std::sync::Arc<OptimizedPlan> {
+    let program = parse_program(program_src).expect("program parses");
+    let plan =
+        WrapperPlan::compile(&program, &ConceptRegistry::builtin()).expect("program compiles");
+    std::sync::Arc::new(OptimizedPlan::new(std::sync::Arc::new(plan)))
+}
+
+/// Demand identity of the full result, the pattern table, and the
+/// designed XML rendering between the interpreted AST walker and the
+/// optimized plan executor.
+fn assert_identical(
+    interpreted: &ExtractionResult,
+    optimized: &ExtractionResult,
+    design: &lixto::core::XmlDesign,
+    context: &str,
+) {
+    assert_eq!(interpreted, optimized, "{context}: results diverged");
+    assert_eq!(
+        interpreted.patterns(),
+        optimized.patterns(),
+        "{context}: pattern tables diverged"
+    );
+    let interpreted_xml = lixto::xml::to_string(&lixto::core::to_xml(interpreted, design));
+    let optimized_xml = lixto::xml::to_string(&lixto::core::to_xml(optimized, design));
+    assert_eq!(
+        interpreted_xml, optimized_xml,
+        "{context}: XML renderings diverged"
+    );
+}
+
+/// Run both engines over one (program, web) pair and demand identity.
 fn assert_engines_agree(
     program_src: &str,
     web: &dyn WebSource,
@@ -28,42 +57,9 @@ fn assert_engines_agree(
     context: &str,
 ) {
     let program = parse_program(program_src).expect("program parses");
-    let plan = std::sync::Arc::new(
-        WrapperPlan::compile(&program, &ConceptRegistry::builtin()).expect("program compiles"),
-    );
-    let optimized_plan = std::sync::Arc::new(OptimizedPlan::new(plan.clone()));
     let interpreted = Extractor::new(program, web).run_interpreted();
-    let compiled = Extractor::from_plan(plan, web).run();
-    let optimized = Extractor::from_optimized(optimized_plan, web).run();
-    assert_eq!(
-        interpreted, compiled,
-        "{context}: interpreted vs plan results diverged"
-    );
-    assert_eq!(
-        compiled, optimized,
-        "{context}: plan vs optimized results diverged"
-    );
-    assert_eq!(
-        interpreted.patterns(),
-        compiled.patterns(),
-        "{context}: pattern tables diverged"
-    );
-    assert_eq!(
-        compiled.patterns(),
-        optimized.patterns(),
-        "{context}: optimized pattern table diverged"
-    );
-    let interpreted_xml = lixto::xml::to_string(&lixto::core::to_xml(&interpreted, design));
-    let compiled_xml = lixto::xml::to_string(&lixto::core::to_xml(&compiled, design));
-    let optimized_xml = lixto::xml::to_string(&lixto::core::to_xml(&optimized, design));
-    assert_eq!(
-        interpreted_xml, compiled_xml,
-        "{context}: XML renderings diverged"
-    );
-    assert_eq!(
-        compiled_xml, optimized_xml,
-        "{context}: optimized XML rendering diverged"
-    );
+    let optimized = Extractor::from_optimized(optimized_plan(program_src), web).run();
+    assert_identical(&interpreted, &optimized, design, context);
 }
 
 #[test]
@@ -170,7 +166,7 @@ fn ebay_figure5_program_is_engine_identical() {
 
 /// A web source whose pages fail on their first `fetch` and succeed on
 /// the retry — plus one page that always fails. Exercises the unified
-/// retry-once-then-pin fetch semantics: all three engines must agree on
+/// retry-once-then-pin fetch semantics: both engines must agree on
 /// flaky sources regardless of how many fixpoint passes they take.
 struct FlakyWeb {
     pages: StaticWeb,
@@ -215,26 +211,55 @@ fn flaky_sources_are_engine_identical() {
         always_dead: "http://dead/".to_string(),
     };
     let parsed = parse_program(program).expect("program parses");
-    let plan = std::sync::Arc::new(
-        WrapperPlan::compile(&parsed, &ConceptRegistry::builtin()).expect("program compiles"),
-    );
-    let optimized_plan = std::sync::Arc::new(OptimizedPlan::new(plan.clone()));
     let interpreted_web = fresh();
     let interpreted = Extractor::new(parsed, &interpreted_web).run_interpreted();
-    let compiled_web = fresh();
-    let compiled = Extractor::from_plan(plan, &compiled_web).run();
     let optimized_web = fresh();
-    let optimized = Extractor::from_optimized(optimized_plan, &optimized_web).run();
-    assert_eq!(interpreted, compiled, "flaky: interpreted vs plan");
-    assert_eq!(compiled, optimized, "flaky: plan vs optimized");
+    let optimized = Extractor::from_optimized(optimized_plan(program), &optimized_web).run();
     // The flaky pages were actually extracted, not silently skipped.
     assert!(
         interpreted.patterns().iter().any(|p| p == "price"),
         "retried pages should contribute instances"
     );
-    let interpreted_xml = lixto::xml::to_string(&lixto::core::to_xml(&interpreted, &design));
-    let optimized_xml = lixto::xml::to_string(&lixto::core::to_xml(&optimized, &design));
-    assert_eq!(interpreted_xml, optimized_xml, "flaky: XML diverged");
+    assert_identical(&interpreted, &optimized, &design, "flaky");
+}
+
+/// Paths longer than `PathAutomaton::MAX_STEPS` (64) cannot be fused and
+/// run through the executor's step-by-step evaluator: a 65-step child
+/// path extraction and a 65-step `before` condition path over a 70-deep
+/// document must still match the interpreted walker.
+#[test]
+fn unfusable_paths_are_engine_identical() {
+    let mut html = String::from("<body>");
+    for (tag, depth) in [("span", 70), ("div", 70)] {
+        html.push_str(&format!("<{tag}>").repeat(depth));
+        html.push_str("leaf");
+        html.push_str(&format!("</{tag}>").repeat(depth));
+    }
+    html.push_str("</body>");
+    let steps = |tag: &str| format!(".{tag}").repeat(65);
+    let program = format!(
+        r#"
+        page(S, X) :- document("http://long/", S), subelem(S, (?.body, []), X).
+        deep(S, X) :- page(_, S), subelem(S, ({}, []), X), before(S, X, ({}, []), 0, 1000).
+    "#,
+        steps("div"),
+        steps("span")
+    );
+    let plan = optimized_plan(&program);
+    assert_eq!(plan.report().fallback_paths, 2);
+    let web = lixto::elog::SinglePage {
+        url: "http://long/".to_string(),
+        html,
+    };
+    let interpreted = Extractor::new(parse_program(&program).unwrap(), &web).run_interpreted();
+    let optimized = Extractor::from_optimized(plan, &web).run();
+    assert_eq!(
+        interpreted.texts_of("deep").len(),
+        1,
+        "the 65th div matches"
+    );
+    let design = lixto::core::XmlDesign::new().root("long");
+    assert_identical(&interpreted, &optimized, &design, "unfusable paths");
 }
 
 /// Deep single-branch nesting: every step of a descendant path stays
