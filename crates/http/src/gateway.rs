@@ -143,19 +143,6 @@ use crate::poll::{poll, PollFd, SelfPipe, POLLIN, POLLOUT};
 /// Sizing and protocol knobs for [`HttpGateway::bind`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GatewayConfig {
-    /// **Deprecated compatibility knob** from the thread-per-connection
-    /// gateway, where it bounded concurrent keep-alive sessions. It no
-    /// longer spawns handler threads; when [`event_loops`] is `0` it
-    /// seeds the event-loop count instead (clamped to 1..=4), so old
-    /// configurations keep working with the same or better concurrency.
-    ///
-    /// [`event_loops`]: GatewayConfig::event_loops
-    pub handler_threads: usize,
-    /// **Deprecated compatibility knob**: the old bounded
-    /// accepted-socket queue. Admission is now governed by
-    /// [`max_connections_per_loop`](GatewayConfig::max_connections_per_loop);
-    /// this field is ignored.
-    pub accept_backlog: usize,
     /// Parser size limits (headers, single-request bodies). The batch
     /// endpoint's body allowance is
     /// [`max_batch_body_bytes`](GatewayConfig::max_batch_body_bytes).
@@ -163,10 +150,7 @@ pub struct GatewayConfig {
     /// How long an idle keep-alive connection (no partial request
     /// buffered) may sit between requests before the loop closes it.
     pub idle_timeout: Duration,
-    /// Event-loop threads. Each owns many connections; `0` derives the
-    /// count from the deprecated
-    /// [`handler_threads`](GatewayConfig::handler_threads) (clamped to
-    /// 1..=4).
+    /// Event-loop threads (at least one). Each owns many connections.
     pub event_loops: usize,
     /// Per-loop connection cap. With every loop at its cap, new
     /// connections are refused with `503 server_busy` + close.
@@ -248,11 +232,9 @@ pub struct GatewayConfig {
 impl Default for GatewayConfig {
     fn default() -> GatewayConfig {
         GatewayConfig {
-            handler_threads: 8,
-            accept_backlog: 64,
             limits: Limits::default(),
             idle_timeout: Duration::from_secs(5),
-            event_loops: 0,
+            event_loops: 4,
             max_connections_per_loop: 4096,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
@@ -271,18 +253,6 @@ impl Default for GatewayConfig {
             watches: true,
             watch_tick: Duration::from_millis(250),
             watch_spool: None,
-        }
-    }
-}
-
-impl GatewayConfig {
-    /// The effective event-loop count, honoring the deprecated
-    /// [`handler_threads`](GatewayConfig::handler_threads) mapping.
-    pub fn effective_event_loops(&self) -> usize {
-        if self.event_loops > 0 {
-            self.event_loops
-        } else {
-            self.handler_threads.clamp(1, 4)
         }
     }
 }
@@ -532,7 +502,7 @@ impl HttpGateway {
         };
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let loop_count = config.effective_event_loops();
+        let loop_count = config.event_loops.max(1);
         let loop_shared: Vec<Arc<LoopShared>> = (0..loop_count)
             .map(|_| {
                 Ok(Arc::new(LoopShared {
@@ -2972,7 +2942,7 @@ mod tests {
         let gateway = HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 2,
+                event_loops: 2,
                 // Generous: under full-workspace test parallelism a
                 // loaded box can pause a client thread long enough for
                 // a tight idle timeout to evict its keep-alive session
@@ -3487,7 +3457,7 @@ mod tests {
         let gateway = HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 1,
+                event_loops: 1,
                 limits: crate::http::Limits {
                     max_header_bytes: 2048,
                     max_body_bytes: 64,
@@ -3574,8 +3544,8 @@ mod tests {
         .unwrap();
         let addr = gateway.addr();
         // Far more concurrent keep-alive sessions than the old
-        // thread-per-connection model (handler_threads: 2) could hold
-        // open at once.
+        // thread-per-connection model, with two handler threads, could
+        // hold open at once.
         let mut clients: Vec<HttpClient> = (0..300)
             .map(|_| HttpClient::connect(addr).expect("connect"))
             .collect();
@@ -3664,7 +3634,7 @@ mod tests {
         let gateway = HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 2,
+                event_loops: 2,
                 idle_timeout: Duration::from_secs(10),
                 monitor_interval: interval,
                 ..GatewayConfig::default()
@@ -3821,7 +3791,7 @@ mod tests {
         let gateway = HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 2,
+                event_loops: 2,
                 idle_timeout: Duration::from_secs(10),
                 monitor: false,
                 ..GatewayConfig::default()
@@ -3884,7 +3854,7 @@ mod tests {
         let gateway = HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 2,
+                event_loops: 2,
                 idle_timeout: Duration::from_secs(10),
                 watch_tick: tick,
                 ..GatewayConfig::default()
@@ -4219,7 +4189,7 @@ mod tests {
         let gateway = HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 2,
+                event_loops: 2,
                 idle_timeout: Duration::from_secs(10),
                 watches: false,
                 ..GatewayConfig::default()

@@ -47,14 +47,14 @@
 //! The durable substrates live under one data directory (see
 //! [`durability_layout`]): `<root>/wrappers` is the registry spool,
 //! `<root>/store` the result store, `<root>/watches` the watch
-//! subscription spool. All use the same line-oriented,
-//! backslash-escaped UTF-8 file format family, and both recover by
-//! skipping (and counting or warning about) corrupt records rather than
-//! refusing to start.
+//! subscription spool. One crate-private module, `linelog`, owns their
+//! framing: the header line, field escaping, replay that skips and
+//! counts corrupt records, torn-tail cut, append and atomic rewrite.
 
 #![forbid(unsafe_code)]
 
 pub mod cache;
+mod linelog;
 pub mod metrics;
 pub mod registry;
 pub mod server;

@@ -37,6 +37,7 @@ use lixto_elog::{
 use lixto_obs::{warn_event, RuleStats};
 
 use crate::cache::fxhash64;
+use crate::linelog::{escape, percent_encode, unescape, write_atomic};
 
 /// Why a wrapper was rejected at deploy time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,10 +230,11 @@ impl WrapperRegistry {
     /// # Spool format
     ///
     /// One file per registered version, named
-    /// `{sanitized-name}@{version}.wrapper`, where the sanitized name
-    /// keeps `[A-Za-z0-9_-]` and percent-encodes every other byte (the
-    /// `name=` header inside the file carries the authoritative name).
-    /// Each file is line-oriented UTF-8:
+    /// `{encoded-name}@{version}.wrapper`, where the encoded name keeps
+    /// `[A-Za-z0-9_-]` and percent-encodes every other byte (the `name=`
+    /// header inside the file carries the authoritative name). Each file
+    /// is written whole through a tmp file and a rename, never appended
+    /// to, and is line-oriented UTF-8:
     ///
     /// ```text
     /// lixto-wrapper v1          magic first line
@@ -250,16 +252,15 @@ impl WrapperRegistry {
     /// ```
     ///
     /// Header values use the durability directory's shared escaping
-    /// convention — `\\`, `\n`, `\r`, `\t` backslash-escaped, everything
-    /// else verbatim — so names, labels and roots may
-    /// contain any Unicode including tabs and newlines. The result
-    /// store under the same data root uses the identical convention
-    /// (see [`durability_layout`](crate::durability_layout)).
+    /// convention (the crate's `linelog` module) — `\\`, `\n`, `\r`,
+    /// `\t` backslash-escaped, everything else verbatim — so names,
+    /// labels and roots may contain any Unicode including tabs and
+    /// newlines.
     ///
     /// # Recovery
     ///
-    /// A manifest that no longer *parses* (truncated by a crash
-    /// mid-write, hand-edited, wrong magic) is **skipped with a
+    /// A manifest that no longer *parses* (truncated before its `end`
+    /// line, hand-edited, wrong magic) is **skipped with a
     /// structured `spool_manifest_corrupt` warning** — one bad file
     /// must not keep a server with dozens of
     /// healthy wrappers from starting. A manifest that parses but whose
@@ -283,7 +284,11 @@ impl WrapperRegistry {
             if path.extension().and_then(|e| e.to_str()) != Some("wrapper") {
                 continue;
             }
-            match parse_manifest(&fs::read_to_string(&path)?) {
+            let text = fs::read(&path)?;
+            match std::str::from_utf8(&text)
+                .map_err(|e| e.to_string())
+                .and_then(parse_manifest)
+            {
                 Ok(manifest) => manifests.push((path, manifest)),
                 Err(e) => warn_event!(
                     "spool_manifest_corrupt",
@@ -305,7 +310,7 @@ impl WrapperRegistry {
                     )
                 })?
                 .with_options(m.options);
-            let (assigned, _) = registry.register_in_memory(&m.name, spec);
+            let wrapper = registry.register_in_memory(&m.name, spec);
             // A dense spool reloads with its recorded numbering and the
             // manifest on disk is already correct. A gap (e.g. a past
             // spool-write failure) makes append-registration assign a
@@ -313,13 +318,8 @@ impl WrapperRegistry {
             // so disk and memory agree — otherwise a later register()
             // of the same name would clobber the old file and lose the
             // wrapper on the restart after that.
-            if assigned != m.version {
-                let renumbered = registry
-                    .version(&m.name, assigned)
-                    .expect("just registered");
-                let body = render_manifest_body(&m.name, &renumbered.spec);
-                let new_path = dir.join(format!("{}@{assigned}.wrapper", sanitize(&m.name)));
-                fs::write(&new_path, format!("{body}version={assigned}\nend\n"))?;
+            if wrapper.version != m.version {
+                write_manifest(&dir, &wrapper)?;
                 fs::remove_file(&path)?;
             }
         }
@@ -331,7 +331,7 @@ impl WrapperRegistry {
         self.spool.as_deref()
     }
 
-    fn register_in_memory(&self, name: &str, spec: WrapperSpec) -> (u32, u64) {
+    fn register_in_memory(&self, name: &str, spec: WrapperSpec) -> Arc<RegisteredWrapper> {
         let plan_id = spec.plan_id();
         // Telemetry slots are indexed by the plan's dense rule ids and
         // labeled with each rule's target pattern.
@@ -343,15 +343,15 @@ impl WrapperRegistry {
             .collect();
         let mut inner = self.inner.write().expect("registry poisoned");
         let versions = inner.entry(name.to_string()).or_default();
-        let version = versions.len() as u32 + 1;
-        versions.push(Arc::new(RegisteredWrapper {
+        let wrapper = Arc::new(RegisteredWrapper {
             name: name.to_string(),
-            version,
+            version: versions.len() as u32 + 1,
             plan_id,
             spec,
             telemetry: Arc::new(RuleStats::new(labels)),
-        }));
-        (version, plan_id)
+        });
+        versions.push(wrapper.clone());
+        wrapper
     }
 
     /// Register a new version of `name`; returns the assigned version.
@@ -359,24 +359,18 @@ impl WrapperRegistry {
     /// (best-effort: a write failure keeps the in-memory registration
     /// and logs a `spool_write_failed` warning).
     pub fn register(&self, name: &str, spec: WrapperSpec) -> u32 {
-        let manifest = self
-            .spool
-            .as_ref()
-            .map(|dir| (dir.clone(), render_manifest_body(name, &spec)));
-        let (version, _) = self.register_in_memory(name, spec);
-        if let Some((dir, body)) = manifest {
-            let path = dir.join(format!("{}@{version}.wrapper", sanitize(name)));
-            if let Err(e) = fs::write(&path, format!("{body}version={version}\nend\n")) {
+        let wrapper = self.register_in_memory(name, spec);
+        if let Some(dir) = &self.spool {
+            if let Err(e) = write_manifest(dir, &wrapper) {
                 warn_event!(
                     "spool_write_failed",
                     "wrapper" => name,
-                    "version" => version,
+                    "version" => wrapper.version,
                     "error" => e.to_string(),
                 );
-                let _ = fs::remove_file(&path);
             }
         }
-        version
+        wrapper.version
     }
 
     /// Compile `source` and register it; returns the assigned version.
@@ -451,65 +445,14 @@ struct SpoolManifest {
     source: String,
 }
 
-/// Escape a string for a single line-oriented manifest/store field:
-/// `\\`, `\n`, `\r` and `\t` are backslash-escaped, everything else is
-/// verbatim UTF-8. Shared by the registry spool and the result store —
-/// the one escaping convention of the durability directory.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Inverse of [`escape`]; errors on a dangling or unknown escape.
-pub(crate) fn unescape(s: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            other => return Err(format!("bad escape \\{other:?}")),
-        }
-    }
-    Ok(out)
-}
-
-/// Only `[A-Za-z0-9_-]` survives into file names; everything else is
-/// percent-encoded (the manifest header carries the authoritative name).
-fn sanitize(name: &str) -> String {
-    let mut out = String::with_capacity(name.len());
-    for b in name.bytes() {
-        if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
-            out.push(b as char);
-        } else {
-            out.push_str(&format!("%{b:02x}"));
-        }
-    }
-    out
-}
-
-/// The manifest body up to (not including) the trailing `version=` /
-/// `end` lines, which `register` appends once the version is assigned.
-fn render_manifest_body(name: &str, spec: &WrapperSpec) -> String {
+/// Write `wrapper`'s manifest whole, in the format
+/// [`WrapperRegistry::with_spool`] documents.
+fn write_manifest(dir: &Path, wrapper: &RegisteredWrapper) -> io::Result<()> {
+    let (spec, version) = (&wrapper.spec, wrapper.version);
     let mut out = String::new();
     out.push_str(MANIFEST_MAGIC);
     out.push('\n');
-    out.push_str(&format!("name={}\n", escape(name)));
+    out.push_str(&format!("name={}\n", escape(&wrapper.name)));
     out.push_str(&format!("root={}\n", escape(&spec.design.root_label)));
     for aux in spec.design.auxiliary_patterns() {
         out.push_str(&format!("auxiliary={}\n", escape(aux)));
@@ -524,8 +467,9 @@ fn render_manifest_body(name: &str, spec: &WrapperSpec) -> String {
     if !spec.source.ends_with('\n') {
         out.push('\n');
     }
-    out.push_str("end-program\n");
-    out
+    out.push_str(&format!("end-program\nversion={version}\nend\n"));
+    let file = format!("{}@{version}.wrapper", percent_encode(&wrapper.name));
+    write_atomic(&dir.join(file), out.as_bytes())
 }
 
 fn parse_manifest(text: &str) -> Result<SpoolManifest, String> {
@@ -538,8 +482,10 @@ fn parse_manifest(text: &str) -> Result<SpoolManifest, String> {
     let mut design = XmlDesign::new();
     let mut options = ExtractorOptions::default();
     let mut source = String::new();
-    let mut saw_end = false;
-    while let Some(line) = lines.next() {
+    // A manifest is whole only up to its `end` line: a file cut short by
+    // a crash must not load under a shorter version number.
+    loop {
+        let line = lines.next().ok_or("missing end line")?;
         if line == "end" {
             break;
         }
@@ -567,19 +513,14 @@ fn parse_manifest(text: &str) -> Result<SpoolManifest, String> {
                     .parse()
                     .map_err(|e: std::num::ParseIntError| e.to_string())?
             }
-            "program" => {
-                for line in lines.by_ref() {
-                    if line == "end-program" {
-                        saw_end = true;
-                        break;
-                    }
-                    source.push_str(line);
-                    source.push('\n');
+            "program" => loop {
+                let line = lines.next().ok_or("unterminated program section")?;
+                if line == "end-program" {
+                    break;
                 }
-                if !saw_end {
-                    return Err("unterminated program section".to_string());
-                }
-            }
+                source.push_str(line);
+                source.push('\n');
+            },
             other => return Err(format!("unknown header key {other:?}")),
         }
     }

@@ -19,14 +19,9 @@
 //! * `wal.log` — the write-ahead log: every insert appends one `put`
 //!   record, every invalidation one `del` tombstone.
 //!
-//! Both files are line-oriented UTF-8: one record per `\n`-terminated
-//! line, fields separated by tabs, every string field escaped with the
-//! same `\\` / `\n` / `\r` / `\t` convention as the wrapper-registry
-//! spool (the two substrates share one durability directory convention —
-//! see [`durability_layout`]). The first line of each file is a header,
-//! `lixto-store v1 snapshot` or `lixto-store v1 wal`.
-//!
-//! A `put` record is:
+//! Both are logs of the data directory's one line framing (the crate's
+//! `linelog` module: header line, escaped tab-separated fields, torn-tail
+//! cut, atomic rewrite), of kinds `snapshot` and `wal`. A `put` record is:
 //!
 //! ```text
 //! put <wrapper> <plan:016x> <content:016x> <created-epoch-secs>
@@ -43,12 +38,11 @@
 //! # Recovery
 //!
 //! [`TieredStore::open`] reads `snapshot.log`, then replays `wal.log`
-//! over it (later records win; tombstones remove). Any line that fails
-//! to decode — a torn write at the WAL tail, a corrupted sector, a
-//! future record type — is *skipped and counted*
-//! ([`StoreStats::corrupt_records`]), never fatal: recovery always
-//! yields the longest cleanly-parseable prefix of history. Entries
-//! whose TTL has lapsed are dropped on load ([`StoreStats::expired`]).
+//! over it (later records win; tombstones remove). A torn WAL tail, a
+//! corrupted sector or a future record type is *skipped and counted*
+//! ([`StoreStats::corrupt_records`]), so recovery yields the longest
+//! cleanly-parseable prefix of history. Entries whose TTL has lapsed are
+//! dropped on load ([`StoreStats::expired`]).
 //!
 //! # Compaction
 //!
@@ -72,8 +66,8 @@
 #![deny(missing_docs)]
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
@@ -84,12 +78,7 @@ use lixto_elog::instances::{Instance, InstanceBase, Target};
 use crate::cache::{
     CacheKey, CacheStats, CachedExtraction, CrawlRecord, ResponseMemo, ResultCache,
 };
-use crate::registry::{escape, unescape};
-
-/// File-format magic, first field of each header line.
-const MAGIC: &str = "lixto-store";
-/// Format version, second field of each header line.
-const VERSION: &str = "v1";
+use crate::linelog::{self, escape, percent_decode, percent_encode, unescape, LineLog};
 
 /// Where each durable substrate of a server lives under one data
 /// directory — the single convention shared by the wrapper-registry
@@ -165,16 +154,8 @@ pub struct Provenance {
 /// the plan fingerprint and content address as fixed-width hex,
 /// `@`-separated.
 pub fn provenance_key(key: &CacheKey) -> String {
-    let mut out = String::with_capacity(key.wrapper.len() + 36);
-    for b in key.wrapper.bytes() {
-        if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' {
-            out.push(b as char);
-        } else {
-            out.push_str(&format!("%{b:02x}"));
-        }
-    }
-    out.push_str(&format!("@{:016x}@{:016x}", key.plan, key.content));
-    out
+    let wrapper = percent_encode(&key.wrapper);
+    format!("{wrapper}@{:016x}@{:016x}", key.plan, key.content)
 }
 
 /// Parse a string produced by [`provenance_key`] back into a
@@ -190,22 +171,8 @@ pub fn parse_provenance_key(s: &str) -> Option<CacheKey> {
     let content = u64::from_str_radix(content, 16)
         .ok()
         .filter(|_| content.len() == 16)?;
-    // Percent-decode the wrapper name.
-    let bytes = wrapper_enc.as_bytes();
-    let mut wrapper = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes.get(i + 1..i + 3)?;
-            wrapper.push(u8::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?);
-            i += 3;
-        } else {
-            wrapper.push(bytes[i]);
-            i += 1;
-        }
-    }
     Some(CacheKey {
-        wrapper: String::from_utf8(wrapper).ok()?,
+        wrapper: percent_decode(wrapper_enc)?,
         plan,
         content,
     })
@@ -281,22 +248,15 @@ fn low_water(budget: u64) -> u64 {
 
 struct DiskTier {
     dir: PathBuf,
-    wal: File,
-    wal_bytes: u64,
+    wal: LineLog,
     index: HashMap<CacheKey, DiskEntry>,
     /// Sum of `bytes` over `index`, kept current by every insert and
     /// removal.
     live_bytes: u64,
     ttl: Option<Duration>,
     budget: u64,
-    persisted: u64,
-    recovered: u64,
-    disk_hits: u64,
-    corrupt: u64,
-    compactions: u64,
-    expired: u64,
-    evictions: u64,
-    write_errors: u64,
+    /// Counters; `disk_len` and `disk_bytes` are filled in by `stats`.
+    stats: StoreStats,
 }
 
 /// Seconds since the Unix epoch (0 on a pre-1970 clock).
@@ -305,10 +265,6 @@ fn epoch_secs() -> u64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0)
-}
-
-fn header(kind: &str) -> String {
-    format!("{MAGIC}\t{VERSION}\t{kind}\n")
 }
 
 /// Encode one `put` record (no trailing newline).
@@ -364,7 +320,6 @@ fn encode_del(key: &CacheKey) -> String {
 }
 
 enum Record {
-    Header,
     Put(CacheKey, u64, Arc<CachedExtraction>),
     Del(CacheKey),
 }
@@ -373,7 +328,6 @@ enum Record {
 fn decode_line(line: &str) -> Option<Record> {
     let mut fields = line.split('\t');
     match fields.next()? {
-        MAGIC => (fields.next() == Some(VERSION)).then_some(Record::Header),
         "del" => {
             let wrapper = unescape(fields.next()?).ok()?;
             let plan = u64::from_str_radix(fields.next()?, 16).ok()?;
@@ -486,85 +440,60 @@ fn decode_put(mut fields: std::str::Split<'_, char>) -> Option<Record> {
     ))
 }
 
+/// [`decode_line`] as a disk-tier index record.
+fn decode_entry(line: &str) -> Option<linelog::Record<CacheKey, DiskEntry>> {
+    Some(match decode_line(line)? {
+        Record::Put(key, created, value) => {
+            let bytes = line.len() as u64 + 1;
+            linelog::Record::Put(
+                key,
+                DiskEntry {
+                    value,
+                    created,
+                    bytes,
+                },
+            )
+        }
+        Record::Del(key) => linelog::Record::Del(key),
+    })
+}
+
 impl DiskTier {
     fn open(config: &StoreConfig) -> io::Result<DiskTier> {
         fs::create_dir_all(&config.dir)?;
         let mut index: HashMap<CacheKey, DiskEntry> = HashMap::new();
-        let mut corrupt = 0u64;
-        for file in ["snapshot.log", "wal.log"] {
-            let path = config.dir.join(file);
-            let Ok(contents) = fs::read_to_string(&path) else {
-                continue;
-            };
-            for line in contents.split('\n') {
-                if line.is_empty() {
-                    continue;
-                }
-                match decode_line(line) {
-                    Some(Record::Header) => {}
-                    Some(Record::Put(key, created, value)) => {
-                        let bytes = line.len() as u64 + 1;
-                        index.insert(
-                            key,
-                            DiskEntry {
-                                value,
-                                created,
-                                bytes,
-                            },
-                        );
-                    }
-                    Some(Record::Del(key)) => {
-                        index.remove(&key);
-                    }
-                    None => {
-                        corrupt += 1;
-                        lixto_obs::warn_event!(
-                            "store_corrupt_record",
-                            "file" => file,
-                            "bytes" => line.len(),
-                        );
-                    }
-                }
-            }
-        }
-        let mut expired = 0u64;
-        if let Some(ttl) = config.ttl {
-            let now = epoch_secs();
-            let before = index.len();
-            index.retain(|_, e| e.created.saturating_add(ttl.as_secs()) > now);
-            expired = (before - index.len()) as u64;
-        }
-        let wal_path = config.dir.join("wal.log");
-        let fresh_wal = fs::metadata(&wal_path)
-            .map(|m| m.len() == 0)
-            .unwrap_or(true);
-        let mut wal = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&wal_path)?;
-        if fresh_wal {
-            wal.write_all(header("wal").as_bytes())?;
-        }
-        let wal_bytes = fs::metadata(&wal_path)?.len();
-        let recovered = index.len() as u64;
-        let live_bytes = index.values().map(|e| e.bytes).sum();
-        Ok(DiskTier {
+        let snapshot = config.dir.join("snapshot.log");
+        let (snapshot_corrupt, _) =
+            linelog::replay(&snapshot, "snapshot", &mut index, decode_entry)?;
+        let (wal, wal_corrupt) =
+            LineLog::open(config.dir.join("wal.log"), "wal", &mut index, decode_entry)?;
+        let mut tier = DiskTier {
             dir: config.dir.clone(),
             wal,
-            wal_bytes,
             index,
-            live_bytes,
+            live_bytes: 0,
             ttl: config.ttl,
             budget: config.budget_bytes.max(1),
-            persisted: 0,
-            recovered,
-            disk_hits: 0,
-            corrupt,
-            compactions: 0,
-            expired,
-            evictions: 0,
-            write_errors: 0,
-        })
+            stats: StoreStats {
+                corrupt_records: snapshot_corrupt + wal_corrupt,
+                ..StoreStats::default()
+            },
+        };
+        tier.sweep_expired();
+        tier.stats.recovered = tier.index.len() as u64;
+        Ok(tier)
+    }
+
+    /// Drop the entries whose TTL has lapsed and recount the live bytes.
+    fn sweep_expired(&mut self) {
+        if let Some(ttl) = self.ttl {
+            let now = epoch_secs();
+            let before = self.index.len();
+            self.index
+                .retain(|_, e| e.created.saturating_add(ttl.as_secs()) > now);
+            self.stats.expired += (before - self.index.len()) as u64;
+        }
+        self.live_bytes = self.index.values().map(|e| e.bytes).sum();
     }
 
     fn get(&mut self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
@@ -574,31 +503,23 @@ impl DiskTier {
                 if entry.created.saturating_add(ttl.as_secs()) <= now {
                     self.live_bytes -= entry.bytes;
                     self.index.remove(key);
-                    self.expired += 1;
+                    self.stats.expired += 1;
                     return None;
                 }
             }
         }
         let value = self.index.get(key).map(|e| e.value.clone())?;
-        self.disk_hits += 1;
+        self.stats.disk_hits += 1;
         Some(value)
     }
 
     fn insert(&mut self, key: CacheKey, value: Arc<CachedExtraction>) {
         let created = epoch_secs();
-        let mut line = encode_put(&key, &value, created);
-        line.push('\n');
-        let bytes = line.len() as u64;
-        match self
-            .wal
-            .write_all(line.as_bytes())
-            .and_then(|()| self.wal.flush())
-        {
-            Ok(()) => {
-                self.wal_bytes += bytes;
-                self.persisted += 1;
-            }
-            Err(_) => self.write_errors += 1,
+        let line = encode_put(&key, &value, created);
+        let bytes = line.len() as u64 + 1;
+        match self.wal.append(line) {
+            Ok(()) => self.stats.persisted += 1,
+            Err(_) => self.stats.write_errors += 1,
         }
         let replaced = self.index.insert(
             key,
@@ -612,7 +533,7 @@ impl DiskTier {
         if let Some(old) = replaced {
             self.live_bytes -= old.bytes;
         }
-        if self.wal_bytes > self.budget / 2 || self.live_bytes > self.budget {
+        if self.wal.len() > self.budget / 2 || self.live_bytes > self.budget {
             self.compact();
         }
     }
@@ -622,15 +543,8 @@ impl DiskTier {
             return false;
         };
         self.live_bytes -= removed.bytes;
-        let mut line = encode_del(key);
-        line.push('\n');
-        match self
-            .wal
-            .write_all(line.as_bytes())
-            .and_then(|()| self.wal.flush())
-        {
-            Ok(()) => self.wal_bytes += line.len() as u64,
-            Err(_) => self.write_errors += 1,
+        if self.wal.append(encode_del(key)).is_err() {
+            self.stats.write_errors += 1;
         }
         true
     }
@@ -638,14 +552,7 @@ impl DiskTier {
     fn compact(&mut self) {
         // TTL sweep, then — over budget — oldest-first eviction down to
         // the low-water mark.
-        if let Some(ttl) = self.ttl {
-            let now = epoch_secs();
-            let before = self.index.len();
-            self.index
-                .retain(|_, e| e.created.saturating_add(ttl.as_secs()) > now);
-            self.expired += (before - self.index.len()) as u64;
-            self.live_bytes = self.index.values().map(|e| e.bytes).sum();
-        }
+        self.sweep_expired();
         if self.live_bytes > self.budget {
             let target = low_water(self.budget);
             let mut by_age: Vec<(u64, &CacheKey)> =
@@ -664,49 +571,30 @@ impl DiskTier {
             for victim in victims {
                 if let Some(dropped) = self.index.remove(&victim) {
                     self.live_bytes -= dropped.bytes;
-                    self.evictions += 1;
+                    self.stats.disk_evictions += 1;
                 }
             }
         }
-        // Deterministic snapshot: entries sorted by key, written to a
-        // tmp file and renamed over the old snapshot.
+        // Deterministic snapshot: entries sorted by key. Once it is in
+        // place it carries everything, and the WAL starts over.
         let mut entries: Vec<(&CacheKey, &DiskEntry)> = self.index.iter().collect();
         entries.sort_unstable_by_key(|(key, _)| *key);
-        let mut out = header("snapshot");
-        for (key, entry) in entries {
-            out.push_str(&encode_put(key, &entry.value, entry.created));
-            out.push('\n');
-        }
-        let tmp = self.dir.join("snapshot.tmp");
-        let result = fs::write(&tmp, &out)
-            .and_then(|()| fs::rename(&tmp, self.dir.join("snapshot.log")))
-            .and_then(|()| {
-                // Truncate the WAL back to its header; the snapshot now
-                // carries everything.
-                let mut wal = File::create(self.dir.join("wal.log"))?;
-                wal.write_all(header("wal").as_bytes())?;
-                self.wal = wal;
-                self.wal_bytes = header("wal").len() as u64;
-                Ok(())
-            });
+        let records = entries
+            .into_iter()
+            .map(|(key, entry)| encode_put(key, &entry.value, entry.created));
+        let result = linelog::rewrite(&self.dir.join("snapshot.log"), "snapshot", records)
+            .and_then(|_| self.wal.rewrite(std::iter::empty()));
         match result {
-            Ok(()) => self.compactions += 1,
-            Err(_) => self.write_errors += 1,
+            Ok(()) => self.stats.compactions += 1,
+            Err(_) => self.stats.write_errors += 1,
         }
     }
 
     fn stats(&self) -> StoreStats {
         StoreStats {
-            persisted: self.persisted,
-            recovered: self.recovered,
-            disk_hits: self.disk_hits,
             disk_len: self.index.len(),
             disk_bytes: self.live_bytes,
-            corrupt_records: self.corrupt,
-            compactions: self.compactions,
-            expired: self.expired,
-            disk_evictions: self.evictions,
-            write_errors: self.write_errors,
+            ..self.stats
         }
     }
 }

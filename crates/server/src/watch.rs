@@ -29,12 +29,16 @@
 //! re-baselines silently. Snapshots are deliberately *not* persisted:
 //! they are recomputable from source, and a restarted server must not
 //! replay a diff the subscriber already saw.
+//!
+//! The spool, `watches.log`, is a log of kind `watches` in the data
+//! directory's one line framing (the crate's `linelog` module); this
+//! module only encodes and decodes its `put`/`del` records.
 
 #![deny(missing_docs)]
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::fs;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -43,17 +47,11 @@ use std::time::{Duration, Instant};
 use lixto_obs::{debug_event, warn_event};
 use lixto_transform::{diff_snapshots, ExtractionSnapshot, InstanceDiff};
 
-use crate::registry::{escape, unescape};
+use crate::linelog::{escape, unescape, LineLog, Record};
 use crate::server::{
     ExtractionRequest, ExtractionServer, Recheck, RequestSource, Seen, ServerError,
 };
 
-/// File-format magic (shared with the store and registry spools).
-const MAGIC: &str = "lixto-store";
-/// Format version.
-const VERSION: &str = "v1";
-/// Spool kind discriminator in the header line.
-const KIND: &str = "watches";
 /// Spool file name inside the watches directory.
 const SPOOL_FILE: &str = "watches.log";
 
@@ -147,16 +145,10 @@ impl WatchEntry {
     }
 }
 
-/// Append-only spool under the durability dir: `put` and `del` records,
-/// compacted (tmp + rename) on open.
-struct Spool {
-    path: PathBuf,
-    file: File,
-}
-
 struct Inner {
     watches: HashMap<String, WatchEntry>,
-    spool: Option<Spool>,
+    /// Append-only spool under the durability dir, compacted on open.
+    spool: Option<LineLog>,
     /// Generations handed out so far.
     generations: u64,
 }
@@ -221,90 +213,29 @@ impl WatchRegistry {
     }
 
     /// Durable registry: replay the spool under `dir` (creating it if
-    /// absent), compact it, and append every future change. Corrupt
-    /// records are skipped and counted, never fatal.
+    /// absent), compact it, and append every future change. Corrupt and
+    /// torn records are skipped; only a file that is not a watch spool
+    /// refuses the open.
     pub fn with_spool(dir: impl Into<PathBuf>) -> io::Result<WatchRegistry> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let path = dir.join(SPOOL_FILE);
         let mut watches: HashMap<String, WatchSpec> = HashMap::new();
-        let mut skipped = 0usize;
-        match fs::read_to_string(&path) {
-            Ok(text) => {
-                let mut lines = text.lines();
-                match lines.next() {
-                    None => {}
-                    Some(header)
-                        if header
-                            .split('\t')
-                            .collect::<Vec<_>>()
-                            .starts_with(&[MAGIC, VERSION, KIND]) => {}
-                    Some(_) => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("{} is not a {MAGIC} {VERSION} {KIND} spool", path.display()),
-                        ));
-                    }
-                }
-                for line in lines {
-                    if line.is_empty() {
-                        continue;
-                    }
-                    match parse_record(line) {
-                        Some(Record::Put(id, spec)) => {
-                            watches.insert(id, spec);
-                        }
-                        Some(Record::Del(id)) => {
-                            watches.remove(&id);
-                        }
-                        None => skipped += 1,
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        if skipped > 0 {
-            warn_event!(
-                "watch_spool_corrupt_records",
-                "path" => path.display().to_string(),
-                "skipped" => skipped as u64,
-            );
-        }
-        // Compact: rewrite the surviving set, tmp + rename.
-        let tmp = dir.join(format!("{SPOOL_FILE}.tmp"));
-        {
-            let mut out = File::create(&tmp)?;
-            writeln!(out, "{MAGIC}\t{VERSION}\t{KIND}")?;
-            let mut ids: Vec<&String> = watches.keys().collect();
-            ids.sort();
-            for id in ids {
-                out.write_all(put_record(id, &watches[id]).as_bytes())?;
-            }
-            out.flush()?;
-        }
-        fs::rename(&tmp, &path)?;
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let (mut spool, _) =
+            LineLog::open(dir.join(SPOOL_FILE), "watches", &mut watches, parse_record)?;
+        let mut ids: Vec<&String> = watches.keys().collect();
+        ids.sort();
+        spool.rewrite(ids.into_iter().map(|id| put_record(id, &watches[id])))?;
+        let mut registry = WatchRegistry::new();
+        let inner = registry.inner.get_mut().expect("not shared yet");
         let now = Instant::now();
-        let mut generations = 0;
-        let entries = watches
-            .into_iter()
-            .map(|(id, spec)| {
-                generations += 1;
-                (id, new_entry(spec, now, generations))
-            })
-            .collect();
-        Ok(WatchRegistry {
-            inner: Mutex::new(Inner {
-                watches: entries,
-                spool: Some(Spool { path, file }),
-                generations,
-            }),
-            wake: Condvar::new(),
-            subscribers: AtomicUsize::new(0),
-            webhook_deliveries: AtomicU64::new(0),
-            webhook_failures: AtomicU64::new(0),
-        })
+        for (id, spec) in watches {
+            inner.generations += 1;
+            inner
+                .watches
+                .insert(id, new_entry(spec, now, inner.generations));
+        }
+        inner.spool = Some(spool);
+        Ok(registry)
     }
 
     /// Register (or replace) a watch. Returns `true` when the id is new.
@@ -314,7 +245,7 @@ impl WatchRegistry {
     pub fn put(&self, id: &str, spec: WatchSpec) -> bool {
         let mut inner = self.lock();
         if let Some(spool) = &mut inner.spool {
-            append_or_warn(spool, &put_record(id, &spec));
+            append_or_warn(spool, put_record(id, &spec));
         }
         inner.generations += 1;
         let entry = new_entry(spec, Instant::now(), inner.generations);
@@ -334,7 +265,7 @@ impl WatchRegistry {
         let existed = inner.watches.remove(id).is_some();
         if existed {
             if let Some(spool) = &mut inner.spool {
-                append_or_warn(spool, &format!("del\t{}\n", escape(id)));
+                append_or_warn(spool, format!("del\t{}", escape(id)));
             }
             debug_event!("watch_removed", "watch" => id);
         }
@@ -578,7 +509,7 @@ fn new_entry(spec: WatchSpec, now: Instant, generation: u64) -> WatchEntry {
 
 fn put_record(id: &str, spec: &WatchSpec) -> String {
     format!(
-        "put\t{}\t{}\t{}\t{}\t{}\n",
+        "put\t{}\t{}\t{}\t{}\t{}",
         escape(id),
         escape(&spec.wrapper),
         escape(&spec.url),
@@ -587,12 +518,7 @@ fn put_record(id: &str, spec: &WatchSpec) -> String {
     )
 }
 
-enum Record {
-    Put(String, WatchSpec),
-    Del(String),
-}
-
-fn parse_record(line: &str) -> Option<Record> {
+fn parse_record(line: &str) -> Option<Record<String, WatchSpec>> {
     let fields: Vec<&str> = line.split('\t').collect();
     match fields.as_slice() {
         ["put", id, wrapper, url, interval_ms, webhook] => {
@@ -612,15 +538,11 @@ fn parse_record(line: &str) -> Option<Record> {
     }
 }
 
-fn append_or_warn(spool: &mut Spool, record: &str) {
-    if let Err(e) = spool
-        .file
-        .write_all(record.as_bytes())
-        .and_then(|()| spool.file.flush())
-    {
+fn append_or_warn(spool: &mut LineLog, record: String) {
+    if let Err(e) = spool.append(record) {
         warn_event!(
             "watch_spool_append_failed",
-            "path" => spool.path.display().to_string(),
+            "path" => spool.path().display().to_string(),
             "error" => e.to_string(),
         );
     }
@@ -795,6 +717,8 @@ mod tests {
     use crate::server::ServerConfig;
     use lixto_core::XmlDesign;
     use lixto_elog::{SharedWeb, WebSource};
+    use std::fs::OpenOptions;
+    use std::io::Write;
     use std::sync::mpsc;
 
     const WRAPPER: &str = r#"

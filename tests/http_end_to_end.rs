@@ -48,7 +48,7 @@ fn sixteen_keep_alive_clients_get_byte_identical_xml() {
     let gateway = HttpGateway::bind(
         "127.0.0.1:0",
         GatewayConfig {
-            handler_threads: CLIENTS + 2, // every keep-alive session gets a handler
+            event_loops: 4,
             ..GatewayConfig::default()
         },
         server.clone(),
@@ -218,7 +218,7 @@ fn full_queue_returns_429_backpressure() {
     let gateway = HttpGateway::bind(
         "127.0.0.1:0",
         GatewayConfig {
-            handler_threads: 8,
+            event_loops: 4,
             ..GatewayConfig::default()
         },
         server.clone(),
@@ -276,7 +276,7 @@ fn malformed_requests_map_to_4xx() {
     let gateway = HttpGateway::bind(
         "127.0.0.1:0",
         GatewayConfig {
-            handler_threads: 2,
+            event_loops: 2,
             limits: Limits {
                 max_header_bytes: 2048,
                 max_body_bytes: 4096,
@@ -388,7 +388,7 @@ fn deploy_time_compile_errors_surface_as_structured_400s() {
     let gateway = HttpGateway::bind(
         "127.0.0.1:0",
         GatewayConfig {
-            handler_threads: 1,
+            event_loops: 1,
             idle_timeout: Duration::from_millis(500),
             ..GatewayConfig::default()
         },
@@ -500,7 +500,7 @@ fn spooled_deploys_survive_a_server_restart() {
         let gateway = HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 1,
+                event_loops: 1,
                 idle_timeout: Duration::from_millis(500),
                 ..GatewayConfig::default()
             },
@@ -536,7 +536,7 @@ fn spooled_deploys_survive_a_server_restart() {
     let gateway = HttpGateway::bind(
         "127.0.0.1:0",
         GatewayConfig {
-            handler_threads: 1,
+            event_loops: 1,
             idle_timeout: Duration::from_millis(500),
             ..GatewayConfig::default()
         },
@@ -588,7 +588,7 @@ fn restart_serves_warm_hits_from_the_recovered_store_with_provenance() {
         HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 1,
+                event_loops: 1,
                 idle_timeout: Duration::from_millis(500),
                 ..GatewayConfig::default()
             },
@@ -742,7 +742,7 @@ fn pool_shutdown_while_handlers_hold_tickets_does_not_deadlock() {
     let gateway = HttpGateway::bind(
         "127.0.0.1:0",
         GatewayConfig {
-            handler_threads: 4,
+            event_loops: 4,
             ..GatewayConfig::default()
         },
         server.clone(),

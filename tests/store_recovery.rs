@@ -7,13 +7,14 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use lixto_elog::eval::ExtractionResult;
 use lixto_elog::instances::{Instance, InstanceBase, Target};
 use lixto_server::XmlDesign;
 use lixto_server::{
     durability_layout, CacheKey, CachedExtraction, CrawlRecord, InstanceProvenance, Provenance,
-    StoreConfig, TieredStore, WrapperRegistry,
+    StoreConfig, TieredStore, WatchRegistry, WatchSpec, WrapperRegistry,
 };
 
 fn temp_root(tag: &str) -> PathBuf {
@@ -108,6 +109,70 @@ fn kill_mid_append_keeps_the_clean_prefix() {
     let stats = store.store_stats();
     assert_eq!(stats.recovered, 2);
     assert_eq!(stats.corrupt_records, 1);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A torn tail is cut off before the WAL is appended to again: the next
+/// record starts on a line of its own and survives the restart after.
+#[test]
+fn append_after_a_torn_tail_survives_the_next_restart() {
+    let dir = temp_root("torn-append");
+    {
+        let store = TieredStore::open(8, &StoreConfig::new(&dir)).unwrap();
+        store.insert(key("shop", 1), entry("shop", "<a/>", &["one"]));
+        store.insert(key("shop", 2), entry("shop", "<b/>", &["two"]));
+    }
+    let wal = dir.join("wal.log");
+    let full = fs::read(&wal).unwrap();
+    let last_line_start = full[..full.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .unwrap()
+        + 1;
+    fs::write(
+        &wal,
+        &full[..last_line_start + (full.len() - last_line_start) / 2],
+    )
+    .unwrap();
+    {
+        let store = TieredStore::open(8, &StoreConfig::new(&dir)).unwrap();
+        assert_eq!(store.store_stats().corrupt_records, 1);
+        store.insert(key("shop", 3), entry("shop", "<c/>", &["three"]));
+    }
+    let store = TieredStore::open(8, &StoreConfig::new(&dir)).unwrap();
+    assert!(store.peek(&key("shop", 1)).is_some());
+    assert!(
+        store.peek(&key("shop", 2)).is_none(),
+        "the torn record stays lost"
+    );
+    let third = store
+        .peek(&key("shop", 3))
+        .expect("the record appended after the cut");
+    assert_eq!(third.xml, "<c/>");
+    let stats = store.store_stats();
+    assert_eq!((stats.recovered, stats.corrupt_records), (2, 0));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A cut inside a multi-byte character tears only the record it cuts:
+/// the records before it still recover.
+#[test]
+fn a_tail_torn_inside_a_character_keeps_the_clean_prefix() {
+    let dir = temp_root("torn-utf8");
+    {
+        let store = TieredStore::open(8, &StoreConfig::new(&dir)).unwrap();
+        store.insert(key("shop", 1), entry("shop", "<a/>", &["one"]));
+        store.insert(key("shop", 2), entry("shop", "<b/>", &["dé"]));
+    }
+    let wal = dir.join("wal.log");
+    let full = fs::read(&wal).unwrap();
+    let cut = full.iter().rposition(|&b| b == "é".as_bytes()[0]).unwrap() + 1;
+    fs::write(&wal, &full[..cut]).unwrap();
+    let store = TieredStore::open(8, &StoreConfig::new(&dir)).unwrap();
+    assert!(store.peek(&key("shop", 1)).is_some());
+    assert!(store.peek(&key("shop", 2)).is_none());
+    let stats = store.store_stats();
+    assert_eq!((stats.recovered, stats.corrupt_records), (1, 1));
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -233,4 +298,121 @@ fn shared_durability_directory_recovers_both_substrates() {
     assert!(store.peek(&key("shop", 1)).is_some());
     assert_eq!(store.store_stats().corrupt_records, 1);
     fs::remove_dir_all(&root).unwrap();
+}
+
+/// The watch spool recovers at every truncation point too: the watches
+/// it reloads are a prefix of those registered, each exactly as written
+/// (a cut inside a record's last field must not shorten a webhook).
+#[test]
+fn every_watch_spool_truncation_point_recovers_a_prefix() {
+    let dir = temp_root("watch-prefix");
+    let written: Vec<(String, WatchSpec)> = [
+        ("w0", "http://shop/0/ä", 250, None),
+        ("w1", "http://shop/1\tb", 500, Some("http://sink:9/hook")),
+        (
+            "w2",
+            "http://shop/2",
+            1000,
+            Some("http://hooks.example/abcdef"),
+        ),
+    ]
+    .into_iter()
+    .map(|(id, url, ms, webhook)| {
+        let spec = WatchSpec {
+            wrapper: "shop".to_string(),
+            url: url.to_string(),
+            interval: Duration::from_millis(ms),
+            webhook: webhook.map(str::to_string),
+        };
+        (id.to_string(), spec)
+    })
+    .collect();
+    {
+        let registry = WatchRegistry::with_spool(&dir).unwrap();
+        for (id, spec) in &written {
+            registry.put(id, spec.clone());
+        }
+    }
+    let spool = dir.join("watches.log");
+    let full = fs::read(&spool).unwrap();
+    for cut in 0..=full.len() {
+        fs::write(&spool, &full[..cut]).unwrap();
+        let registry = WatchRegistry::with_spool(&dir)
+            .unwrap_or_else(|e| panic!("open failed at cut {cut}: {e}"));
+        let recovered = registry.list();
+        assert!(recovered.len() <= written.len());
+        for (got, (id, spec)) in recovered.iter().zip(&written) {
+            assert_eq!(&got.id, id, "cut {cut}: not a prefix");
+            assert_eq!(
+                (&got.wrapper, &got.url, got.interval_ms, &got.webhook),
+                (
+                    &spec.wrapper,
+                    &spec.url,
+                    spec.interval.as_millis() as u64,
+                    &spec.webhook
+                ),
+                "cut {cut}: watch {id} differs from the spec written"
+            );
+        }
+        drop(registry);
+        // Opening rewrote the spool; restore it for the next cut.
+        fs::write(&spool, &full).unwrap();
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A manifest cut mid-write (no `end` line) is skipped, so the versions
+/// that reload keep their deploy order.
+#[test]
+fn torn_wrapper_manifest_is_skipped_and_keeps_deploy_order() {
+    let dir = temp_root("torn-manifest");
+    const WRAPPER: &str = r#"item(S, X) :- document("http://x/", S), subelem(S, (?.li, []), X)."#;
+    {
+        let registry = WrapperRegistry::with_spool(&dir).unwrap();
+        for i in 0..12 {
+            registry
+                .register_source("shop", WRAPPER, XmlDesign::new().root(&format!("r{i}")))
+                .unwrap();
+        }
+    }
+    let last = dir.join("shop@12.wrapper");
+    let text = fs::read_to_string(&last).unwrap();
+    let cut = text.find("version=12").unwrap() + "version=1".len();
+    fs::write(&last, &text[..cut]).unwrap();
+    let registry = WrapperRegistry::with_spool(&dir).unwrap();
+    assert_eq!(registry.catalog(), vec![("shop".to_string(), 11)]);
+    for version in 1..=11 {
+        let root = &registry
+            .version("shop", version)
+            .unwrap()
+            .spec
+            .design
+            .root_label;
+        assert_eq!(root, &format!("r{}", version - 1), "version {version}");
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A manifest cut inside a multi-byte character is skipped like any
+/// other torn manifest; it does not keep the registry from opening.
+#[test]
+fn manifest_torn_inside_a_character_is_skipped() {
+    let dir = temp_root("torn-manifest-utf8");
+    const WRAPPER: &str = r#"item(S, X) :- document("http://x/", S), subelem(S, (?.li, []), X)."#;
+    {
+        let registry = WrapperRegistry::with_spool(&dir).unwrap();
+        registry
+            .register_source("shop", WRAPPER, XmlDesign::new().root("é"))
+            .unwrap();
+        registry
+            .register_source("news", WRAPPER, XmlDesign::new().root("ok"))
+            .unwrap();
+    }
+    let torn = dir.join("shop@1.wrapper");
+    let bytes = fs::read(&torn).unwrap();
+    let cut = bytes.iter().position(|&b| b == "é".as_bytes()[0]).unwrap() + 1;
+    fs::write(&torn, &bytes[..cut]).unwrap();
+    let registry = WrapperRegistry::with_spool(&dir).expect("a torn manifest is not fatal");
+    assert_eq!(registry.catalog(), vec![("news".to_string(), 1)]);
+    fs::remove_dir_all(&dir).unwrap();
 }

@@ -271,7 +271,7 @@ fn watch_subscriptions_survive_a_gateway_restart() {
         HttpGateway::bind(
             "127.0.0.1:0",
             GatewayConfig {
-                handler_threads: 1,
+                event_loops: 1,
                 idle_timeout: Duration::from_secs(10),
                 watch_tick: Duration::from_millis(10),
                 watch_spool: Some(layout.watches.clone()),
