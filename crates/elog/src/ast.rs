@@ -275,7 +275,8 @@ impl ElogProgram {
 impl fmt::Display for ElogProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for r in &self.rules {
-            writeln!(f, "{}", crate::pretty::rule_to_string(r))?;
+            crate::pretty::write_rule(f, r)?;
+            f.write_str("\n")?;
         }
         Ok(())
     }

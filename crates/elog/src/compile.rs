@@ -1,8 +1,8 @@
 //! Compilation of [`ElogProgram`]s into [`WrapperPlan`]s.
 //!
 //! Compilation interns every pattern and variable name into dense ids,
-//! resolves parent-pattern edges, precompiles every regex, bakes concept
-//! definitions in, and performs the static checks the interpreted
+//! resolves parent-pattern edges, precompiles every regex, bakes in the
+//! concept matchers the registry compiled once, and performs the static checks the interpreted
 //! evaluator only discovers as silent empty results at run time: unknown
 //! parent patterns, variables referenced before anything binds them,
 //! dangling concept references, malformed regexes, and non-constant
@@ -16,9 +16,9 @@ use crate::ast::{
 use crate::concepts::{Concept, ConceptRegistry};
 use crate::path::compile_regvar;
 use crate::plan::{
-    CompileError, PatternId, PlanAttr, PlanAttrMatch, PlanConcept, PlanCondition, PlanExtraction,
-    PlanOperand, PlanParent, PlanPath, PlanRegvar, PlanRule, PlanStep, PlanTag, PlanUrl,
-    PlanVarRef, SlotId, WrapperPlan,
+    CompileError, PatternId, PlanAttr, PlanAttrMatch, PlanCondition, PlanExtraction, PlanOperand,
+    PlanParent, PlanPath, PlanRegvar, PlanRule, PlanStep, PlanTag, PlanUrl, PlanVarRef, SlotId,
+    WrapperPlan,
 };
 
 use lixto_regexlite::Regex;
@@ -98,9 +98,11 @@ impl WrapperPlan {
     ///
     /// The concept registry is consulted (and baked in) at compile time:
     /// a plan carries its concept matchers and needs no registry to
-    /// execute.
+    /// execute. The plan keeps `program` (see [`WrapperPlan::program`]),
+    /// so it is taken by value: a caller that still needs its AST clones
+    /// it, one that does not hands it over.
     pub fn compile(
-        program: &ElogProgram,
+        program: ElogProgram,
         concepts: &ConceptRegistry,
     ) -> Result<WrapperPlan, CompileError> {
         // Pattern table, in first-definition order (the order
@@ -174,7 +176,7 @@ impl WrapperPlan {
             });
         }
         Ok(WrapperPlan {
-            program: program.clone(),
+            program,
             patterns,
             rules,
             rules_by_parent,
@@ -288,11 +290,14 @@ fn compile_condition(
             var,
             negated,
         } => {
-            let compiled = match concepts.get(concept) {
-                Some(Concept::Syntactic(re)) => PlanConcept::Syntactic(
-                    Regex::with_options(re, true).map_err(|e| cx.bad_regex(re, &e))?,
-                ),
-                Some(Concept::Semantic(set)) => PlanConcept::Semantic(set.clone()),
+            let compiled = match concepts.matcher(concept) {
+                Some(Ok(matcher)) => matcher.clone(),
+                Some(Err(e)) => {
+                    let Some(Concept::Syntactic(re)) = concepts.get(concept) else {
+                        unreachable!("only a syntactic concept fails to compile");
+                    };
+                    return Err(cx.bad_regex(re, e));
+                }
                 None => {
                     return Err(CompileError::UnknownConcept {
                         rule: cx.index,
@@ -413,7 +418,7 @@ mod tests {
     use crate::plan::PlanParent;
 
     fn compile(src: &str) -> Result<WrapperPlan, CompileError> {
-        WrapperPlan::compile(&parse_program(src).unwrap(), &ConceptRegistry::builtin())
+        WrapperPlan::compile(parse_program(src).unwrap(), &ConceptRegistry::builtin())
     }
 
     #[test]

@@ -257,7 +257,7 @@ impl<'w> Extractor<'w> {
             Engine::Optimized(opt) => {
                 crate::exec::execute_optimized(opt, self.web, &self.options, self.probe)
             }
-            Engine::Ast(program) => match WrapperPlan::compile(program, &self.concepts) {
+            Engine::Ast(program) => match WrapperPlan::compile(program.clone(), &self.concepts) {
                 Ok(plan) => {
                     let opt = OptimizedPlan::new(Arc::new(plan));
                     crate::exec::execute_optimized(&opt, self.web, &self.options, self.probe)
@@ -932,7 +932,7 @@ mod tests {
             "cell".to_string(),
         ]));
         let probe = crate::ExecProbe::new(Some(stats.clone()));
-        let plan = WrapperPlan::compile(&program, &ConceptRegistry::builtin()).unwrap();
+        let plan = WrapperPlan::compile(program, &ConceptRegistry::builtin()).unwrap();
         let opt = std::sync::Arc::new(OptimizedPlan::new(std::sync::Arc::new(plan)));
         let traced = Extractor::from_optimized(opt.clone(), &web)
             .with_probe(&probe)

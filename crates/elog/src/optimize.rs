@@ -449,7 +449,7 @@ mod tests {
 
     fn optimized(src: &str) -> OptimizedPlan {
         let program = parse_program(src).unwrap();
-        let plan = WrapperPlan::compile(&program, &ConceptRegistry::builtin()).unwrap();
+        let plan = WrapperPlan::compile(program, &ConceptRegistry::builtin()).unwrap();
         optimize(Arc::new(plan))
     }
 

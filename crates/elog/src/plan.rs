@@ -16,9 +16,10 @@
 //! * every rule's parent-pattern edge is resolved to a pattern id, and an
 //!   indexed rule table ([`WrapperPlan::rules_for_parent`]) replaces the
 //!   per-application name scan;
-//! * element-path tag regexes, `regvar` attribute patterns, `subtext`
-//!   extraction regexes and syntactic concept regexes are compiled
-//!   exactly once, at plan-compile time;
+//! * element-path tag regexes, `regvar` attribute patterns and `subtext`
+//!   extraction regexes are compiled exactly once, at plan-compile time;
+//!   concept matchers ([`PlanConcept`]) are compiled once per concept
+//!   registry and shared by every plan compiled against it;
 //! * unknown parent patterns, unbound variables, dangling concept
 //!   references and malformed regexes are rejected *at compile time* with
 //!   a structured [`CompileError`] — a deploy-time 400 instead of a
@@ -41,6 +42,7 @@
 
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 use lixto_regexlite::Regex;
 
@@ -318,14 +320,17 @@ pub enum PlanVarRef {
     TargetText,
 }
 
-/// A compiled concept matcher (the registry lookup and any regex
-/// compilation are done once, at plan compile time).
+/// A compiled concept matcher. The [`ConceptRegistry`](crate::ConceptRegistry)
+/// compiles it once, when the concept is registered, and every plan
+/// condition naming the concept shares it: cloning one is a
+/// reference-count bump, so neither a plan compile nor a concept test
+/// compiles a regex.
 #[derive(Debug, Clone)]
 pub enum PlanConcept {
     /// Syntactic concept: the precompiled (case-insensitive) regex.
-    Syntactic(Regex),
+    Syntactic(Arc<Regex>),
     /// Semantic concept: the lower-cased ontology members.
-    Semantic(HashSet<String>),
+    Semantic(Arc<HashSet<String>>),
 }
 
 impl PlanConcept {

@@ -1,104 +1,121 @@
 //! Pretty-printing Elog programs back to the textual dialect.
+//!
+//! The printer writes straight into any [`fmt::Write`] sink — the
+//! `Formatter` behind `ElogProgram`'s `Display`, a `String`, or the
+//! streaming hasher that computes a wrapper's plan id — and builds no
+//! intermediate strings. Its output is the canonical program text that
+//! wrapper manifests store and plan ids hash, so the printed bytes are
+//! part of the durable format and must not change.
+
+use std::fmt::{self, Write};
 
 use crate::ast::{
     AttrMode, Condition, ElementPath, ElogRule, Extraction, ParentSpec, TagTest, UrlExpr,
 };
 
-/// Render a path.
-pub fn path_to_string(p: &ElementPath) -> String {
-    let mut s = String::from("(");
+/// Write a path: `(steps, [attribute conditions])`.
+pub fn write_path(w: &mut impl Write, p: &ElementPath) -> fmt::Result {
+    w.write_char('(')?;
     for (i, step) in p.steps.iter().enumerate() {
-        match (i == 0, step.descend) {
-            (true, true) => s.push_str("?."),
-            (true, false) => s.push('.'),
-            (false, true) => s.push_str(".?."),
-            (false, false) => s.push('.'),
-        }
+        w.write_str(match (i == 0, step.descend) {
+            (true, true) => "?.",
+            (false, true) => ".?.",
+            (_, false) => ".",
+        })?;
         match &step.tag {
-            TagTest::Name(n) => s.push_str(n),
-            TagTest::Any => s.push('*'),
-            TagTest::Regex(r) => {
-                s.push('/');
-                s.push_str(r);
-                s.push('/');
-            }
+            TagTest::Name(n) => w.write_str(n)?,
+            TagTest::Any => w.write_char('*')?,
+            TagTest::Regex(r) => write!(w, "/{r}/")?,
         }
     }
-    s.push_str(", [");
+    w.write_str(", [")?;
     for (i, a) in p.attrs.iter().enumerate() {
         if i > 0 {
-            s.push_str(", ");
+            w.write_str(", ")?;
         }
         let mode = match a.mode {
             AttrMode::Exact => "exact",
             AttrMode::Substr => "substr",
             AttrMode::Regvar => "regvar",
         };
-        s.push_str(&format!("({}, \"{}\", {mode})", a.attr, a.pattern));
+        write!(w, "({}, \"{}\", {mode})", a.attr, a.pattern)?;
     }
-    s.push_str("])");
-    s
+    w.write_str("])")
 }
 
-/// Render one rule.
-pub fn rule_to_string(r: &ElogRule) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    parts.push(match &r.parent {
-        ParentSpec::Pattern(p) => format!("{p}(_, S)"),
-        ParentSpec::Document(UrlExpr::Const(u)) => format!("document(\"{u}\", S)"),
-        ParentSpec::Document(UrlExpr::Var(v)) => format!("document({v}, S)"),
-    });
+/// Write one rule, without a line break.
+pub fn write_rule(w: &mut impl Write, r: &ElogRule) -> fmt::Result {
+    write!(w, "{}(S, X) :- ", r.pattern)?;
+    match &r.parent {
+        ParentSpec::Pattern(p) => write!(w, "{p}(_, S)")?,
+        ParentSpec::Document(UrlExpr::Const(u)) => write!(w, "document(\"{u}\", S)")?,
+        ParentSpec::Document(UrlExpr::Var(v)) => write!(w, "document({v}, S)")?,
+    }
     match &r.extraction {
-        Extraction::Subelem(p) => parts.push(format!("subelem(S, {}, X)", path_to_string(p))),
+        Extraction::Subelem(p) => {
+            w.write_str(", subelem(S, ")?;
+            write_path(w, p)?;
+            w.write_str(", X)")?;
+        }
         Extraction::Subsq {
             context,
             start,
             end,
-        } => parts.push(format!(
-            "subsq(S, {}, {}, {}, X)",
-            path_to_string(context),
-            path_to_string(start),
-            path_to_string(end)
-        )),
-        Extraction::Subtext(t) => parts.push(format!("subtext(S, \"{t}\", X)")),
-        Extraction::Subatt(a) => parts.push(format!("subatt(S, {a}, X)")),
-        Extraction::Document(UrlExpr::Const(u)) => parts.push(format!("document(\"{u}\", X)")),
-        Extraction::Document(UrlExpr::Var(v)) => parts.push(format!("document({v}, X)")),
+        } => {
+            w.write_str(", subsq(S, ")?;
+            for p in [context, start, end] {
+                write_path(w, p)?;
+                w.write_str(", ")?;
+            }
+            w.write_str("X)")?;
+        }
+        Extraction::Subtext(t) => write!(w, ", subtext(S, \"{t}\", X)")?,
+        Extraction::Subatt(a) => write!(w, ", subatt(S, {a}, X)")?,
+        Extraction::Document(UrlExpr::Const(u)) => write!(w, ", document(\"{u}\", X)")?,
+        Extraction::Document(UrlExpr::Var(v)) => write!(w, ", document({v}, X)")?,
         Extraction::Specialize => {}
     }
     for c in &r.conditions {
-        parts.push(match c {
+        w.write_str(", ")?;
+        match c {
             Condition::Before {
                 path,
                 min,
                 max,
                 bind,
                 negated,
-            } => format!(
-                "{}(S, X, {}, {min}, {max}, {}, _)",
-                if *negated { "notbefore" } else { "before" },
-                path_to_string(path),
-                bind.as_deref().unwrap_or("_")
-            ),
-            Condition::After {
+            }
+            | Condition::After {
                 path,
                 min,
                 max,
                 bind,
                 negated,
-            } => format!(
-                "{}(S, X, {}, {min}, {max}, {}, _)",
-                if *negated { "notafter" } else { "after" },
-                path_to_string(path),
-                bind.as_deref().unwrap_or("_")
-            ),
-            Condition::Contains { path, negated } => format!(
-                "{}(X, {})",
-                if *negated { "notcontains" } else { "contains" },
-                path_to_string(path)
-            ),
+            } => {
+                let name = match (matches!(c, Condition::Before { .. }), *negated) {
+                    (true, false) => "before",
+                    (true, true) => "notbefore",
+                    (false, false) => "after",
+                    (false, true) => "notafter",
+                };
+                write!(w, "{name}(S, X, ")?;
+                write_path(w, path)?;
+                let bind = bind.as_deref().unwrap_or("_");
+                write!(w, ", {min}, {max}, {bind}, _)")?;
+            }
+            Condition::Contains { path, negated } => {
+                w.write_str(if *negated {
+                    "notcontains(X, "
+                } else {
+                    "contains(X, "
+                })?;
+                write_path(w, path)?;
+                w.write_char(')')?;
+            }
             Condition::FirstSubtree { path } => {
-                format!("firstsubtree(S, X, {})", path_to_string(path))
+                w.write_str("firstsubtree(S, X, ")?;
+                write_path(w, path)?;
+                w.write_char(')')?;
             }
             Condition::Concept {
                 concept,
@@ -106,9 +123,15 @@ pub fn rule_to_string(r: &ElogRule) -> String {
                 negated,
             } => {
                 if *negated {
-                    format!("not{}({var})", capitalize(concept))
+                    // `notIsCurrency(Y)`: the concept name capitalized.
+                    let mut chars = concept.chars();
+                    w.write_str("not")?;
+                    if let Some(first) = chars.next() {
+                        write!(w, "{}", first.to_uppercase())?;
+                    }
+                    write!(w, "{}({var})", chars.as_str())?;
                 } else {
-                    format!("{concept}({var})")
+                    write!(w, "{concept}({var})")?;
                 }
             }
             Condition::Comparison {
@@ -126,25 +149,17 @@ pub fn rule_to_string(r: &ElogRule) -> String {
                     _ => "ne",
                 };
                 if *right_is_literal {
-                    format!("{name}({left}, \"{right}\")")
+                    write!(w, "{name}({left}, \"{right}\")")?;
                 } else {
-                    format!("{name}({left}, {right})")
+                    write!(w, "{name}({left}, {right})")?;
                 }
             }
-            Condition::PatternRef { pattern, var } => format!("{pattern}(_, {var})"),
-            Condition::AttrBind { attr, var } => format!("attrbind(S, {attr}, {var})"),
-            Condition::Range { from, to } => format!("range({from}, {to})"),
-        });
+            Condition::PatternRef { pattern, var } => write!(w, "{pattern}(_, {var})")?,
+            Condition::AttrBind { attr, var } => write!(w, "attrbind(S, {attr}, {var})")?,
+            Condition::Range { from, to } => write!(w, "range({from}, {to})")?,
+        }
     }
-    format!("{}(S, X) :- {}.", r.pattern, parts.join(", "))
-}
-
-fn capitalize(s: &str) -> String {
-    let mut c = s.chars();
-    match c.next() {
-        Some(f) => f.to_uppercase().collect::<String>() + c.as_str(),
-        None => String::new(),
-    }
+    w.write_char('.')
 }
 
 #[cfg(test)]

@@ -29,6 +29,7 @@
 //! re-insert of the key starts over empty — and is never persisted.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -40,20 +41,83 @@ use lixto_elog::eval::ExtractionResult;
 /// cache entry in an in-memory service, never corruption across
 /// wrappers, because the full key compares name and version too.
 pub fn fxhash64(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
     let mut hash: u64 = 0;
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        let word = u64::from_le_bytes(c.try_into().expect("chunk of 8"));
-        hash = (hash.rotate_left(5) ^ word).wrapping_mul(SEED);
+        hash = fx_mix(hash, u64::from_le_bytes(c.try_into().expect("chunk of 8")));
     }
-    let mut tail: u64 = 0;
-    for (i, b) in chunks.remainder().iter().enumerate() {
-        tail |= (*b as u64) << (8 * i);
+    fx_finish(hash, chunks.remainder(), bytes.len() as u64)
+}
+
+/// One step of [`fxhash64`]: fold an 8-byte little-endian word in.
+fn fx_mix(hash: u64, word: u64) -> u64 {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+    (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
+}
+
+/// The last steps of [`fxhash64`]: the tail of fewer than 8 bytes as one
+/// zero-padded word (an empty tail too), then the total length.
+fn fx_finish(hash: u64, tail: &[u8], len: u64) -> u64 {
+    let mut word: u64 = 0;
+    for (i, b) in tail.iter().enumerate() {
+        word |= (*b as u64) << (8 * i);
     }
-    hash = (hash.rotate_left(5) ^ tail).wrapping_mul(SEED);
-    hash = (hash.rotate_left(5) ^ bytes.len() as u64).wrapping_mul(SEED);
-    hash
+    fx_mix(fx_mix(hash, word), len)
+}
+
+/// [`fxhash64`] of bytes fed in pieces: [`finish`](FxHasher64::finish)
+/// returns `fxhash64` of everything [`write`](FxHasher64::write) was
+/// given, concatenated, without building the concatenation. It buffers
+/// at most one partial 8-byte word. As a [`fmt::Write`] sink it hashes
+/// a `Display` value as it is printed (the plan id hashes the program
+/// text this way).
+#[derive(Debug, Default)]
+pub(crate) struct FxHasher64 {
+    hash: u64,
+    /// The bytes received so far of the next word.
+    word: [u8; 8],
+    filled: usize,
+    len: u64,
+}
+
+impl FxHasher64 {
+    /// Feed the next bytes.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.filled > 0 {
+            let take = bytes.len().min(8 - self.filled);
+            self.word[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
+            self.filled += take;
+            bytes = &bytes[take..];
+            if self.filled < 8 {
+                return;
+            }
+            self.hash = fx_mix(self.hash, u64::from_le_bytes(self.word));
+            self.filled = 0;
+        }
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.hash = fx_mix(
+                self.hash,
+                u64::from_le_bytes(c.try_into().expect("chunk of 8")),
+            );
+        }
+        let rest = chunks.remainder();
+        self.word[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// `fxhash64` of all bytes written so far.
+    pub fn finish(&self) -> u64 {
+        fx_finish(self.hash, &self.word[..self.filled], self.len)
+    }
+}
+
+impl fmt::Write for FxHasher64 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The content address of a source document: its bytes *and* the URL it
@@ -380,6 +444,42 @@ mod tests {
         assert_ne!(fxhash64(b""), fxhash64(b"\0"));
         // Same prefix, different length.
         assert_ne!(fxhash64(b"aaaaaaaa"), fxhash64(b"aaaaaaaaa"));
+    }
+
+    #[test]
+    fn fxhash64_has_its_fixed_values() {
+        // Store keys and plan ids are fxhash64 values on disk: the
+        // function may never change.
+        assert_eq!(fxhash64(b""), 0);
+        assert_eq!(fxhash64(b"hello world"), 0x06e6_0965_4599_a6ce);
+        assert_eq!(fxhash64(b"0123456789abcdef"), 0xe503_440a_ce62_ccf2);
+    }
+
+    #[test]
+    fn streaming_hash_equals_fxhash64_however_the_bytes_are_split() {
+        let text: Vec<u8> = (0..67u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..text.len() {
+            let bytes = &text[..len];
+            let whole = fxhash64(bytes);
+            for cut_a in 0..=len {
+                for cut_b in cut_a..=len {
+                    let mut h = FxHasher64::default();
+                    h.write(&bytes[..cut_a]);
+                    h.write(&bytes[cut_a..cut_b]);
+                    h.write(&[]);
+                    h.write(&bytes[cut_b..]);
+                    assert_eq!(h.finish(), whole, "len {len}, cuts {cut_a} {cut_b}");
+                }
+            }
+            let mut bytewise = FxHasher64::default();
+            for b in bytes {
+                bytewise.write(std::slice::from_ref(b));
+            }
+            assert_eq!(bytewise.finish(), whole, "len {len}, one byte at a time");
+        }
+        let mut h = FxHasher64::default();
+        fmt::Write::write_fmt(&mut h, format_args!("{}-{}", "plan", 42)).unwrap();
+        assert_eq!(h.finish(), fxhash64(b"plan-42"));
     }
 
     #[test]

@@ -22,21 +22,20 @@
 //!   resumes with its deployed wrappers.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
 use lixto_core::XmlDesign;
-use lixto_elog::concepts::Concept;
 use lixto_elog::{
     parse_program, CompileError, ConceptRegistry, ElogProgram, ExtractorOptions, OptimizedPlan,
     ParseError, WrapperPlan,
 };
 use lixto_obs::{warn_event, RuleStats};
 
-use crate::cache::fxhash64;
+use crate::cache::FxHasher64;
 use crate::linelog::{escape, percent_encode, unescape, write_atomic};
 
 /// Why a wrapper was rejected at deploy time.
@@ -89,20 +88,26 @@ impl WrapperSpec {
     /// The stored source is the program's canonical pretty-printed form.
     pub fn new(program: ElogProgram, design: XmlDesign) -> Result<WrapperSpec, DeployError> {
         let (concepts, options) = (ConceptRegistry::builtin(), ExtractorOptions::default());
-        WrapperSpec::build(program.to_string(), &program, design, concepts, options)
+        WrapperSpec::build(program.to_string(), program, design, concepts, options)
     }
 
-    /// Parse and compile `source` Elog text into a spec.
-    pub fn from_source(source: &str, design: XmlDesign) -> Result<WrapperSpec, DeployError> {
-        let program = parse_program(source).map_err(DeployError::Parse)?;
+    /// Parse and compile `source` Elog text into a spec. The spec keeps
+    /// the text: pass a `String` the caller no longer needs to hand it
+    /// over without a copy.
+    pub fn from_source(
+        source: impl Into<String>,
+        design: XmlDesign,
+    ) -> Result<WrapperSpec, DeployError> {
+        let source = source.into();
+        let program = parse_program(&source).map_err(DeployError::Parse)?;
         let (concepts, options) = (ConceptRegistry::builtin(), ExtractorOptions::default());
-        WrapperSpec::build(source.to_string(), &program, design, concepts, options)
+        WrapperSpec::build(source, program, design, concepts, options)
     }
 
     /// Compile and optimize `program` against `concepts` into a spec.
     fn build(
         source: String,
-        program: &ElogProgram,
+        program: ElogProgram,
         design: XmlDesign,
         concepts: ConceptRegistry,
         options: ExtractorOptions,
@@ -121,7 +126,7 @@ impl WrapperSpec {
     /// compile time, so this recompiles — and can now fail, e.g. when
     /// the program references a concept the new registry lacks.
     pub fn with_concepts(self, concepts: ConceptRegistry) -> Result<Self, DeployError> {
-        let program = self.optimized.plan().program();
+        let program = self.optimized.plan().program().clone();
         WrapperSpec::build(self.source, program, self.design, concepts, self.options)
     }
 
@@ -141,11 +146,29 @@ impl WrapperSpec {
     /// Anything that can change an extraction's result changes the
     /// fingerprint; a byte-for-byte redeploy keeps it — this is what the
     /// result cache keys on (see [`CacheKey`](crate::CacheKey)).
+    ///
+    /// The id is [`fxhash64`](crate::fxhash64) of one canonical text: the
+    /// printed program, `\u{1e}`, the root label, `\u{1f}` before each
+    /// distinct auxiliary pattern in sorted order, `\u{1e}`,
+    /// `pattern\u{1f}label\u{1f}` per label override in pattern order,
+    /// `\u{1e}`, the concept registry's
+    /// [`fingerprint`](ConceptRegistry::fingerprint), and
+    /// `\u{1e}{max_documents}|{max_instances}`. The text is hashed as it
+    /// is written and never built.
     pub fn plan_id(&self) -> u64 {
-        let mut canon = String::new();
-        canon.push_str(&self.optimized.plan().program().to_string());
-        canon.push('\u{1e}');
-        canon.push_str(&self.design.root_label);
+        let mut h = FxHasher64::default();
+        self.write_canonical(&mut h).expect("hashing never fails");
+        h.finish()
+    }
+
+    /// Write the canonical text [`plan_id`](WrapperSpec::plan_id) hashes.
+    fn write_canonical(&self, w: &mut impl Write) -> fmt::Result {
+        write!(
+            w,
+            "{}\u{1e}{}",
+            self.optimized.plan().program(),
+            self.design.root_label
+        )?;
         let mut aux: Vec<&str> = self
             .design
             .auxiliary_patterns()
@@ -155,35 +178,20 @@ impl WrapperSpec {
         aux.sort_unstable();
         aux.dedup();
         for a in aux {
-            canon.push('\u{1f}');
-            canon.push_str(a);
+            write!(w, "\u{1f}{a}")?;
         }
-        canon.push('\u{1e}');
+        w.write_str("\u{1e}")?;
         for (pattern, label) in self.design.label_overrides() {
-            canon.push_str(pattern);
-            canon.push('\u{1f}');
-            canon.push_str(label);
-            canon.push('\u{1f}');
+            write!(w, "{pattern}\u{1f}{label}\u{1f}")?;
         }
-        canon.push('\u{1e}');
-        for (name, concept) in self.concepts.entries() {
-            canon.push_str(name);
-            canon.push('\u{1f}');
-            match concept {
-                Concept::Syntactic(re) => canon.push_str(re),
-                Concept::Semantic(set) => {
-                    let mut members: Vec<&str> = set.iter().map(String::as_str).collect();
-                    members.sort_unstable();
-                    canon.push_str(&members.join(","));
-                }
-            }
-            canon.push('\u{1f}');
-        }
-        canon.push_str(&format!(
-            "\u{1e}{}|{}",
-            self.options.max_documents, self.options.max_instances
-        ));
-        fxhash64(canon.as_bytes())
+        let options = &self.options;
+        write!(
+            w,
+            "\u{1e}{}\u{1e}{}|{}",
+            self.concepts.fingerprint(),
+            options.max_documents,
+            options.max_instances
+        )
     }
 }
 
@@ -299,7 +307,7 @@ impl WrapperRegistry {
         }
         manifests.sort_by(|(_, a), (_, b)| (&a.name, a.version).cmp(&(&b.name, b.version)));
         for (path, m) in manifests {
-            let spec = WrapperSpec::from_source(&m.source, m.design)
+            let spec = WrapperSpec::from_source(m.source, m.design)
                 .map_err(|e| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,

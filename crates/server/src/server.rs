@@ -442,9 +442,69 @@ pub struct PoolSample {
 struct SourceTracker {
     detector: ChangeDetector,
     last_key: Option<CacheKey>,
+    /// Whether a job stored its result under `last_key`. Only such a key
+    /// is reported stale when the page changes: a key only watch
+    /// rechecks saw was never inserted, and invalidating it would take
+    /// the store's disk lock to find nothing.
+    stored: bool,
     /// Segment-clock value of the last touch, for oldest-first eviction.
     last_used: u64,
 }
+
+impl SourceTracker {
+    /// Fold in one observation of `key` (see [`SourceTrackers::observe`]).
+    fn observe(&mut self, key: &CacheKey, stored: bool, clock: u64) -> Option<CacheKey> {
+        self.last_used = clock;
+        let changed = self.detector.changed_u64(key.content);
+        if self.last_key.as_ref() == Some(key) {
+            self.stored |= stored;
+            return None;
+        }
+        let old = self.last_key.replace(key.clone());
+        let old_stored = std::mem::replace(&mut self.stored, stored);
+        old.filter(|_| changed && old_stored)
+    }
+}
+
+/// A `(wrapper, url)` pair, owned or borrowed: lets a segment map keyed
+/// by owned pairs be searched with borrowed strs, so observing a source
+/// already tracked allocates nothing.
+trait SourcePair {
+    fn parts(&self) -> (&str, &str);
+}
+
+impl SourcePair for (String, String) {
+    fn parts(&self) -> (&str, &str) {
+        (&self.0, &self.1)
+    }
+}
+
+impl SourcePair for (&str, &str) {
+    fn parts(&self) -> (&str, &str) {
+        *self
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn SourcePair + 'a> for (String, String) {
+    fn borrow(&self) -> &(dyn SourcePair + 'a) {
+        self
+    }
+}
+
+/// Hashes as the owned `(String, String)` key does: both strs in order.
+impl std::hash::Hash for dyn SourcePair + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
+impl PartialEq for dyn SourcePair + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn SourcePair + '_ {}
 
 /// Cap on tracked (wrapper, url) pairs, split evenly across segments.
 /// Past a segment's share, its coldest tracker is evicted — losing only
@@ -500,35 +560,33 @@ impl SourceTrackers {
         (h as usize) % self.segments.len()
     }
 
-    /// Record an observation of `key` for (wrapper, url). Returns the
-    /// previous cache key iff the content address changed — the stale
-    /// entry the caller should invalidate. One segment lock, one map
-    /// lookup, one key allocation (the `entry` call), no formatting.
-    fn observe(&self, wrapper: &str, url: &str, key: &CacheKey) -> Option<CacheKey> {
+    /// Record an observation of `key` for (wrapper, url); `stored` says
+    /// whether the caller's job keeps its result in the store under
+    /// `key` (an interactive job does: a hit found it there, a miss
+    /// inserts it; a watch recheck never does). Returns the previous
+    /// key iff the content address changed and a job stored under it —
+    /// the stale entry the caller should invalidate. One segment lock,
+    /// one map lookup by borrowed strs; a source seen for the first time
+    /// allocates its owned key, and a changed key is cloned once.
+    fn observe(&self, wrapper: &str, url: &str, key: &CacheKey, stored: bool) -> Option<CacheKey> {
         let capacity = self.segment_capacity;
         let mut seg = self.segments[self.segment_index(wrapper, url)]
             .lock()
             .expect("sources poisoned");
         seg.clock += 1;
         let clock = seg.clock;
-        let tracker = seg
-            .map
-            .entry((wrapper.to_string(), url.to_string()))
-            .or_insert_with(|| SourceTracker {
-                detector: ChangeDetector::default(),
-                last_key: None,
-                last_used: 0,
-            });
-        tracker.last_used = clock;
-        let mut stale = None;
-        if tracker.detector.changed_u64(key.content) {
-            if let Some(old) = tracker.last_key.take() {
-                if old != *key {
-                    stale = Some(old);
-                }
-            }
+        if let Some(tracker) = seg.map.get_mut(&(wrapper, url) as &dyn SourcePair) {
+            return tracker.observe(key, stored, clock);
         }
-        tracker.last_key = Some(key.clone());
+        let mut tracker = SourceTracker {
+            detector: ChangeDetector::default(),
+            last_key: None,
+            stored: false,
+            last_used: 0,
+        };
+        tracker.observe(key, stored, clock);
+        seg.map
+            .insert((wrapper.to_string(), url.to_string()), tracker);
         if seg.map.len() > capacity {
             // Oldest-first eviction, skipping the entry just touched:
             // one cold tracker goes, the hot set survives.
@@ -542,7 +600,7 @@ impl SourceTrackers {
                 seg.map.remove(&oldest);
             }
         }
-        stale
+        None
     }
 
     /// Hold a segment's lock for the duration of `f` — lets tests prove
@@ -1197,7 +1255,8 @@ fn fetch_page<'a>(
         content: job.content.unwrap_or_else(|| content_address(url, &html)),
     };
     if from_web {
-        if let Some(stale) = shared.sources.observe(&job.wrapper.name, url, &key) {
+        let stores = matches!(job.kind, JobKind::Extract { .. });
+        if let Some(stale) = shared.sources.observe(&job.wrapper.name, url, &key, stores) {
             shared.store.invalidate(&stale);
         }
     }
@@ -2051,39 +2110,77 @@ mod tests {
     fn source_trackers_report_stale_key_only_on_change() {
         let trackers = SourceTrackers::new();
         // First sighting: a change, but nothing stale to invalidate.
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(10)), None);
+        assert_eq!(trackers.observe("w", "http://a/", &key_for(10), true), None);
         // Unchanged content: no change, nothing stale.
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(10)), None);
+        assert_eq!(trackers.observe("w", "http://a/", &key_for(10), true), None);
         // Changed content: the previous key comes back for invalidation.
         assert_eq!(
-            trackers.observe("w", "http://a/", &key_for(11)),
+            trackers.observe("w", "http://a/", &key_for(11), true),
             Some(key_for(10))
         );
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(11)), None);
+        assert_eq!(trackers.observe("w", "http://a/", &key_for(11), true), None);
         // An unrelated source does not disturb the first one's state.
-        assert_eq!(trackers.observe("w", "http://b/", &key_for(11)), None);
+        assert_eq!(trackers.observe("w", "http://b/", &key_for(11), true), None);
         assert_eq!(
-            trackers.observe("w", "http://a/", &key_for(12)),
+            trackers.observe("w", "http://a/", &key_for(12), true),
             Some(key_for(11))
         );
+    }
+
+    #[test]
+    fn source_trackers_report_only_stale_keys_that_were_stored() {
+        let trackers = SourceTrackers::new();
+        // Rechecks alone: the page changes, but nothing was stored, so
+        // nothing is reported and the store is never consulted.
+        assert_eq!(trackers.observe("w", "http://a/", &key_for(1), false), None);
+        assert_eq!(trackers.observe("w", "http://a/", &key_for(2), false), None);
+        // An interactive job stores the key a recheck saw last; a later
+        // recheck of the same content keeps it marked stored, and the
+        // next change reports it.
+        assert_eq!(trackers.observe("w", "http://a/", &key_for(2), true), None);
+        assert_eq!(trackers.observe("w", "http://a/", &key_for(2), false), None);
+        assert_eq!(
+            trackers.observe("w", "http://a/", &key_for(3), false),
+            Some(key_for(2))
+        );
+        // Key 3 was only rechecked: the next change reports nothing.
+        assert_eq!(trackers.observe("w", "http://a/", &key_for(4), false), None);
     }
 
     #[test]
     fn source_trackers_evict_coldest_entry_not_everything() {
         // One segment, room for two trackers.
         let trackers = SourceTrackers::with_limits(1, 2);
-        assert_eq!(trackers.observe("w", "http://cold/", &key_for(1)), None);
-        assert_eq!(trackers.observe("w", "http://hot/", &key_for(2)), None);
+        assert_eq!(
+            trackers.observe("w", "http://cold/", &key_for(1), true),
+            None
+        );
+        assert_eq!(
+            trackers.observe("w", "http://hot/", &key_for(2), true),
+            None
+        );
         // Keep "hot" fresh, then overflow: "cold" must be the casualty.
-        assert_eq!(trackers.observe("w", "http://hot/", &key_for(2)), None);
-        assert_eq!(trackers.observe("w", "http://new/", &key_for(3)), None);
+        assert_eq!(
+            trackers.observe("w", "http://hot/", &key_for(2), true),
+            None
+        );
+        assert_eq!(
+            trackers.observe("w", "http://new/", &key_for(3), true),
+            None
+        );
         assert_eq!(trackers.tracked(), 2);
         // "hot" survived with its detector state intact: re-observing
         // the same content is still not a change.
-        assert_eq!(trackers.observe("w", "http://hot/", &key_for(2)), None);
+        assert_eq!(
+            trackers.observe("w", "http://hot/", &key_for(2), true),
+            None
+        );
         // "cold" was forgotten: it re-registers as a first sighting
         // rather than reporting key 1 as stale.
-        assert_eq!(trackers.observe("w", "http://cold/", &key_for(9)), None);
+        assert_eq!(
+            trackers.observe("w", "http://cold/", &key_for(9), true),
+            None
+        );
     }
 
     #[test]
@@ -2102,7 +2199,7 @@ mod tests {
             let trackers = trackers.clone();
             let other = other_url.clone();
             let worker = std::thread::spawn(move || {
-                trackers.observe("w", &other, &key_for(5));
+                trackers.observe("w", &other, &key_for(5), true);
                 let _ = done_tx.send(());
             });
             // The observation on the other segment must complete while

@@ -1,13 +1,18 @@
 //! Format compatibility of the data directory: literal v1 files — a
 //! store WAL and snapshot, a watch spool and two wrapper manifests, as
 //! the serving stack has always written them — reopen to the entries
-//! they hold, and rewriting them reproduces the same bytes.
+//! they hold, and rewriting them reproduces the same bytes. The
+//! identities stored entries are keyed by are pinned too: the
+//! serving-mix plan ids, and the printed program text plan ids hash and
+//! manifests store.
 
 use std::fs;
 use std::path::PathBuf;
 
+use lixto_core::XmlDesign;
 use lixto_server::{
     durability_layout, CacheKey, StoreConfig, TieredStore, WatchRegistry, WrapperRegistry,
+    WrapperSpec,
 };
 
 const WAL: &str = concat!(
@@ -249,4 +254,59 @@ fn v1_wrapper_manifests_reload_read_only() {
             .replace("version=2", "version=3")
     );
     fs::remove_dir_all(&root).unwrap();
+}
+
+/// A program that uses every extraction and condition kind the printer
+/// renders.
+const EVERY_KIND: &str = r#"
+page(S, X) :- document("http://golden/index", S), subelem(S, (?.body, [(class, "main", exact), (id, "x", substr)]), X).
+rows(S, X) :- page(_, S), subsq(S, (?.table.?.tbody, []), (.tr, [(class, "first", exact)]), (.tr, [(elementtext, "\var[T].*", regvar)]), X).
+cell(S, X) :- rows(_, S), subelem(S, (.*./t[dh]/, []), X), notbefore(S, X, (?.hr, []), 0, 3, _, _), notafter(S, X, (?.br, []), 0, 2), firstsubtree(S, X, (?.b, [])), range(1, 5).
+price(S, X) :- cell(_, S), subtext(S, "\var[Y]\d+", X), before(S, X, (?.em, []), 0, 10, C, _), after(S, X, (?.i, [(title, "\var[D]", regvar)]), 1, 4, D, _), isCurrency(C), notIsDate(X), lt(X, "100"), le(X, "99.5"), gt(X, "1"), ge(X, D), eq(C, "$"), ne(X, "0"), contains(X, (?.span, [])), notcontains(X, (?.blink, [])).
+link(S, X) :- page(_, S), subatt(S, href, X).
+next(S, X) :- page(_, S), attrbind(S, href, U), document(U, X).
+cheap(S, X) :- cell(_, S), price(_, X), isNumber(X).
+"#;
+
+/// `EVERY_KIND` as the printer renders it, rule by rule: the canonical
+/// program text that wrapper manifests store and plan ids hash.
+const EVERY_KIND_PRINTED: &str = r#"page(S, X) :- document("http://golden/index", S), subelem(S, (?.body, [(class, "main", exact), (id, "x", substr)]), X).
+rows(S, X) :- page(_, S), subsq(S, (?.table.?.tbody, []), (.tr, [(class, "first", exact)]), (.tr, [(elementtext, "\var[T].*", regvar)]), X).
+cell(S, X) :- rows(_, S), subelem(S, (.*./t[dh]/, []), X), notbefore(S, X, (?.hr, []), 0, 3, _, _), notafter(S, X, (?.br, []), 0, 2, _, _), firstsubtree(S, X, (?.b, [])), range(1, 5).
+price(S, X) :- cell(_, S), subtext(S, "\var[Y]\d+", X), before(S, X, (?.em, []), 0, 10, C, _), after(S, X, (?.i, [(title, "\var[D]", regvar)]), 1, 4, D, _), isCurrency(C), notIsDate(X), lt(X, "100"), le(X, "99.5"), gt(X, "1"), ge(X, D), eq(C, "$"), ne(X, "0"), contains(X, (?.span, [])), notcontains(X, (?.blink, [])).
+link(S, X) :- page(_, S), subatt(S, href, X).
+next(S, X) :- page(_, S), document(U, X), attrbind(S, href, U).
+cheap(S, X) :- cell(_, S), price(_, X), isNumber(X).
+"#;
+
+#[test]
+fn the_printed_program_text_is_unchanged() {
+    let program = lixto_elog::parse_program(EVERY_KIND).unwrap();
+    assert_eq!(program.to_string(), EVERY_KIND_PRINTED);
+}
+
+/// Plan ids key every durable store entry, so a change to how they are
+/// computed orphans the whole store on upgrade: the five serving-mix
+/// wrappers, deployed with their root and auxiliary patterns, keep the
+/// ids they have always had.
+#[test]
+fn serving_mix_plan_ids_are_unchanged() {
+    let expected = [
+        ("books_a", 0x837c_2fd0_1f22_beb6u64),
+        ("books_b", 0x02e2_7641_61ee_d5d6),
+        ("ebay", 0x5737_d97e_a3b2_629c),
+        ("news", 0xf3e8_c217_88ca_0309),
+        ("flights", 0x8e58_f82e_90da_82b4),
+    ];
+    let profiles = lixto::workloads::traffic::profiles();
+    assert_eq!(profiles.len(), expected.len());
+    for (profile, (name, id)) in profiles.iter().zip(expected) {
+        assert_eq!(profile.name, name);
+        let design = profile
+            .auxiliary
+            .iter()
+            .fold(XmlDesign::new().root(profile.root), |d, a| d.auxiliary(a));
+        let spec = WrapperSpec::from_source(profile.program, design).unwrap();
+        assert_eq!(spec.plan_id(), id, "{name}: {:016x}", spec.plan_id());
+    }
 }

@@ -22,7 +22,7 @@ use lixto_bench::workload_design;
 fn optimized_plan(program_src: &str) -> std::sync::Arc<OptimizedPlan> {
     let program = parse_program(program_src).expect("program parses");
     let plan =
-        WrapperPlan::compile(&program, &ConceptRegistry::builtin()).expect("program compiles");
+        WrapperPlan::compile(program, &ConceptRegistry::builtin()).expect("program compiles");
     std::sync::Arc::new(OptimizedPlan::new(std::sync::Arc::new(plan)))
 }
 
