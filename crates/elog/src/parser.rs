@@ -61,7 +61,7 @@ struct P<'a> {
     pos: usize,
 }
 
-impl P<'_> {
+impl<'a> P<'a> {
     fn err(&self, m: &str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -102,7 +102,10 @@ impl P<'_> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    /// An identifier, borrowed from the source: most are atom names and
+    /// variables the parser only matches, so only what the program keeps
+    /// is copied.
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         self.ws();
         let start = self.pos;
         while self.pos < self.src.len() {
@@ -116,7 +119,7 @@ impl P<'_> {
         if start == self.pos {
             return Err(self.err("expected an identifier"));
         }
-        Ok(self.text[start..self.pos].to_string())
+        Ok(&self.text[start..self.pos])
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -152,7 +155,7 @@ impl P<'_> {
     }
 
     /// A variable: an identifier starting with an uppercase letter, or `_`.
-    fn var_or_blank(&mut self) -> Result<Option<String>, ParseError> {
+    fn var_or_blank(&mut self) -> Result<Option<&'a str>, ParseError> {
         self.ws();
         if self.eat("_") {
             return Ok(None);
@@ -165,7 +168,7 @@ impl P<'_> {
     }
 
     fn rule(&mut self) -> Result<ElogRule, ParseError> {
-        let pattern = self.ident()?;
+        let pattern = self.ident()?.to_string();
         self.expect("(")?;
         let _s = self.var_or_blank()?;
         self.expect(",")?;
@@ -179,10 +182,8 @@ impl P<'_> {
         let mut conditions = Vec::new();
         while self.eat(",") {
             self.ws();
-            // Peek the atom name.
-            let save = self.pos;
             let name = self.ident()?;
-            match name.as_str() {
+            match name {
                 "subelem" => {
                     self.expect("(")?;
                     self.var_or_blank()?;
@@ -228,7 +229,7 @@ impl P<'_> {
                     let attr = if self.text[self.pos..].trim_start().starts_with('"') {
                         self.string()?
                     } else {
-                        self.ident()?
+                        self.ident()?.to_string()
                     };
                     self.expect(",")?;
                     self.var_or_blank()?;
@@ -242,7 +243,7 @@ impl P<'_> {
                         UrlExpr::Const(self.string()?)
                     } else {
                         match self.var_or_blank()? {
-                            Some(v) => UrlExpr::Var(v),
+                            Some(v) => UrlExpr::Var(v.to_string()),
                             None => return Err(self.err("document() needs a URL or variable")),
                         }
                     };
@@ -265,7 +266,7 @@ impl P<'_> {
                     // Optional trailing ", Y, _" bindings.
                     let mut bind = None;
                     if self.eat(",") {
-                        bind = self.var_or_blank()?;
+                        bind = self.var_or_blank()?.map(str::to_string);
                         if self.eat(",") {
                             self.var_or_blank()?; // second binding slot unused
                         }
@@ -319,12 +320,13 @@ impl P<'_> {
                     let attr = if self.text[self.pos..].trim_start().starts_with('"') {
                         self.string()?
                     } else {
-                        self.ident()?
+                        self.ident()?.to_string()
                     };
                     self.expect(",")?;
                     let var = self
                         .var_or_blank()?
-                        .ok_or_else(|| self.err("attrbind needs a variable"))?;
+                        .ok_or_else(|| self.err("attrbind needs a variable"))?
+                        .to_string();
                     self.expect(")")?;
                     conditions.push(Condition::AttrBind { attr, var });
                 }
@@ -340,7 +342,8 @@ impl P<'_> {
                     self.expect("(")?;
                     let left = self
                         .var_or_blank()?
-                        .ok_or_else(|| self.err("comparison needs a variable"))?;
+                        .ok_or_else(|| self.err("comparison needs a variable"))?
+                        .to_string();
                     self.expect(",")?;
                     self.ws();
                     let (right, lit) = if self.src.get(self.pos) == Some(&b'"') {
@@ -348,12 +351,13 @@ impl P<'_> {
                     } else {
                         (
                             self.var_or_blank()?
-                                .ok_or_else(|| self.err("expected var or literal"))?,
+                                .ok_or_else(|| self.err("expected var or literal"))?
+                                .to_string(),
                             false,
                         )
                     };
                     self.expect(")")?;
-                    let op = match name.as_str() {
+                    let op = match name {
                         "lt" => "<",
                         "le" => "<=",
                         "gt" => ">",
@@ -371,8 +375,6 @@ impl P<'_> {
                 other => {
                     // Concept condition `isFoo(Y)` / `notIsFoo(Y)` or a
                     // pattern reference `pat(_, Y)`.
-                    self.pos = save;
-                    let name = self.ident()?;
                     self.expect("(")?;
                     self.ws();
                     // Pattern ref has the form (_, Y); concept has (Y).
@@ -381,13 +383,18 @@ impl P<'_> {
                         self.expect(",")?;
                         let var = self
                             .var_or_blank()?
-                            .ok_or_else(|| self.err("pattern reference needs a variable"))?;
+                            .ok_or_else(|| self.err("pattern reference needs a variable"))?
+                            .to_string();
                         self.expect(")")?;
-                        conditions.push(Condition::PatternRef { pattern: name, var });
+                        conditions.push(Condition::PatternRef {
+                            pattern: other.to_string(),
+                            var,
+                        });
                     } else {
                         let var = self
                             .var_or_blank()?
-                            .ok_or_else(|| self.err("concept condition needs a variable"))?;
+                            .ok_or_else(|| self.err("concept condition needs a variable"))?
+                            .to_string();
                         self.expect(")")?;
                         let (concept, negated) = match other.strip_prefix("not") {
                             Some(rest) if rest.starts_with(|c: char| c.is_uppercase()) => {
@@ -396,7 +403,7 @@ impl P<'_> {
                                 s.replace_range(0..1, &rest[0..1].to_lowercase());
                                 (s, true)
                             }
-                            _ => (name, false),
+                            _ => (other.to_string(), false),
                         };
                         conditions.push(Condition::Concept {
                             concept,
@@ -425,7 +432,7 @@ impl P<'_> {
                 UrlExpr::Const(self.string()?)
             } else {
                 match self.var_or_blank()? {
-                    Some(v) => UrlExpr::Var(v),
+                    Some(v) => UrlExpr::Var(v.to_string()),
                     None => return Err(self.err("document() needs a URL")),
                 }
             };
@@ -438,7 +445,7 @@ impl P<'_> {
             self.expect(",")?;
             self.var_or_blank()?;
             self.expect(")")?;
-            Ok(ParentSpec::Pattern(name))
+            Ok(ParentSpec::Pattern(name.to_string()))
         }
     }
 
@@ -460,7 +467,7 @@ impl P<'_> {
                     let attr = if self.src.get(self.pos) == Some(&b'"') {
                         self.string()?
                     } else {
-                        self.ident()?
+                        self.ident()?.to_string()
                     };
                     self.expect(",")?;
                     self.ws();
@@ -469,10 +476,10 @@ impl P<'_> {
                     } else if self.eat("_") {
                         String::new()
                     } else {
-                        self.ident()?
+                        self.ident()?.to_string()
                     };
                     self.expect(",")?;
-                    let mode = match self.ident()?.as_str() {
+                    let mode = match self.ident()? {
                         "exact" => AttrMode::Exact,
                         "substr" => AttrMode::Substr,
                         "regvar" => AttrMode::Regvar,

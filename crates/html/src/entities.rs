@@ -6,6 +6,10 @@
 //! entities are passed through verbatim — the forgiving behaviour browsers
 //! exhibit and wrappers depend on.
 
+use std::borrow::Cow;
+
+use crate::tokenizer::find_byte;
+
 /// Named entities we decode. Kept sorted for the binary search in
 /// [`lookup_named`].
 const NAMED: &[(&str, char)] = &[
@@ -70,62 +74,60 @@ fn lookup_named(name: &str) -> Option<char> {
 /// that does not parse — unknown name, bad number, missing `;` — is copied
 /// through unchanged.
 pub fn decode(input: &str) -> String {
-    if !input.contains('&') {
-        return input.to_string();
-    }
     let mut out = String::with_capacity(input.len());
-    let bytes = input.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'&' {
-            // Copy one full UTF-8 char.
-            let ch_len = utf8_len(bytes[i]);
-            out.push_str(&input[i..i + ch_len]);
-            i += ch_len;
-            continue;
-        }
-        // Find the ';' within a reasonable window.
-        let end = bytes[i + 1..]
-            .iter()
-            .take(32)
-            .position(|&b| b == b';')
-            .map(|p| i + 1 + p);
-        let Some(end) = end else {
-            out.push('&');
-            i += 1;
-            continue;
-        };
-        let body = &input[i + 1..end];
-        let decoded = if let Some(num) = body.strip_prefix('#') {
-            let code = if let Some(hex) = num.strip_prefix(['x', 'X']) {
-                u32::from_str_radix(hex, 16).ok()
-            } else {
-                num.parse::<u32>().ok()
-            };
-            code.and_then(char::from_u32)
-        } else {
-            lookup_named(body)
-        };
-        match decoded {
-            Some(c) => {
-                out.push(c);
-                i = end + 1;
-            }
-            None => {
-                out.push('&');
-                i += 1;
-            }
-        }
-    }
+    decode_into(input, &mut out);
     out
 }
 
-fn utf8_len(first_byte: u8) -> usize {
-    match first_byte {
-        b if b < 0x80 => 1,
-        b if b >= 0xF0 => 4,
-        b if b >= 0xE0 => 3,
-        _ => 2,
+/// [`decode`], borrowing `input` when it holds no reference at all.
+pub(crate) fn decode_cow(input: &str) -> Cow<'_, str> {
+    if input.contains('&') {
+        Cow::Owned(decode(input))
+    } else {
+        Cow::Borrowed(input)
+    }
+}
+
+/// [`decode`], appending to `out`: the tree builder decodes straight into
+/// its document's text arena. Text between references is copied in runs.
+/// The output is never longer than `input`: the shortest reference
+/// (`&lt;`, `&#N;`) takes four bytes and no character takes more.
+pub(crate) fn decode_into(input: &str, out: &mut String) {
+    let bytes = input.as_bytes();
+    let mut copied = 0;
+    let mut from = 0;
+    while let Some(off) = find_byte(&bytes[from..], b'&') {
+        let amp = from + off;
+        // Find the ';' within a reasonable window.
+        let semi = bytes[amp + 1..]
+            .iter()
+            .take(32)
+            .position(|&b| b == b';')
+            .map(|p| amp + 1 + p);
+        from = amp + 1;
+        if let Some(end) = semi {
+            if let Some(c) = decode_reference(&input[amp + 1..end]) {
+                out.push_str(&input[copied..amp]);
+                out.push(c);
+                from = end + 1;
+                copied = from;
+            }
+        }
+    }
+    out.push_str(&input[copied..]);
+}
+
+/// The character a reference's body (between `&` and `;`) stands for.
+fn decode_reference(body: &str) -> Option<char> {
+    if let Some(num) = body.strip_prefix('#') {
+        let code = if let Some(hex) = num.strip_prefix(['x', 'X']) {
+            u32::from_str_radix(hex, 16).ok()
+        } else {
+            num.parse::<u32>().ok()
+        };
+        code.and_then(char::from_u32)
+    } else {
+        lookup_named(body)
     }
 }
 
@@ -175,5 +177,14 @@ mod tests {
     #[test]
     fn multibyte_around_entities() {
         assert_eq!(decode("é&amp;ü"), "é&ü");
+    }
+
+    #[test]
+    fn decode_into_appends_and_cow_borrows_plain_text() {
+        let mut out = String::from("x");
+        decode_into("a&lt;b&gt", &mut out);
+        assert_eq!(out, "xa<b&gt");
+        assert!(matches!(decode_cow("plain"), Cow::Borrowed("plain")));
+        assert_eq!(decode_cow("&amp;&amp"), "&&amp");
     }
 }

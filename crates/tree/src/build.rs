@@ -13,22 +13,37 @@
 
 use crate::document::Document;
 use crate::ids::NodeId;
-use crate::interner::Interner;
-use crate::node::NodeData;
+use crate::interner::{Interner, Symbol};
+use crate::names::{self, HtmlName};
+use crate::node::{Attr, Link, NodeData, NodeKind, Span};
 use crate::order::Order;
-use crate::TEXT_LABEL;
 
 /// Incremental, event-driven construction of a [`Document`].
 ///
 /// The builder enforces the tree discipline: exactly one root element, every
 /// `open` matched by a `close`, text only inside an open element.
+///
+/// Text and attribute values are appended to one text arena; a caller
+/// that produces them piecewise (the HTML parser decoding entities) can
+/// write straight into it with [`text_with`](TreeBuilder::text_with) and
+/// [`attr_with`](TreeBuilder::attr_with), and a caller that knows its
+/// labels can intern them once and open elements by [`Symbol`].
 pub struct TreeBuilder {
     nodes: Vec<NodeData>,
     interner: Interner,
+    arena: String,
+    attr_list: Vec<Attr>,
     /// Stack of currently open elements.
     open: Vec<NodeId>,
     finished_root: bool,
+    /// The symbol of each static-table name interned so far, by
+    /// [`HtmlName`]; [`NO_SYMBOL`] where there is none yet. A cache of
+    /// the interner's own table, so interning a tag costs one load.
+    html_syms: [u32; names::NAMES.len()],
 }
+
+/// An [`HtmlName`] the document has not interned.
+const NO_SYMBOL: u32 = u32::MAX;
 
 impl Default for TreeBuilder {
     fn default() -> Self {
@@ -36,15 +51,71 @@ impl Default for TreeBuilder {
     }
 }
 
+/// Room reserved for the label table and the open-element stack, which
+/// stay small on real pages (distinct labels, nesting depth).
+const SMALL_TABLE: usize = 32;
+
 impl TreeBuilder {
     /// Create an empty builder.
     pub fn new() -> Self {
         TreeBuilder {
             nodes: Vec::new(),
             interner: Interner::new(),
+            arena: String::new(),
+            attr_list: Vec::new(),
             open: Vec::new(),
             finished_root: false,
+            html_syms: [NO_SYMBOL; names::NAMES.len()],
         }
+    }
+
+    /// Create a builder with room for `nodes` nodes, `attrs` attributes
+    /// and `text_bytes` bytes of text and attribute values before any of
+    /// them grows. [`finish`](TreeBuilder::finish) trims what is unused.
+    pub fn with_capacity(nodes: usize, attrs: usize, text_bytes: usize) -> Self {
+        TreeBuilder {
+            nodes: Vec::with_capacity(nodes),
+            interner: Interner::with_capacity(SMALL_TABLE),
+            arena: String::with_capacity(text_bytes),
+            attr_list: Vec::with_capacity(attrs),
+            open: Vec::with_capacity(SMALL_TABLE),
+            finished_root: false,
+            html_syms: [NO_SYMBOL; names::NAMES.len()],
+        }
+    }
+
+    /// The labels interned so far.
+    #[inline]
+    pub fn interner(&self) -> &Interner {
+        &self.interner
+    }
+
+    /// Intern `label` without opening anything.
+    pub fn intern(&mut self, label: &str) -> Symbol {
+        match names::lookup(label) {
+            Some(name) => self.intern_html(name),
+            None => self.interner.intern(label),
+        }
+    }
+
+    /// Intern a name from the static table (no hashing, no allocation).
+    #[inline]
+    pub fn intern_html(&mut self, name: HtmlName) -> Symbol {
+        match self.html_symbol(name) {
+            Some(sym) => sym,
+            None => {
+                let sym = self.interner.intern_html(name);
+                self.html_syms[name.index()] = sym.0;
+                sym
+            }
+        }
+    }
+
+    /// The symbol of a static-table name, if it has been interned.
+    #[inline]
+    pub fn html_symbol(&self, name: HtmlName) -> Option<Symbol> {
+        let sym = self.html_syms[name.index()];
+        (sym != NO_SYMBOL).then_some(Symbol(sym))
     }
 
     /// Open an element with the given label. Returns its node id.
@@ -53,13 +124,22 @@ impl TreeBuilder {
     /// Panics if a complete root subtree has already been closed (documents
     /// are single trees).
     pub fn open(&mut self, label: &str) -> NodeId {
+        let sym = self.intern(label);
+        self.open_symbol(sym)
+    }
+
+    /// [`open`](TreeBuilder::open) by a label this builder interned.
+    ///
+    /// # Panics
+    /// As [`open`](TreeBuilder::open).
+    pub fn open_symbol(&mut self, label: Symbol) -> NodeId {
         assert!(
             !self.finished_root,
             "cannot add a second root to a document"
         );
-        let sym = self.interner.intern(label);
         let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeData::new_element(sym));
+        self.nodes
+            .push(NodeData::new(label, NodeKind::Element, Span::default()));
         self.attach(id);
         self.open.push(id);
         id
@@ -70,22 +150,58 @@ impl TreeBuilder {
     /// # Panics
     /// Panics if no element is open.
     pub fn attr(&mut self, name: &str, value: &str) {
+        let sym = self.intern(name);
+        self.attr_with(sym, |arena| arena.push_str(value));
+    }
+
+    /// Add an attribute named by an interned label to the innermost open
+    /// element; `value` appends the attribute's value to the text arena.
+    ///
+    /// # Panics
+    /// Panics if no element is open.
+    pub fn attr_with(&mut self, name: Symbol, value: impl FnOnce(&mut String)) {
         let &cur = self.open.last().expect("attr outside any open element");
-        let sym = self.interner.intern(name);
-        self.nodes[cur.index()].attrs.push((sym, value.into()));
+        let start = self.arena.len();
+        value(&mut self.arena);
+        let value = Span::between(start, self.arena.len());
+        let end = self.attr_list.len() as u32;
+        let node = &mut self.nodes[cur.index()];
+        if node.attrs.len > 0 && node.attrs.start + node.attrs.len != end {
+            // Attributes added after another element's: move this
+            // element's list to the end so it stays one span.
+            let range = node.attrs.range();
+            node.attrs.start = end;
+            self.attr_list.extend_from_within(range);
+        } else if node.attrs.len == 0 {
+            node.attrs.start = end;
+        }
+        node.attrs.len += 1;
+        self.attr_list.push(Attr { name, value });
     }
 
     /// Append a text node to the innermost open element. Empty strings are
     /// ignored (they would create meaningless leaves). Returns the id if a
     /// node was created.
     pub fn text(&mut self, data: &str) -> Option<NodeId> {
-        if data.is_empty() {
+        self.text_with(|arena| arena.push_str(data))
+    }
+
+    /// [`text`](TreeBuilder::text) with the node's data appended to the
+    /// text arena by `data`. Nothing appended, no node.
+    ///
+    /// # Panics
+    /// Panics if no element is open.
+    pub fn text_with(&mut self, data: impl FnOnce(&mut String)) -> Option<NodeId> {
+        let start = self.arena.len();
+        data(&mut self.arena);
+        if self.arena.len() == start {
             return None;
         }
-        let &_cur = self.open.last().expect("text outside any open element");
-        let sym = self.interner.intern(TEXT_LABEL);
+        assert!(!self.open.is_empty(), "text outside any open element");
+        let sym = self.intern_html(names::TEXT);
         let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeData::new_text(sym, data.into()));
+        let span = Span::between(start, self.arena.len());
+        self.nodes.push(NodeData::new(sym, NodeKind::Text, span));
         self.attach(id);
         Some(id)
     }
@@ -115,36 +231,41 @@ impl TreeBuilder {
     }
 
     /// Finish construction. Closes any still-open elements (forgiving-HTML
-    /// behaviour) and freezes the document, computing its [`Order`].
+    /// behaviour), trims the node, attribute and text storage to size and
+    /// freezes the document, computing its [`Order`].
     ///
     /// # Panics
     /// Panics if no node was ever added — trees have at least one node.
     pub fn finish(mut self) -> Document {
-        while !self.open.is_empty() {
-            self.close();
-        }
+        self.open.clear();
+        self.finished_root = true;
         assert!(!self.nodes.is_empty(), "a document needs at least one node");
+        self.nodes.shrink_to_fit();
+        self.arena.shrink_to_fit();
+        self.attr_list.shrink_to_fit();
         let order = Order::compute(&self.nodes);
         Document {
             nodes: self.nodes,
             interner: self.interner,
             order,
+            arena: self.arena,
+            attr_list: self.attr_list,
         }
     }
 
     fn attach(&mut self, id: NodeId) {
         if let Some(&parent) = self.open.last() {
-            self.nodes[id.index()].parent = Some(parent);
+            self.nodes[id.index()].parent = Link::to(parent);
             let p = &mut self.nodes[parent.index()];
-            match p.last_child {
+            match p.last_child.get() {
                 None => {
-                    p.first_child = Some(id);
-                    p.last_child = Some(id);
+                    p.first_child = Link::to(id);
+                    p.last_child = Link::to(id);
                 }
                 Some(prev) => {
-                    p.last_child = Some(id);
-                    self.nodes[prev.index()].next_sibling = Some(id);
-                    self.nodes[id.index()].prev_sibling = Some(prev);
+                    p.last_child = Link::to(id);
+                    self.nodes[prev.index()].next_sibling = Link::to(id);
+                    self.nodes[id.index()].prev_sibling = Link::to(prev);
                 }
             }
         } else {

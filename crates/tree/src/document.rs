@@ -2,7 +2,7 @@
 
 use crate::ids::NodeId;
 use crate::interner::{Interner, Symbol};
-use crate::node::{NodeData, NodeKind};
+use crate::node::{Attr, Link, NodeData, NodeKind};
 use crate::order::Order;
 
 /// An immutable unranked ordered labeled tree.
@@ -25,11 +25,20 @@ use crate::order::Order;
 /// | `firstchild(x,y)`     | [`Document::first_child`]                 |
 /// | `nextsibling(x,y)`    | [`Document::next_sibling`]                |
 /// | document order ≺      | [`Document::doc_before`] / [`Order`]      |
+///
+/// Payloads are stored once per document, not per node: the character
+/// data of every text node and the value of every attribute sit in one
+/// text arena, and a node holds spans into it and into the document's
+/// attribute list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     pub(crate) nodes: Vec<NodeData>,
     pub(crate) interner: Interner,
     pub(crate) order: Order,
+    /// Text-node data and attribute values, back to back.
+    pub(crate) arena: String,
+    /// Every element's attributes; a node's `attrs` span indexes this.
+    pub(crate) attr_list: Vec<Attr>,
 }
 
 impl Document {
@@ -67,7 +76,7 @@ impl Document {
     /// τ_ur `leaf(x)` — true iff the node has no children.
     #[inline]
     pub fn is_leaf(&self, n: NodeId) -> bool {
-        self.node(n).first_child.is_none()
+        self.node(n).first_child == Link::NONE
     }
 
     /// τ_ur `lastsibling(x)` — true iff the node is the rightmost child of
@@ -75,7 +84,7 @@ impl Document {
     #[inline]
     pub fn is_last_sibling(&self, n: NodeId) -> bool {
         let d = self.node(n);
-        d.parent.is_some() && d.next_sibling.is_none()
+        d.parent != Link::NONE && d.next_sibling == Link::NONE
     }
 
     /// True iff the node is the leftmost child of some node (the unary
@@ -83,7 +92,7 @@ impl Document {
     #[inline]
     pub fn is_first_sibling(&self, n: NodeId) -> bool {
         let d = self.node(n);
-        d.parent.is_some() && d.prev_sibling.is_none()
+        d.parent != Link::NONE && d.prev_sibling == Link::NONE
     }
 
     /// The node's interned label.
@@ -116,31 +125,31 @@ impl Document {
     /// τ_ur `firstchild(x, y)` as a partial function x → y.
     #[inline]
     pub fn first_child(&self, n: NodeId) -> Option<NodeId> {
-        self.node(n).first_child
+        self.node(n).first_child.get()
     }
 
     /// Rightmost child, if any.
     #[inline]
     pub fn last_child(&self, n: NodeId) -> Option<NodeId> {
-        self.node(n).last_child
+        self.node(n).last_child.get()
     }
 
     /// τ_ur `nextsibling(x, y)` as a partial function x → y.
     #[inline]
     pub fn next_sibling(&self, n: NodeId) -> Option<NodeId> {
-        self.node(n).next_sibling
+        self.node(n).next_sibling.get()
     }
 
     /// Inverse of `nextsibling`.
     #[inline]
     pub fn prev_sibling(&self, n: NodeId) -> Option<NodeId> {
-        self.node(n).prev_sibling
+        self.node(n).prev_sibling.get()
     }
 
     /// Inverse of `firstchild ∪ nextsibling⁺` composition: the parent.
     #[inline]
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        self.node(n).parent
+        self.node(n).parent.get()
     }
 
     /// The node's kind (element or text).
@@ -151,32 +160,35 @@ impl Document {
 
     /// Character data of a text node (None for elements).
     pub fn text(&self, n: NodeId) -> Option<&str> {
-        self.node(n).text.as_deref()
+        let d = self.node(n);
+        (d.kind == NodeKind::Text).then(|| &self.arena[d.text.range()])
     }
 
     /// Attribute value by name, if present on this element.
     pub fn attr(&self, n: NodeId, name: &str) -> Option<&str> {
         let sym = self.interner.get(name)?;
-        self.node(n)
-            .attrs
+        self.node_attrs(n)
             .iter()
-            .find(|(k, _)| *k == sym)
-            .map(|(_, v)| v.as_ref())
+            .find(|a| a.name == sym)
+            .map(|a| &self.arena[a.value.range()])
     }
 
     /// All attributes of an element, in source order.
     pub fn attrs(&self, n: NodeId) -> impl Iterator<Item = (&str, &str)> {
-        self.node(n)
-            .attrs
+        self.node_attrs(n)
             .iter()
-            .map(move |(k, v)| (self.interner.resolve(*k), v.as_ref()))
+            .map(move |a| (self.interner.resolve(a.name), &self.arena[a.value.range()]))
+    }
+
+    fn node_attrs(&self, n: NodeId) -> &[Attr] {
+        &self.attr_list[self.node(n).attrs.range()]
     }
 
     /// Children of `n`, left to right.
     pub fn children(&self, n: NodeId) -> Children<'_> {
         Children {
             doc: self,
-            next: self.node(n).first_child,
+            next: self.node(n).first_child.get(),
         }
     }
 
@@ -201,7 +213,7 @@ impl Document {
     pub fn ancestors(&self, n: NodeId) -> Ancestors<'_> {
         Ancestors {
             doc: self,
-            next: self.node(n).parent,
+            next: self.node(n).parent.get(),
         }
     }
 
@@ -243,7 +255,7 @@ impl Document {
     pub fn text_content(&self, n: NodeId) -> String {
         let mut out = String::new();
         for d in self.descendants_or_self(n) {
-            if let Some(t) = self.node(d).text.as_deref() {
+            if let Some(t) = self.text(d) {
                 out.push_str(t);
             }
         }
@@ -271,7 +283,7 @@ impl Iterator for Children<'_> {
     type Item = NodeId;
     fn next(&mut self) -> Option<NodeId> {
         let cur = self.next?;
-        self.next = self.doc.node(cur).next_sibling;
+        self.next = self.doc.node(cur).next_sibling.get();
         Some(cur)
     }
 }
@@ -286,7 +298,7 @@ impl Iterator for Ancestors<'_> {
     type Item = NodeId;
     fn next(&mut self) -> Option<NodeId> {
         let cur = self.next?;
-        self.next = self.doc.node(cur).parent;
+        self.next = self.doc.node(cur).parent.get();
         Some(cur)
     }
 }

@@ -19,7 +19,9 @@
 //!
 //! * [`Document`] — an immutable arena-backed tree, built through
 //!   [`TreeBuilder`] (or the s-expression convenience parser in [`build`]),
-//!   with interned labels ([`Symbol`]) and per-node text/attribute payloads;
+//!   with interned labels ([`Symbol`]; names from the static [`names`]
+//!   table are interned without allocating) and text/attribute payloads
+//!   held in one text arena per document;
 //! * the τ_ur relations as O(1) accessors plus the derived axes of XPath
 //!   ([`axes`]): `child`, `child+`, `child*`, `following`, …;
 //! * cached pre/post numbering ([`order`]) giving O(1) ancestor and
@@ -30,10 +32,10 @@
 //! * rendering helpers ([`render`]).
 //!
 //! Strings and attribute values are, in the paper's footnote 4, conceptually
-//! encoded as subtrees over a character alphabet. We store them inline as
-//! payloads (text nodes carry their string, elements carry attribute lists)
-//! but expose the same relational view: a text node is a `#text`-labeled
-//! leaf of `dom`.
+//! encoded as subtrees over a character alphabet. We store them as
+//! payloads (a text node's string and an element's attribute values are
+//! spans of its document's text arena) but expose the same relational
+//! view: a text node is a `#text`-labeled leaf of `dom`.
 
 #![forbid(unsafe_code)]
 
@@ -43,6 +45,7 @@ pub mod document;
 pub mod ids;
 pub mod interner;
 pub mod minor;
+pub mod names;
 pub mod node;
 pub mod order;
 pub mod render;
@@ -52,6 +55,7 @@ pub use build::TreeBuilder;
 pub use document::Document;
 pub use ids::NodeId;
 pub use interner::{Interner, Symbol};
+pub use names::HtmlName;
 pub use node::{NodeData, NodeKind};
 pub use order::Order;
 

@@ -12,52 +12,61 @@ use crate::node::NodeData;
 /// Pre/post numbering of a document.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Order {
-    /// `pre[n]` — position of `n` in preorder (document order), 0-based.
-    pre: Vec<u32>,
-    /// `post[n]` — position of `n` in postorder, 0-based.
-    post: Vec<u32>,
-    /// Preorder sequence of node ids; `preorder[pre[n]] == n`.
+    /// The numbers of each node, indexed by node id.
+    numbers: Vec<Numbers>,
+    /// Preorder sequence of node ids; `preorder[pre(n)] == n`.
     preorder: Vec<NodeId>,
-    /// `subtree_end[n]` — one past the preorder index of the last node in
-    /// `n`'s subtree; the subtree of `n` is `preorder[pre[n]..subtree_end[n]]`.
-    subtree_end: Vec<u32>,
+}
+
+/// One node's numbers, kept together: an ancestor test reads two of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Numbers {
+    /// Position in preorder (document order), 0-based.
+    pre: u32,
+    /// Position in postorder, 0-based.
+    post: u32,
+    /// One past the preorder index of the last node in the subtree; the
+    /// subtree of `n` is `preorder[pre..subtree_end]`.
+    subtree_end: u32,
 }
 
 impl Order {
-    /// Compute numbering for an arena whose root is node 0. Iterative DFS —
-    /// documents can be deep enough (degenerate chains in stress tests) that
-    /// recursion would overflow.
+    /// Compute numbering for an arena whose root is node 0. The walk
+    /// follows the first-child, next-sibling and parent links, so it needs
+    /// neither recursion (documents can be degenerate chains deep enough
+    /// to overflow the call stack) nor a stack or per-node child list.
     pub(crate) fn compute(nodes: &[NodeData]) -> Order {
         let n = nodes.len();
-        let mut pre = vec![0u32; n];
-        let mut post = vec![0u32; n];
+        let mut numbers = vec![Numbers::default(); n];
         let mut preorder = Vec::with_capacity(n);
-        let mut subtree_end = vec![0u32; n];
 
         let mut pre_ctr = 0u32;
         let mut post_ctr = 0u32;
-        // Stack of (node, entered?) frames.
-        let mut stack: Vec<(NodeId, bool)> = vec![(NodeId::ROOT, false)];
-        while let Some((cur, entered)) = stack.pop() {
-            if entered {
-                post[cur.index()] = post_ctr;
-                post_ctr += 1;
-                subtree_end[cur.index()] = pre_ctr;
-                continue;
-            }
-            pre[cur.index()] = pre_ctr;
+        let mut cur = NodeId::ROOT;
+        'walk: loop {
+            // Enter `cur`.
+            numbers[cur.index()].pre = pre_ctr;
             pre_ctr += 1;
             preorder.push(cur);
-            stack.push((cur, true));
-            // Push children in reverse so the leftmost is processed first.
-            let mut kids: Vec<NodeId> = Vec::new();
-            let mut c = nodes[cur.index()].first_child;
-            while let Some(k) = c {
-                kids.push(k);
-                c = nodes[k.index()].next_sibling;
+            if let Some(child) = nodes[cur.index()].first_child.get() {
+                cur = child;
+                continue;
             }
-            for &k in kids.iter().rev() {
-                stack.push((k, false));
+            // Leave `cur` and every ancestor whose last child it ends.
+            loop {
+                let num = &mut numbers[cur.index()];
+                num.post = post_ctr;
+                num.subtree_end = pre_ctr;
+                post_ctr += 1;
+                let d = &nodes[cur.index()];
+                if let Some(next) = d.next_sibling.get() {
+                    cur = next;
+                    continue 'walk;
+                }
+                match d.parent.get() {
+                    Some(parent) => cur = parent,
+                    None => break 'walk,
+                }
             }
         }
         debug_assert_eq!(
@@ -65,24 +74,19 @@ impl Order {
             n,
             "all nodes must be reachable from the root"
         );
-        Order {
-            pre,
-            post,
-            preorder,
-            subtree_end,
-        }
+        Order { numbers, preorder }
     }
 
     /// Preorder (document-order) index of `n`.
     #[inline]
     pub fn pre(&self, n: NodeId) -> u32 {
-        self.pre[n.index()]
+        self.numbers[n.index()].pre
     }
 
     /// Postorder index of `n`.
     #[inline]
     pub fn post(&self, n: NodeId) -> u32 {
-        self.post[n.index()]
+        self.numbers[n.index()].post
     }
 
     /// The preorder sequence of nodes.
@@ -100,17 +104,15 @@ impl Order {
     /// Half-open preorder interval covered by `n`'s subtree.
     #[inline]
     pub fn subtree_range(&self, n: NodeId) -> (usize, usize) {
-        (
-            self.pre[n.index()] as usize,
-            self.subtree_end[n.index()] as usize,
-        )
+        let num = &self.numbers[n.index()];
+        (num.pre as usize, num.subtree_end as usize)
     }
 
     /// O(1) `child*(a, b)` test via interval containment.
     #[inline]
     pub fn is_ancestor_or_self(&self, a: NodeId, b: NodeId) -> bool {
         let (s, e) = self.subtree_range(a);
-        let p = self.pre[b.index()] as usize;
+        let p = self.pre(b) as usize;
         s <= p && p < e
     }
 
@@ -168,7 +170,7 @@ mod tests {
 
     #[test]
     fn deep_chain_does_not_overflow_stack() {
-        // 200k-deep degenerate chain exercises the iterative DFS in
+        // 200k-deep degenerate chain exercises the stackless walk in
         // Order::compute (built with TreeBuilder, whose open/close loop is
         // also iterative).
         let depth = 200_000;

@@ -21,14 +21,16 @@ use lixto::server::WrapperRegistry;
 use lixto::workloads::traffic;
 
 /// Heap allocations (fresh blocks and resizes) per reloaded wrapper may
-/// not exceed this. Measured at 192.5 on the mix below, down from 394.9
+/// not exceed this. Measured at 162.5 on the mix below, down from 394.9
 /// before the built-in concept registry was built and compiled once per
 /// process, the plan id was hashed as the program was printed instead
-/// of from a built string, the printer stopped building temporaries and
+/// of from a built string, the printer stopped building temporaries,
 /// the manifest's source and the parsed program moved instead of being
-/// copied. What remains is the manifest read, the parsed program, the
-/// compiled and optimized plan, and the registration.
-const BUDGET_PER_WRAPPER: u64 = 200;
+/// copied, and (from 192.5) the Elog parser stopped copying the atom
+/// names and variables it only matches. What remains is the manifest
+/// read, the parsed program, the compiled and optimized plan, and the
+/// registration.
+const BUDGET_PER_WRAPPER: u64 = 165;
 
 /// Spooled deployments of each serving-mix wrapper.
 const COPIES: usize = 40;
