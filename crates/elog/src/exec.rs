@@ -20,7 +20,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,6 +32,7 @@ use crate::concepts::compare_values;
 use crate::eval::{
     forest_of, node_span, target_span, target_text, ExtractionResult, ExtractorOptions, Value,
 };
+use crate::fxhash::FxHasher64;
 use crate::instances::{DocId, Instance, InstanceBase, Target};
 use crate::optimize::{FusedPath, FusedShape, FusedTag, OptRule, OptimizedPlan, PathUse, Schedule};
 use crate::plan::{
@@ -42,39 +43,8 @@ use crate::web::WebSource;
 
 /// FxHash: the dedup and reference sets sit on the per-instance hot
 /// path, where SipHash's per-lookup cost would eat the win on small
-/// documents. Same multiply-xor scheme as `lixto_server`'s cache.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
-        }
-    }
-
-    fn write_u8(&mut self, b: u8) {
-        self.0 = (self.0.rotate_left(5) ^ u64::from(b)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(u64::from(n));
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
+/// documents.
+type FxSet<T> = HashSet<T, BuildHasherDefault<FxHasher64>>;
 
 /// Optional execution telemetry. When attached (via
 /// [`Extractor::with_probe`](crate::Extractor::with_probe)) the executor

@@ -57,6 +57,7 @@ pub mod compile;
 pub mod concepts;
 pub mod eval;
 mod exec;
+pub mod fxhash;
 pub mod instances;
 pub mod optimize;
 pub mod parser;

@@ -21,7 +21,6 @@ fn check(src: &str) -> Result<(), TestCaseError> {
     let tokens = Tokenizer::new(src).count();
     let keep_whitespace = ParseOptions {
         skip_whitespace_text: false,
-        skip_comments: true,
     };
     for doc in [parse(src), parse_with_options(src, &keep_whitespace)] {
         prop_assert!(

@@ -48,22 +48,19 @@ const BYTES_PER_NODE: usize = 8;
 /// Source bytes per attribute the attribute storage is first sized for.
 const BYTES_PER_ATTR: usize = 32;
 
-/// Parsing options.
+/// Parsing options. Comments and doctypes never become nodes.
 #[derive(Debug, Clone)]
 pub struct ParseOptions {
     /// Drop text nodes that consist only of whitespace (default: true).
     /// Inter-tag whitespace carries no information for wrappers and would
     /// roughly double node counts on indented markup.
     pub skip_whitespace_text: bool,
-    /// Drop comment tokens entirely (default: true).
-    pub skip_comments: bool,
 }
 
 impl Default for ParseOptions {
     fn default() -> Self {
         ParseOptions {
             skip_whitespace_text: true,
-            skip_comments: true,
         }
     }
 }
@@ -92,8 +89,6 @@ pub fn parse_with_options(src: &str, opts: &ParseOptions) -> Document {
     let mut scanner = Scanner::new(src);
     while let Some(event) = scanner.next_event() {
         match event {
-            // Comments are dropped whatever `skip_comments` says: the
-            // tree has no comment nodes.
             Event::Doctype | Event::Comment(_) => {}
             Event::Text(text) => p.text(text, true, opts),
             Event::RawText(text) => p.text(text, false, opts),
@@ -430,7 +425,6 @@ mod tests {
             "<p> </p>",
             &ParseOptions {
                 skip_whitespace_text: false,
-                skip_comments: true,
             },
         );
         assert_eq!(to_sexp(&doc), r#"(html (p " "))"#);

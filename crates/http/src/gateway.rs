@@ -81,8 +81,7 @@
 //!
 //! ## Request tracing
 //!
-//! With [`GatewayConfig::tracing`] on (the default), every `/extract`
-//! and `/extract/batch` request gets a trace id — the client's
+//! Every `/extract` and `/extract/batch` request gets a trace id — the client's
 //! `X-Request-Id` header when it passes validation (1–64 visible ASCII
 //! characters), a minted one otherwise — echoed back in the response's
 //! `x-request-id` header (batch item envelopes additionally carry a
@@ -90,8 +89,7 @@
 //! pool on [`ExtractionRequest::trace`], so worker log events name the
 //! request, and a span record (status, per-stage wall times, wake
 //! latency) is retained for `GET /debug/requests/{id}` and
-//! `GET /debug/slow`. Disabled, responses are byte-identical to the
-//! untraced gateway.
+//! `GET /debug/slow`.
 //!
 //! Every `/extract` response carries a `provenance_key` — the stable
 //! store key of the result (wrapper percent-encoded, then plan
@@ -162,11 +160,6 @@ pub struct GatewayConfig {
     /// How long a response flush may stay blocked on a peer that is not
     /// reading before the connection is dropped.
     pub write_timeout: Duration,
-    /// First sleep after a failed `accept(2)`; doubles per consecutive
-    /// failure (see [`AcceptBackoff`]).
-    pub accept_backoff_initial: Duration,
-    /// Upper bound for the accept-error backoff sleep.
-    pub accept_backoff_max: Duration,
     /// Maximum items in one `POST /extract/batch` request.
     pub max_batch_items: usize,
     /// Body-size allowance for `POST /extract/batch` (the batch carries
@@ -174,54 +167,23 @@ pub struct GatewayConfig {
     /// [`Limits::max_body_bytes`] would be too tight; individual items
     /// are still checked against the single-request limit).
     pub max_batch_body_bytes: usize,
-    /// Request tracing (default on): mint or accept an `X-Request-Id`
-    /// per extraction request, echo it in the response header (and as a
-    /// per-item `request_id` in batch envelopes), and retain a span
-    /// record served by `GET /debug/requests/{id}` and
-    /// `GET /debug/slow`. Disabled, extraction responses are
-    /// byte-identical to the untraced gateway and the span buffer stays
-    /// empty.
-    pub tracing: bool,
-    /// How many of the most recent spans to retain for the debug
-    /// endpoints.
-    pub recent_spans: usize,
-    /// How many of the slowest spans to retain for `GET /debug/slow`.
-    pub slow_spans: usize,
-    /// How long a span may stay on the `GET /debug/slow` slowest list
-    /// before newer traffic ages it out (so the list reflects the
-    /// recent past, not all-time records).
-    pub slow_span_window: Duration,
-    /// Continuous monitoring (default on): a sampler thread records a
-    /// metrics snapshot every [`monitor_interval`] into a bounded
-    /// history ring (served by `GET /metrics/history`), evaluates the
-    /// SLO watchdog over it (`GET /debug/health`, `lixto_alert_*`
-    /// metric series, `alert_fired`/`alert_resolved` log events) and
-    /// feeds `GET /debug/live` subscribers. Disabled, none of those
-    /// threads or endpoints exist and every response — `/metrics`
-    /// included — is byte-identical to the unmonitored gateway.
-    ///
-    /// [`monitor_interval`]: GatewayConfig::monitor_interval
-    pub monitor: bool,
-    /// Sampling period of the monitor thread.
+    /// Sampling period of the monitor thread, which records a metrics
+    /// snapshot into the history ring (`GET /metrics/history`), runs
+    /// the SLO watchdog over it (`GET /debug/health`) and feeds
+    /// `GET /debug/live`. A setting only so that tests can shorten the
+    /// gateway's time scale; it belongs to an injectable clock once the
+    /// gateway has one.
     pub monitor_interval: Duration,
-    /// How many samples the history ring retains (600 × the default
-    /// 1 s interval ≈ 10 minutes).
-    pub monitor_retention: usize,
     /// How many trailing samples the watchdog judges each tick (its
-    /// evidence window is `monitor_interval × monitor_eval_ticks`).
+    /// evidence window is `monitor_interval × monitor_eval_ticks`). A
+    /// test time-scale setting, like
+    /// [`monitor_interval`](GatewayConfig::monitor_interval).
     pub monitor_eval_ticks: u32,
-    /// Continuous extraction (default on): a
-    /// [`WatchRegistry`] of (wrapper, url, interval) subscriptions
-    /// managed via `PUT/GET/DELETE /watches/{id}`, re-run through the
-    /// pool by a scheduler thread, with instance-level diff events
-    /// delivered to `GET /watches/{id}/events` long-poll subscribers
-    /// and configured webhook URLs, and `lixto_watch_*` series on
-    /// `/metrics`. Disabled, none of those endpoints or threads exist
-    /// and every response is byte-identical to the watchless gateway.
-    pub watches: bool,
     /// The longest the watch scheduler sleeps in one go. It also wakes
     /// when the next watch falls due, a recheck resolved a diff or a
-    /// watch is registered, so this is only a backstop.
+    /// watch is registered, so this is only a backstop. A test
+    /// time-scale setting, like
+    /// [`monitor_interval`](GatewayConfig::monitor_interval).
     pub watch_tick: Duration,
     /// Durability directory for watch subscriptions (see
     /// [`lixto_server::durability_layout`]'s `watches` path). `None`
@@ -238,19 +200,10 @@ impl Default for GatewayConfig {
             max_connections_per_loop: 4096,
             read_timeout: Duration::from_secs(10),
             write_timeout: Duration::from_secs(10),
-            accept_backoff_initial: Duration::from_millis(1),
-            accept_backoff_max: Duration::from_millis(200),
             max_batch_items: 64,
             max_batch_body_bytes: 8 * 1024 * 1024,
-            tracing: true,
-            recent_spans: 256,
-            slow_spans: 32,
-            slow_span_window: Duration::from_secs(300),
-            monitor: true,
             monitor_interval: Duration::from_secs(1),
-            monitor_retention: 600,
             monitor_eval_ticks: 5,
-            watches: true,
             watch_tick: Duration::from_millis(250),
             watch_spool: None,
         }
@@ -380,22 +333,16 @@ struct SharedGateway {
     responses_4xx: AtomicU64,
     responses_5xx: AtomicU64,
     /// Completed request spans (recent ring + slowest list), served by
-    /// `GET /debug/slow` and `GET /debug/requests/{id}`. Empty while
-    /// [`GatewayConfig::tracing`] is off.
+    /// `GET /debug/slow` and `GET /debug/requests/{id}`.
     spans: SpanBuffer,
     /// Completion-notify → event-loop dispatch latency (the `wake`
-    /// stage), recorded for every completion token regardless of the
-    /// tracing flag.
+    /// stage), recorded for every completion token.
     wake: LatencyHistogram,
     /// The continuous-monitoring subsystem (history ring, SLO
-    /// watchdog, live-stream subscriber count); `None` with
-    /// [`GatewayConfig::monitor`] off, which also disables every
-    /// monitoring endpoint and the sampler thread.
-    monitor: Option<Arc<Monitor>>,
-    /// The continuous-extraction subscriptions; `None` with
-    /// [`GatewayConfig::watches`] off, which also disables every
-    /// `/watches` endpoint and the scheduler thread.
-    watches: Option<Arc<WatchRegistry>>,
+    /// watchdog, live-stream subscriber count).
+    monitor: Arc<Monitor>,
+    /// The continuous-extraction subscriptions.
+    watches: Arc<WatchRegistry>,
 }
 
 /// One event loop's gauges, copied into [`GatewayObservations`].
@@ -481,15 +428,28 @@ impl SharedGateway {
 pub struct HttpGateway {
     addr: SocketAddr,
     shared: Arc<SharedGateway>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    sampler: Option<std::thread::JoinHandle<()>>,
-    watch_scheduler: Option<WatchScheduler>,
+    acceptor: std::thread::JoinHandle<()>,
+    sampler: std::thread::JoinHandle<()>,
+    watch_scheduler: WatchScheduler,
     loops: Vec<std::thread::JoinHandle<()>>,
 }
 
+/// How many of the most recent request spans the debug endpoints keep.
+const RECENT_SPANS: usize = 256;
+/// How many of the slowest request spans `GET /debug/slow` keeps.
+const SLOW_SPANS: usize = 32;
+/// How long (ms) a span may stay on the `GET /debug/slow` slowest list
+/// before newer traffic ages it out, so the list reflects the recent
+/// past, not all-time records.
+const SLOW_SPAN_WINDOW_MS: u64 = 300_000;
+/// How many samples the monitor's history ring keeps (600 × the default
+/// 1 s interval ≈ 10 minutes).
+const MONITOR_RETENTION: usize = 600;
+
 impl HttpGateway {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start the acceptor + event loops serving `server`.
+    /// start the acceptor, event loops, monitor sampler and watch
+    /// scheduler serving `server`.
     pub fn bind(
         addr: impl ToSocketAddrs,
         config: GatewayConfig,
@@ -513,38 +473,26 @@ impl HttpGateway {
                 }))
             })
             .collect::<std::io::Result<_>>()?;
-        let slow_window_ms = config
-            .slow_span_window
-            .as_millis()
-            .max(1)
-            .min(u128::from(u64::MAX)) as u64;
-        let spans = SpanBuffer::new(config.recent_spans, config.slow_spans)
-            .with_slow_window_ms(slow_window_ms);
-        let monitor = config.monitor.then(|| {
-            Arc::new(Monitor::new(
-                config.monitor_interval,
-                config.monitor_retention,
-                config.monitor_eval_ticks,
-            ))
-        });
-        let watches = if config.watches {
-            let registry = match &config.watch_spool {
-                Some(dir) => WatchRegistry::with_spool(dir).unwrap_or_else(|e| {
-                    // A broken spool directory must not keep the
-                    // gateway from serving: fall back to an in-memory
-                    // registry (subscriptions won't survive restarts).
-                    warn_event!(
-                        "watch_spool_unavailable",
-                        "dir" => dir.display().to_string(),
-                        "error" => e.to_string(),
-                    );
-                    WatchRegistry::new()
-                }),
-                None => WatchRegistry::new(),
-            };
-            Some(Arc::new(registry))
-        } else {
-            None
+        let spans =
+            SpanBuffer::new(RECENT_SPANS, SLOW_SPANS).with_slow_window_ms(SLOW_SPAN_WINDOW_MS);
+        let monitor = Arc::new(Monitor::new(
+            config.monitor_interval,
+            MONITOR_RETENTION,
+            config.monitor_eval_ticks,
+        ));
+        let watches = match &config.watch_spool {
+            Some(dir) => WatchRegistry::with_spool(dir).unwrap_or_else(|e| {
+                // A broken spool directory must not keep the gateway
+                // from serving: fall back to an in-memory registry
+                // (subscriptions won't survive restarts).
+                warn_event!(
+                    "watch_spool_unavailable",
+                    "dir" => dir.display().to_string(),
+                    "error" => e.to_string(),
+                );
+                WatchRegistry::new()
+            }),
+            None => WatchRegistry::new(),
         };
         let shared = Arc::new(SharedGateway {
             server,
@@ -560,7 +508,7 @@ impl HttpGateway {
             spans,
             wake: LatencyHistogram::new(),
             monitor,
-            watches,
+            watches: Arc::new(watches),
         });
         let loops = (0..loop_count)
             .map(|i| {
@@ -579,27 +527,27 @@ impl HttpGateway {
                 .spawn(move || acceptor_loop(listener, shared))
                 .expect("spawn acceptor")
         };
-        let sampler = shared.monitor.as_ref().map(|_| {
+        let sampler = {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("lixto-http-monitor".to_string())
                 .spawn(move || sampler_loop(shared))
                 .expect("spawn monitor sampler")
-        });
-        let watch_scheduler = shared.watches.as_ref().map(|registry| {
+        };
+        let watch_scheduler = {
             let sink_shared = shared.clone();
             let webhook_clients: Mutex<HashMap<String, HttpClient>> = Mutex::new(HashMap::new());
             WatchScheduler::start(
-                sink_shared.server.clone(),
-                registry.clone(),
-                sink_shared.config.watch_tick,
+                shared.server.clone(),
+                shared.watches.clone(),
+                shared.config.watch_tick,
                 Box::new(move |event| deliver_watch_event(&sink_shared, &webhook_clients, event)),
             )
-        });
+        };
         Ok(HttpGateway {
             addr: local_addr,
             shared,
-            acceptor: Some(acceptor),
+            acceptor,
             sampler,
             watch_scheduler,
             loops,
@@ -641,40 +589,40 @@ impl HttpGateway {
     /// be shared; call [`ExtractionServer::initiate_shutdown`]
     /// separately (before or after this call — parked tickets resolve
     /// either way).
-    pub fn shutdown(mut self) -> GatewayStats {
-        self.shared.begin_stop();
+    pub fn shutdown(self) -> GatewayStats {
+        let HttpGateway {
+            addr,
+            shared,
+            acceptor,
+            sampler,
+            watch_scheduler,
+            loops,
+        } = self;
+        shared.begin_stop();
         // Stop the sampler first: it must not broadcast into event
         // loops that are draining their last subscribers.
-        if let Some(monitor) = &self.shared.monitor {
-            monitor.stop();
-        }
-        if let Some(sampler) = self.sampler.take() {
-            let _ = sampler.join();
-        }
+        shared.monitor.stop();
+        let _ = sampler.join();
         // Same for the watch scheduler: it delivers the diffs already
         // resolved, then no new watch ticks or deliveries once the loops
         // start finishing their streams.
-        if let Some(scheduler) = self.watch_scheduler.take() {
-            scheduler.stop();
-        }
+        watch_scheduler.stop();
         // Wake the acceptor out of its blocking accept(). A wildcard
         // bind address (0.0.0.0 / ::) is not connectable everywhere, so
         // aim the wake-up at loopback on the bound port.
-        let wake_addr = if self.addr.ip().is_unspecified() {
-            let loopback: std::net::IpAddr = if self.addr.is_ipv4() {
+        let wake_addr = if addr.ip().is_unspecified() {
+            let loopback: std::net::IpAddr = if addr.is_ipv4() {
                 std::net::Ipv4Addr::LOCALHOST.into()
             } else {
                 std::net::Ipv6Addr::LOCALHOST.into()
             };
-            SocketAddr::new(loopback, self.addr.port())
+            SocketAddr::new(loopback, addr.port())
         } else {
-            self.addr
+            addr
         };
         let _ = TcpStream::connect(wake_addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for event_loop in self.loops.drain(..) {
+        let _ = acceptor.join();
+        for event_loop in loops {
             let _ = event_loop.join();
         }
         // Close the shutdown race: the acceptor may have assigned a
@@ -682,7 +630,7 @@ impl HttpGateway {
         // last time. Nobody will poll those inboxes again — refuse any
         // stranded socket with a 503 instead of leaving its client to
         // hang.
-        for event_loop in &self.shared.loops {
+        for event_loop in &shared.loops {
             let stranded = std::mem::take(
                 &mut event_loop
                     .inbox
@@ -691,18 +639,21 @@ impl HttpGateway {
                     .accepted,
             );
             for stream in stranded {
-                refuse_busy(stream, &self.shared);
+                refuse_busy(stream, &shared);
             }
         }
-        self.shared.stats()
+        shared.stats()
     }
 }
 
+/// First sleep after a failed `accept(2)`; doubles per consecutive
+/// failure (see [`AcceptBackoff`]).
+const ACCEPT_BACKOFF_INITIAL: Duration = Duration::from_millis(1);
+/// Upper bound for the accept-error backoff sleep.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(200);
+
 fn acceptor_loop(listener: TcpListener, shared: Arc<SharedGateway>) {
-    let mut backoff = AcceptBackoff::new(
-        shared.config.accept_backoff_initial,
-        shared.config.accept_backoff_max,
-    );
+    let mut backoff = AcceptBackoff::new(ACCEPT_BACKOFF_INITIAL, ACCEPT_BACKOFF_MAX);
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
@@ -744,10 +695,7 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<SharedGateway>) {
 /// completion plumbing — events land in every loop's inbox followed by
 /// a self-pipe wake — and is skipped entirely while nobody listens.
 fn sampler_loop(shared: Arc<SharedGateway>) {
-    let monitor = shared
-        .monitor
-        .clone()
-        .expect("sampler spawned without monitor");
+    let monitor = &shared.monitor;
     while monitor.sleep_until_next_tick() {
         let events = monitor.tick(&monitor_tick_sample(&shared));
         if monitor.live_subscribers.load(Ordering::Relaxed) == 0 {
@@ -796,10 +744,7 @@ fn deliver_watch_event(
     webhook_clients: &Mutex<HashMap<String, HttpClient>>,
     event: WatchEvent,
 ) {
-    let registry = match &shared.watches {
-        Some(registry) => registry,
-        None => return,
-    };
+    let registry = &shared.watches;
     let json = watch_event_json(&event).dump();
     if registry.subscribers() > 0 {
         let line: StreamLine = (Some(Arc::new(event.watch.clone())), Arc::new(json.clone()));
@@ -970,8 +915,7 @@ enum DispatchItem {
     Pending(JobTicket),
 }
 
-/// Trace context of one dispatched extraction request (absent when
-/// [`GatewayConfig::tracing`] is off).
+/// Trace context of one dispatched extraction request.
 struct RequestTrace {
     /// Minted or client-supplied (`X-Request-Id`) id; batch items get a
     /// `#i` suffix.
@@ -996,8 +940,8 @@ struct Dispatch {
     /// here because synchronous rejections also park briefly as
     /// `Ready` items.
     retry_after: bool,
-    /// Trace id + start instant when tracing is on.
-    trace: Option<RequestTrace>,
+    /// Trace id + start instant.
+    trace: RequestTrace,
     /// Worst completion wake latency observed for this request (ns);
     /// `None` until a completion token arrives (synchronously resolved
     /// requests never wake).
@@ -1591,34 +1535,16 @@ fn finish_stream(conn: &mut Conn) {
     }
 }
 
-/// `GET /debug/live`: subscribe this connection to the monitor's tick
-/// and alert-transition events.
-fn start_live_stream(conn: &mut Conn, ctx: &ConnCtx, request: &Request) {
-    let monitor = ctx
-        .shared
-        .monitor
-        .as_ref()
-        .expect("live stream routed without monitor");
-    start_stream(conn, ctx, request, None, &monitor.hello_event());
-}
-
 /// The watch id of a `/watches/{id}/events` path, if that is one.
 fn watch_stream_id(path: &str) -> Option<&str> {
-    path.strip_prefix("/watches/")
-        .and_then(|rest| rest.strip_suffix("/events"))
-        .filter(|id| !id.is_empty() && !id.contains('/'))
+    path.strip_suffix("/events").and_then(watch_id)
 }
 
 /// `GET /watches/{id}/events`: subscribe this connection to one watch's
 /// instance-level diff events. The greeting echoes the watch id and
 /// current sequence number. An unknown watch id answers a normal `404`.
 fn start_watch_stream(conn: &mut Conn, ctx: &ConnCtx, request: &Request, id: &str) {
-    let registry = ctx
-        .shared
-        .watches
-        .as_ref()
-        .expect("watch stream routed without watches");
-    let status = match registry.get(id) {
+    let status = match ctx.shared.watches.get(id) {
         Some(status) => status,
         None => {
             let response = Response::error(404, "unknown_watch", "no such watch");
@@ -1674,25 +1600,16 @@ fn start_stream(
 /// Count a subscriber of `topic` in (`joined`) or out: the monitor's
 /// live-stream gauge, or the watch registry's.
 fn count_subscriber(shared: &SharedGateway, topic: &Option<Arc<String>>, joined: bool) {
-    match topic {
-        None => {
-            if let Some(monitor) = &shared.monitor {
-                if joined {
-                    monitor.live_subscribers.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    monitor.live_subscribers.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
+    let live = &shared.monitor.live_subscribers;
+    match (topic, joined) {
+        (None, true) => {
+            live.fetch_add(1, Ordering::Relaxed);
         }
-        Some(_) => {
-            if let Some(watches) = &shared.watches {
-                if joined {
-                    watches.subscriber_started();
-                } else {
-                    watches.subscriber_finished();
-                }
-            }
+        (None, false) => {
+            live.fetch_sub(1, Ordering::Relaxed);
         }
+        (Some(_), true) => shared.watches.subscriber_started(),
+        (Some(_), false) => shared.watches.subscriber_finished(),
     }
 }
 
@@ -1852,15 +1769,16 @@ fn advance_one(conn: &mut Conn, ctx: &ConnCtx) -> bool {
 /// (parking the connection), answer everything else synchronously.
 fn serve(conn: &mut Conn, ctx: &ConnCtx, request: &Request) {
     let keep_alive = request.keep_alive() && !ctx.shared.stopping();
+    if request.method == "GET" {
+        if let Some(id) = watch_stream_id(&request.path) {
+            return start_watch_stream(conn, ctx, request, id);
+        }
+    }
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/extract") => dispatch_extract(conn, ctx, request, keep_alive),
         ("POST", "/extract/batch") => dispatch_batch(conn, ctx, request, keep_alive),
-        ("GET", "/debug/live") if ctx.shared.monitor.is_some() => {
-            start_live_stream(conn, ctx, request)
-        }
-        ("GET", path) if ctx.shared.watches.is_some() && watch_stream_id(path).is_some() => {
-            let id = watch_stream_id(path).expect("guard checked").to_string();
-            start_watch_stream(conn, ctx, request, &id)
+        ("GET", "/debug/live") => {
+            start_stream(conn, ctx, request, None, &ctx.shared.monitor.hello_event())
         }
         _ => {
             let response = route(request, ctx.shared);
@@ -1957,33 +1875,25 @@ fn completion_notify(ctx: &ConnCtx, generation: u64) -> impl FnOnce() + Send + '
 }
 
 /// The request's trace context: the client's `X-Request-Id` when it
-/// passes validation, a minted id otherwise; `None` with tracing off.
-fn request_trace(ctx: &ConnCtx, request: &Request) -> Option<RequestTrace> {
-    if !ctx.shared.config.tracing {
-        return None;
-    }
+/// passes validation, a minted id otherwise.
+fn request_trace(request: &Request) -> RequestTrace {
     let id = request
         .header("x-request-id")
         .and_then(TraceId::from_client)
         .unwrap_or_else(TraceId::mint);
-    Some(RequestTrace {
+    RequestTrace {
         id,
         started: Instant::now(),
-    })
+    }
 }
 
 fn dispatch_extract(conn: &mut Conn, ctx: &ConnCtx, request: &Request, keep_alive: bool) {
-    let trace = request_trace(ctx, request);
+    let trace = request_trace(request);
     let item = match request.body_utf8() {
         None => DispatchItem::Ready(400, error_body("bad_request", "body is not UTF-8")),
         Some(body) => match Json::parse(body) {
             Err(e) => DispatchItem::Ready(400, error_body("bad_request", &e.to_string())),
-            Ok(parsed) => submit_item(
-                parsed,
-                ctx,
-                conn.generation,
-                trace.as_ref().map(|t| t.id.to_string()),
-            ),
+            Ok(parsed) => submit_item(parsed, ctx, conn.generation, trace.id.to_string()),
         },
     };
     let outstanding = usize::from(matches!(item, DispatchItem::Pending(_)));
@@ -2037,7 +1947,7 @@ fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request, keep_alive:
             ),
         );
     }
-    let trace = request_trace(ctx, request);
+    let trace = request_trace(request);
     let single_limit = ctx.shared.config.limits.max_body_bytes;
     let mut dispatch_items = Vec::with_capacity(items.len());
     let mut outstanding = 0usize;
@@ -2062,7 +1972,7 @@ fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request, keep_alive:
             ));
             continue;
         }
-        let item_trace = trace.as_ref().map(|t| format!("{}#{index}", t.id));
+        let item_trace = format!("{}#{index}", trace.id);
         let item = submit_item(item, ctx, conn.generation, item_trace);
         outstanding += usize::from(matches!(item, DispatchItem::Pending(_)));
         dispatch_items.push(item);
@@ -2086,16 +1996,14 @@ fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request, keep_alive:
 /// immediately, on this loop thread; everything else parks on a pool
 /// ticket. `trace` rides into the pool on [`ExtractionRequest::trace`]
 /// so worker-side log events name the request.
-fn submit_item(
-    parsed: Json,
-    ctx: &ConnCtx,
-    generation: u64,
-    trace: Option<String>,
-) -> DispatchItem {
+fn submit_item(parsed: Json, ctx: &ConnCtx, generation: u64, trace: String) -> DispatchItem {
     match extraction_request_from_json(parsed) {
         Err((status, body)) => DispatchItem::Ready(status, body),
         Ok(request) => {
-            let request = ExtractionRequest { trace, ..request };
+            let request = ExtractionRequest {
+                trace: Some(trace),
+                ..request
+            };
             match ctx
                 .shared
                 .server
@@ -2189,8 +2097,8 @@ fn record_span(
 }
 
 /// All tickets of the parked request resolved: build the response,
-/// record span(s) and echo the trace id when tracing is on, and switch
-/// the connection to writing.
+/// record span(s), echo the trace id, and switch the connection to
+/// writing.
 fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
     let state = std::mem::replace(&mut conn.state, ConnState::Reading);
     let ConnState::Dispatched(dispatch) = state else {
@@ -2223,12 +2131,10 @@ fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
             // Batch items share the batch's wall clock and worst wake:
             // tickets resolve independently but the response leaves as
             // one.
-            if let Some(trace) = &trace {
-                let id = format!("{}#{index}", trace.id);
-                body.push_str(",\"request_id\":");
-                write_escaped(&id, &mut body);
-                record_span(ctx, id, status, outcome, trace.elapsed_ns(), wake_ns);
-            }
+            let id = format!("{}#{index}", trace.id);
+            body.push_str(",\"request_id\":");
+            write_escaped(&id, &mut body);
+            record_span(ctx, id, status, outcome, trace.elapsed_ns(), wake_ns);
             body.push('}');
         }
         body.push_str("]}");
@@ -2249,26 +2155,21 @@ fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
         (response, Some((status, outcome)))
     };
     count_response(ctx.shared, response.status);
-    match trace {
-        Some(trace) => {
-            // The header borrows the id; a single request's span record
-            // then takes it, its clock stopped before the response is
-            // written, as a batch item's is.
-            let total_ns = trace.elapsed_ns();
-            let echo = [("x-request-id", trace.id.as_str())];
-            conn.queue_response_with(&response, keep_alive, &echo);
-            if let Some((status, outcome)) = single {
-                record_span(
-                    ctx,
-                    trace.id.into_string(),
-                    status,
-                    outcome,
-                    total_ns,
-                    wake_ns,
-                );
-            }
-        }
-        None => conn.queue_response(&response, keep_alive),
+    // The header borrows the id; a single request's span record then
+    // takes it, its clock stopped before the response is written, as a
+    // batch item's is.
+    let total_ns = trace.elapsed_ns();
+    let echo = [("x-request-id", trace.id.as_str())];
+    conn.queue_response_with(&response, keep_alive, &echo);
+    if let Some((status, outcome)) = single {
+        record_span(
+            ctx,
+            trace.id.into_string(),
+            status,
+            outcome,
+            total_ns,
+            wake_ns,
+        );
     }
 }
 
@@ -2346,10 +2247,8 @@ fn route(request: &Request, shared: &SharedGateway) -> Response {
             get_provenance(path.strip_prefix("/provenance/").expect("checked"), shared)
         }
         ("GET", "/metrics") => get_metrics(request, shared),
-        ("GET", "/metrics/history") if shared.monitor.is_some() => {
-            get_metrics_history(request, shared)
-        }
-        ("GET", "/debug/health") if shared.monitor.is_some() => get_debug_health(shared),
+        ("GET", "/metrics/history") => get_metrics_history(request, shared),
+        ("GET", "/debug/health") => Response::json(200, &shared.monitor.health_json()),
         ("GET", "/debug/slow") => get_debug_slow(shared),
         ("GET", path)
             if path
@@ -2371,34 +2270,9 @@ fn route(request: &Request, shared: &SharedGateway) -> Response {
                 shared,
             )
         }
-        ("GET", "/watches") if shared.watches.is_some() => get_watches(shared),
-        ("PUT", path)
-            if shared.watches.is_some()
-                && path
-                    .strip_prefix("/watches/")
-                    .is_some_and(|id| !id.is_empty() && !id.contains('/')) =>
-        {
-            put_watch(
-                path.strip_prefix("/watches/").expect("checked"),
-                request,
-                shared,
-            )
-        }
-        ("GET", path)
-            if shared.watches.is_some()
-                && path
-                    .strip_prefix("/watches/")
-                    .is_some_and(|id| !id.is_empty() && !id.contains('/')) =>
-        {
-            get_watch(path.strip_prefix("/watches/").expect("checked"), shared)
-        }
-        ("DELETE", path)
-            if shared.watches.is_some()
-                && path
-                    .strip_prefix("/watches/")
-                    .is_some_and(|id| !id.is_empty() && !id.contains('/')) =>
-        {
-            delete_watch(path.strip_prefix("/watches/").expect("checked"), shared)
+        ("GET", "/watches") => get_watches(shared),
+        (method, path) if path.starts_with("/watches/") => {
+            watch_route(method, path, request, shared)
         }
         ("GET", "/healthz") => Response::json(200, &obj([("status", "ok".into())])),
         ("POST", "/admin/shutdown") => {
@@ -2413,20 +2287,9 @@ fn route(request: &Request, shared: &SharedGateway) -> Response {
         (
             _,
             "/extract" | "/extract/batch" | "/wrappers" | "/metrics" | "/healthz"
-            | "/admin/shutdown" | "/debug/slow",
+            | "/admin/shutdown" | "/debug/slow" | "/metrics/history" | "/debug/health"
+            | "/debug/live" | "/watches",
         ) => Response::error(405, "method_not_allowed", "wrong method for this path"),
-        // The monitoring paths only exist while the monitor runs; off,
-        // they fall through to 404 like any unknown path.
-        (_, "/metrics/history" | "/debug/health" | "/debug/live") if shared.monitor.is_some() => {
-            Response::error(405, "method_not_allowed", "wrong method for this path")
-        }
-        // Same for the subscription paths and the watch layer.
-        (_, path)
-            if shared.watches.is_some()
-                && (path == "/watches" || path.starts_with("/watches/")) =>
-        {
-            Response::error(405, "method_not_allowed", "wrong method for this path")
-        }
         (_, path)
             if path.starts_with("/wrappers/")
                 || path.starts_with("/provenance/")
@@ -2652,10 +2515,31 @@ fn put_wrapper(name: &str, request: &Request, shared: &SharedGateway) -> Respons
     }
 }
 
+/// The watch id of a `/watches/{id}` path, if that is one.
+fn watch_id(path: &str) -> Option<&str> {
+    path.strip_prefix("/watches/")
+        .filter(|id| !id.is_empty() && !id.contains('/'))
+}
+
+/// Route `/watches/{id}`: `PUT`, `GET` and `DELETE` with a valid id,
+/// `405` for anything else.
+fn watch_route(method: &str, path: &str, request: &Request, shared: &SharedGateway) -> Response {
+    match (method, watch_id(path)) {
+        ("PUT", Some(id)) => put_watch(id, request, shared),
+        ("GET", Some(id)) => get_watch(id, shared),
+        ("DELETE", Some(id)) => delete_watch(id, shared),
+        _ => Response::error(405, "method_not_allowed", "wrong method for this path"),
+    }
+}
+
 /// `GET /watches`: every registered subscription, id-sorted.
 fn get_watches(shared: &SharedGateway) -> Response {
-    let registry = shared.watches.as_ref().expect("routed without watches");
-    let watches: Vec<Json> = registry.list().iter().map(watch_status_json).collect();
+    let watches: Vec<Json> = shared
+        .watches
+        .list()
+        .iter()
+        .map(watch_status_json)
+        .collect();
     Response::json(200, &obj([("watches", watches.into())]))
 }
 
@@ -2663,7 +2547,7 @@ fn get_watches(shared: &SharedGateway) -> Response {
 /// The wrapper must already be deployed — a watch on a ghost wrapper
 /// would tick straight into errors forever.
 fn put_watch(id: &str, request: &Request, shared: &SharedGateway) -> Response {
-    let registry = shared.watches.as_ref().expect("routed without watches");
+    let registry = &shared.watches;
     if !id
         .bytes()
         .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
@@ -2719,8 +2603,7 @@ fn put_watch(id: &str, request: &Request, shared: &SharedGateway) -> Response {
 
 /// `GET /watches/{id}`: one subscription's spec and counters.
 fn get_watch(id: &str, shared: &SharedGateway) -> Response {
-    let registry = shared.watches.as_ref().expect("routed without watches");
-    match registry.get(id) {
+    match shared.watches.get(id) {
         Some(status) => Response::json(200, &watch_status_json(&status)),
         None => Response::error(404, "unknown_watch", "no such watch"),
     }
@@ -2729,8 +2612,7 @@ fn get_watch(id: &str, shared: &SharedGateway) -> Response {
 /// `DELETE /watches/{id}`: unregister; an in-flight recheck of the id is
 /// dropped when it resolves.
 fn delete_watch(id: &str, shared: &SharedGateway) -> Response {
-    let registry = shared.watches.as_ref().expect("routed without watches");
-    if registry.remove(id) {
+    if shared.watches.remove(id) {
         Response::json(200, &obj([("deleted", id.into())]))
     } else {
         Response::error(404, "unknown_watch", "no such watch")
@@ -2794,7 +2676,7 @@ fn span_json(span: &SpanRecord) -> Json {
 }
 
 /// `GET /debug/slow`: the retained slowest and most recent request
-/// spans. Both lists are empty while tracing is disabled.
+/// spans.
 fn get_debug_slow(shared: &SharedGateway) -> Response {
     let slowest: Vec<Json> = shared
         .spans
@@ -2811,7 +2693,7 @@ fn get_debug_slow(shared: &SharedGateway) -> Response {
 
 /// `GET /debug/requests/{id}`: one request's span while it is still
 /// retained (spans age out of both the recent ring and the slowest
-/// list). 404 when unknown, aged out, or tracing is disabled.
+/// list). 404 when unknown or aged out.
 fn get_debug_request(id: &str, shared: &SharedGateway) -> Response {
     match shared.spans.find(id) {
         Some(span) => Response::json(200, &span_json(&span)),
@@ -2876,8 +2758,8 @@ fn get_metrics(request: &Request, shared: &SharedGateway) -> Response {
         snapshot: shared.server.metrics(),
         stats: shared.stats(),
         observations: shared.observations(),
-        alerts: shared.monitor.as_ref().map(|m| m.alerts_snapshot()),
-        watches: shared.watches.as_ref().map(|w| w.sample()),
+        alerts: shared.monitor.alerts_snapshot(),
+        watches: shared.watches.sample(),
     };
     // Media types are case-insensitive (RFC 9110 §8.3.1).
     let wants_json = request.header("accept").is_some_and(|accept| {
@@ -2900,7 +2782,6 @@ fn get_metrics(request: &Request, shared: &SharedGateway) -> Response {
 /// window to the retained span and bounds the tile count, so a hostile
 /// `window`/`step` pair cannot pin the event loop.
 fn get_metrics_history(request: &Request, shared: &SharedGateway) -> Response {
-    let monitor = shared.monitor.as_ref().expect("routed without monitor");
     let parse_secs = |name: &str, default: u64| {
         query_param(request, name)
             .and_then(|v| v.parse::<u64>().ok())
@@ -2909,14 +2790,7 @@ fn get_metrics_history(request: &Request, shared: &SharedGateway) -> Response {
     };
     let window_ms = parse_secs("window", 300).saturating_mul(1000);
     let step_ms = parse_secs("step", 60).saturating_mul(1000);
-    Response::json(200, &monitor.history_json(window_ms, step_ms))
-}
-
-/// `GET /debug/health`: the SLO watchdog's scored verdict, every rule's
-/// firing state, and the evidence window the rules were judged over.
-fn get_debug_health(shared: &SharedGateway) -> Response {
-    let monitor = shared.monitor.as_ref().expect("routed without monitor");
-    Response::json(200, &monitor.health_json())
+    Response::json(200, &shared.monitor.history_json(window_ms, step_ms))
 }
 
 #[cfg(test)]
@@ -3777,42 +3651,6 @@ mod tests {
         server.initiate_shutdown();
     }
 
-    #[test]
-    fn disabled_monitor_hides_every_monitoring_surface() {
-        let registry = Arc::new(WrapperRegistry::new());
-        registry
-            .register_source("shop", WRAPPER, XmlDesign::new().root("offers"))
-            .unwrap();
-        let server = Arc::new(ExtractionServer::start(
-            ServerConfig::default(),
-            registry,
-            Arc::new(lixto_elog::StaticWeb::new()),
-        ));
-        let gateway = HttpGateway::bind(
-            "127.0.0.1:0",
-            GatewayConfig {
-                event_loops: 2,
-                idle_timeout: Duration::from_secs(10),
-                monitor: false,
-                ..GatewayConfig::default()
-            },
-            server.clone(),
-        )
-        .unwrap();
-        let mut client = HttpClient::connect(gateway.addr()).unwrap();
-        for path in ["/metrics/history", "/debug/health", "/debug/live"] {
-            assert_eq!(client.get(path).unwrap().status, 404, "{path}");
-        }
-        // The /metrics surface is exactly the unmonitored rendering.
-        let text = client.get("/metrics").unwrap();
-        assert!(!text.text().contains("lixto_alert"));
-        let json = client.get_accept("/metrics", "application/json").unwrap();
-        assert!(json.json().unwrap().get("alerts").is_none());
-        drop(client);
-        gateway.shutdown();
-        server.initiate_shutdown();
-    }
-
     // -----------------------------------------------------------------
     // Continuous extraction: the /watches subscription layer
     // -----------------------------------------------------------------
@@ -4172,56 +4010,6 @@ mod tests {
         let text = String::from_utf8(raw).unwrap();
         assert!(text.ends_with("0\r\n\r\n"), "terminal chunk: {text}");
         shutdown.join().unwrap();
-        server.initiate_shutdown();
-    }
-
-    #[test]
-    fn disabled_watches_hide_every_watch_surface() {
-        let registry = Arc::new(WrapperRegistry::new());
-        registry
-            .register_source("shop", WRAPPER, XmlDesign::new().root("offers"))
-            .unwrap();
-        let server = Arc::new(ExtractionServer::start(
-            ServerConfig::default(),
-            registry,
-            Arc::new(lixto_elog::StaticWeb::new()),
-        ));
-        let gateway = HttpGateway::bind(
-            "127.0.0.1:0",
-            GatewayConfig {
-                event_loops: 2,
-                idle_timeout: Duration::from_secs(10),
-                watches: false,
-                ..GatewayConfig::default()
-            },
-            server.clone(),
-        )
-        .unwrap();
-        let mut client = HttpClient::connect(gateway.addr()).unwrap();
-        for path in ["/watches", "/watches/x", "/watches/x/events"] {
-            assert_eq!(client.get(path).unwrap().status, 404, "{path}");
-        }
-        assert_eq!(
-            client
-                .put_json("/watches/x", r#"{"wrapper":"shop","url":"u"}"#)
-                .unwrap()
-                .status,
-            404
-        );
-        assert_eq!(
-            client
-                .request("DELETE", "/watches/x", &[], None)
-                .unwrap()
-                .status,
-            404
-        );
-        // The /metrics surface is exactly the watchless rendering.
-        let text = client.get("/metrics").unwrap();
-        assert!(!text.text().contains("lixto_watch"));
-        let json = client.get_accept("/metrics", "application/json").unwrap();
-        assert!(json.json().unwrap().get("watches").is_none());
-        drop(client);
-        gateway.shutdown();
         server.initiate_shutdown();
     }
 }

@@ -8,9 +8,7 @@
 //! [`Table`]: a row is one JSON array element and one labelled sample in
 //! each of the table's families. A table of [`Shape::Object`] has at
 //! most one row and renders as a JSON object; that is how the groups
-//! (`cache`, `store`, `gateway`) and the optional `alerts` and `watches`
-//! surfaces are written, and with no row the group is absent from both
-//! formats.
+//! (`cache`, `store`, `gateway`, `alerts`, `watches`) are written.
 //!
 //! The text format groups samples by family (`# HELP`, `# TYPE`, then
 //! every sample of the family), so an array table prints family by
@@ -36,12 +34,10 @@ pub struct MetricInputs {
     pub stats: GatewayStats,
     /// Event-loop gauges, wake latency and per-rule telemetry.
     pub observations: GatewayObservations,
-    /// The SLO watchdog's state. `None` (the monitor is off) drops the
-    /// `alerts` key and every `lixto_alert_*` family.
-    pub alerts: Option<AlertsSnapshot>,
-    /// The subscription layer's counters. `None` (watches are off)
-    /// drops the `watches` key and every `lixto_watch_*` family.
-    pub watches: Option<WatchSample>,
+    /// The SLO watchdog's state (`alerts`, `lixto_alert_*`).
+    pub alerts: AlertsSnapshot,
+    /// The subscription layer's counters (`watches`, `lixto_watch_*`).
+    pub watches: WatchSample,
 }
 
 impl MetricInputs {
@@ -389,8 +385,8 @@ const ROOT: &[Entry<MetricInputs>] = &[
     table!("cache", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.snapshot.cache), CACHE),
     table!("store", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.snapshot.store), STORE),
     table!("gateway", Shape::Object, std::slice::from_ref::<MetricInputs>, GATEWAY),
-    table!("alerts", Shape::Object, |m: &MetricInputs| m.alerts.as_slice(), ALERTS),
-    table!("watches", Shape::Object, |m: &MetricInputs| m.watches.as_slice(), WATCHES),
+    table!("alerts", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.alerts), ALERTS),
+    table!("watches", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.watches), WATCHES),
 ];
 
 #[rustfmt::skip]

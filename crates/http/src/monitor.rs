@@ -1,7 +1,6 @@
 //! Continuous monitoring: the gateway's sampler, metrics history, SLO
 //! watchdog and live ops stream glue.
 //!
-//! When [`GatewayConfig::monitor`](crate::GatewayConfig::monitor) is on,
 //! `HttpGateway::bind` spawns one `lixto-http-monitor` thread that calls
 //! [`Monitor::tick`] every
 //! [`monitor_interval`](crate::GatewayConfig::monitor_interval):
@@ -186,9 +185,9 @@ fn rules() -> Vec<AlertRule> {
     ]
 }
 
-/// Alert-state surface appended to the `/metrics` renderings while the
-/// monitor runs: the scored verdict plus every rule's firing state.
-#[derive(Debug, Clone, PartialEq)]
+/// Alert-state surface of the `/metrics` renderings: the scored verdict
+/// plus every rule's firing state.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AlertsSnapshot {
     /// The worst current severity across all rules.
     pub verdict: Severity,

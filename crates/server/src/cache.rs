@@ -29,96 +29,17 @@
 //! re-insert of the key starts over empty — and is never persisted.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use lixto_elog::eval::ExtractionResult;
 
-/// FxHash-style 64-bit hash (the rustc-hash multiply-xor scheme): fast,
-/// deterministic, good enough dispersion for content addressing and
-/// shard selection. Not cryptographic — collisions only cost a stale
-/// cache entry in an in-memory service, never corruption across
-/// wrappers, because the full key compares name and version too.
-pub fn fxhash64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        hash = fx_mix(hash, u64::from_le_bytes(c.try_into().expect("chunk of 8")));
-    }
-    fx_finish(hash, chunks.remainder(), bytes.len() as u64)
-}
-
-/// One step of [`fxhash64`]: fold an 8-byte little-endian word in.
-fn fx_mix(hash: u64, word: u64) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    (hash.rotate_left(5) ^ word).wrapping_mul(SEED)
-}
-
-/// The last steps of [`fxhash64`]: the tail of fewer than 8 bytes as one
-/// zero-padded word (an empty tail too), then the total length.
-fn fx_finish(hash: u64, tail: &[u8], len: u64) -> u64 {
-    let mut word: u64 = 0;
-    for (i, b) in tail.iter().enumerate() {
-        word |= (*b as u64) << (8 * i);
-    }
-    fx_mix(fx_mix(hash, word), len)
-}
-
-/// [`fxhash64`] of bytes fed in pieces: [`finish`](FxHasher64::finish)
-/// returns `fxhash64` of everything [`write`](FxHasher64::write) was
-/// given, concatenated, without building the concatenation. It buffers
-/// at most one partial 8-byte word. As a [`fmt::Write`] sink it hashes
-/// a `Display` value as it is printed (the plan id hashes the program
-/// text this way).
-#[derive(Debug, Default)]
-pub(crate) struct FxHasher64 {
-    hash: u64,
-    /// The bytes received so far of the next word.
-    word: [u8; 8],
-    filled: usize,
-    len: u64,
-}
-
-impl FxHasher64 {
-    /// Feed the next bytes.
-    pub fn write(&mut self, mut bytes: &[u8]) {
-        self.len += bytes.len() as u64;
-        if self.filled > 0 {
-            let take = bytes.len().min(8 - self.filled);
-            self.word[self.filled..self.filled + take].copy_from_slice(&bytes[..take]);
-            self.filled += take;
-            bytes = &bytes[take..];
-            if self.filled < 8 {
-                return;
-            }
-            self.hash = fx_mix(self.hash, u64::from_le_bytes(self.word));
-            self.filled = 0;
-        }
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.hash = fx_mix(
-                self.hash,
-                u64::from_le_bytes(c.try_into().expect("chunk of 8")),
-            );
-        }
-        let rest = chunks.remainder();
-        self.word[..rest.len()].copy_from_slice(rest);
-        self.filled = rest.len();
-    }
-
-    /// `fxhash64` of all bytes written so far.
-    pub fn finish(&self) -> u64 {
-        fx_finish(self.hash, &self.word[..self.filled], self.len)
-    }
-}
-
-impl fmt::Write for FxHasher64 {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
-    }
-}
+/// FxHash of a byte string (see [`lixto_elog::fxhash`]): it addresses
+/// source documents and selects shards. Not cryptographic — collisions
+/// only cost a stale cache entry in an in-memory service, never
+/// corruption across wrappers, because the full key compares name and
+/// version too.
+pub use lixto_elog::fxhash::fxhash64;
 
 /// The content address of a source document: its bytes *and* the URL it
 /// is served at, combined. The URL matters because a wrapper's
@@ -418,6 +339,9 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lixto_elog::fxhash::FxHasher64;
+    use std::fmt;
+    use std::hash::Hasher;
 
     fn dummy(xml: &str) -> Arc<CachedExtraction> {
         Arc::new(CachedExtraction {

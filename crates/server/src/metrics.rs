@@ -161,7 +161,7 @@ pub struct ServerMetrics {
     pub completed: AtomicU64,
     /// Requests completed with an error.
     pub errors: AtomicU64,
-    /// Requests rejected by backpressure (`try_submit` on a full queue).
+    /// Requests rejected by backpressure (a non-blocking submission on a full queue).
     pub rejected: AtomicU64,
     /// End-to-end latency (enqueue → response) histogram.
     pub latency: LatencyHistogram,

@@ -24,18 +24,19 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::fs;
+use std::hash::Hasher;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
 use lixto_core::XmlDesign;
+use lixto_elog::fxhash::FxHasher64;
 use lixto_elog::{
     parse_program, CompileError, ConceptRegistry, ElogProgram, ExtractorOptions, OptimizedPlan,
     ParseError, WrapperPlan,
 };
 use lixto_obs::{warn_event, RuleStats};
 
-use crate::cache::FxHasher64;
 use crate::linelog::{escape, percent_encode, unescape, write_atomic};
 
 /// Why a wrapper was rejected at deploy time.

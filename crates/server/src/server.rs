@@ -7,7 +7,8 @@
 //! completed extraction is stored in the shared content-addressed
 //! [`ResultCache`](crate::ResultCache). Bounded queues give
 //! backpressure two ways: `submit`
-//! blocks the producer when its shard is full, `try_submit` returns
+//! blocks the producer when its shard is full,
+//! [`ExtractionServer::try_serve_with_notify`] returns
 //! [`ServerError::Backpressure`] instead.
 //!
 //! Event-driven frontends submit through
@@ -161,7 +162,7 @@ pub enum ServerError {
     },
     /// A `Web` source URL the server's [`WebSource`] cannot fetch.
     FetchFailed(String),
-    /// `try_submit` found the target shard queue full.
+    /// A non-blocking submission found the target shard queue full.
     Backpressure,
     /// The server is shutting down; no new work is accepted.
     ShuttingDown,
@@ -202,7 +203,9 @@ pub struct ServerConfig {
     /// worker count is `shards * workers_per_shard`. Default 1.
     pub workers_per_shard: usize,
     /// Bounded capacity of each shard queue — the backpressure limit:
-    /// `submit` blocks and `try_submit` rejects past it. Default 64.
+    /// `submit` blocks and
+    /// [`try_serve_with_notify`](ExtractionServer::try_serve_with_notify)
+    /// rejects past it. Default 64.
     pub queue_capacity: usize,
     /// Hot-tier (in-memory result cache) capacity in entries. Default
     /// 256.
@@ -903,17 +906,6 @@ impl ExtractionServer {
         Ok(ticket)
     }
 
-    /// Enqueue a request without blocking; a full shard queue is
-    /// reported as [`ServerError::Backpressure`].
-    pub fn try_submit(&self, request: ExtractionRequest) -> Result<JobTicket, ServerError> {
-        let wrapper = self.resolve(&request)?;
-        let queues = self.intake()?;
-        let content = request.source.inline_address();
-        let (job, ticket) = Self::extract_job(request, wrapper, content, None);
-        self.try_enqueue(&queues, job)?;
-        Ok(ticket)
-    }
-
     /// The event-loop entry point, for frontends that cannot block in
     /// [`JobTicket::wait`]. An `Inline` request whose result is in the
     /// **hot tier** is answered right here, on the calling thread, and
@@ -981,10 +973,11 @@ impl ExtractionServer {
     }
 
     /// Queue a watch recheck of `request` (a `Web` source) without
-    /// blocking, as [`try_submit`](Self::try_submit) would queue the
-    /// request. The worker fetches the page, addresses it and feeds the
-    /// change tracker (a changed page still drops a stale entry of
-    /// interactive traffic). If the key and every crawled page match
+    /// blocking, as
+    /// [`try_serve_with_notify`](Self::try_serve_with_notify) would
+    /// queue the request. The worker fetches the page, addresses it and
+    /// feeds the change tracker (a changed page still drops a stale
+    /// entry of interactive traffic). If the key and every crawled page match
     /// `seen`, it answers [`Recheck::Unchanged`] without executing;
     /// otherwise it runs the plan and answers the instance snapshot. It
     /// renders no XML, builds no provenance and never reads or writes
@@ -1103,18 +1096,13 @@ impl ExtractionServer {
         self.shared.store.lookup(key)
     }
 
-    /// Rewrite the store's disk snapshot and truncate its WAL now; a
-    /// no-op for a memory-only server.
-    pub fn compact_store(&self) {
-        self.shared.store.compact();
-    }
-
     /// Graceful shutdown through a shared handle (e.g. an
     /// `Arc<ExtractionServer>` a frontend also holds), in strict drain
     /// order:
     ///
     /// 1. intake stops — the shard senders are dropped, so `submit` /
-    ///    `try_submit` return [`ServerError::ShuttingDown`] from now on;
+    ///    [`try_serve_with_notify`](Self::try_serve_with_notify) return
+    ///    [`ServerError::ShuttingDown`] from now on;
     /// 2. workers drain everything already queued, answering every
     ///    outstanding [`JobTicket`];
     /// 3. the worker threads are joined.
@@ -1764,10 +1752,10 @@ mod tests {
             server.submit(inline_req(&["late"])).unwrap_err(),
             ServerError::ShuttingDown
         );
-        assert_eq!(
-            server.try_submit(inline_req(&["late"])).unwrap_err(),
-            ServerError::ShuttingDown
-        );
+        assert!(matches!(
+            server.try_serve_with_notify(inline_req(&["late"]), || {}),
+            Err(ServerError::ShuttingDown)
+        ));
         let again = server.initiate_shutdown();
         assert_eq!(again.workers_joined, 0);
         // Metrics remain queryable after shutdown.
@@ -1912,8 +1900,9 @@ mod tests {
         // Wedge the worker and fill the one-slot queue...
         let occupant = server.submit(web_req()).unwrap();
         let queued = loop {
-            match server.try_submit(web_req()) {
-                Ok(t) => break t,
+            match server.try_serve_with_notify(web_req(), || {}) {
+                Ok(Served::Queued(t)) => break t,
+                Ok(Served::Hit(_)) => panic!("a web source is always queued"),
                 Err(ServerError::Backpressure) => std::thread::sleep(Duration::from_millis(1)),
                 Err(e) => panic!("unexpected {e:?}"),
             }

@@ -357,7 +357,6 @@ fn fingerprints(html: &str, opts: &ParseOptions) -> (u64, u64, u64) {
 fn parses_match_their_golden_fingerprints() {
     let keep_whitespace = ParseOptions {
         skip_whitespace_text: false,
-        skip_comments: false,
     };
     let mut got = Vec::new();
     for (name, html) in cases() {

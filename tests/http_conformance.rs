@@ -7,7 +7,9 @@
 //!    same stream;
 //! 2. a live gateway served a pipelined burst split at arbitrary byte
 //!    boundaries answers byte-identically to the same burst delivered
-//!    in one write;
+//!    in one write, request tracing included (every request carries the
+//!    same client `X-Request-Id`, and every extraction response echoes
+//!    it);
 //! 3. many multiplexed connections interleaving their partial writes
 //!    concurrently each still get exactly their own responses.
 
@@ -149,10 +151,6 @@ fn test_gateway() -> (HttpGateway, Arc<ExtractionServer>) {
             event_loops: 2,
             idle_timeout: Duration::from_secs(30),
             read_timeout: Duration::from_secs(30),
-            // These tests byte-compare response streams across separate
-            // exchanges; request tracing mints a fresh `x-request-id` per
-            // request, so it must be off for the comparison to hold.
-            tracing: false,
             ..GatewayConfig::default()
         },
         server.clone(),
@@ -161,6 +159,11 @@ fn test_gateway() -> (HttpGateway, Arc<ExtractionServer>) {
     (gateway, server)
 }
 
+/// The client `X-Request-Id` every burst request carries. The gateway
+/// mints a fresh id for a request without one, so a fixed client id is
+/// what keeps traced responses comparable byte for byte.
+const REQUEST_ID: &str = "conformance-burst";
+
 /// A pipelined burst whose responses are deterministic (no timing or
 /// counter fields), ending in `Connection: close` so the full response
 /// stream has a defined end.
@@ -168,13 +171,11 @@ fn deterministic_burst(requests: &[&str]) -> Vec<u8> {
     let mut raw = Vec::new();
     for (i, line) in requests.iter().enumerate() {
         let close = i + 1 == requests.len();
-        let (head, body) = match line.split_once(' ') {
-            Some(("POST", rest)) => (
-                format!("POST {} HTTP/1.1\r\nhost: c\r\n", path_of(rest)),
-                body_of(rest),
-            ),
-            _ => (format!("{line} HTTP/1.1\r\nhost: c\r\n"), String::new()),
+        let (target, body) = match line.split_once(' ') {
+            Some(("POST", rest)) => (format!("POST {}", path_of(rest)), body_of(rest)),
+            _ => (line.to_string(), String::new()),
         };
+        let head = format!("{target} HTTP/1.1\r\nhost: c\r\nx-request-id: {REQUEST_ID}\r\n");
         raw.extend_from_slice(head.as_bytes());
         if close {
             raw.extend_from_slice(b"connection: close\r\n");
@@ -268,6 +269,22 @@ fn scrub_volatile(stream: &[u8]) -> Vec<u8> {
     collapse_digits_after(&scrubbed, b"content-length: ")
 }
 
+/// Assert that the response stream echoes [`REQUEST_ID`] once per
+/// extraction request of [`BURST`] (the only traced endpoints), and no
+/// other id.
+fn assert_echoes_the_request_id(stream: &[u8]) {
+    let text = String::from_utf8_lossy(stream);
+    let echoed: Vec<&str> = text
+        .split("\r\n")
+        .filter_map(|line| line.strip_prefix("x-request-id: "))
+        .collect();
+    let traced = BURST
+        .iter()
+        .filter(|line| line.starts_with("POST /extract"))
+        .count();
+    assert_eq!(echoed, vec![REQUEST_ID; traced], "echoed ids in {text}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -288,6 +305,8 @@ proptest! {
         let split = exchange_chunked(addr, &chunks_of(&stream, &cuts));
 
         prop_assert!(!single_shot.is_empty());
+        assert_echoes_the_request_id(&single_shot);
+        assert_echoes_the_request_id(&split);
         let want = scrub_volatile(&single_shot);
         let got = scrub_volatile(&split);
         prop_assert_eq!(
@@ -324,7 +343,9 @@ fn interleaved_partial_writes_across_multiplexed_connections_stay_isolated() {
             }));
         }
         for session in sessions {
-            let received = scrub_volatile(&session.join().expect("session thread"));
+            let received = session.join().expect("session thread");
+            assert_echoes_the_request_id(&received);
+            let received = scrub_volatile(&received);
             assert_eq!(
                 String::from_utf8_lossy(&received),
                 String::from_utf8_lossy(&reference),

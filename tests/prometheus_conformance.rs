@@ -346,73 +346,67 @@ fn expected_samples(json: &Json) -> HashMap<String, f64> {
     put("lixto_http_wake_p50_microseconds", &[], u(wake, "p50_us"));
     put("lixto_http_wake_p99_microseconds", &[], u(wake, "p99_us"));
 
-    // The watch surface only exists while the subscription layer runs;
-    // same absence contract as the alerts below.
-    if let Some(watches) = json.get("watches") {
-        put("lixto_watch_registered", &[], u(watches, "registered"));
-        put("lixto_watch_subscribers", &[], u(watches, "subscribers"));
+    // The watch and alert surfaces are always rendered.
+    let watches = json.get("watches").expect("watches surface");
+    put("lixto_watch_registered", &[], u(watches, "registered"));
+    put("lixto_watch_subscribers", &[], u(watches, "subscribers"));
+    put(
+        "lixto_watch_webhook_deliveries_total",
+        &[],
+        u(watches, "webhook_deliveries"),
+    );
+    put(
+        "lixto_watch_webhook_failures_total",
+        &[],
+        u(watches, "webhook_failures"),
+    );
+    for watch in watches.get("watches").and_then(Json::as_array).unwrap() {
+        let id = watch.get("id").and_then(Json::as_str).unwrap();
         put(
-            "lixto_watch_webhook_deliveries_total",
-            &[],
-            u(watches, "webhook_deliveries"),
+            "lixto_watch_ticks_total",
+            &[("watch", id)],
+            u(watch, "ticks"),
         );
         put(
-            "lixto_watch_webhook_failures_total",
-            &[],
-            u(watches, "webhook_failures"),
+            "lixto_watch_events_total",
+            &[("watch", id)],
+            u(watch, "seq"),
         );
-        for watch in watches.get("watches").and_then(Json::as_array).unwrap() {
-            let id = watch.get("id").and_then(Json::as_str).unwrap();
-            put(
-                "lixto_watch_ticks_total",
-                &[("watch", id)],
-                u(watch, "ticks"),
-            );
-            put(
-                "lixto_watch_events_total",
-                &[("watch", id)],
-                u(watch, "seq"),
-            );
-            put(
-                "lixto_watch_suppressed_total",
-                &[("watch", id)],
-                u(watch, "suppressed"),
-            );
-            put(
-                "lixto_watch_errors_total",
-                &[("watch", id)],
-                u(watch, "errors"),
-            );
-        }
+        put(
+            "lixto_watch_suppressed_total",
+            &[("watch", id)],
+            u(watch, "suppressed"),
+        );
+        put(
+            "lixto_watch_errors_total",
+            &[("watch", id)],
+            u(watch, "errors"),
+        );
     }
 
-    // The alert surface only exists while the monitor runs; its absence
-    // from the JSON must mean its absence from the text, which the
-    // bidirectional check enforces by leaving these samples out.
-    if let Some(alerts) = json.get("alerts") {
-        let rank = |severity: &str| match severity {
-            "ok" => 0.0,
-            "degraded" => 1.0,
-            "critical" => 2.0,
-            other => panic!("unknown severity {other:?}"),
-        };
-        let verdict = alerts.get("verdict").and_then(Json::as_str).unwrap();
-        put("lixto_alert_verdict", &[], rank(verdict));
-        for rule in alerts.get("rules").and_then(Json::as_array).unwrap() {
-            let name = rule.get("rule").and_then(Json::as_str).unwrap();
-            let severity = rule.get("severity").and_then(Json::as_str).unwrap();
-            put("lixto_alert_severity", &[("rule", name)], rank(severity));
-            put(
-                "lixto_alert_fired_total",
-                &[("rule", name)],
-                u(rule, "fired_total"),
-            );
-            put(
-                "lixto_alert_resolved_total",
-                &[("rule", name)],
-                u(rule, "resolved_total"),
-            );
-        }
+    let alerts = json.get("alerts").expect("alerts surface");
+    let rank = |severity: &str| match severity {
+        "ok" => 0.0,
+        "degraded" => 1.0,
+        "critical" => 2.0,
+        other => panic!("unknown severity {other:?}"),
+    };
+    let verdict = alerts.get("verdict").and_then(Json::as_str).unwrap();
+    put("lixto_alert_verdict", &[], rank(verdict));
+    for rule in alerts.get("rules").and_then(Json::as_array).unwrap() {
+        let name = rule.get("rule").and_then(Json::as_str).unwrap();
+        let severity = rule.get("severity").and_then(Json::as_str).unwrap();
+        put("lixto_alert_severity", &[("rule", name)], rank(severity));
+        put(
+            "lixto_alert_fired_total",
+            &[("rule", name)],
+            u(rule, "fired_total"),
+        );
+        put(
+            "lixto_alert_resolved_total",
+            &[("rule", name)],
+            u(rule, "resolved_total"),
+        );
     }
 
     out
@@ -576,8 +570,7 @@ fn prometheus_text_round_trips_against_the_json_snapshot() {
         snapshot,
         stats,
         observations,
-        alerts: None,
-        watches: None,
+        ..MetricInputs::default()
     };
     let json = inputs.json();
     let text = inputs.prometheus();
@@ -619,28 +612,16 @@ fn prometheus_text_round_trips_against_the_json_snapshot() {
 }
 
 #[test]
-fn alert_series_round_trip_and_vanish_when_the_monitor_is_off() {
-    // Monitor and watch layer off: no `alerts` or `watches` key in the
-    // JSON and no `lixto_alert_*` or `lixto_watch_*` line in the text —
-    // the documented disabled surface.
-    let mut inputs = MetricInputs::default();
-    let json = inputs.json();
-    assert!(json.get("alerts").is_none(), "{json}");
-    assert!(json.get("watches").is_none(), "{json}");
-    let text = inputs.prometheus();
-    assert!(
-        !text
-            .lines()
-            .any(|line| line.contains("lixto_alert_") || line.contains("lixto_watch_")),
-        "{text}"
-    );
-
-    // Monitor on: the alert families obey the exposition grammar and
-    // agree with the JSON rendering, sample for sample. Watch layer on:
-    // the per-watch families round-trip too, hostile watch ids escaped
-    // on the way out and unescaped by the parser.
-    inputs.alerts = Some(alerts_fixture());
-    inputs.watches = Some(watches_fixture());
+fn alert_and_watch_series_round_trip() {
+    // The alert families obey the exposition grammar and agree with the
+    // JSON rendering, sample for sample. The per-watch families
+    // round-trip too, hostile watch ids escaped on the way out and
+    // unescaped by the parser.
+    let inputs = MetricInputs {
+        alerts: alerts_fixture(),
+        watches: watches_fixture(),
+        ..MetricInputs::default()
+    };
     let json = inputs.json();
     let text = inputs.prometheus();
     let samples = parse_exposition(&text);
@@ -811,8 +792,8 @@ fn observability_doc_lists_exactly_the_emitted_families() {
             )],
             ..GatewayObservations::default()
         },
-        alerts: Some(alerts_fixture()),
-        watches: Some(watches_fixture()),
+        alerts: alerts_fixture(),
+        watches: watches_fixture(),
     };
     let text = inputs.prometheus();
     let json = inputs.json();
