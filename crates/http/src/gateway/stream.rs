@@ -1,0 +1,246 @@
+//! The NDJSON streams and watch-event delivery to their subscribers
+//! and to webhooks.
+
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use lixto_obs::warn_event;
+use lixto_server::{ChangedEntry, DiffEntry, WatchEvent};
+
+use crate::client::{HttpClient, RetryPolicy};
+use crate::http::{Request, Response};
+use crate::json::{obj, Json};
+
+use super::conn::{Conn, ConnCtx, ConnState};
+use super::routes::query_param;
+use super::SharedGateway;
+
+/// One line of an NDJSON stream: its topic (`None` for the monitor's
+/// `GET /debug/live`, `Some(watch id)` for `GET /watches/{id}/events`)
+/// and the event, serialized once and shared across loops.
+pub(super) type StreamLine = (Option<Arc<String>>, Arc<String>);
+
+/// The head of every NDJSON stream response.
+const STREAM_HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nconnection: close\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\n\r\n";
+
+/// Append the lines of a subscriber's topic to its unfinished stream,
+/// each as one chunk; a bounded stream ends once it used up its
+/// `?events=N` budget.
+pub(super) fn append_lines(conn: &mut Conn, lines: &[StreamLine]) {
+    for (topic, line) in lines {
+        let ConnState::Streaming {
+            remaining,
+            done: false,
+            topic: subscribed,
+        } = &mut conn.state
+        else {
+            break;
+        };
+        if *subscribed != *topic {
+            continue;
+        }
+        if conn.out.is_empty() {
+            conn.write_started = Instant::now();
+        }
+        append_chunk(&mut conn.out, line);
+        if let Some(budget) = remaining {
+            *budget = budget.saturating_sub(1);
+            if *budget == 0 {
+                finish_stream(conn);
+            }
+        }
+    }
+}
+
+/// Frame one stream event as an HTTP chunk: the JSON line plus a
+/// trailing newline, so the stream reads as newline-delimited JSON once
+/// de-chunked.
+fn append_chunk(out: &mut Vec<u8>, event: &str) {
+    out.extend_from_slice(format!("{:x}\r\n", event.len() + 1).as_bytes());
+    out.extend_from_slice(event.as_bytes());
+    out.extend_from_slice(b"\n\r\n");
+}
+
+/// Queue the terminal chunk and mark the stream finished (idempotent).
+pub(super) fn finish_stream(conn: &mut Conn) {
+    if let ConnState::Streaming { done, .. } = &mut conn.state {
+        if !*done {
+            if conn.out.is_empty() {
+                conn.write_started = Instant::now();
+            }
+            conn.out.extend_from_slice(b"0\r\n\r\n");
+            *done = true;
+        }
+    }
+}
+
+/// `GET /watches/{id}/events`: subscribe this connection to one watch's
+/// instance-level diff events. The greeting echoes the watch id and
+/// current sequence number. An unknown watch id answers a normal `404`.
+pub(super) fn start_watch_stream(conn: &mut Conn, ctx: &ConnCtx, request: &Request, id: &str) {
+    let Some(status) = ctx.shared.watches.get(id) else {
+        let response = Response::error(404, "unknown_watch", "no such watch");
+        return conn.respond(ctx, &response, request.keep_alive());
+    };
+    let hello = obj([
+        ("type", "watch_hello".into()),
+        ("watch", id.into()),
+        ("wrapper", status.wrapper.as_str().into()),
+        ("url", status.url.as_str().into()),
+        ("seq", status.seq.into()),
+    ]);
+    let topic = Some(Arc::new(id.to_string()));
+    start_stream(conn, ctx, request, topic, &hello.dump());
+}
+
+/// Turn this connection into a chunked `application/x-ndjson` stream of
+/// `topic`'s [`StreamLine`]s, opened by `greeting`. `?events=N` bounds
+/// the stream to N lines after the greeting (it then ends cleanly);
+/// unbounded streams run until the client disconnects or the gateway
+/// shuts down.
+pub(super) fn start_stream(
+    conn: &mut Conn,
+    ctx: &ConnCtx,
+    request: &Request,
+    topic: Option<Arc<String>>,
+    greeting: &str,
+) {
+    let remaining = query_param(request, "events").and_then(|v| v.parse::<u64>().ok());
+    conn.respond_with(ctx, 200, false, |out, _| {
+        out.extend_from_slice(STREAM_HEAD);
+        append_chunk(out, greeting);
+    });
+    count_subscriber(ctx.shared, &topic, true);
+    conn.state = ConnState::Streaming {
+        remaining,
+        done: false,
+        topic,
+    };
+    if remaining == Some(0) {
+        finish_stream(conn);
+    }
+}
+
+/// Count a subscriber of `topic` in (`joined`) or out: the monitor's
+/// live-stream gauge, or the watch registry's.
+pub(super) fn count_subscriber(shared: &SharedGateway, topic: &Option<Arc<String>>, joined: bool) {
+    let live = &shared.monitor.live_subscribers;
+    match (topic, joined) {
+        (None, true) => {
+            live.fetch_add(1, Ordering::Relaxed);
+        }
+        (None, false) => {
+            live.fetch_sub(1, Ordering::Relaxed);
+        }
+        (Some(_), true) => shared.watches.subscriber_started(),
+        (Some(_), false) => shared.watches.subscriber_finished(),
+    }
+}
+
+/// The watch scheduler's delivery sink: serialize the diff event once,
+/// fan it out to every loop's `GET /watches/{id}/events` subscribers
+/// (skipped entirely while nobody long-polls), and POST it to the
+/// watch's webhook through a cached keep-alive client with the default
+/// retry policy. Runs on the scheduler thread, never on an event loop,
+/// so the client cache is the sink's own.
+pub(super) fn deliver_watch_event(
+    shared: &SharedGateway,
+    webhook_clients: &mut HashMap<String, HttpClient>,
+    event: WatchEvent,
+) {
+    let registry = &shared.watches;
+    let json = watch_event_json(&event).dump();
+    if registry.subscribers() > 0 {
+        let line: StreamLine = (Some(Arc::new(event.watch.clone())), Arc::new(json.clone()));
+        for event_loop in &shared.loops {
+            let line = line.clone();
+            event_loop.wake_with(|inbox| inbox.lines.push(line));
+        }
+    }
+    if let Some(webhook) = &event.webhook {
+        let ok = post_webhook(webhook_clients, webhook, &json);
+        registry.record_webhook(ok);
+        if !ok {
+            warn_event!(
+                "watch_webhook_failed",
+                "watch" => event.watch.clone(),
+                "webhook" => webhook.clone(),
+            );
+        }
+    }
+}
+
+/// Serialize one [`WatchEvent`] to the wire shape shared by the
+/// long-poll stream and webhook POST bodies.
+fn watch_event_json(event: &WatchEvent) -> Json {
+    fn entries(list: &[DiffEntry]) -> Json {
+        Json::Arr(
+            list.iter()
+                .map(|e| {
+                    obj([
+                        ("pattern", e.pattern.as_str().into()),
+                        ("text", e.text.as_str().into()),
+                    ])
+                })
+                .collect(),
+        )
+    }
+    fn changed(list: &[ChangedEntry]) -> Json {
+        Json::Arr(
+            list.iter()
+                .map(|e| {
+                    obj([
+                        ("pattern", e.pattern.as_str().into()),
+                        ("before", e.before.as_str().into()),
+                        ("after", e.after.as_str().into()),
+                    ])
+                })
+                .collect(),
+        )
+    }
+    obj([
+        ("type", "watch_event".into()),
+        ("watch", event.watch.as_str().into()),
+        ("seq", event.seq.into()),
+        ("wrapper", event.wrapper.as_str().into()),
+        ("url", event.url.as_str().into()),
+        ("added", entries(&event.diff.added)),
+        ("removed", entries(&event.diff.removed)),
+        ("changed", changed(&event.diff.changed)),
+    ])
+}
+
+/// POST `body` to a webhook URL (`http://host:port/path`), reusing a
+/// cached keep-alive client per URL. A client whose POST failed is
+/// dropped (its connection state is suspect — the next delivery
+/// reconnects).
+fn post_webhook(clients: &mut HashMap<String, HttpClient>, url: &str, body: &str) -> bool {
+    let (authority, path) = match url.strip_prefix("http://") {
+        Some(rest) if !rest.is_empty() => match rest.split_once('/') {
+            Some((authority, path)) => (authority, format!("/{path}")),
+            None => (rest, "/".to_string()),
+        },
+        _ => {
+            warn_event!("watch_webhook_bad_url", "webhook" => url.to_string());
+            return false;
+        }
+    };
+    let client = match clients.entry(url.to_string()) {
+        Entry::Occupied(cached) => cached.into_mut(),
+        Entry::Vacant(slot) => match HttpClient::connect(authority) {
+            Ok(client) => slot.insert(client),
+            Err(_) => return false,
+        },
+    };
+    let ok = client
+        .post_json_with_retry(&path, body, RetryPolicy::default())
+        .map(|response| (200..300).contains(&response.status))
+        .unwrap_or(false);
+    if !ok {
+        clients.remove(url);
+    }
+    ok
+}

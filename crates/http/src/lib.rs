@@ -49,9 +49,7 @@ mod monitor;
 pub mod poll;
 
 pub use client::{HttpClient, HttpResponse, RetryPolicy};
-pub use gateway::{
-    AcceptBackoff, GatewayConfig, GatewayObservations, GatewayStats, HttpGateway, LoopGauges,
-};
+pub use gateway::{GatewayConfig, GatewayObservations, GatewayStats, HttpGateway, LoopGauges};
 pub use http::{parse_request, Limits, Request, RequestError, Response};
 pub use json::{obj, Json, JsonError};
 pub use lixto_obs::{RuleSnapshot, Severity};

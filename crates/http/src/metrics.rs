@@ -6,8 +6,8 @@
 //! it (a sample in a family, a label on the row's samples, or nothing)
 //! and the one accessor that reads it. Labelled families live in a
 //! [`Table`]: a row is one JSON array element and one labelled sample in
-//! each of the table's families. A table of [`Shape::Object`] has at
-//! most one row and renders as a JSON object; that is how the groups
+//! each of the table's families. A table of [`Rows::One`] has exactly
+//! one row and renders as a JSON object; that is how the groups
 //! (`cache`, `store`, `gateway`, `alerts`, `watches`) are written.
 //!
 //! The text format groups samples by family (`# HELP`, `# TYPE`, then
@@ -165,33 +165,32 @@ const fn json_only<T>(key: &'static str, read: Read<T>) -> Entry<T> {
     Entry::Value { key, read, show }
 }
 
-/// A [`Table`] entry: `table!(key, shape, rows, entries)`.
+/// A [`Table`] entry: `table!(key, rows, entries)`.
 macro_rules! table {
-    ($key:expr, $shape:expr, $rows:expr, $entries:expr) => {
+    ($key:expr, $rows:expr, $entries:expr) => {
         Entry::Nested(&Table {
             key: $key,
-            shape: $shape,
             rows: $rows,
             entries: $entries,
         })
     };
 }
 
-/// How a table prints.
-enum Shape {
-    /// A JSON object of the only row; with no row the table is absent
-    /// from both formats. Its samples carry no labels of their own.
-    Object,
-    /// A JSON array, one element per row. `index` names the label that
-    /// carries the row's position, if any.
-    Array { index: Option<&'static str> },
+/// How a table reads its rows `R` from its parent row `T`, and so how
+/// it prints.
+enum Rows<T, R> {
+    /// One row, printed as a JSON object. Its samples carry no labels
+    /// of their own.
+    One(fn(&T) -> &R),
+    /// A JSON array, one element per row, and the name of the label
+    /// that carries the row's position, if any.
+    Many(fn(&T) -> &[R], Option<&'static str>),
 }
 
 /// A table of rows `R` read from a parent row `T`.
 struct Table<T: 'static, R: 'static> {
     key: &'static str,
-    shape: Shape,
-    rows: fn(&T) -> &[R],
+    rows: Rows<T, R>,
     entries: &'static [Entry<R>],
 }
 
@@ -199,8 +198,8 @@ struct Table<T: 'static, R: 'static> {
 trait Nest<T> {
     /// The table's JSON key.
     fn key(&self) -> &'static str;
-    /// The table under `parent` as JSON; `None` when it is absent.
-    fn json(&self, parent: &T) -> Option<Json>;
+    /// The table under `parent` as JSON.
+    fn json(&self, parent: &T) -> Json;
     /// Write every family of the table under `parent`, `# HELP` and
     /// `# TYPE` first.
     fn text(&self, parent: &T, out: &mut String);
@@ -216,24 +215,22 @@ impl<T, R> Nest<T> for Table<T, R> {
         self.key
     }
 
-    fn json(&self, parent: &T) -> Option<Json> {
-        let rows = (self.rows)(parent);
-        match self.shape {
-            Shape::Object => rows.first().map(|row| row_json(self.entries, row)),
-            Shape::Array { .. } => Some(Json::Arr(
-                rows.iter().map(|row| row_json(self.entries, row)).collect(),
-            )),
+    fn json(&self, parent: &T) -> Json {
+        match self.rows {
+            Rows::One(row) => row_json(self.entries, row(parent)),
+            Rows::Many(rows, _) => Json::Arr(
+                rows(parent)
+                    .iter()
+                    .map(|row| row_json(self.entries, row))
+                    .collect(),
+            ),
         }
     }
 
     fn text(&self, parent: &T, out: &mut String) {
-        match self.shape {
-            Shape::Object => {
-                if let Some(row) = (self.rows)(parent).first() {
-                    object_text(self.entries, row, out);
-                }
-            }
-            Shape::Array { .. } => {
+        match self.rows {
+            Rows::One(row) => object_text(self.entries, row(parent), out),
+            Rows::Many(..) => {
                 let mut families = Vec::new();
                 self.families(&mut families);
                 for family in families {
@@ -260,10 +257,14 @@ impl<T, R> Nest<T> for Table<T, R> {
     fn samples(&self, parent: &T, family: &Family, labels: &str, out: &mut String) {
         let mut row_labels = String::new();
         let mut value = String::new();
-        for (i, row) in (self.rows)(parent).iter().enumerate() {
+        let (rows, index) = match self.rows {
+            Rows::One(row) => (std::slice::from_ref(row(parent)), None),
+            Rows::Many(rows, index) => (rows(parent), index),
+        };
+        for (i, row) in rows.iter().enumerate() {
             row_labels.clear();
             row_labels.push_str(labels);
-            if let Shape::Array { index: Some(name) } = self.shape {
+            if let Some(name) = index {
                 push_label(&mut row_labels, name, &i.to_string());
             }
             for entry in self.entries {
@@ -312,9 +313,9 @@ fn row_json<T>(entries: &[Entry<T>], row: &T) -> Json {
     Json::Obj(
         entries
             .iter()
-            .filter_map(|entry| match entry {
-                Entry::Value { key, read, .. } => Some((key.to_string(), read.json(row))),
-                Entry::Nested(table) => table.json(row).map(|json| (table.key().to_string(), json)),
+            .map(|entry| match entry {
+                Entry::Value { key, read, .. } => (key.to_string(), read.json(row)),
+                Entry::Nested(table) => (table.key().to_string(), table.json(row)),
             })
             .collect(),
     )
@@ -378,15 +379,15 @@ const ROOT: &[Entry<MetricInputs>] = &[
     sample("throughput_per_sec", "gauge", "lixto_throughput_per_second", Read::Float(|m| m.snapshot.throughput_per_sec), "Completions per second since start"),
     gauge("p50_us", "lixto_latency_p50_microseconds", |m| m.snapshot.p50_us, "Median end-to-end latency"),
     gauge("p99_us", "lixto_latency_p99_microseconds", |m| m.snapshot.p99_us, "99th-percentile end-to-end latency"),
-    table!("stages", Shape::Array { index: None }, |m: &MetricInputs| &m.snapshot.stages, STAGE),
-    table!("queue_depths", Shape::Array { index: Some("shard") }, |m: &MetricInputs| &m.snapshot.queue_depths, QUEUE_DEPTH),
+    table!("stages", Rows::Many(|m: &MetricInputs| &m.snapshot.stages, None), STAGE),
+    table!("queue_depths", Rows::Many(|m: &MetricInputs| &m.snapshot.queue_depths, Some("shard")), QUEUE_DEPTH),
     gauge("workers", "lixto_workers", |m| m.snapshot.workers as u64, "Worker thread count"),
-    table!("rules", Shape::Array { index: None }, |m: &MetricInputs| &m.observations.rules, WRAPPER_RULES),
-    table!("cache", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.snapshot.cache), CACHE),
-    table!("store", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.snapshot.store), STORE),
-    table!("gateway", Shape::Object, std::slice::from_ref::<MetricInputs>, GATEWAY),
-    table!("alerts", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.alerts), ALERTS),
-    table!("watches", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.watches), WATCHES),
+    table!("rules", Rows::Many(|m: &MetricInputs| &m.observations.rules, None), WRAPPER_RULES),
+    table!("cache", Rows::One(|m: &MetricInputs| &m.snapshot.cache), CACHE),
+    table!("store", Rows::One(|m: &MetricInputs| &m.snapshot.store), STORE),
+    table!("gateway", Rows::One(|m: &MetricInputs| m), GATEWAY),
+    table!("alerts", Rows::One(|m: &MetricInputs| &m.alerts), ALERTS),
+    table!("watches", Rows::One(|m: &MetricInputs| &m.watches), WATCHES),
 ];
 
 #[rustfmt::skip]
@@ -409,7 +410,7 @@ type WrapperRules = (String, Vec<RuleStat>);
 #[rustfmt::skip]
 const WRAPPER_RULES: &[Entry<WrapperRules>] = &[
     label("wrapper", "wrapper", Read::Str(|(wrapper, _)| wrapper)),
-    table!("rules", Shape::Array { index: None }, |(_, rules): &WrapperRules| rules, RULE),
+    table!("rules", Rows::Many(|(_, rules): &WrapperRules| rules, None), RULE),
 ];
 
 #[rustfmt::skip]
@@ -452,8 +453,8 @@ const GATEWAY: &[Entry<MetricInputs>] = &[
     counter("requests", "lixto_http_requests_total", |m| m.stats.requests, "HTTP requests answered by the gateway"),
     counter("responses_4xx", "lixto_http_responses_4xx_total", |m| m.stats.responses_4xx, "HTTP responses with a 4xx status"),
     counter("responses_5xx", "lixto_http_responses_5xx_total", |m| m.stats.responses_5xx, "HTTP responses with a 5xx status"),
-    table!("event_loops", Shape::Array { index: Some("loop") }, |m: &MetricInputs| &m.observations.event_loops, EVENT_LOOP),
-    table!("wake", Shape::Object, |m: &MetricInputs| std::slice::from_ref(&m.observations), WAKE),
+    table!("event_loops", Rows::Many(|m: &MetricInputs| &m.observations.event_loops, Some("loop")), EVENT_LOOP),
+    table!("wake", Rows::One(|m: &MetricInputs| &m.observations), WAKE),
 ];
 
 #[rustfmt::skip]
@@ -472,7 +473,7 @@ const WAKE: &[Entry<GatewayObservations>] = &[
 #[rustfmt::skip]
 const ALERTS: &[Entry<AlertsSnapshot>] = &[
     sample("verdict", "gauge", "lixto_alert_verdict", Read::Severity(|a| a.verdict), "Worst current alert severity (0 ok, 1 degraded, 2 critical)"),
-    table!("rules", Shape::Array { index: None }, |a: &AlertsSnapshot| &a.rules, ALERT_RULE),
+    table!("rules", Rows::Many(|a: &AlertsSnapshot| &a.rules, None), ALERT_RULE),
 ];
 
 #[rustfmt::skip]
@@ -492,7 +493,7 @@ const WATCHES: &[Entry<WatchSample>] = &[
     gauge("subscribers", "lixto_watch_subscribers", |w| w.subscribers as u64, "Long-poll subscribers parked on watch event streams"),
     counter("webhook_deliveries", "lixto_watch_webhook_deliveries_total", |w| w.webhook_deliveries, "Watch diff events delivered to webhooks"),
     counter("webhook_failures", "lixto_watch_webhook_failures_total", |w| w.webhook_failures, "Watch webhook deliveries that exhausted their retries"),
-    table!("watches", Shape::Array { index: None }, |w: &WatchSample| &w.watches, WATCH),
+    table!("watches", Rows::Many(|w: &WatchSample| &w.watches, None), WATCH),
 ];
 
 #[rustfmt::skip]

@@ -587,13 +587,14 @@ pub struct WatchScheduler {
 impl WatchScheduler {
     /// Start the scheduler. `tick` bounds how long it sleeps in one go;
     /// a newly registered watch wakes it at once. `sink` receives
-    /// every delivered [`WatchEvent`] (called on the scheduler thread,
-    /// outside all registry locks, never on a pool worker).
+    /// every delivered [`WatchEvent`] (called on the scheduler thread
+    /// only, outside all registry locks, never on a pool worker, so it
+    /// may keep state of its own without a lock).
     pub fn start(
         server: Arc<ExtractionServer>,
         registry: Arc<WatchRegistry>,
         tick: Duration,
-        sink: Box<dyn Fn(WatchEvent) + Send + Sync>,
+        sink: Box<dyn FnMut(WatchEvent) + Send>,
     ) -> WatchScheduler {
         let shared = Arc::new(SchedulerShared::default());
         let tick = tick.max(Duration::from_millis(1));
@@ -641,7 +642,7 @@ fn scheduler_loop(
     server: Arc<ExtractionServer>,
     registry: Arc<WatchRegistry>,
     tick: Duration,
-    sink: Box<dyn Fn(WatchEvent) + Send + Sync>,
+    mut sink: Box<dyn FnMut(WatchEvent) + Send>,
     shared: Arc<SchedulerShared>,
 ) {
     let mut inner = registry.lock();
