@@ -1,9 +1,8 @@
 //! # lixto_bench
 //!
 //! The paper's experiment suite (§7). The `experiments` binary prints
-//! the paper-shaped tables for E1…E14, and the criterion benches in
-//! `benches/` time the theory results behind E1, E4, E8, E9 and E12.
-//! The README's *Committed benchmark baselines* section indexes both.
+//! the paper-shaped tables for E1…E14, timing the theory results
+//! beside them. The README's *Benchmarks* section indexes it.
 //! The serving stack is measured by the gated benchmark in `perfbench/`.
 //!
 //! The library half is the workload setup shared with the serving

@@ -20,7 +20,8 @@ pub(super) enum ConnState {
     /// Waiting for (more of) a request; an empty buffer means idle
     /// keep-alive.
     Reading,
-    /// A complete request is parked on the extraction pool.
+    /// A complete request is parked on the extraction pool until every
+    /// queued item's outcome is back.
     Dispatched(Dispatch),
     /// A response is being flushed; parsing resumes once it is out.
     Writing,
@@ -91,7 +92,8 @@ impl Conn {
 
     /// Poll interest for the current state: readable while parsing,
     /// writable while anything is queued to send (including an interim
-    /// `100 Continue` racing a body), nothing while purely parked.
+    /// `100 Continue` racing a body), nothing while purely parked (poll
+    /// still reports the error of a client that reset the connection).
     fn interest(&self) -> i16 {
         let mut events = 0i16;
         // A subscriber sends nothing more, but its EOF is the only
@@ -230,11 +232,8 @@ impl EventLoop {
                 if matches!(conn.state, ConnState::Dispatched(_)) {
                     parked += 1;
                 }
-                let events = conn.interest();
-                if events != 0 {
-                    pollfds.push(PollFd::new(conn.stream.as_raw_fd(), events));
-                    slot_of.push(slot);
-                }
+                pollfds.push(PollFd::new(conn.stream.as_raw_fd(), conn.interest()));
+                slot_of.push(slot);
                 if let Some(d) = conn.deadline(&self.shared.config) {
                     deadline = Some(deadline.map_or(d, |cur: Instant| cur.min(d)));
                 }
@@ -357,6 +356,11 @@ impl EventLoop {
                 on_readable(conn, ctx)
             } else if readable && matches!(conn.state, ConnState::Streaming { .. }) {
                 on_streaming_readable(conn, ctx, writable)
+            } else if matches!(conn.state, ConnState::Dispatched(_)) && conn.out.is_empty() {
+                // Polled with no interest, so only an error or hangup
+                // wakes it: the client reset the connection. The slot
+                // is freed now; the outcome, when it arrives, is stale.
+                Action::Close
             } else if writable {
                 pump(conn, ctx)
             } else {
@@ -366,32 +370,21 @@ impl EventLoop {
     }
 
     fn handle_completion(&mut self, completion: Completion) {
-        let Completion {
-            slot,
-            generation,
-            finished_at,
-        } = completion;
-        // Wake latency: worker's notify → this dispatch. Recorded for
-        // every token (stale ones measured a real wake too).
-        let wake = finished_at.elapsed();
+        // Wake latency: worker's send → this dispatch. Recorded for
+        // every completion (stale ones measured a real wake too).
+        let wake = completion.finished_at.elapsed();
         self.shared.wake.record(wake);
-        if slot >= self.conns.len() {
-            return;
-        }
-        let matches_conn = self.conns[slot]
-            .as_ref()
-            .is_some_and(|c| c.generation == generation);
-        if !matches_conn {
-            return; // stale token: the connection died while parked
+        let slot = completion.slot;
+        let conn = self.conns.get(slot).and_then(Option::as_ref);
+        if conn.is_none_or(|c| c.generation != completion.generation) {
+            return; // stale: the connection died while parked
         }
         self.with_conn(slot, |conn, ctx| {
             let ConnState::Dispatched(dispatch) = &mut conn.state else {
-                return Action::Keep; // defensive: token raced a state change
+                return Action::Keep; // defensive: raced a state change
             };
             let wake_ns = wake.as_nanos().min(u128::from(u64::MAX)) as u64;
-            dispatch.wake_ns = Some(dispatch.wake_ns.map_or(wake_ns, |w| w.max(wake_ns)));
-            dispatch.outstanding = dispatch.outstanding.saturating_sub(1);
-            if dispatch.outstanding > 0 {
+            if !dispatch.answer(completion, wake_ns) {
                 return Action::Keep;
             }
             assemble_response(conn, ctx);

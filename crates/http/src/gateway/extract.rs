@@ -1,5 +1,6 @@
 //! `POST /extract` and `POST /extract/batch`: submit each item to the
-//! pool, park on its tickets, then stream the body and record the span.
+//! pool, park until every queued item's outcome is back, then stream the
+//! body and record the span.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -7,7 +8,7 @@ use std::time::Instant;
 
 use lixto_obs::{unix_millis, SpanRecord, Stage, TraceId};
 use lixto_server::{
-    provenance_key, CacheKey, CachedExtraction, ExtractionRequest, ExtractionResponse, JobTicket,
+    provenance_key, CacheKey, CachedExtraction, ExtractionRequest, ExtractionResponse,
     RequestSource, Served, ServerError,
 };
 
@@ -18,44 +19,143 @@ use super::conn::{Conn, ConnCtx, ConnState};
 use super::routes::json_body;
 use super::Completion;
 
-/// One parked extraction item of a dispatched request.
+/// One extraction item of a dispatched request: its answer so far.
 enum DispatchItem {
-    /// Resolved synchronously (parse error, submission error, oversized
-    /// item): the status and JSON body to answer with.
+    /// Rejected before reaching the pool (bad shape, oversized item):
+    /// the status and JSON body to answer with.
     Ready(u16, Json),
-    /// Answered from the pool's hot tier on this loop thread.
+    /// Answered: from the pool's hot tier on this loop thread, or by a
+    /// worker through its [`Completion`].
     Answered(ExtractionResponse),
-    /// Parked on a pool ticket; redeemed when its completion arrives.
-    Pending(JobTicket),
+    /// Refused by the pool at submission, or failed in it.
+    Failed(ServerError),
 }
 
-/// Trace context of one dispatched extraction request.
-struct RequestTrace {
-    /// Minted or client-supplied (`X-Request-Id`) id; batch items get a
-    /// `#i` suffix.
-    id: TraceId,
-    /// When the gateway started dispatching the parsed request — the
-    /// span's end-to-end clock.
-    started: Instant,
-}
+/// What a queued item holds until its [`Completion`] fills it in: the
+/// answer of a job destroyed unprocessed.
+const QUEUED: DispatchItem = DispatchItem::Failed(ServerError::Canceled);
 
 /// A connection parked on extraction work.
 pub(super) struct Dispatch {
-    /// Tickets whose completion callback has not fired yet.
-    pub(super) outstanding: usize,
     items: Vec<DispatchItem>,
+    /// Queued items whose outcome has not come back yet.
+    outstanding: usize,
     /// `POST /extract/batch` (per-item envelope) vs `POST /extract`
     /// (the single item's body *is* the response body).
     batch: bool,
     /// Connection persistence the request asked for (re-checked against
     /// the stop flag when the response is queued).
     keep_alive: bool,
-    /// Trace id + start instant.
-    trace: RequestTrace,
+    /// Minted or client-supplied (`X-Request-Id`) trace id; batch items
+    /// get a `#i` suffix.
+    id: TraceId,
+    /// When the gateway started dispatching the parsed request — the
+    /// span's end-to-end clock.
+    started: Instant,
     /// Worst completion wake latency observed for this request (ns);
-    /// `None` until a completion token arrives (synchronously resolved
+    /// `None` until a completion arrives (synchronously answered
     /// requests never wake).
-    pub(super) wake_ns: Option<u64>,
+    wake_ns: Option<u64>,
+}
+
+impl Dispatch {
+    /// A dispatch of `request` with room for `capacity` items. Its trace
+    /// id is the client's `X-Request-Id` when that passes validation, a
+    /// minted id otherwise.
+    fn new(request: &Request, batch: bool, capacity: usize) -> Dispatch {
+        Dispatch {
+            items: Vec::with_capacity(capacity),
+            outstanding: 0,
+            batch,
+            keep_alive: request.keep_alive(),
+            id: request
+                .header("x-request-id")
+                .and_then(TraceId::from_client)
+                .unwrap_or_else(TraceId::mint),
+            started: Instant::now(),
+            wake_ns: None,
+        }
+    }
+
+    /// Parse and submit the next item. Hot-tier hits and synchronous
+    /// failures (bad shape, unknown wrapper, backpressure, shutdown) are
+    /// answered at once, on this loop thread; anything else is queued
+    /// and holds [`QUEUED`] until its [`Completion`] arrives. The item's
+    /// trace id rides into the pool on [`ExtractionRequest::trace`] so
+    /// worker-side log events name the request.
+    fn submit(&mut self, parsed: Json, ctx: &ConnCtx, generation: u64) {
+        let index = self.items.len();
+        let item = match extraction_request_from_json(parsed) {
+            Err((status, body)) => DispatchItem::Ready(status, body),
+            Ok(request) => {
+                let trace = if self.batch {
+                    format!("{}#{index}", self.id)
+                } else {
+                    self.id.to_string()
+                };
+                let request = ExtractionRequest {
+                    trace: Some(trace),
+                    ..request
+                };
+                // The pool runs this on a worker thread (or wherever an
+                // unprocessed job is destroyed), so it only hands the
+                // outcome to this loop. A hot-tier hit drops it unrun.
+                let (ls, slot) = (ctx.ls.clone(), ctx.slot);
+                let reply = move |outcome| {
+                    let completion = Completion {
+                        slot,
+                        generation,
+                        index,
+                        outcome,
+                        finished_at: Instant::now(),
+                    };
+                    ls.wake_with(|inbox| inbox.completions.push(completion));
+                };
+                match ctx.shared.server.try_serve(request, reply) {
+                    Ok(Served::Hit(response)) => DispatchItem::Answered(response),
+                    Ok(Served::Queued) => {
+                        self.outstanding += 1;
+                        QUEUED
+                    }
+                    Err(error) => DispatchItem::Failed(error),
+                }
+            }
+        };
+        self.items.push(item);
+    }
+
+    /// Answer the next item with an error, without submitting it.
+    fn refuse(&mut self, status: u16, code: &str, message: &str) {
+        self.items
+            .push(DispatchItem::Ready(status, error_body(code, message)));
+    }
+
+    /// Fill in the item `completion` answers, `wake_ns` after the worker
+    /// sent it. True once no item is outstanding.
+    pub(super) fn answer(&mut self, completion: Completion, wake_ns: u64) -> bool {
+        self.items[completion.index] = match completion.outcome {
+            Ok(response) => DispatchItem::Answered(response),
+            Err(error) => DispatchItem::Failed(error),
+        };
+        self.wake_ns = Some(self.wake_ns.map_or(wake_ns, |w| w.max(wake_ns)));
+        self.outstanding = self.outstanding.saturating_sub(1);
+        self.outstanding == 0
+    }
+
+    /// Park the connection on this dispatch, or answer at once when no
+    /// item is queued.
+    fn park(self, conn: &mut Conn, ctx: &ConnCtx) {
+        let answered = self.outstanding == 0;
+        conn.state = ConnState::Dispatched(self);
+        if answered {
+            assemble_response(conn, ctx);
+        }
+    }
+
+    /// Nanoseconds since the gateway started dispatching the request.
+    fn elapsed_ns(&self) -> u64 {
+        self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+    }
 }
 
 /// The uniform error body (identical to [`Response::error`]'s).
@@ -120,54 +220,13 @@ fn extraction_request_from_json(parsed: Json) -> Result<ExtractionRequest, (u16,
     })
 }
 
-/// The completion callback handed to the pool: push a token and wake
-/// the owning loop. Runs on a worker thread (or wherever an unprocessed
-/// job is destroyed), so it does nothing but that. A request answered
-/// from the hot tier drops it unrun.
-fn completion_notify(ctx: &ConnCtx, generation: u64) -> impl FnOnce() + Send + 'static {
-    let ls = ctx.ls.clone();
-    let slot = ctx.slot;
-    move || {
-        let completion = Completion {
-            slot,
-            generation,
-            finished_at: Instant::now(),
-        };
-        ls.wake_with(|inbox| inbox.completions.push(completion));
-    }
-}
-
-/// The request's trace context: the client's `X-Request-Id` when it
-/// passes validation, a minted id otherwise.
-fn request_trace(request: &Request) -> RequestTrace {
-    let id = request
-        .header("x-request-id")
-        .and_then(TraceId::from_client)
-        .unwrap_or_else(TraceId::mint);
-    RequestTrace {
-        id,
-        started: Instant::now(),
-    }
-}
-
 pub(super) fn dispatch_extract(conn: &mut Conn, ctx: &ConnCtx, request: &Request) {
-    let trace = request_trace(request);
-    let item = match json_body(request) {
-        Ok(parsed) => submit_item(parsed, ctx, conn.generation, trace.id.to_string()),
-        Err(message) => DispatchItem::Ready(400, error_body("bad_request", &message)),
-    };
-    let outstanding = usize::from(matches!(item, DispatchItem::Pending(_)));
-    conn.state = ConnState::Dispatched(Dispatch {
-        outstanding,
-        items: vec![item],
-        batch: false,
-        keep_alive: request.keep_alive(),
-        trace,
-        wake_ns: None,
-    });
-    if outstanding == 0 {
-        assemble_response(conn, ctx);
+    let mut dispatch = Dispatch::new(request, false, 1);
+    match json_body(request) {
+        Ok(parsed) => dispatch.submit(parsed, ctx, conn.generation),
+        Err(message) => dispatch.refuse(400, "bad_request", &message),
     }
+    dispatch.park(conn, ctx);
 }
 
 pub(super) fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request) {
@@ -202,12 +261,10 @@ pub(super) fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request) 
             ),
         );
     }
-    let trace = request_trace(request);
+    let mut dispatch = Dispatch::new(request, true, items.len());
     let single_limit = ctx.shared.config.limits.max_body_bytes;
-    let mut dispatch_items = Vec::with_capacity(items.len());
-    let mut outstanding = 0usize;
     let mut scratch = String::new(); // one reusable buffer for all size checks
-    for (index, item) in items.into_iter().enumerate() {
+    for item in items {
         // An item bigger than a single request may carry is answered
         // exactly as the framing layer would have answered the
         // equivalent individual POST (its serialized form *is* that
@@ -221,91 +278,28 @@ pub(super) fn dispatch_batch(conn: &mut Conn, ctx: &ConnCtx, request: &Request) 
                 body_start: 0,
             }
             .message();
-            dispatch_items.push(DispatchItem::Ready(
-                413,
-                error_body("body_too_large", &message),
-            ));
+            dispatch.refuse(413, "body_too_large", &message);
             continue;
         }
-        let item_trace = format!("{}#{index}", trace.id);
-        let item = submit_item(item, ctx, conn.generation, item_trace);
-        outstanding += usize::from(matches!(item, DispatchItem::Pending(_)));
-        dispatch_items.push(item);
+        dispatch.submit(item, ctx, conn.generation);
     }
-    conn.state = ConnState::Dispatched(Dispatch {
-        outstanding,
-        items: dispatch_items,
-        batch: true,
-        keep_alive: request.keep_alive(),
-        trace,
-        wake_ns: None,
-    });
-    if outstanding == 0 {
-        assemble_response(conn, ctx);
-    }
+    dispatch.park(conn, ctx);
 }
 
-/// Parse and submit one extraction item. Hot-tier hits and synchronous
-/// failures (bad shape, unknown wrapper, backpressure, shutdown) resolve
-/// immediately, on this loop thread; everything else parks on a pool
-/// ticket. `trace` rides into the pool on [`ExtractionRequest::trace`]
-/// so worker-side log events name the request.
-fn submit_item(parsed: Json, ctx: &ConnCtx, generation: u64, trace: String) -> DispatchItem {
-    match extraction_request_from_json(parsed) {
-        Err((status, body)) => DispatchItem::Ready(status, body),
-        Ok(request) => {
-            let request = ExtractionRequest {
-                trace: Some(trace),
-                ..request
-            };
-            match ctx
-                .shared
-                .server
-                .try_serve_with_notify(request, completion_notify(ctx, generation))
-            {
-                Ok(Served::Hit(response)) => DispatchItem::Answered(response),
-                Ok(Served::Queued(ticket)) => DispatchItem::Pending(ticket),
-                Err(e) => {
-                    let (status, body) = server_error_parts(&e);
-                    DispatchItem::Ready(status, body)
-                }
-            }
-        }
-    }
-}
-
-/// Redeem one dispatched item: append its JSON response body to `body`
-/// and return its status, plus the response its span record reads
-/// (`None` for an error or a synchronous rejection).
+/// Append one answered item's JSON response body to `body` and return
+/// its status, plus the response its span record reads (`None` for an
+/// error or a rejection).
 fn resolve_item(item: DispatchItem, body: &mut String) -> (u16, Option<ExtractionResponse>) {
-    let outcome = match item {
-        DispatchItem::Ready(status, json) => Err((status, json)),
-        DispatchItem::Answered(response) => Ok(response),
-        DispatchItem::Pending(mut ticket) => match ticket.try_take() {
-            Some(Ok(response)) => Ok(response),
-            Some(Err(error)) => Err(server_error_parts(&error)),
-            // Unreachable per the notify contract; fail soft if it ever
-            // is.
-            None => Err(server_error_parts(&ServerError::Canceled)),
-        },
-    };
-    match outcome {
-        Ok(response) => {
+    let (status, json) = match item {
+        DispatchItem::Answered(response) => {
             write_extraction_json(&response, body);
-            (200, Some(response))
+            return (200, Some(response));
         }
-        Err((status, json)) => {
-            json.dump_into(body);
-            (status, None)
-        }
-    }
-}
-
-impl RequestTrace {
-    /// Nanoseconds since the gateway started dispatching the request.
-    fn elapsed_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-    }
+        DispatchItem::Ready(status, json) => (status, json),
+        DispatchItem::Failed(error) => server_error_parts(&error),
+    };
+    json.dump_into(body);
+    (status, None)
 }
 
 /// Finish one item's span record, `total_ns` long, and admit it to the
@@ -338,16 +332,15 @@ fn record_span(
     }));
 }
 
-/// All tickets of the parked request resolved: build the response,
+/// Every item of the parked request is answered: build the response,
 /// record span(s), echo the trace id, and switch the connection to
 /// writing.
 pub(super) fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
     let state = std::mem::replace(&mut conn.state, ConnState::Reading);
-    let ConnState::Dispatched(dispatch) = state else {
+    let ConnState::Dispatched(mut dispatch) = state else {
         conn.state = state;
         return;
     };
-    let trace = dispatch.trace;
     let wake_ns = dispatch.wake_ns;
     // Bodies are streamed into one buffer, byte-identical to building
     // the equivalent `Json` tree and dumping it.
@@ -358,7 +351,7 @@ pub(super) fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
         write_number(dispatch.items.len() as f64, &mut body);
         body.push_str(",\"items\":[");
         let mut item_body = String::new();
-        for (index, item) in dispatch.items.into_iter().enumerate() {
+        for (index, item) in std::mem::take(&mut dispatch.items).into_iter().enumerate() {
             item_body.clear();
             let (status, served) = resolve_item(item, &mut item_body);
             if index > 0 {
@@ -369,12 +362,12 @@ pub(super) fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
             body.push_str(",\"body\":");
             body.push_str(&item_body);
             // Batch items share the batch's wall clock and worst wake:
-            // tickets resolve independently but the response leaves as
-            // one.
-            let id = format!("{}#{index}", trace.id);
+            // items are answered independently but the response leaves
+            // as one.
+            let id = format!("{}#{index}", dispatch.id);
             body.push_str(",\"request_id\":");
             write_escaped(&id, &mut body);
-            record_span(ctx, id, status, served, trace.elapsed_ns(), wake_ns);
+            record_span(ctx, id, status, served, dispatch.elapsed_ns(), wake_ns);
             body.push('}');
         }
         body.push_str("]}");
@@ -382,9 +375,8 @@ pub(super) fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
     } else {
         let item = dispatch
             .items
-            .into_iter()
-            .next()
-            .expect("single dispatch holds one item");
+            .pop()
+            .expect("a single dispatch holds one item");
         let (status, served) = resolve_item(item, &mut body);
         let response = Response::json_encoded(status, body);
         let response = if status == 429 {
@@ -397,8 +389,8 @@ pub(super) fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
     // The header borrows the id; a single request's span record then
     // takes it, its clock stopped before the response is written, as a
     // batch item's is.
-    let total_ns = trace.elapsed_ns();
-    let echo = [("x-request-id", trace.id.as_str())];
+    let total_ns = dispatch.elapsed_ns();
+    let echo = [("x-request-id", dispatch.id.as_str())];
     conn.respond_with(
         ctx,
         response.status,
@@ -408,7 +400,7 @@ pub(super) fn assemble_response(conn: &mut Conn, ctx: &ConnCtx) {
     if let Some((status, served)) = single {
         record_span(
             ctx,
-            trace.id.into_string(),
+            dispatch.id.into_string(),
             status,
             served,
             total_ns,

@@ -23,18 +23,19 @@
 //!      ▲  ▲                │ /extract, /extract/batch    │ other routes
 //!      │  │                ▼                             ▼
 //!      │  │            dispatched ──────────────────► writing
-//!      │  │            (parked on pool tickets;          │
-//!      │  │             completion via self-pipe;        │
+//!      │  │            (parked on queued items;          │
+//!      │  │             outcomes via inbox + self-pipe;  │
 //!      │  │             hot-tier hits skip it)           │ flushed
 //!      │  └──────────────────────────────────────────────┘ keep-alive
 //!      └── idle (empty buffer; evicted after `idle_timeout`)
 //! ```
 //!
-//! Extraction dispatch is **asynchronous**: the loop submits through the
-//! pool's [`try_serve_with_notify`](ExtractionServer::try_serve_with_notify)
-//! and parks the connection; when the job resolves, the worker's
-//! completion callback pushes a token into the loop's inbox and wakes
-//! its self-pipe. A slow extraction therefore never stalls unrelated
+//! Extraction dispatch is **asynchronous**: the loop submits each item
+//! through the pool's [`try_serve`](ExtractionServer::try_serve) and
+//! parks the connection. The pool answers the item's callback exactly
+//! once; it pushes the outcome into the loop's inbox and wakes its
+//! self-pipe, and an outcome whose connection has gone is dropped. A
+//! slow extraction therefore never stalls unrelated
 //! connections sharing the loop, and a full shard queue surfaces as
 //! `429 Too Many Requests` immediately. The exception is the common
 //! case: an inline document whose result is in the pool's hot tier is
@@ -53,7 +54,7 @@
 //! Graceful shutdown stops the acceptor, closes idle connections,
 //! flushes in-flight responses (switched to `Connection: close`), waits
 //! for parked extractions to resolve — the pool's own drain guarantees
-//! every ticket answers — and joins all threads.
+//! every queued item answers — and joins all threads.
 //!
 //! ## Endpoints
 //!
@@ -254,20 +255,20 @@ pub struct GatewayStats {
     pub responses_5xx: u64,
 }
 
-/// A completion token: which connection slot (and which incarnation of
-/// it) a resolved extraction ticket belongs to, and when the worker
-/// fired it — the loop measures its own wake-to-dispatch latency from
-/// `finished_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A queued item's outcome on its way back to its loop: which item of
+/// which connection slot (and incarnation of it) it answers, and when
+/// the worker sent it — the loop measures its wake latency from that.
 struct Completion {
     slot: usize,
     generation: u64,
+    index: usize,
+    outcome: Result<lixto_server::ExtractionResponse, lixto_server::ServerError>,
     finished_at: Instant,
 }
 
 /// Cross-thread mailbox of one event loop: the acceptor pushes adopted
-/// sockets, pool workers push completion tokens, shutdown raises
-/// `stop` — each followed by a self-pipe wake.
+/// sockets, pool workers push completions carrying their outcomes,
+/// shutdown raises `stop` — each followed by a self-pipe wake.
 #[derive(Default)]
 struct Inbox {
     accepted: Vec<TcpStream>,
@@ -286,7 +287,7 @@ struct LoopShared {
     /// assignment, decremented by the loop on close) — the
     /// least-loaded-loop placement key and the per-loop cap gauge.
     load: AtomicUsize,
-    /// Connections currently parked on extraction tickets, published by
+    /// Connections currently parked on queued extractions, published by
     /// the loop each poll round — an event-loop health gauge (a loop
     /// whose parked count tracks its load is saturated on the pool, not
     /// on sockets).
@@ -319,8 +320,8 @@ struct SharedGateway {
     /// Completed request spans (recent ring + slowest list), served by
     /// `GET /debug/slow` and `GET /debug/requests/{id}`.
     spans: SpanBuffer,
-    /// Completion-notify → event-loop dispatch latency (the `wake`
-    /// stage), recorded for every completion token.
+    /// Worker's send → event-loop dispatch latency (the `wake` stage),
+    /// recorded for every completion.
     wake: LatencyHistogram,
     /// The continuous-monitoring subsystem (history ring, SLO
     /// watchdog, live-stream subscriber count).
@@ -334,7 +335,7 @@ struct SharedGateway {
 pub struct LoopGauges {
     /// Connections currently assigned to the loop.
     pub connections: usize,
-    /// Of those, connections parked on extraction tickets.
+    /// Of those, connections parked on queued extractions.
     pub parked: usize,
 }
 
@@ -570,8 +571,8 @@ impl HttpGateway {
     /// parked extractions resolve, join every thread, and return the
     /// final counters. The extraction pool is *not* shut down — it may
     /// be shared; call [`ExtractionServer::initiate_shutdown`]
-    /// separately (before or after this call — parked tickets resolve
-    /// either way).
+    /// separately (before or after this call — parked extractions
+    /// resolve either way).
     pub fn shutdown(self) -> GatewayStats {
         let HttpGateway {
             addr,
@@ -877,7 +878,7 @@ mod tests {
                 source: RequestSource::Inline { url, html },
             };
             let miss = server.execute(request.clone()).unwrap();
-            let Served::Hit(hit) = server.try_serve_with_notify(request, || {}).unwrap() else {
+            let Served::Hit(hit) = server.try_serve(request, |_| {}).unwrap() else {
                 panic!("second request must hit the hot tier");
             };
             // A result without per-instance provenance renders its texts
@@ -1047,7 +1048,7 @@ mod tests {
             },
         };
         let loop_hit = |server: &ExtractionServer, version: Option<u32>| match server
-            .try_serve_with_notify(request(version, true), || {})
+            .try_serve(request(version, true), |_| {})
         {
             Ok(Served::Hit(hit)) => hit,
             other => panic!("expected a loop-served hit, got {other:?}"),
@@ -1092,13 +1093,17 @@ mod tests {
         // Restart: the entry is on disk only, so a worker serves it and
         // promotes it with an empty memo — memos are never persisted.
         let server = start();
-        let Served::Queued(ticket) = server
-            .try_serve_with_notify(request(None, true), || {})
-            .unwrap()
-        else {
-            panic!("a disk-only entry must be served by the pool");
-        };
-        let promoted = ticket.wait().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let served = server
+            .try_serve(request(None, true), move |outcome| {
+                tx.send(outcome).unwrap()
+            })
+            .unwrap();
+        assert!(
+            matches!(served, Served::Queued),
+            "a disk-only entry must be served by the pool"
+        );
+        let promoted = rx.recv().unwrap().unwrap();
         assert!(promoted.cache_hit);
         assert_eq!(memo_of(&promoted), None);
         assert_streams_like_the_tree(&promoted);
@@ -1752,6 +1757,117 @@ mod tests {
         drop(client);
         gateway.shutdown();
         server.initiate_shutdown();
+    }
+
+    #[test]
+    fn put_watch_refuses_a_webhook_it_could_never_deliver_to() {
+        let (gateway, server, _web) = watch_gateway(Duration::from_millis(200));
+        let mut client = HttpClient::connect(gateway.addr()).unwrap();
+        let put = |client: &mut HttpClient, webhook: &str| {
+            let body =
+                format!(r#"{{"wrapper":"shop","url":"http://shop/","webhook":"{webhook}"}}"#);
+            client.put_json("/watches/offers", &body).unwrap()
+        };
+        for webhook in [
+            "ftp://x",
+            "http://",
+            "http:///hook",
+            "https://sink/hook",
+            "sink:9",
+        ] {
+            let refused = put(&mut client, webhook);
+            assert_eq!(refused.status, 400, "{webhook}: {}", refused.text());
+            assert_eq!(
+                refused.json().unwrap().get("error").and_then(Json::as_str),
+                Some("bad_request")
+            );
+            assert_eq!(
+                client.get("/watches/offers").unwrap().status,
+                404,
+                "{webhook} registered nothing"
+            );
+        }
+        for (webhook, status) in [("http://sink:9", 201), ("http://sink:9/hook?x=1", 200)] {
+            let accepted = put(&mut client, webhook);
+            assert_eq!(accepted.status, status, "{webhook}: {}", accepted.text());
+        }
+        drop(client);
+        gateway.shutdown();
+        server.initiate_shutdown();
+    }
+
+    #[test]
+    fn a_spooled_webhook_registration_would_refuse_still_fails_at_delivery() {
+        // A spool written before registration checked webhooks can hold
+        // one it refuses now: it reloads, and each delivery fails.
+        let dir = std::env::temp_dir().join(format!(
+            "lixto-gateway-bad-webhook-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        WatchRegistry::with_spool(&dir).unwrap().put(
+            "legacy",
+            lixto_server::WatchSpec {
+                wrapper: "shop".into(),
+                url: "http://shop/".into(),
+                interval: Duration::from_millis(10),
+                webhook: Some("ftp://x".into()),
+            },
+        );
+        let registry = Arc::new(WrapperRegistry::new());
+        registry
+            .register_source("shop", WATCH_WRAPPER, XmlDesign::new().root("offers"))
+            .unwrap();
+        let web = Arc::new(lixto_elog::SharedWeb::new());
+        web.put("http://shop/", watch_page(&["espresso"]));
+        let server = Arc::new(ExtractionServer::start(
+            ServerConfig::default(),
+            registry,
+            web.clone(),
+        ));
+        let gateway = HttpGateway::bind(
+            "127.0.0.1:0",
+            GatewayConfig {
+                event_loops: 1,
+                watch_tick: Duration::from_millis(10),
+                watch_spool: Some(dir.clone()),
+                ..GatewayConfig::default()
+            },
+            server.clone(),
+        )
+        .unwrap();
+        let mut client = HttpClient::connect(gateway.addr()).unwrap();
+        let watch = client.get("/watches/legacy").unwrap().json().unwrap();
+        assert_eq!(watch.get("webhook").and_then(Json::as_str), Some("ftp://x"));
+        let webhook_counter = |client: &mut HttpClient, name: &str| {
+            let metrics = client.get_accept("/metrics", "application/json").unwrap();
+            let metrics = metrics.json().unwrap();
+            metrics
+                .get("watches")
+                .and_then(|w| w.get(name))
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let status = client.get("/watches/legacy").unwrap().json().unwrap();
+            if status.get("ticks").and_then(Json::as_u64).unwrap_or(0) >= 1 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "baseline tick never ran");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        web.put("http://shop/", watch_page(&["espresso", "grinder"]));
+        while webhook_counter(&mut client, "webhook_failures") == 0 {
+            assert!(Instant::now() < deadline, "the diff was never delivered");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(webhook_counter(&mut client, "webhook_deliveries"), 0);
+        drop(client);
+        gateway.shutdown();
+        server.initiate_shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The acceptance scenario end to end: a registered watch over a

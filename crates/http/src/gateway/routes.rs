@@ -12,7 +12,7 @@ use crate::metrics::{watch_status_json, MetricInputs};
 
 use super::conn::{contains_ignore_ascii_case, Conn, ConnCtx};
 use super::extract::{dispatch_batch, dispatch_extract};
-use super::stream::{start_stream, start_watch_stream};
+use super::stream::{start_stream, start_watch_stream, webhook_target};
 use super::{GatewayConfig, SharedGateway};
 
 /// What answers a route.
@@ -363,7 +363,8 @@ fn put_watch(id: &str, request: &Request, shared: &SharedGateway) -> Response {
     let webhook = match parsed.get("webhook") {
         None | Some(Json::Null) => None,
         Some(v) => match v.as_str() {
-            Some(url) => Some(url.to_string()),
+            Some(url) if webhook_target(url).is_some() => Some(url.to_string()),
+            Some(_) => return bad_request("\"webhook\" must be an http://host[:port][/path] URL"),
             None => return bad_request("\"webhook\" must be a string"),
         },
     };

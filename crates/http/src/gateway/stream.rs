@@ -213,20 +213,25 @@ fn watch_event_json(event: &WatchEvent) -> Json {
     ])
 }
 
+/// A webhook URL, `http://authority[/path]`, split into the authority
+/// and the request path; `None` for another scheme or no authority.
+/// `PUT /watches/{id}` refuses a webhook this rejects.
+pub(super) fn webhook_target(url: &str) -> Option<(&str, &str)> {
+    let rest = url.strip_prefix("http://")?;
+    let (authority, path) = rest.split_at(rest.find('/').unwrap_or(rest.len()));
+    (!authority.is_empty()).then_some((authority, if path.is_empty() { "/" } else { path }))
+}
+
 /// POST `body` to a webhook URL (`http://host:port/path`), reusing a
 /// cached keep-alive client per URL. A client whose POST failed is
 /// dropped (its connection state is suspect — the next delivery
 /// reconnects).
 fn post_webhook(clients: &mut HashMap<String, HttpClient>, url: &str, body: &str) -> bool {
-    let (authority, path) = match url.strip_prefix("http://") {
-        Some(rest) if !rest.is_empty() => match rest.split_once('/') {
-            Some((authority, path)) => (authority, format!("/{path}")),
-            None => (rest, "/".to_string()),
-        },
-        _ => {
-            warn_event!("watch_webhook_bad_url", "webhook" => url.to_string());
-            return false;
-        }
+    let Some((authority, path)) = webhook_target(url) else {
+        // Registration refuses such a URL; a spool written before it
+        // did can still hold one.
+        warn_event!("watch_webhook_bad_url", "webhook" => url.to_string());
+        return false;
     };
     let client = match clients.entry(url.to_string()) {
         Entry::Occupied(cached) => cached.into_mut(),
@@ -236,7 +241,7 @@ fn post_webhook(clients: &mut HashMap<String, HttpClient>, url: &str, body: &str
         },
     };
     let ok = client
-        .post_json_with_retry(&path, body, RetryPolicy::default())
+        .post_json_with_retry(path, body, RetryPolicy::default())
         .map(|response| (200..300).contains(&response.status))
         .unwrap_or(false);
     if !ok {

@@ -55,7 +55,7 @@ pub(crate) struct TickSample {
     pub responses_5xx: u64,
     /// Connections currently assigned across event loops.
     pub connections: u64,
-    /// Connections parked on extraction tickets.
+    /// Connections parked on queued extractions.
     pub parked: u64,
     /// Wake-latency observations recorded so far.
     pub wake_count: u64,

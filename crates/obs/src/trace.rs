@@ -99,7 +99,7 @@ pub enum Stage {
     PlanExec,
     /// Result → XML serialization.
     Serialize,
-    /// Completion-notify → event-loop dispatch (wake latency).
+    /// A worker's answer → event-loop dispatch (wake latency).
     Wake,
 }
 

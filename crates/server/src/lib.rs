@@ -13,9 +13,9 @@
 //! * [`server`] — the [`ExtractionServer`]: requests hash to one of N
 //!   shards, each a bounded queue drained by worker threads (backpressure
 //!   via blocking [`submit`](ExtractionServer::submit) or non-blocking
-//!   [`try_serve_with_notify`](ExtractionServer::try_serve_with_notify),
-//!   which event loops use and which answers hot-tier hits on the
-//!   calling thread), with graceful
+//!   [`try_serve`](ExtractionServer::try_serve), which event loops use
+//!   and which answers hot-tier hits on the calling thread; every queued
+//!   job answers its submitter's callback exactly once), with graceful
 //!   [`shutdown`](ExtractionServer::shutdown) that drains queues and
 //!   joins every thread;
 //! * [`cache`] — a content-addressed [`ResultCache`], sharded over

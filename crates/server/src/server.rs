@@ -8,29 +8,35 @@
 //! [`ResultCache`](crate::ResultCache). Bounded queues give
 //! backpressure two ways: `submit`
 //! blocks the producer when its shard is full,
-//! [`ExtractionServer::try_serve_with_notify`] returns
+//! [`ExtractionServer::try_serve`] returns
 //! [`ServerError::Backpressure`] instead.
 //!
-//! Event-driven frontends submit through
-//! [`ExtractionServer::try_serve_with_notify`], which answers an inline
-//! request whose result sits in the hot tier on the calling thread —
-//! no queue, no worker, no completion callback — and queues everything
-//! else. The disk tier is only ever read by workers.
+//! Every queued job answers the same way: it owns its submitter's
+//! callback (a `Reply`) and calls it exactly once with the outcome —
+//! on the worker that ran it, or with [`ServerError::Canceled`] wherever
+//! the job is destroyed unprocessed. A submission that fails hands its
+//! error back instead, and the callback never runs.
+//!
+//! Event-driven frontends submit through [`ExtractionServer::try_serve`],
+//! which answers an inline request whose result sits in the hot tier on
+//! the calling thread — no queue, no worker, and the callback dropped
+//! unrun — and queues everything else. The disk tier is only ever read
+//! by workers. Blocking callers use [`ExtractionServer::submit`], whose
+//! callback fills the one-slot [`JobTicket`] they wait on.
 //!
 //! The watch scheduler queues a second job kind on the same shards, a
 //! *recheck* (`ExtractionServer::try_recheck`): fetch, content
 //! address, change tracking and plan execution as for an extraction,
 //! then an instance snapshot instead of XML, provenance and a store
-//! entry. Its outcome goes to a callback that runs on the worker.
+//! entry, answered through the same kind of callback.
 //!
 //! Shutdown is drain-ordered and callable through a shared handle
 //! ([`ExtractionServer::initiate_shutdown`], which `shutdown` wraps):
 //! intake stops first, the workers finish every queued job — answering
-//! every outstanding [`JobTicket`] — and only then are the threads
-//! joined. A ticket whose job can no longer be executed (its worker died
-//! or its queue was torn down) resolves to [`ServerError::Canceled`]
-//! rather than hanging, so frontend handler threads blocked in
-//! [`JobTicket::wait`] always come back.
+//! every outstanding callback — and only then are the threads joined.
+//! A job that can no longer be executed (its worker died or its queue
+//! was torn down) answers [`ServerError::Canceled`] rather than never,
+//! so frontend threads blocked in [`JobTicket::wait`] always come back.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -40,7 +46,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
+use crossbeam_channel::{bounded, Receiver, SendError, Sender, TrySendError};
 use lixto_core::to_xml;
 use lixto_elog::eval::ExtractionResult;
 use lixto_elog::{ExecProbe, Extractor, WebSource};
@@ -166,7 +172,7 @@ pub enum ServerError {
     Backpressure,
     /// The server is shutting down; no new work is accepted.
     ShuttingDown,
-    /// The worker executing the job disappeared before replying.
+    /// The job was destroyed before a worker ran it.
     Canceled,
     /// The job panicked inside the worker; the panic was contained and
     /// the worker keeps serving.
@@ -204,8 +210,7 @@ pub struct ServerConfig {
     pub workers_per_shard: usize,
     /// Bounded capacity of each shard queue — the backpressure limit:
     /// `submit` blocks and
-    /// [`try_serve_with_notify`](ExtractionServer::try_serve_with_notify)
-    /// rejects past it. Default 64.
+    /// [`try_serve`](ExtractionServer::try_serve) rejects past it. Default 64.
     pub queue_capacity: usize,
     /// Hot-tier (in-memory result cache) capacity in entries. Default
     /// 256.
@@ -233,7 +238,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Handle on an in-flight job; redeem with [`JobTicket::wait`].
+/// Handle on a job queued by [`ExtractionServer::submit`]; redeem with
+/// [`JobTicket::wait`].
 pub struct JobTicket {
     reply: Receiver<Result<ExtractionResponse, ServerError>>,
 }
@@ -245,55 +251,22 @@ impl std::fmt::Debug for JobTicket {
 }
 
 impl JobTicket {
-    /// Block until the job completes. Never hangs past the job's fate:
-    /// if the job is dropped unprocessed (worker death, queue teardown),
-    /// the reply channel disconnects and this returns
-    /// [`ServerError::Canceled`].
+    /// Block until the job answers: its outcome, or
+    /// [`ServerError::Canceled`] if it was destroyed unprocessed. Never
+    /// hangs past the job's fate.
     pub fn wait(self) -> Result<ExtractionResponse, ServerError> {
         self.reply.recv().unwrap_or(Err(ServerError::Canceled))
     }
-
-    /// Non-blocking redemption for event-driven frontends: `Some` once
-    /// the job has resolved (its real outcome, or
-    /// [`ServerError::Canceled`] if it was destroyed unprocessed),
-    /// `None` while it is still in flight. After a completion
-    /// notification fired (see
-    /// [`ExtractionServer::try_serve_with_notify`]) this is guaranteed
-    /// to return `Some`.
-    pub fn try_take(&mut self) -> Option<Result<ExtractionResponse, ServerError>> {
-        match self.reply.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some(Err(ServerError::Canceled)),
-        }
-    }
 }
 
-/// What [`ExtractionServer::try_serve_with_notify`] did with a request.
+/// What [`ExtractionServer::try_serve`] did with a request.
 #[derive(Debug)]
 pub enum Served {
-    /// Answered from the hot tier on the calling thread; the completion
-    /// callback was dropped without running.
+    /// Answered from the hot tier on the calling thread; the callback
+    /// was dropped without running.
     Hit(ExtractionResponse),
-    /// Queued on the pool; the completion callback runs once the ticket
-    /// is redeemable.
-    Queued(JobTicket),
-}
-
-/// Fires its callback exactly once, on drop. Declared after the reply
-/// sender in [`JobKind::Extract`], so by the time the callback runs the
-/// sender has already been dropped (fields drop in declaration order):
-/// whether the worker sent a real outcome or the job was destroyed
-/// unprocessed, [`JobTicket::try_take`] observes the resolution — never
-/// an empty channel — from inside or after the callback.
-struct CompletionNotice(Option<Box<dyn FnOnce() + Send>>);
-
-impl Drop for CompletionNotice {
-    fn drop(&mut self) {
-        if let Some(notify) = self.0.take() {
-            notify();
-        }
-    }
+    /// Queued on the pool; the callback will answer it.
+    Queued,
 }
 
 /// What a watch recheck compares the page against: the store key and
@@ -315,51 +288,19 @@ pub(crate) enum Recheck {
     },
 }
 
-type RecheckDone = Box<dyn FnOnce(Result<Recheck, ServerError>) + Send>;
+/// A submitter's callback for one job's outcome. The [`Job`] that owns
+/// it calls it exactly once.
+type Reply<T> = Box<dyn FnOnce(Result<T, ServerError>) + Send>;
 
-/// A recheck's completion callback: runs exactly once — with the outcome
-/// on the worker, or with [`ServerError::Canceled`] wherever an
-/// unprocessed job is destroyed — unless the submission failed.
-struct RecheckCallback(Option<RecheckDone>);
-
-impl RecheckCallback {
-    fn finish(&mut self, outcome: Result<Recheck, ServerError>) {
-        if let Some(done) = self.0.take() {
-            done(outcome);
-        }
-    }
-}
-
-impl Drop for RecheckCallback {
-    fn drop(&mut self) {
-        self.finish(Err(ServerError::Canceled));
-    }
-}
-
-/// Where a job's outcome goes.
+/// What a job does, and whom it answers.
 enum JobKind {
-    /// An extraction, answered through its [`JobTicket`].
-    Extract {
-        reply: Sender<Result<ExtractionResponse, ServerError>>,
-        /// Must stay after `reply` (see [`CompletionNotice`]).
-        notify: CompletionNotice,
-    },
+    /// An extraction.
+    Extract(Reply<ExtractionResponse>),
     /// A watch recheck against what the watch last saw.
     Recheck {
         seen: Option<Arc<Seen>>,
-        done: RecheckCallback,
+        reply: Reply<Recheck>,
     },
-}
-
-impl JobKind {
-    /// Disarm the callbacks without firing them: the submission failed,
-    /// and the caller got the error instead.
-    fn defuse(&mut self) {
-        match self {
-            JobKind::Extract { notify, .. } => notify.0 = None,
-            JobKind::Recheck { done, .. } => done.0 = None,
-        }
-    }
 }
 
 struct Job {
@@ -367,14 +308,48 @@ struct Job {
     wrapper: Arc<RegisteredWrapper>,
     /// Content address of an `Inline` document, computed once at submit
     /// (it doubles as the shard key, and as the hot-tier key of
-    /// [`ExtractionServer::try_serve_with_notify`]); `Web` documents are
-    /// addressed after the fetch, in the worker.
+    /// [`ExtractionServer::try_serve`]); `Web` documents are addressed
+    /// after the fetch, in the worker.
     content: Option<u64>,
     submitted_at: Instant,
-    kind: JobKind,
+    /// `Some` until the job answers: the worker takes it out to run the
+    /// job, a failed submission clears it unrun, and a job dropped with
+    /// it still in place answers [`ServerError::Canceled`].
+    kind: Option<JobKind>,
+}
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        match self.kind.take() {
+            Some(JobKind::Extract(reply)) => reply(Err(ServerError::Canceled)),
+            Some(JobKind::Recheck { reply, .. }) => reply(Err(ServerError::Canceled)),
+            None => {}
+        }
+    }
 }
 
 impl Job {
+    fn new(
+        request: ExtractionRequest,
+        wrapper: Arc<RegisteredWrapper>,
+        content: Option<u64>,
+        kind: JobKind,
+    ) -> Job {
+        Job {
+            request,
+            wrapper,
+            content,
+            submitted_at: Instant::now(),
+            kind: Some(kind),
+        }
+    }
+
+    /// Drop a job whose submission failed without answering it: the
+    /// caller gets the error instead, so the callback must never run.
+    fn disarm(mut self) {
+        self.kind = None;
+    }
+
     /// Shard by wrapper name + source identity, so repeated work for the
     /// same (wrapper, document) lands on the same queue. For inline
     /// documents the source key *is* the content address, which the
@@ -866,52 +841,38 @@ impl ExtractionServer {
         Ok(queues)
     }
 
-    /// An extraction job and the ticket that redeems it.
-    fn extract_job(
-        request: ExtractionRequest,
-        wrapper: Arc<RegisteredWrapper>,
-        content: Option<u64>,
-        notify: Option<Box<dyn FnOnce() + Send>>,
-    ) -> (Job, JobTicket) {
-        let (tx, rx) = bounded(1);
-        (
-            Job {
-                request,
-                wrapper,
-                content,
-                submitted_at: Instant::now(),
-                kind: JobKind::Extract {
-                    reply: tx,
-                    notify: CompletionNotice(notify),
-                },
-            },
-            JobTicket { reply: rx },
-        )
-    }
-
     /// Enqueue a request, blocking while the target shard queue is full
     /// (producer-side backpressure).
     pub fn submit(&self, request: ExtractionRequest) -> Result<JobTicket, ServerError> {
         let wrapper = self.resolve(&request)?;
         let queues = self.intake()?;
         let content = request.source.inline_address();
-        let (job, ticket) = Self::extract_job(request, wrapper, content, None);
+        let (tx, rx) = bounded(1);
+        let reply: Reply<ExtractionResponse> = Box::new(move |outcome| {
+            // The client may have dropped its ticket; that is its
+            // business.
+            let _ = tx.send(outcome);
+        });
+        let job = Job::new(request, wrapper, content, JobKind::Extract(reply));
         queues[job.shard(queues.len())]
             .send(job)
-            .map_err(|_| ServerError::ShuttingDown)?;
+            .map_err(|SendError(job)| {
+                job.disarm();
+                ServerError::ShuttingDown
+            })?;
         self.shared
             .metrics
             .submitted
             .fetch_add(1, Ordering::Relaxed);
-        Ok(ticket)
+        Ok(JobTicket { reply: rx })
     }
 
     /// The event-loop entry point, for frontends that cannot block in
     /// [`JobTicket::wait`]. An `Inline` request whose result is in the
     /// **hot tier** is answered right here, on the calling thread, and
-    /// `notify` is dropped without running. Such a hit never enters a
-    /// shard queue or wakes a worker, and is counted exactly as a worker
-    /// counts one (submitted, completed, cache hit, latency and
+    /// `done` is dropped without running (nor boxed). Such a hit never
+    /// enters a shard queue or wakes a worker, and is counted exactly as
+    /// a worker counts one (submitted, completed, cache hit, latency and
     /// `cache`-stage histograms); its stage times hold only the `cache`
     /// stage.
     ///
@@ -920,20 +881,17 @@ impl ExtractionServer {
     /// thread) and entries with a crawl manifest, which a worker must
     /// revalidate. A queued inline request carries its content address
     /// along, so the document is still hashed once. For a queued
-    /// request `notify` runs exactly once, as soon as the returned
-    /// ticket is redeemable without blocking — [`JobTicket::try_take`]
-    /// is guaranteed to return `Some` from that point on. It fires on
-    /// the worker thread after the job completes, or wherever an
-    /// unprocessed job is destroyed (queue teardown during shutdown), so
-    /// keep it small and non-blocking — typically "push a token and wake
-    /// an event loop". When the call fails (backpressure, shutdown,
-    /// unknown wrapper) no ticket exists and `notify` never runs; after
-    /// shutdown began it fails with [`ServerError::ShuttingDown`], hit
-    /// or not.
-    pub fn try_serve_with_notify(
+    /// request `done` runs exactly once with the outcome: on the worker
+    /// thread after the job completes, or with [`ServerError::Canceled`]
+    /// wherever the job is destroyed unprocessed, so keep it small and
+    /// non-blocking — typically "push the outcome and wake an event
+    /// loop". When the call fails (backpressure, shutdown, unknown
+    /// wrapper) `done` never runs; after shutdown began it fails with
+    /// [`ServerError::ShuttingDown`], hit or not.
+    pub fn try_serve(
         &self,
         request: ExtractionRequest,
-        notify: impl FnOnce() + Send + 'static,
+        done: impl FnOnce(Result<ExtractionResponse, ServerError>) + Send + 'static,
     ) -> Result<Served, ServerError> {
         let submitted_at = Instant::now();
         let wrapper = self.resolve(&request)?;
@@ -967,15 +925,14 @@ impl ExtractionServer {
                 return Ok(Served::Hit(hit));
             }
         }
-        let (job, ticket) = Self::extract_job(request, wrapper, content, Some(Box::new(notify)));
-        self.try_enqueue(&queues, job)?;
-        Ok(Served::Queued(ticket))
+        let kind = JobKind::Extract(Box::new(done));
+        self.try_enqueue(&queues, Job::new(request, wrapper, content, kind))?;
+        Ok(Served::Queued)
     }
 
     /// Queue a watch recheck of `request` (a `Web` source) without
-    /// blocking, as
-    /// [`try_serve_with_notify`](Self::try_serve_with_notify) would
-    /// queue the request. The worker fetches the page, addresses it and
+    /// blocking, as [`try_serve`](Self::try_serve) would queue the
+    /// request. The worker fetches the page, addresses it and
     /// feeds the change tracker (a changed page still drops a stale
     /// entry of interactive traffic). If the key and every crawled page match
     /// `seen`, it answers [`Recheck::Unchanged`] without executing;
@@ -984,7 +941,8 @@ impl ExtractionServer {
     /// the store. The job counts as submitted, completed or failed, in
     /// the latency and stage histograms, never as a cache hit or miss.
     ///
-    /// `done` runs exactly once on the worker with the outcome, or with
+    /// `done` is answered as [`try_serve`](Self::try_serve)'s is: exactly
+    /// once on the worker with the outcome, or with
     /// [`ServerError::Canceled`] wherever the job is destroyed
     /// unprocessed. When the call itself fails, `done` never runs.
     pub(crate) fn try_recheck(
@@ -995,17 +953,11 @@ impl ExtractionServer {
     ) -> Result<(), ServerError> {
         let wrapper = self.resolve(&request)?;
         let queues = self.intake()?;
-        let job = Job {
-            request,
-            wrapper,
-            content: None,
-            submitted_at: Instant::now(),
-            kind: JobKind::Recheck {
-                seen,
-                done: RecheckCallback(Some(Box::new(done))),
-            },
+        let kind = JobKind::Recheck {
+            seen,
+            reply: Box::new(done),
         };
-        self.try_enqueue(&queues, job)
+        self.try_enqueue(&queues, Job::new(request, wrapper, None, kind))
     }
 
     fn try_enqueue(&self, queues: &[Sender<Job>], job: Job) -> Result<(), ServerError> {
@@ -1017,15 +969,13 @@ impl ExtractionServer {
                     .fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
-            Err(TrySendError::Full(mut job)) => {
-                // The caller gets an error, not a ticket: the callback
-                // must not fire for a submission that never happened.
-                job.kind.defuse();
+            Err(TrySendError::Full(job)) => {
+                job.disarm();
                 self.shared.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(ServerError::Backpressure)
             }
-            Err(TrySendError::Disconnected(mut job)) => {
-                job.kind.defuse();
+            Err(TrySendError::Disconnected(job)) => {
+                job.disarm();
                 Err(ServerError::ShuttingDown)
             }
         }
@@ -1093,7 +1043,7 @@ impl ExtractionServer {
     /// either tier of the result store, without counting a hit or miss.
     /// This backs the gateway's `GET /provenance/{key}` endpoint.
     pub fn provenance(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
-        self.shared.store.lookup(key)
+        self.shared.store.peek(key)
     }
 
     /// Graceful shutdown through a shared handle (e.g. an
@@ -1101,16 +1051,16 @@ impl ExtractionServer {
     /// order:
     ///
     /// 1. intake stops — the shard senders are dropped, so `submit` /
-    ///    [`try_serve_with_notify`](Self::try_serve_with_notify) return
+    ///    [`try_serve`](Self::try_serve) return
     ///    [`ServerError::ShuttingDown`] from now on;
     /// 2. workers drain everything already queued, answering every
-    ///    outstanding [`JobTicket`];
+    ///    outstanding callback;
     /// 3. the worker threads are joined.
     ///
-    /// Handler threads blocked in [`JobTicket::wait`] therefore always
-    /// resolve: drained jobs get their real result, and a job destroyed
-    /// unprocessed resolves to [`ServerError::Canceled`] when its reply
-    /// sender is dropped — never a hang. The call is idempotent; a
+    /// Every queued job therefore answers: drained jobs with their real
+    /// result, and a job destroyed unprocessed with
+    /// [`ServerError::Canceled`] — so a thread blocked in
+    /// [`JobTicket::wait`] never hangs. The call is idempotent; a
     /// concurrent or repeated call joins whatever threads remain.
     pub fn initiate_shutdown(&self) -> ShutdownReport {
         // Step 1: stop intake. Blocking `submit` calls hold the read
@@ -1150,8 +1100,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 fn worker_loop(rx: Receiver<Job>, shared: Arc<Shared>) {
     while let Ok(mut job) = rx.recv() {
-        match &job.kind {
-            JobKind::Extract { reply, .. } => {
+        match job.kind.take() {
+            Some(JobKind::Extract(reply)) => {
                 let outcome = contained(&job, || process(&job, &shared));
                 shared.record_outcome(
                     &job.request,
@@ -1159,11 +1109,9 @@ fn worker_loop(rx: Receiver<Job>, shared: Arc<Shared>) {
                     outcome.as_ref().ok().map(|r| (&r.stages, r.cache_hit)),
                     job.submitted_at,
                 );
-                // The client may have dropped its ticket; that is its
-                // business.
-                let _ = reply.send(outcome);
+                reply(outcome);
             }
-            JobKind::Recheck { seen, .. } => {
+            Some(JobKind::Recheck { seen, reply }) => {
                 let outcome = contained(&job, || recheck(&job, seen.as_deref(), &shared));
                 shared.record_outcome(
                     &job.request,
@@ -1171,10 +1119,11 @@ fn worker_loop(rx: Receiver<Job>, shared: Arc<Shared>) {
                     outcome.as_ref().ok().map(|(_, stages)| (stages, false)),
                     job.submitted_at,
                 );
-                if let JobKind::Recheck { done, .. } = &mut job.kind {
-                    done.finish(outcome.map(|(found, _)| found));
-                }
+                reply(outcome.map(|(found, _)| found));
             }
+            // Only a failed submission empties a job, and it is never
+            // queued.
+            None => {}
         }
     }
 }
@@ -1217,10 +1166,13 @@ impl Page<'_> {
 
 /// The prologue every job kind shares: fetch a `Web` page, compute its
 /// store key, and feed the change tracker — a changed body drops the
-/// stale entry instead of leaving it to age out of the LRU.
+/// stale entry instead of leaving it to age out of the LRU. `stores`
+/// says whether the job keeps its result under the key (see
+/// [`SourceTrackers::observe`]).
 fn fetch_page<'a>(
     job: &'a Job,
     shared: &Shared,
+    stores: bool,
     stages: &mut StageTimes,
 ) -> Result<(Page<'a>, CacheKey), ServerError> {
     stages.add(Stage::QueueWait, job.submitted_at.elapsed());
@@ -1243,7 +1195,6 @@ fn fetch_page<'a>(
         content: job.content.unwrap_or_else(|| content_address(url, &html)),
     };
     if from_web {
-        let stores = matches!(job.kind, JobKind::Extract { .. });
         if let Some(stale) = shared.sources.observe(&job.wrapper.name, url, &key, stores) {
             shared.store.invalidate(&stale);
         }
@@ -1296,7 +1247,7 @@ fn run_plan(
 
 fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError> {
     let mut stages = StageTimes::new();
-    let (page, key) = fetch_page(job, shared, &mut stages)?;
+    let (page, key) = fetch_page(job, shared, true, &mut stages)?;
     // A candidate only counts as a hit once its crawl manifest
     // revalidates — the entry page being unchanged is not enough for a
     // wrapper that crawled beyond it. A manifest recorded with the
@@ -1379,7 +1330,7 @@ fn recheck(
     shared: &Shared,
 ) -> Result<(Recheck, StageTimes), ServerError> {
     let mut stages = StageTimes::new();
-    let (page, key) = fetch_page(job, shared, &mut stages)?;
+    let (page, key) = fetch_page(job, shared, false, &mut stages)?;
     if let Some(seen) = seen.filter(|seen| seen.key == key) {
         if crawl_current(&seen.crawl, page.crawl_web(shared)) {
             return Ok((Recheck::Unchanged, stages));
@@ -1753,7 +1704,7 @@ mod tests {
             ServerError::ShuttingDown
         );
         assert!(matches!(
-            server.try_serve_with_notify(inline_req(&["late"]), || {}),
+            server.try_serve(inline_req(&["late"]), |_| {}),
             Err(ServerError::ShuttingDown)
         ));
         let again = server.initiate_shutdown();
@@ -1796,73 +1747,78 @@ mod tests {
     }
 
     #[test]
-    fn completion_notify_fires_once_and_ticket_is_redeemable() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::mpsc;
-
+    fn reply_runs_exactly_once_with_the_outcome() {
         let server = server_with(Arc::new(StaticWeb::new()));
-        let fired = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = mpsc::channel();
-        let counter = fired.clone();
+        let (tx, rx) = std::sync::mpsc::channel();
         let served = server
-            .try_serve_with_notify(inline_req(&["notified"]), move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-                tx.send(()).unwrap();
+            .try_serve(inline_req(&["answered"]), move |outcome| {
+                tx.send(outcome).unwrap()
             })
             .unwrap();
-        let Served::Queued(mut ticket) = served else {
-            panic!("an empty cache cannot answer on the calling thread");
-        };
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("notify fired");
-        // The contract: once notify ran, try_take never returns None.
-        let outcome = ticket.try_take().expect("resolved after notify");
-        assert!(outcome.unwrap().xml().contains("notified"));
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "exactly one firing");
+        assert!(
+            matches!(served, Served::Queued),
+            "an empty cache cannot answer on the calling thread"
+        );
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the callback ran");
+        assert!(outcome.unwrap().xml().contains("answered"));
         server.shutdown();
+        // The callback, and the sender it owned, went with its one run:
+        // no second answer, not even a `Canceled` through shutdown.
+        assert!(rx.recv().is_err(), "exactly one answer");
+    }
+
+    /// A callback that counts its runs in `fired`.
+    fn counting<T: 'static>(
+        fired: &Arc<std::sync::atomic::AtomicUsize>,
+    ) -> impl FnOnce(Result<T, ServerError>) + Send + 'static {
+        let fired = fired.clone();
+        move |_| {
+            fired.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     #[test]
-    fn notify_fires_for_errored_jobs_and_is_defused_on_failed_submission() {
+    fn reply_answers_errored_jobs_and_never_runs_on_failed_submission() {
         use std::sync::atomic::AtomicUsize;
         use std::sync::mpsc;
 
-        // A worker-side error (panic containment) still notifies — the
-        // frontend's parked connection must always be woken.
+        // A worker-side error (panic containment) is answered like any
+        // outcome — the frontend's parked connection must always be
+        // woken.
         struct PanickyWeb;
         impl WebSource for PanickyWeb {
             fn fetch(&self, _url: &str) -> Option<String> {
                 panic!("fetch exploded");
             }
         }
+        let web_req = || ExtractionRequest {
+            trace: None,
+            wrapper: "shop".into(),
+            version: None,
+            source: RequestSource::Web {
+                url: "http://shop/".into(),
+            },
+        };
         let server = server_with(Arc::new(PanickyWeb));
         let (tx, rx) = mpsc::channel();
         let served = server
-            .try_serve_with_notify(
-                ExtractionRequest {
-                    trace: None,
-                    wrapper: "shop".into(),
-                    version: None,
-                    source: RequestSource::Web {
-                        url: "http://shop/".into(),
-                    },
-                },
-                move || tx.send(()).unwrap(),
-            )
+            .try_serve(web_req(), move |outcome| tx.send(outcome).unwrap())
             .unwrap();
-        let Served::Queued(mut ticket) = served else {
-            panic!("a web source is always queued");
-        };
-        rx.recv_timeout(Duration::from_secs(10))
-            .expect("notify fired for errored job");
+        assert!(
+            matches!(served, Served::Queued),
+            "a web source is always queued"
+        );
         assert!(matches!(
-            ticket.try_take(),
-            Some(Err(ServerError::Internal(_)))
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("errored job answered"),
+            Err(ServerError::Internal(_))
         ));
         server.shutdown();
 
-        // A submission that fails outright hands back an error, not a
-        // ticket — so its callback must never run.
+        // A submission that fails outright hands back an error instead,
+        // so its callback must never run.
         struct BlockingWeb(Mutex<bool>, std::sync::Condvar);
         impl WebSource for BlockingWeb {
             fn fetch(&self, _url: &str) -> Option<String> {
@@ -1889,76 +1845,99 @@ mod tests {
             registry,
             gate.clone(),
         );
-        let web_req = || ExtractionRequest {
-            trace: None,
-            wrapper: "shop".into(),
-            version: None,
-            source: RequestSource::Web {
-                url: "http://shop/".into(),
-            },
-        };
-        // Wedge the worker and fill the one-slot queue...
+        // Wedge the worker and fill the one-slot queue; every rejected
+        // attempt's callback shares `queued_tx`, so a stray run would
+        // show up as a second answer below.
         let occupant = server.submit(web_req()).unwrap();
-        let queued = loop {
-            match server.try_serve_with_notify(web_req(), || {}) {
-                Ok(Served::Queued(t)) => break t,
+        let (queued_tx, queued) = mpsc::channel();
+        loop {
+            let tx = queued_tx.clone();
+            match server.try_serve(web_req(), move |outcome| tx.send(outcome).unwrap()) {
+                Ok(Served::Queued) => break,
                 Ok(Served::Hit(_)) => panic!("a web source is always queued"),
                 Err(ServerError::Backpressure) => std::thread::sleep(Duration::from_millis(1)),
                 Err(e) => panic!("unexpected {e:?}"),
             }
-        };
-        // ...so this submission is rejected; the callback must stay
-        // silent forever.
+        }
+        // ...so these submissions are rejected, of both job kinds.
         let fired = Arc::new(AtomicUsize::new(0));
-        let counter = fired.clone();
+        assert_eq!(
+            server.try_serve(web_req(), counting(&fired)).unwrap_err(),
+            ServerError::Backpressure
+        );
         assert_eq!(
             server
-                .try_serve_with_notify(web_req(), move || {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                })
+                .try_recheck(web_req(), None, counting(&fired))
                 .unwrap_err(),
             ServerError::Backpressure
         );
         *gate.0.lock().unwrap() = true;
         gate.1.notify_all();
         let _ = occupant.wait();
-        let _ = queued.wait();
-        server.shutdown();
+        assert!(matches!(
+            queued.recv_timeout(Duration::from_secs(10)),
+            Ok(Err(ServerError::FetchFailed(_)))
+        ));
+        server.initiate_shutdown();
+        // After shutdown began, submissions fail with `ShuttingDown`.
+        assert_eq!(
+            server.try_serve(web_req(), counting(&fired)).unwrap_err(),
+            ServerError::ShuttingDown
+        );
+        assert_eq!(
+            server
+                .try_recheck(web_req(), None, counting(&fired))
+                .unwrap_err(),
+            ServerError::ShuttingDown
+        );
+        assert!(queued.try_recv().is_err(), "one answer for the queued job");
         assert_eq!(
             fired.load(Ordering::SeqCst),
             0,
-            "defused callback never fired, even through drop and shutdown"
+            "a failed submission's callback never runs, even through drop and shutdown"
         );
     }
 
     #[test]
     fn recheck_jobs_destroyed_unprocessed_answer_canceled() {
+        // Extraction jobs alike: a job dropped before any worker ran it
+        // answers `Canceled`, once.
         let server = server_with(Arc::new(StaticWeb::new()));
+        let wrapper = server.registry().latest("shop").unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
-        let job = Job {
-            request: inline_req(&["never"]),
-            wrapper: server.registry().latest("shop").unwrap(),
-            content: None,
-            submitted_at: Instant::now(),
-            kind: JobKind::Recheck {
+        let recheck_tx = tx.clone();
+        let kinds = [
+            JobKind::Recheck {
                 seen: None,
-                done: RecheckCallback(Some(Box::new(move |outcome| {
-                    tx.send(outcome).unwrap();
-                }))),
+                reply: Box::new(move |outcome: Result<Recheck, ServerError>| {
+                    recheck_tx.send(outcome.err()).unwrap()
+                }),
             },
-        };
-        drop(job);
-        assert!(matches!(rx.try_recv(), Ok(Err(ServerError::Canceled))));
-        assert!(rx.try_recv().is_err(), "exactly one answer");
+            JobKind::Extract(Box::new(move |outcome| tx.send(outcome.err()).unwrap())),
+        ];
+        for kind in kinds {
+            drop(Job::new(
+                inline_req(&["never"]),
+                wrapper.clone(),
+                None,
+                kind,
+            ));
+            assert_eq!(rx.try_recv(), Ok(Some(ServerError::Canceled)));
+        }
+        assert!(rx.try_recv().is_err(), "exactly one answer per job");
         server.shutdown();
     }
 
-    /// `try_serve_with_notify`, expecting the request to be queued; waits
-    /// for the answer.
+    /// `try_serve`, expecting the request to be queued; waits for the
+    /// answer.
     fn serve_queued(server: &ExtractionServer, request: ExtractionRequest) -> ExtractionResponse {
-        match server.try_serve_with_notify(request, || {}).unwrap() {
-            Served::Queued(ticket) => ticket.wait().unwrap(),
-            Served::Hit(_) => panic!("expected the pool to answer"),
+        let (tx, rx) = std::sync::mpsc::channel();
+        match server.try_serve(request, move |outcome| tx.send(outcome).unwrap()) {
+            Ok(Served::Queued) => rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("answered")
+                .unwrap(),
+            other => panic!("expected the pool to answer, got {other:?}"),
         }
     }
 
@@ -1972,7 +1951,7 @@ mod tests {
         let fired = Arc::new(AtomicBool::new(false));
         let flag = fired.clone();
         let served = server
-            .try_serve_with_notify(inline_req(&["espresso"]), move || {
+            .try_serve(inline_req(&["espresso"]), move |_| {
                 flag.store(true, Ordering::SeqCst)
             })
             .unwrap();
@@ -1982,7 +1961,11 @@ mod tests {
         assert!(hit.cache_hit);
         assert_eq!(hit.xml(), first.xml());
         assert_eq!(hit.key, first.key);
-        assert!(!fired.load(Ordering::SeqCst), "a hit never notifies");
+        assert!(
+            !fired.load(Ordering::SeqCst),
+            "a hit never runs its callback"
+        );
+        assert_eq!(Arc::strong_count(&fired), 1, "a hit drops its callback");
         let touched: Vec<Stage> = hit.stages.iter().map(|(s, _)| s).collect();
         assert_eq!(touched, vec![Stage::CacheLookup]);
         let snap = server.metrics();
@@ -1996,7 +1979,7 @@ mod tests {
         server.initiate_shutdown();
         assert_eq!(
             server
-                .try_serve_with_notify(inline_req(&["espresso"]), || {})
+                .try_serve(inline_req(&["espresso"]), |_| {})
                 .unwrap_err(),
             ServerError::ShuttingDown
         );
@@ -2080,7 +2063,7 @@ mod tests {
         assert_eq!(server.metrics().store.disk_hits, 1);
         // Promoted: now the calling thread answers.
         assert!(matches!(
-            server.try_serve_with_notify(inline_req(&["durable"]), || {}),
+            server.try_serve(inline_req(&["durable"]), |_| {}),
             Ok(Served::Hit(_))
         ));
         server.shutdown();

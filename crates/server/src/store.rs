@@ -633,7 +633,8 @@ impl TieredStore {
     /// first, then the disk tier, promoting a disk hit into the hot tier
     /// (pairs with [`record_hit`](TieredStore::record_hit) /
     /// [`record_miss`](TieredStore::record_miss), exactly like
-    /// [`ResultCache::peek`]).
+    /// [`ResultCache::peek`]). `GET /provenance/{key}` reads the stored
+    /// entry — result, XML and [`Provenance`] — through it.
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
         self.peek_entry(key).map(|(value, _)| value)
     }
@@ -691,13 +692,6 @@ impl TieredStore {
             None => false,
         };
         hot || disk
-    }
-
-    /// The stored entry for `key` — result, XML and [`Provenance`] —
-    /// from either tier, without counting a hit or miss. This is the
-    /// lookup behind `GET /provenance/{key}`.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
-        self.peek(key)
     }
 
     /// Rewrite the snapshot and truncate the WAL now (compaction also

@@ -803,3 +803,135 @@ fn pool_shutdown_while_handlers_hold_tickets_does_not_deadlock() {
     drop(late);
     gateway.shutdown();
 }
+
+#[test]
+fn a_stale_outcome_is_never_answered_on_a_reused_slot() {
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    let registry = Arc::new(WrapperRegistry::new());
+    registry
+        .register_source(
+            "shop",
+            r#"offer(S, X) :- document("http://shop/", S), subelem(S, (?.li, []), X)."#,
+            XmlDesign::new().root("offers"),
+        )
+        .unwrap();
+    let web = Arc::new(GatedWeb::new());
+    let server = Arc::new(ExtractionServer::start(
+        ServerConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            queue_capacity: 4,
+            cache_capacity: 16,
+            store: None,
+        },
+        registry,
+        web.clone(),
+    ));
+    // One loop, so the next connection reuses the slot the first frees.
+    let gateway = HttpGateway::bind(
+        "127.0.0.1:0",
+        GatewayConfig {
+            event_loops: 1,
+            ..GatewayConfig::default()
+        },
+        server.clone(),
+    )
+    .unwrap();
+    let addr = gateway.addr();
+    let mut monitor = HttpClient::connect(addr).unwrap();
+    let gauges = |monitor: &mut HttpClient| {
+        let metrics = monitor
+            .get_accept("/metrics", "application/json")
+            .unwrap()
+            .json()
+            .unwrap();
+        let gateway = metrics.get("gateway").unwrap();
+        let event_loop = &gateway.get("event_loops").and_then(Json::as_array).unwrap()[0];
+        let gauge = |name: &str| event_loop.get(name).and_then(Json::as_u64).unwrap();
+        let wakes = gateway.get("wake").and_then(|w| w.get("count"));
+        (
+            gauge("connections"),
+            gauge("parked"),
+            wakes.and_then(Json::as_u64).unwrap(),
+        )
+    };
+    let wait_for =
+        |monitor: &mut HttpClient, what: &str, done: &dyn Fn((u64, u64, u64)) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done(gauges(monitor)) {
+                assert!(Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+
+    // The first client parks a web extraction on the gated fetch. It
+    // asks for `100 Continue` and leaves it unread, so hanging up
+    // resets the connection.
+    let body = http_traffic::extract_body_web("shop", "http://shop/");
+    let mut first = TcpStream::connect(addr).unwrap();
+    first
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    write!(
+        first,
+        "POST /extract HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\n\
+         expect: 100-continue\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    let mut interim = [0u8; 64];
+    assert!(
+        first.peek(&mut interim).unwrap() > 0,
+        "100 Continue arrived"
+    );
+    first.write_all(body.as_bytes()).unwrap();
+    web.wait_fetching();
+    drop(first);
+    wait_for(
+        &mut monitor,
+        "the reset connection was never released",
+        &|(conns, parked, _)| conns == 1 && parked == 0,
+    );
+
+    // A new connection takes the freed slot and parks a different
+    // request behind the wedged worker.
+    let second = std::thread::spawn(move || {
+        let mut client = HttpClient::connect(addr).unwrap();
+        let fresh = http_traffic::extract_body("shop", "http://shop/", "<ul><li>fresh</li></ul>");
+        client.post_json("/extract", &fresh).unwrap()
+    });
+    wait_for(&mut monitor, "the second request never parked", &|(
+        _,
+        parked,
+        _,
+    )| {
+        parked == 1
+    });
+    let answered = gateway.stats().requests;
+    web.release();
+    let response = second.join().unwrap();
+    assert_eq!(response.status, 200, "{}", response.text());
+    assert!(response.text().contains("fresh"), "{}", response.text());
+    assert!(!response.text().contains("slow"), "{}", response.text());
+    // The first outcome came back after its slot was reused: dropped
+    // unanswered, yet its wake was measured.
+    assert_eq!(
+        gateway.stats().requests - answered,
+        1,
+        "only the second answer"
+    );
+    wait_for(&mut monitor, "both outcomes reach the loop", &|(
+        _,
+        _,
+        wakes,
+    )| {
+        wakes == 2
+    });
+
+    drop(monitor);
+    gateway.shutdown();
+    server.initiate_shutdown();
+}
