@@ -321,7 +321,7 @@ impl EventLoop {
     fn release(&mut self, slot: usize) {
         if let Some(conn) = self.conns[slot].take() {
             if let ConnState::Streaming { topic, .. } = &conn.state {
-                super::stream::count_subscriber(&self.shared, topic, false);
+                self.shared.streams.count_subscriber(topic, false);
             }
             self.free.push(slot);
             self.live -= 1;

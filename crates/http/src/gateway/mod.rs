@@ -138,7 +138,7 @@ use crate::monitor::{Monitor, TickSample};
 use crate::poll::SelfPipe;
 
 use conn::EventLoop;
-use stream::{deliver_watch_event, StreamLine};
+use stream::{broadcast, deliver_watch_event, StreamLine, Streams};
 
 /// Sizing and protocol knobs for [`HttpGateway::bind`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,22 +171,11 @@ pub struct GatewayConfig {
     pub max_batch_body_bytes: usize,
     /// Sampling period of the monitor thread, which records a metrics
     /// snapshot into the history ring (`GET /metrics/history`), runs
-    /// the SLO watchdog over it (`GET /debug/health`) and feeds
-    /// `GET /debug/live`. A setting only so that tests can shorten the
-    /// gateway's time scale; it belongs to an injectable clock once the
-    /// gateway has one.
+    /// the SLO watchdog over it (`GET /debug/health`, judged over the
+    /// last `MONITOR_EVAL_TICKS` samples) and feeds `GET /debug/live`.
+    /// The gateway's only time-scale setting, so that tests can shorten
+    /// time; it belongs to an injectable clock once the gateway has one.
     pub monitor_interval: Duration,
-    /// How many trailing samples the watchdog judges each tick (its
-    /// evidence window is `monitor_interval × monitor_eval_ticks`). A
-    /// test time-scale setting, like
-    /// [`monitor_interval`](GatewayConfig::monitor_interval).
-    pub monitor_eval_ticks: u32,
-    /// The longest the watch scheduler sleeps in one go. It also wakes
-    /// when the next watch falls due, a recheck resolved a diff or a
-    /// watch is registered, so this is only a backstop. A test
-    /// time-scale setting, like
-    /// [`monitor_interval`](GatewayConfig::monitor_interval).
-    pub watch_tick: Duration,
     /// Durability directory for watch subscriptions (see
     /// [`lixto_server::durability_layout`]'s `watches` path). `None`
     /// keeps them in memory; set, registered watches survive restarts.
@@ -205,8 +194,6 @@ impl Default for GatewayConfig {
             max_batch_items: 64,
             max_batch_body_bytes: 8 * 1024 * 1024,
             monitor_interval: Duration::from_secs(1),
-            monitor_eval_ticks: 5,
-            watch_tick: Duration::from_millis(250),
             watch_spool: None,
         }
     }
@@ -323,11 +310,12 @@ struct SharedGateway {
     /// Worker's send → event-loop dispatch latency (the `wake` stage),
     /// recorded for every completion.
     wake: LatencyHistogram,
-    /// The continuous-monitoring subsystem (history ring, SLO
-    /// watchdog, live-stream subscriber count).
+    /// The continuous-monitoring subsystem (history ring, SLO watchdog).
     monitor: Arc<Monitor>,
     /// The continuous-extraction subscriptions.
     watches: Arc<WatchRegistry>,
+    /// Stream subscriber and webhook counters.
+    streams: Streams,
 }
 
 /// One event loop's gauges, copied into [`GatewayObservations`].
@@ -430,6 +418,13 @@ const SLOW_SPAN_WINDOW_MS: u64 = 300_000;
 /// How many samples the monitor's history ring keeps (600 × the default
 /// 1 s interval ≈ 10 minutes).
 const MONITOR_RETENTION: usize = 600;
+/// How many trailing samples the SLO watchdog judges each tick: its
+/// evidence window is `monitor_interval × MONITOR_EVAL_TICKS`.
+const MONITOR_EVAL_TICKS: u32 = 5;
+/// The longest the watch scheduler sleeps in one go. It also wakes when
+/// the next watch falls due, a recheck resolved a diff or a watch is
+/// registered, so this is only a backstop.
+const WATCH_TICK: Duration = Duration::from_millis(250);
 
 impl HttpGateway {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
@@ -463,7 +458,7 @@ impl HttpGateway {
         let monitor = Arc::new(Monitor::new(
             config.monitor_interval,
             MONITOR_RETENTION,
-            config.monitor_eval_ticks,
+            MONITOR_EVAL_TICKS,
         ));
         let watches = match &config.watch_spool {
             Some(dir) => WatchRegistry::with_spool(dir).unwrap_or_else(|e| {
@@ -494,6 +489,7 @@ impl HttpGateway {
             wake: LatencyHistogram::new(),
             monitor,
             watches: Arc::new(watches),
+            streams: Streams::default(),
         });
         let loops = (0..loop_count)
             .map(|i| {
@@ -525,7 +521,7 @@ impl HttpGateway {
             WatchScheduler::start(
                 shared.server.clone(),
                 shared.watches.clone(),
-                shared.config.watch_tick,
+                WATCH_TICK,
                 Box::new(move |event| {
                     deliver_watch_event(&sink_shared, &mut webhook_clients, event)
                 }),
@@ -665,21 +661,11 @@ fn acceptor_loop(listener: TcpListener, shared: Arc<SharedGateway>) {
 }
 
 /// The monitor sampler thread: one [`Monitor::tick`] per interval until
-/// shutdown. Broadcasting to `GET /debug/live` subscribers reuses the
-/// completion plumbing — events land in every loop's inbox followed by
-/// a self-pipe wake — and is skipped entirely while nobody listens.
+/// shutdown, its events [`broadcast`] to `GET /debug/live` subscribers.
 fn sampler_loop(shared: Arc<SharedGateway>) {
     let monitor = &shared.monitor;
     while monitor.sleep_until_next_tick() {
-        let events = monitor.tick(&monitor_tick_sample(&shared));
-        if monitor.live_subscribers.load(Ordering::Relaxed) == 0 {
-            continue;
-        }
-        let lines: Vec<StreamLine> = events.into_iter().map(|e| (None, Arc::new(e))).collect();
-        for event_loop in &shared.loops {
-            let lines = lines.clone();
-            event_loop.wake_with(|inbox| inbox.lines.extend(lines));
-        }
+        broadcast(&shared, None, &monitor.tick(&monitor_tick_sample(&shared)));
     }
 }
 
@@ -1637,11 +1623,9 @@ mod tests {
         html
     }
 
-    /// A gateway over a mutable web, with the watch scheduler ticking
-    /// at `tick` — the substrate for the subscription tests.
-    fn watch_gateway(
-        tick: Duration,
-    ) -> (
+    /// A gateway over a mutable web — the substrate for the
+    /// subscription tests.
+    fn watch_gateway() -> (
         HttpGateway,
         Arc<ExtractionServer>,
         Arc<lixto_elog::SharedWeb>,
@@ -1662,7 +1646,6 @@ mod tests {
             GatewayConfig {
                 event_loops: 2,
                 idle_timeout: Duration::from_secs(10),
-                watch_tick: tick,
                 ..GatewayConfig::default()
             },
             server.clone(),
@@ -1673,7 +1656,7 @@ mod tests {
 
     #[test]
     fn watch_routes_register_inspect_and_delete() {
-        let (gateway, server, _web) = watch_gateway(Duration::from_millis(200));
+        let (gateway, server, _web) = watch_gateway();
         let mut client = HttpClient::connect(gateway.addr()).unwrap();
         // A watch on an undeployed wrapper is refused up front.
         let ghost = client
@@ -1761,7 +1744,7 @@ mod tests {
 
     #[test]
     fn put_watch_refuses_a_webhook_it_could_never_deliver_to() {
-        let (gateway, server, _web) = watch_gateway(Duration::from_millis(200));
+        let (gateway, server, _web) = watch_gateway();
         let mut client = HttpClient::connect(gateway.addr()).unwrap();
         let put = |client: &mut HttpClient, webhook: &str| {
             let body =
@@ -1830,7 +1813,6 @@ mod tests {
             "127.0.0.1:0",
             GatewayConfig {
                 event_loops: 1,
-                watch_tick: Duration::from_millis(10),
                 watch_spool: Some(dir.clone()),
                 ..GatewayConfig::default()
             },
@@ -1878,7 +1860,7 @@ mod tests {
     fn watch_stream_and_webhook_deliver_exactly_one_diff_for_one_change() {
         use std::io::{Read, Write};
 
-        let (gateway, server, web) = watch_gateway(Duration::from_millis(10));
+        let (gateway, server, web) = watch_gateway();
 
         // A scripted webhook sink: answers every POST with 200 and
         // forwards each body. Keep-alive, like the delivery client.
@@ -2054,7 +2036,7 @@ mod tests {
         use std::io::{Read, Write};
 
         // A long interval: shutdown must not wait for the next tick.
-        let (gateway, server, _web) = watch_gateway(Duration::from_millis(10));
+        let (gateway, server, _web) = watch_gateway();
         let mut client = HttpClient::connect(gateway.addr()).unwrap();
         let put = client
             .put_json(
@@ -2089,6 +2071,101 @@ mod tests {
         let text = String::from_utf8(raw).unwrap();
         assert!(text.ends_with("0\r\n\r\n"), "terminal chunk: {text}");
         shutdown.join().unwrap();
+        server.initiate_shutdown();
+    }
+
+    #[test]
+    fn sample_aggregates_counters() {
+        let streams = Streams::default();
+        let registry = WatchRegistry::new();
+        registry.put(
+            "a",
+            lixto_server::WatchSpec {
+                wrapper: "shop".into(),
+                url: "http://shop/".into(),
+                interval: Duration::from_millis(5),
+                webhook: None,
+            },
+        );
+        let topic = Some(Arc::new("a".to_string()));
+        streams.count_subscriber(&topic, true);
+        streams.count_subscriber(&None, true);
+        streams.count_webhook(true);
+        streams.count_webhook(false);
+        let sample = streams.watch_sample(&registry);
+        assert_eq!(sample.subscribers, 1, "a live subscriber is not a watch's");
+        assert_eq!(sample.webhook_deliveries, 1);
+        assert_eq!(sample.webhook_failures, 1);
+        assert_eq!(sample.watches.len(), 1);
+        streams.count_subscriber(&topic, false);
+        assert_eq!(streams.watch_sample(&registry).subscribers, 0);
+    }
+
+    /// On a running gateway, `lixto_watch_subscribers` counts the watch
+    /// event streams only and follows a closed one out, while the live
+    /// stream beside it keeps receiving ticks.
+    #[test]
+    fn watch_subscriber_gauge_counts_only_watch_streams() {
+        use std::io::{Read, Write};
+
+        let (gateway, server) = monitored_gateway(Duration::from_millis(20));
+        let mut client = HttpClient::connect(gateway.addr()).unwrap();
+        let put = client
+            .put_json(
+                "/watches/offers",
+                r#"{"wrapper":"shop","url":"http://shop/","interval_ms":60000}"#,
+            )
+            .unwrap();
+        assert_eq!(put.status, 201, "{}", put.text());
+        let gauge = |client: &mut HttpClient| {
+            let metrics = client.get("/metrics").unwrap();
+            let text = metrics.text();
+            let line = text
+                .lines()
+                .find_map(|line| line.strip_prefix("lixto_watch_subscribers "))
+                .map(str::to_string);
+            line.expect("the subscriber gauge")
+        };
+        assert_eq!(gauge(&mut client), "0");
+        // Open a stream on the wire and read up to `marker`.
+        let open = |path: &str, marker: &str| {
+            let mut stream = TcpStream::connect(gateway.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream
+                .write_all(format!("GET {path} HTTP/1.1\r\nhost: t\r\n\r\n").as_bytes())
+                .unwrap();
+            let mut raw = Vec::new();
+            let mut chunk = [0u8; 4096];
+            while !String::from_utf8_lossy(&raw).contains(marker) {
+                let n = stream.read(&mut chunk).unwrap();
+                assert!(n > 0, "{path} closed before {marker}");
+                raw.extend_from_slice(&chunk[..n]);
+            }
+            stream
+        };
+        let mut live = open("/debug/live", "\"type\":\"subscribed\"");
+        let watch = open("/watches/offers/events", "watch_hello");
+        assert_eq!(gauge(&mut client), "1", "the live stream is not counted");
+        let mut raw = Vec::new();
+        let mut chunk = [0u8; 4096];
+        while !String::from_utf8_lossy(&raw).contains("\"type\":\"tick\"") {
+            let n = live.read(&mut chunk).unwrap();
+            assert!(n > 0, "the live stream closed before a tick");
+            raw.extend_from_slice(&chunk[..n]);
+        }
+        drop(watch);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while gauge(&mut client) != "0" {
+            assert!(
+                Instant::now() < deadline,
+                "a closed watch stream is still counted"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        drop((live, client));
+        gateway.shutdown();
         server.initiate_shutdown();
     }
 }

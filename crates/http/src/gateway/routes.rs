@@ -543,7 +543,7 @@ fn get_metrics(request: &Request, shared: &SharedGateway) -> Response {
         stats: shared.stats(),
         observations: shared.observations(),
         alerts: shared.monitor.alerts_snapshot(),
-        watches: shared.watches.sample(),
+        watches: shared.streams.watch_sample(&shared.watches),
     };
     // Media types are case-insensitive (RFC 9110 §8.3.1).
     let wants_json = request

@@ -1,18 +1,24 @@
 //! The NDJSON streams and watch-event delivery to their subscribers
 //! and to webhooks.
+//!
+//! It owns the state it produces, [`Streams`]: the subscribers of each
+//! kind of stream and how webhook deliveries ended. The monitor's ticks
+//! and the watch diffs both reach the event loops through [`broadcast`],
+//! which does nothing while that kind of stream has no subscriber.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use lixto_obs::warn_event;
-use lixto_server::{ChangedEntry, DiffEntry, WatchEvent};
+use lixto_server::{ChangedEntry, DiffEntry, WatchEvent, WatchRegistry};
 
 use crate::client::{HttpClient, RetryPolicy};
 use crate::http::{Request, Response};
 use crate::json::{obj, Json};
+use crate::metrics::WatchSample;
 
 use super::conn::{Conn, ConnCtx, ConnState};
 use super::routes::query_param;
@@ -22,6 +28,67 @@ use super::SharedGateway;
 /// `GET /debug/live`, `Some(watch id)` for `GET /watches/{id}/events`)
 /// and the event, serialized once and shared across loops.
 pub(super) type StreamLine = (Option<Arc<String>>, Arc<String>);
+
+/// The gateway's stream and webhook counters.
+#[derive(Default)]
+pub(super) struct Streams {
+    /// Connections subscribed to `GET /debug/live` (`[0]`) and to a
+    /// `GET /watches/{id}/events` (`[1]`).
+    subscribers: [AtomicUsize; 2],
+    /// Webhook POSTs that exhausted their retries (`[0]`) and that were
+    /// delivered (`[1]`).
+    webhooks: [AtomicU64; 2],
+}
+
+impl Streams {
+    /// Count a subscriber of `topic`'s kind of stream in (`joined`) or
+    /// out.
+    pub(super) fn count_subscriber(&self, topic: &Option<Arc<String>>, joined: bool) {
+        let count = &self.subscribers[usize::from(topic.is_some())];
+        if joined {
+            count.fetch_add(1, Ordering::Relaxed);
+        } else {
+            count.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Count how one webhook delivery ended.
+    pub(super) fn count_webhook(&self, delivered: bool) {
+        self.webhooks[usize::from(delivered)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The `watches` group of `GET /metrics`: `registry`'s watches and
+    /// these counters.
+    pub(super) fn watch_sample(&self, registry: &WatchRegistry) -> WatchSample {
+        let [failed, delivered] = self.webhooks.each_ref().map(|n| n.load(Ordering::Relaxed));
+        WatchSample {
+            subscribers: self.subscribers[1].load(Ordering::Relaxed),
+            webhook_deliveries: delivered,
+            webhook_failures: failed,
+            watches: registry.list(),
+        }
+    }
+}
+
+/// Push `lines` into every event loop's inbox for the subscribers of
+/// `topic` (`None` for `GET /debug/live`, `Some(watch id)` for its
+/// event stream), each followed by a self-pipe wake. Skipped entirely
+/// while no connection subscribes to that kind of stream.
+pub(super) fn broadcast(shared: &SharedGateway, topic: Option<&str>, lines: &[String]) {
+    let listening = &shared.streams.subscribers[usize::from(topic.is_some())];
+    if listening.load(Ordering::Relaxed) == 0 {
+        return;
+    }
+    let topic = topic.map(|topic| Arc::new(topic.to_string()));
+    let lines: Vec<StreamLine> = lines
+        .iter()
+        .map(|line| (topic.clone(), Arc::new(line.clone())))
+        .collect();
+    for event_loop in &shared.loops {
+        let lines = lines.clone();
+        event_loop.wake_with(|inbox| inbox.lines.extend(lines));
+    }
+}
 
 /// The head of every NDJSON stream response.
 const STREAM_HEAD: &[u8] = b"HTTP/1.1 200 OK\r\nconnection: close\r\ncontent-type: application/x-ndjson\r\ntransfer-encoding: chunked\r\n\r\n";
@@ -113,7 +180,7 @@ pub(super) fn start_stream(
         out.extend_from_slice(STREAM_HEAD);
         append_chunk(out, greeting);
     });
-    count_subscriber(ctx.shared, &topic, true);
+    ctx.shared.streams.count_subscriber(&topic, true);
     conn.state = ConnState::Streaming {
         remaining,
         done: false,
@@ -124,45 +191,22 @@ pub(super) fn start_stream(
     }
 }
 
-/// Count a subscriber of `topic` in (`joined`) or out: the monitor's
-/// live-stream gauge, or the watch registry's.
-pub(super) fn count_subscriber(shared: &SharedGateway, topic: &Option<Arc<String>>, joined: bool) {
-    let live = &shared.monitor.live_subscribers;
-    match (topic, joined) {
-        (None, true) => {
-            live.fetch_add(1, Ordering::Relaxed);
-        }
-        (None, false) => {
-            live.fetch_sub(1, Ordering::Relaxed);
-        }
-        (Some(_), true) => shared.watches.subscriber_started(),
-        (Some(_), false) => shared.watches.subscriber_finished(),
-    }
-}
-
 /// The watch scheduler's delivery sink: serialize the diff event once,
-/// fan it out to every loop's `GET /watches/{id}/events` subscribers
-/// (skipped entirely while nobody long-polls), and POST it to the
-/// watch's webhook through a cached keep-alive client with the default
-/// retry policy. Runs on the scheduler thread, never on an event loop,
-/// so the client cache is the sink's own.
+/// [`broadcast`] it to the watch's `GET /watches/{id}/events`
+/// subscribers, and POST it to the watch's webhook through a cached
+/// keep-alive client with the default retry policy. Runs on the
+/// scheduler thread, never on an event loop, so the client cache is the
+/// sink's own.
 pub(super) fn deliver_watch_event(
     shared: &SharedGateway,
     webhook_clients: &mut HashMap<String, HttpClient>,
     event: WatchEvent,
 ) {
-    let registry = &shared.watches;
     let json = watch_event_json(&event).dump();
-    if registry.subscribers() > 0 {
-        let line: StreamLine = (Some(Arc::new(event.watch.clone())), Arc::new(json.clone()));
-        for event_loop in &shared.loops {
-            let line = line.clone();
-            event_loop.wake_with(|inbox| inbox.lines.push(line));
-        }
-    }
+    broadcast(shared, Some(&event.watch), std::slice::from_ref(&json));
     if let Some(webhook) = &event.webhook {
         let ok = post_webhook(webhook_clients, webhook, &json);
-        registry.record_webhook(ok);
+        shared.streams.count_webhook(ok);
         if !ok {
             warn_event!(
                 "watch_webhook_failed",

@@ -53,5 +53,5 @@ pub use gateway::{GatewayConfig, GatewayObservations, GatewayStats, HttpGateway,
 pub use http::{parse_request, Limits, Request, RequestError, Response};
 pub use json::{obj, Json, JsonError};
 pub use lixto_obs::{RuleSnapshot, Severity};
-pub use metrics::MetricInputs;
+pub use metrics::{MetricInputs, WatchSample};
 pub use monitor::AlertsSnapshot;

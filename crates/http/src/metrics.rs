@@ -17,9 +17,7 @@
 use std::fmt::Write;
 
 use lixto_obs::{RuleSnapshot, RuleStat, Severity};
-use lixto_server::{
-    CacheStats, MetricsSnapshot, StageSummary, StoreStats, WatchSample, WatchStatus,
-};
+use lixto_server::{CacheStats, MetricsSnapshot, StageSummary, StoreStats, WatchStatus};
 
 use crate::gateway::{GatewayObservations, GatewayStats, LoopGauges};
 use crate::json::Json;
@@ -38,6 +36,20 @@ pub struct MetricInputs {
     pub alerts: AlertsSnapshot,
     /// The subscription layer's counters (`watches`, `lixto_watch_*`).
     pub watches: WatchSample,
+}
+
+/// The `watches` group: the registry's watches next to the gateway's
+/// own stream-subscriber and webhook counters.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct WatchSample {
+    /// Connections subscribed to watch event streams.
+    pub subscribers: usize,
+    /// Webhook POSTs delivered successfully.
+    pub webhook_deliveries: u64,
+    /// Webhook POSTs that exhausted their retries.
+    pub webhook_failures: u64,
+    /// Per-watch counters, one per registered watch.
+    pub watches: Vec<WatchStatus>,
 }
 
 impl MetricInputs {
@@ -460,14 +472,14 @@ const GATEWAY: &[Entry<MetricInputs>] = &[
 #[rustfmt::skip]
 const EVENT_LOOP: &[Entry<LoopGauges>] = &[
     gauge("connections", "lixto_http_loop_connections", |l| l.connections as u64, "Connections currently assigned to each event loop"),
-    gauge("parked", "lixto_http_loop_parked", |l| l.parked as u64, "Connections parked on extraction tickets per event loop"),
+    gauge("parked", "lixto_http_loop_parked", |l| l.parked as u64, "Connections parked on a queued extraction per event loop"),
 ];
 
 #[rustfmt::skip]
 const WAKE: &[Entry<GatewayObservations>] = &[
-    counter("count", "lixto_http_wake_observations_total", |o| o.wake_count, "Completion tokens whose wake latency was measured"),
-    gauge("p50_us", "lixto_http_wake_p50_microseconds", |o| o.wake_p50_us, "Median completion-notify to event-loop dispatch latency"),
-    gauge("p99_us", "lixto_http_wake_p99_microseconds", |o| o.wake_p99_us, "99th-percentile completion-notify to event-loop dispatch latency"),
+    counter("count", "lixto_http_wake_observations_total", |o| o.wake_count, "Queued extraction outcomes whose wake latency was measured"),
+    gauge("p50_us", "lixto_http_wake_p50_microseconds", |o| o.wake_p50_us, "Median latency from the worker's callback to the event loop's dispatch"),
+    gauge("p99_us", "lixto_http_wake_p99_microseconds", |o| o.wake_p99_us, "99th-percentile latency from the worker's callback to the event loop's dispatch"),
 ];
 
 #[rustfmt::skip]
@@ -489,7 +501,7 @@ const ALERT_RULE: &[Entry<RuleSnapshot>] = &[
 
 #[rustfmt::skip]
 const WATCHES: &[Entry<WatchSample>] = &[
-    gauge("registered", "lixto_watch_registered", |w| w.registered as u64, "Registered continuous-extraction watches"),
+    gauge("registered", "lixto_watch_registered", |w| w.watches.len() as u64, "Registered continuous-extraction watches"),
     gauge("subscribers", "lixto_watch_subscribers", |w| w.subscribers as u64, "Long-poll subscribers parked on watch event streams"),
     counter("webhook_deliveries", "lixto_watch_webhook_deliveries_total", |w| w.webhook_deliveries, "Watch diff events delivered to webhooks"),
     counter("webhook_failures", "lixto_watch_webhook_failures_total", |w| w.webhook_failures, "Watch webhook deliveries that exhausted their retries"),

@@ -18,18 +18,19 @@
 //! 3. a tick event — and one event per alert transition — is broadcast
 //!    to every `GET /debug/live` subscriber through the event loops.
 //!
-//! Everything here is plain derivation over [`lixto_obs`] primitives;
-//! the socket plumbing (chunked streaming, subscriber lifecycle) lives
-//! in [`gateway`](crate::gateway).
+//! Everything here is plain derivation over [`lixto_obs`] primitives.
+//! The monitor keeps no stream state: the gateway's `stream` module
+//! counts the live stream's subscribers and broadcasts the tick events
+//! to them, and the rest of the socket plumbing (chunked streaming,
+//! subscriber lifecycle) lives in [`gateway`](crate::gateway) too.
 
 use std::collections::VecDeque;
-use std::sync::atomic::AtomicUsize;
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use lixto_obs::{
-    info_event, unix_millis, warn_event, AlertRule, AlertTransition, Direction, FieldSpec,
-    FieldStats, RuleSnapshot, Severity, TimeSeries, Watchdog, WindowStats,
+    info_event, unix_millis, warn_event, AlertRule, AlertTransition, Direction, FieldKind,
+    FieldSpec, FieldStats, RuleSnapshot, Severity, TimeSeries, Watchdog, WindowStats,
 };
 use lixto_server::{bucket_quantile_us, PoolSample, LATENCY_BUCKETS};
 
@@ -67,51 +68,41 @@ pub(crate) struct TickSample {
     pub wake_buckets: [u64; LATENCY_BUCKETS],
 }
 
-/// Schema of the sampled series, in column order. `TickSample::values`
-/// must stay in lockstep.
+type ReadTick = fn(&TickSample) -> u64;
+
+/// The sampled series, in column order: each field's name, kind and
+/// how a tick reads it.
+#[rustfmt::skip]
+const FIELDS: &[(&str, FieldKind, ReadTick)] = &[
+    ("http_requests", FieldKind::Counter, |s| s.requests),
+    ("http_responses_4xx", FieldKind::Counter, |s| s.responses_4xx),
+    ("http_responses_5xx", FieldKind::Counter, |s| s.responses_5xx),
+    ("pool_submitted", FieldKind::Counter, |s| s.pool.submitted),
+    ("pool_completed", FieldKind::Counter, |s| s.pool.completed),
+    ("pool_errors", FieldKind::Counter, |s| s.pool.errors),
+    ("pool_rejected", FieldKind::Counter, |s| s.pool.rejected),
+    ("cache_hits", FieldKind::Counter, |s| s.pool.cache_hits),
+    ("cache_misses", FieldKind::Counter, |s| s.pool.cache_misses),
+    ("store_write_errors", FieldKind::Counter, |s| s.pool.store_write_errors),
+    ("wake_observations", FieldKind::Counter, |s| s.wake_count),
+    ("connections", FieldKind::Gauge, |s| s.connections),
+    ("parked", FieldKind::Gauge, |s| s.parked),
+    ("queue_depth", FieldKind::Gauge, |s| s.pool.queue_depth),
+    ("latency_p99_us", FieldKind::Gauge, |s| s.pool.latency_p99_us),
+    ("exec_p99_us", FieldKind::Gauge, |s| s.pool.exec_p99_us),
+    ("wake_p99_us", FieldKind::Gauge, |s| s.wake_p99_us),
+];
+
 fn schema() -> Vec<FieldSpec> {
-    vec![
-        FieldSpec::counter("http_requests"),
-        FieldSpec::counter("http_responses_4xx"),
-        FieldSpec::counter("http_responses_5xx"),
-        FieldSpec::counter("pool_submitted"),
-        FieldSpec::counter("pool_completed"),
-        FieldSpec::counter("pool_errors"),
-        FieldSpec::counter("pool_rejected"),
-        FieldSpec::counter("cache_hits"),
-        FieldSpec::counter("cache_misses"),
-        FieldSpec::counter("store_write_errors"),
-        FieldSpec::counter("wake_observations"),
-        FieldSpec::gauge("connections"),
-        FieldSpec::gauge("parked"),
-        FieldSpec::gauge("queue_depth"),
-        FieldSpec::gauge("latency_p99_us"),
-        FieldSpec::gauge("exec_p99_us"),
-        FieldSpec::gauge("wake_p99_us"),
-    ]
+    FIELDS
+        .iter()
+        .map(|&(name, kind, _)| FieldSpec { name, kind })
+        .collect()
 }
 
 impl TickSample {
     fn values(&self) -> Vec<u64> {
-        vec![
-            self.requests,
-            self.responses_4xx,
-            self.responses_5xx,
-            self.pool.submitted,
-            self.pool.completed,
-            self.pool.errors,
-            self.pool.rejected,
-            self.pool.cache_hits,
-            self.pool.cache_misses,
-            self.pool.store_write_errors,
-            self.wake_count,
-            self.connections,
-            self.parked,
-            self.pool.queue_depth,
-            self.pool.latency_p99_us,
-            self.pool.exec_p99_us,
-            self.wake_p99_us,
-        ]
+        FIELDS.iter().map(|(_, _, read)| read(self)).collect()
     }
 }
 
@@ -196,7 +187,7 @@ pub struct AlertsSnapshot {
 }
 
 /// The monitoring subsystem one gateway owns: the history series, the
-/// watchdog, and the sampler thread's shutdown/subscriber plumbing.
+/// watchdog, and the sampler thread's shutdown latch.
 pub(crate) struct Monitor {
     pub series: TimeSeries,
     pub watchdog: Watchdog,
@@ -210,9 +201,6 @@ pub(crate) struct Monitor {
     /// decay completely once an incident leaves the window, so the
     /// latency rules' hysteresis actually resolves.
     latency_window: Mutex<VecDeque<LatencySnap>>,
-    /// Connections currently subscribed to `GET /debug/live`, across
-    /// all event loops; ticks are only broadcast while nonzero.
-    pub live_subscribers: AtomicUsize,
     /// Sampler shutdown latch: `shutdown` raises it and notifies so the
     /// thread exits without waiting out its interval.
     stop: Mutex<bool>,
@@ -257,35 +245,21 @@ impl Monitor {
             eval_window_ms,
             eval_ticks,
             latency_window: Mutex::new(VecDeque::new()),
-            live_subscribers: AtomicUsize::new(0),
             stop: Mutex::new(false),
             stop_cv: Condvar::new(),
         }
     }
 
-    pub fn interval(&self) -> Duration {
-        Duration::from_millis(self.interval_ms)
-    }
-
     /// Block the sampler thread until the next tick is due or shutdown
     /// is requested; returns `false` on shutdown.
     pub fn sleep_until_next_tick(&self) -> bool {
-        let mut stopped = self.stop.lock().expect("monitor stop poisoned");
-        let deadline = std::time::Instant::now() + self.interval();
-        loop {
-            if *stopped {
-                return false;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return true;
-            }
-            let (guard, _) = self
-                .stop_cv
-                .wait_timeout(stopped, deadline - now)
-                .expect("monitor stop poisoned");
-            stopped = guard;
-        }
+        let interval = Duration::from_millis(self.interval_ms);
+        let stopped = self.stop.lock().expect("monitor stop poisoned");
+        let (stopped, _) = self
+            .stop_cv
+            .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+            .expect("monitor stop poisoned");
+        !*stopped
     }
 
     /// Raise the shutdown latch and wake the sampler.
@@ -307,7 +281,10 @@ impl Monitor {
         let metrics = derived_metrics(&window, sample, exec_p99_us, wake_p99_us);
         let named: Vec<(&str, f64)> = metrics.iter().map(|(n, v)| (*n, *v)).collect();
         let transitions = self.watchdog.evaluate(now_ms, &named);
+        let mut events = Vec::with_capacity(1 + transitions.len());
+        events.push(self.tick_event(now_ms, sample, &window));
         for transition in &transitions {
+            events.push(transition_event(now_ms, transition));
             match transition {
                 AlertTransition::Fired {
                     rule,
@@ -325,11 +302,6 @@ impl Monitor {
                     "value" => *value,
                 ),
             }
-        }
-        let mut events = Vec::with_capacity(1 + transitions.len());
-        events.push(self.tick_event(now_ms, sample, &window));
-        for transition in &transitions {
-            events.push(transition_event(now_ms, transition));
         }
         events
     }
@@ -371,15 +343,10 @@ impl Monitor {
     }
 
     fn tick_event(&self, now_ms: u64, sample: &TickSample, window: &WindowStats) -> String {
-        let request_rate = window
-            .fields
-            .iter()
-            .find(|f| f.name == "http_requests")
-            .and_then(|f| match f.stats {
-                FieldStats::Counter { rate_per_sec, .. } => Some(rate_per_sec),
-                _ => None,
-            })
-            .unwrap_or(0.0);
+        let request_rate = match field_stats(window, "http_requests") {
+            Some(FieldStats::Counter { rate_per_sec, .. }) => *rate_per_sec,
+            _ => 0.0,
+        };
         obj([
             ("type", "tick".into()),
             ("unix_ms", now_ms.into()),
@@ -493,27 +460,13 @@ fn derived_metrics(
     exec_p99_us: Option<u64>,
     wake_p99_us: Option<u64>,
 ) -> Vec<(&'static str, f64)> {
-    let delta = |name: &str| -> u64 {
-        window
-            .fields
-            .iter()
-            .find(|f| f.name == name)
-            .and_then(|f| match f.stats {
-                FieldStats::Counter { delta, .. } => Some(delta),
-                _ => None,
-            })
-            .unwrap_or(0)
+    let delta = |name| match field_stats(window, name) {
+        Some(FieldStats::Counter { delta, .. }) => *delta,
+        _ => 0,
     };
-    let gauge_max = |name: &str| -> u64 {
-        window
-            .fields
-            .iter()
-            .find(|f| f.name == name)
-            .and_then(|f| match f.stats {
-                FieldStats::Gauge { max, .. } => Some(max),
-                _ => None,
-            })
-            .unwrap_or(0)
+    let gauge_max = |name| match field_stats(window, name) {
+        Some(FieldStats::Gauge { max, .. }) => *max,
+        _ => 0,
     };
     let mut metrics: Vec<(&'static str, f64)> = Vec::with_capacity(6);
     let errors = delta("pool_errors");
@@ -545,29 +498,32 @@ fn derived_metrics(
     metrics
 }
 
+/// The stats of the field `name` in `window`.
+fn field_stats<'a>(window: &'a WindowStats, name: &str) -> Option<&'a FieldStats> {
+    window
+        .fields
+        .iter()
+        .find(|f| f.name == name)
+        .map(|f| &f.stats)
+}
+
 fn transition_event(now_ms: u64, transition: &AlertTransition) -> String {
-    match transition {
+    let (rule, state, severity, value) = match transition {
         AlertTransition::Fired {
             rule,
             severity,
             value,
-        } => obj([
-            ("type", "alert".into()),
-            ("unix_ms", now_ms.into()),
-            ("rule", (*rule).into()),
-            ("state", "fired".into()),
-            ("severity", severity.name().into()),
-            ("value", (*value).into()),
-        ]),
-        AlertTransition::Resolved { rule, value } => obj([
-            ("type", "alert".into()),
-            ("unix_ms", now_ms.into()),
-            ("rule", (*rule).into()),
-            ("state", "resolved".into()),
-            ("severity", Severity::Ok.name().into()),
-            ("value", (*value).into()),
-        ]),
-    }
+        } => (rule, "fired", *severity, value),
+        AlertTransition::Resolved { rule, value } => (rule, "resolved", Severity::Ok, value),
+    };
+    obj([
+        ("type", "alert".into()),
+        ("unix_ms", now_ms.into()),
+        ("rule", (*rule).into()),
+        ("state", state.into()),
+        ("severity", severity.name().into()),
+        ("value", (*value).into()),
+    ])
     .to_string()
 }
 

@@ -25,8 +25,7 @@
 //!   document bytes + wrapper version addresses an
 //!   [`ExtractionResult`](lixto_elog::eval::ExtractionResult), LRU
 //!   eviction, hit/miss/eviction/invalidation counters, and
-//!   [`ChangeDetector`](lixto_transform::ChangeDetector)-driven
-//!   invalidation when a live source changes;
+//!   invalidation when a live source's content address changes;
 //! * [`store`] — the durable [`TieredStore`]: the sharded LRU as hot
 //!   tier over an append-only, log-structured disk tier with snapshot +
 //!   WAL recovery, TTL and size-budget compaction, and a persisted
@@ -82,4 +81,4 @@ pub use store::{
     durability_layout, parse_provenance_key, provenance_key, DurabilityLayout, InstanceProvenance,
     Provenance, StoreConfig, StoreStats, TieredStore,
 };
-pub use watch::{WatchEvent, WatchRegistry, WatchSample, WatchScheduler, WatchSpec, WatchStatus};
+pub use watch::{WatchEvent, WatchRegistry, WatchScheduler, WatchSpec, WatchStatus};

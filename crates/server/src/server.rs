@@ -51,7 +51,7 @@ use lixto_core::to_xml;
 use lixto_elog::eval::ExtractionResult;
 use lixto_elog::{ExecProbe, Extractor, WebSource};
 use lixto_obs::{debug_event, error_event, warn_event, Stage, StageTimes};
-use lixto_transform::{ChangeDetector, ExtractionSnapshot};
+use lixto_transform::ExtractionSnapshot;
 
 use crate::cache::{
     content_address, fxhash64, CacheKey, CachedExtraction, CrawlRecord, ResponseMemo,
@@ -414,11 +414,10 @@ pub struct PoolSample {
 
 /// Per-(wrapper, url) change detection for `Web`-sourced requests: when
 /// the fetched body differs from the last one seen, the previous cache
-/// entry is proactively invalidated. The detector is fed the word-sized
-/// content address rather than the body itself, so each tracker costs a
-/// few dozen bytes, not a page.
+/// entry is proactively invalidated. The tracker compares word-sized
+/// content addresses rather than bodies, so it costs a few dozen bytes,
+/// not a page.
 struct SourceTracker {
-    detector: ChangeDetector,
     last_key: Option<CacheKey>,
     /// Whether a job stored its result under `last_key`. Only such a key
     /// is reported stale when the page changes: a key only watch
@@ -433,14 +432,13 @@ impl SourceTracker {
     /// Fold in one observation of `key` (see [`SourceTrackers::observe`]).
     fn observe(&mut self, key: &CacheKey, stored: bool, clock: u64) -> Option<CacheKey> {
         self.last_used = clock;
-        let changed = self.detector.changed_u64(key.content);
         if self.last_key.as_ref() == Some(key) {
             self.stored |= stored;
             return None;
         }
         let old = self.last_key.replace(key.clone());
         let old_stored = std::mem::replace(&mut self.stored, stored);
-        old.filter(|_| changed && old_stored)
+        old.filter(|old| old_stored && old.content != key.content)
     }
 }
 
@@ -557,7 +555,6 @@ impl SourceTrackers {
             return tracker.observe(key, stored, clock);
         }
         let mut tracker = SourceTracker {
-            detector: ChangeDetector::default(),
             last_key: None,
             stored: false,
             last_used: 0,

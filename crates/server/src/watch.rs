@@ -30,6 +30,12 @@
 //! they are recomputable from source, and a restarted server must not
 //! replay a diff the subscriber already saw.
 //!
+//! Each piece of state has one owner. The registry's one mutex guards
+//! the watches and the scheduler's state alike: its stop flag, the
+//! outbox of resolved events it has not delivered yet, and when it plans
+//! to wake. Who listens to the events, and how many webhook POSTs
+//! succeeded, is the delivery sink's business, not this module's.
+//!
 //! The spool, `watches.log`, is a log of kind `watches` in the data
 //! directory's one line framing (the crate's `linelog` module); this
 //! module only encodes and decodes its `put`/`del` records.
@@ -40,7 +46,6 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -151,6 +156,13 @@ struct Inner {
     spool: Option<LineLog>,
     /// Generations handed out so far.
     generations: u64,
+    /// The scheduler was stopped: rechecks that land now are dropped
+    /// unresolved.
+    stop: bool,
+    /// Resolved events the scheduler has not delivered yet.
+    outbox: Vec<WatchEvent>,
+    /// When the sleeping scheduler plans to wake; `None` while it works.
+    wake_at: Option<Instant>,
 }
 
 /// A recheck claimed by [`Inner::take_due`], ready to queue.
@@ -161,33 +173,16 @@ struct Due {
     seen: Option<Arc<Seen>>,
 }
 
-/// Aggregate + per-watch counters for `/metrics` (`lixto_watch_*`).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WatchSample {
-    /// Registered watches (gauge).
-    pub registered: usize,
-    /// Long-poll subscribers currently parked on watch event streams.
-    pub subscribers: usize,
-    /// Webhook POSTs delivered successfully.
-    pub webhook_deliveries: u64,
-    /// Webhook POSTs that exhausted their retries.
-    pub webhook_failures: u64,
-    /// Per-watch counters.
-    pub watches: Vec<WatchStatus>,
-}
-
 /// The registered subscriptions, shared between the scheduler thread,
-/// the management routes and the metrics renderer.
+/// the workers resolving its rechecks, the management routes and the
+/// metrics renderer. Its one mutex guards the watches and the
+/// scheduler's state (`stop`, outbox, planned wake) alike.
 pub struct WatchRegistry {
     inner: Mutex<Inner>,
     /// Paired with `inner`: a sleeping scheduler waits on it, and a new
     /// registration, a queued event or a watch falling due early wakes
     /// it.
     wake: Condvar,
-    /// Long-poll subscriber gauge (maintained by the delivery layer).
-    subscribers: AtomicUsize,
-    webhook_deliveries: AtomicU64,
-    webhook_failures: AtomicU64,
 }
 
 impl Default for WatchRegistry {
@@ -204,11 +199,11 @@ impl WatchRegistry {
                 watches: HashMap::new(),
                 spool: None,
                 generations: 0,
+                stop: false,
+                outbox: Vec::new(),
+                wake_at: None,
             }),
             wake: Condvar::new(),
-            subscribers: AtomicUsize::new(0),
-            webhook_deliveries: AtomicU64::new(0),
-            webhook_failures: AtomicU64::new(0),
         }
     }
 
@@ -261,7 +256,7 @@ impl WatchRegistry {
 
     /// Delete a watch. Returns `true` when it existed.
     pub fn remove(&self, id: &str) -> bool {
-        let mut inner = self.inner.lock().expect("watch registry poisoned");
+        let mut inner = self.lock();
         let existed = inner.watches.remove(id).is_some();
         if existed {
             if let Some(spool) = &mut inner.spool {
@@ -274,22 +269,17 @@ impl WatchRegistry {
 
     /// Status of one watch.
     pub fn get(&self, id: &str) -> Option<WatchStatus> {
-        let inner = self.inner.lock().expect("watch registry poisoned");
-        inner.watches.get(id).map(|e| e.status(id))
+        self.lock().watches.get(id).map(|e| e.status(id))
     }
 
     /// True when `id` is registered.
     pub fn contains(&self, id: &str) -> bool {
-        self.inner
-            .lock()
-            .expect("watch registry poisoned")
-            .watches
-            .contains_key(id)
+        self.lock().watches.contains_key(id)
     }
 
     /// All watches, id-sorted.
     pub fn list(&self) -> Vec<WatchStatus> {
-        let inner = self.inner.lock().expect("watch registry poisoned");
+        let inner = self.lock();
         let mut all: Vec<WatchStatus> = inner.watches.iter().map(|(id, e)| e.status(id)).collect();
         all.sort_by(|a, b| a.id.cmp(&b.id));
         all
@@ -297,51 +287,12 @@ impl WatchRegistry {
 
     /// Number of registered watches.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("watch registry poisoned")
-            .watches
-            .len()
+        self.lock().watches.len()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// A long-poll subscriber attached to a watch event stream.
-    pub fn subscriber_started(&self) {
-        self.subscribers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A long-poll subscriber detached.
-    pub fn subscriber_finished(&self) {
-        self.subscribers.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Currently parked long-poll subscribers.
-    pub fn subscribers(&self) -> usize {
-        self.subscribers.load(Ordering::Relaxed)
-    }
-
-    /// Record a webhook delivery attempt's outcome.
-    pub fn record_webhook(&self, delivered: bool) {
-        if delivered {
-            self.webhook_deliveries.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.webhook_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Counters for `/metrics`.
-    pub fn sample(&self) -> WatchSample {
-        WatchSample {
-            registered: self.len(),
-            subscribers: self.subscribers(),
-            webhook_deliveries: self.webhook_deliveries.load(Ordering::Relaxed),
-            webhook_failures: self.webhook_failures.load(Ordering::Relaxed),
-            watches: self.list(),
-        }
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
@@ -363,21 +314,14 @@ impl WatchRegistry {
     }
 
     /// A finished recheck, on the worker that ran it: fold it into its
-    /// watch and queue any event on `scheduler`'s outbox under the same
+    /// watch and queue any event on the scheduler's outbox under the
     /// lock that ends the recheck, so the event is queued before the
     /// watch can be rechecked again. Wakes the scheduler when an event
     /// was queued or the watch falls due before its planned wake. After
     /// the scheduler stopped, the result is dropped unresolved.
-    fn resolve(
-        &self,
-        scheduler: &SchedulerShared,
-        id: &str,
-        generation: u64,
-        outcome: Result<Recheck, ServerError>,
-    ) {
+    fn resolve(&self, id: &str, generation: u64, outcome: Result<Recheck, ServerError>) {
         let mut inner = self.lock();
-        let mut state = scheduler.state();
-        if state.stop {
+        if inner.stop {
             if let Some(entry) = inner.entry(id, generation) {
                 entry.inflight = false;
             }
@@ -386,9 +330,8 @@ impl WatchRegistry {
         let event = inner.resolve(id, generation, outcome);
         let due = inner.entry(id, generation).map(|entry| entry.next_due);
         let wake =
-            event.is_some() || matches!((due, state.wake_at), (Some(due), Some(at)) if due < at);
-        state.outbox.extend(event);
-        drop(state);
+            event.is_some() || matches!((due, inner.wake_at), (Some(due), Some(at)) if due < at);
+        inner.outbox.extend(event);
         drop(inner);
         if wake {
             self.wake.notify_all();
@@ -548,29 +491,6 @@ fn append_or_warn(spool: &mut LineLog, record: String) {
     }
 }
 
-/// What the scheduler thread shares with the workers resolving its
-/// rechecks. `state` is only locked by a holder of the registry lock,
-/// so the two never contend.
-#[derive(Default)]
-struct SchedulerShared {
-    state: Mutex<SchedulerState>,
-}
-
-#[derive(Default)]
-struct SchedulerState {
-    stop: bool,
-    /// Resolved events the scheduler has not delivered yet.
-    outbox: Vec<WatchEvent>,
-    /// When the sleeping scheduler plans to wake; `None` while it works.
-    wake_at: Option<Instant>,
-}
-
-impl SchedulerShared {
-    fn state(&self) -> MutexGuard<'_, SchedulerState> {
-        self.state.lock().expect("scheduler poisoned")
-    }
-}
-
 /// The scheduler thread: queues due watches on the pool as rechecks and
 /// delivers the diffs the workers resolved to the sink. Between passes
 /// it sleeps until the earliest watch not in flight falls due; a worker
@@ -580,33 +500,36 @@ impl SchedulerShared {
 /// one extraction.
 pub struct WatchScheduler {
     registry: Arc<WatchRegistry>,
-    shared: Arc<SchedulerShared>,
     thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl WatchScheduler {
-    /// Start the scheduler. `tick` bounds how long it sleeps in one go;
-    /// a newly registered watch wakes it at once. `sink` receives
-    /// every delivered [`WatchEvent`] (called on the scheduler thread
-    /// only, outside all registry locks, never on a pool worker, so it
-    /// may keep state of its own without a lock).
+    /// Start the scheduler of `registry` (one per registry at a time:
+    /// starting resets its stop flag and drops undelivered events).
+    /// `tick` bounds how long it sleeps in one go; a newly registered
+    /// watch wakes it at once. `sink` receives every delivered
+    /// [`WatchEvent`] (called on the scheduler thread only, outside the
+    /// registry lock, never on a pool worker, so it may keep state of its
+    /// own without a lock).
     pub fn start(
         server: Arc<ExtractionServer>,
         registry: Arc<WatchRegistry>,
         tick: Duration,
         sink: Box<dyn FnMut(WatchEvent) + Send>,
     ) -> WatchScheduler {
-        let shared = Arc::new(SchedulerShared::default());
+        {
+            let mut inner = registry.lock();
+            inner.stop = false;
+            inner.outbox.clear();
+        }
         let tick = tick.max(Duration::from_millis(1));
-        let loop_shared = shared.clone();
         let loop_registry = registry.clone();
         let thread = std::thread::Builder::new()
             .name("lixto-watch-scheduler".into())
-            .spawn(move || scheduler_loop(server, loop_registry, tick, sink, loop_shared))
+            .spawn(move || scheduler_loop(server, loop_registry, tick, sink))
             .expect("spawn watch scheduler");
         WatchScheduler {
             registry,
-            shared,
             thread: Mutex::new(Some(thread)),
         }
     }
@@ -616,10 +539,7 @@ impl WatchScheduler {
     /// In-flight rechecks keep running in the pool; their results are
     /// dropped. Idempotent.
     pub fn stop(&self) {
-        {
-            let _registry = self.registry.lock();
-            self.shared.state().stop = true;
-        }
+        self.registry.lock().stop = true;
         self.registry.wake.notify_all();
         if let Some(thread) = self
             .thread
@@ -643,14 +563,11 @@ fn scheduler_loop(
     registry: Arc<WatchRegistry>,
     tick: Duration,
     mut sink: Box<dyn FnMut(WatchEvent) + Send>,
-    shared: Arc<SchedulerShared>,
 ) {
     let mut inner = registry.lock();
     loop {
-        let (events, stop) = {
-            let mut state = shared.state();
-            (std::mem::take(&mut state.outbox), state.stop)
-        };
+        let events = std::mem::take(&mut inner.outbox);
+        let stop = inner.stop;
         let due = if stop {
             Vec::new()
         } else {
@@ -680,9 +597,9 @@ fn scheduler_loop(
             seen,
         } in due
         {
-            let (resolver, state, watch) = (registry.clone(), shared.clone(), id.clone());
+            let (resolver, watch) = (registry.clone(), id.clone());
             let queued = server.try_recheck(request, seen, move |outcome| {
-                resolver.resolve(&state, &watch, generation, outcome);
+                resolver.resolve(&watch, generation, outcome);
             });
             if let Err(e) = queued {
                 registry.submission_failed(&id, generation, &e);
@@ -695,19 +612,16 @@ fn scheduler_loop(
         let wake_at = inner
             .next_due()
             .map_or(now + tick, |due| due.min(now + tick));
-        {
-            let mut state = shared.state();
-            if state.stop || !state.outbox.is_empty() || wake_at <= now {
-                continue;
-            }
-            state.wake_at = Some(wake_at);
+        if inner.stop || !inner.outbox.is_empty() || wake_at <= now {
+            continue;
         }
+        inner.wake_at = Some(wake_at);
         inner = registry
             .wake
             .wait_timeout(inner, wake_at - now)
             .expect("watch registry poisoned")
             .0;
-        shared.state().wake_at = None;
+        inner.wake_at = None;
     }
 }
 
@@ -908,9 +822,8 @@ mod tests {
         registry.put("w", spec("http://shop/"));
         let due = claim(&registry);
         registry.remove("w");
-        let scheduler = SchedulerShared::default();
-        registry.resolve(&scheduler, "w", due.generation, run(&server, &due));
-        assert!(scheduler.state().outbox.is_empty());
+        registry.resolve("w", due.generation, run(&server, &due));
+        assert!(registry.lock().outbox.is_empty());
         assert!(registry.get("w").is_none());
         Arc::try_unwrap(server).ok().unwrap().shutdown();
     }
@@ -933,8 +846,7 @@ mod tests {
         assert!(!registry.put("w", replacement));
         let new = claim(&registry);
         assert_ne!(old.generation, new.generation);
-        let scheduler = SchedulerShared::default();
-        registry.resolve(&scheduler, "w", old.generation, old_outcome);
+        registry.resolve("w", old.generation, old_outcome);
         let status = registry.get("w").unwrap();
         assert_eq!(
             (status.ticks, status.errors),
@@ -949,14 +861,14 @@ mod tests {
         // The new spec's own recheck is its baseline: nothing delivered,
         // and the old page never became its snapshot.
         web.put("http://shop/", page(&["new"]));
-        registry.resolve(&scheduler, "w", new.generation, run(&server, &new));
+        registry.resolve("w", new.generation, run(&server, &new));
         assert_eq!(registry.get("w").unwrap().ticks, 1);
         let inner = registry.lock();
         let baseline = inner.watches["w"].snapshot.as_ref().unwrap();
         assert!(baseline.instances.iter().any(|i| i.text == "new"));
         assert!(baseline.instances.iter().all(|i| i.text != "old"));
         drop(inner);
-        assert!(scheduler.state().outbox.is_empty());
+        assert!(registry.lock().outbox.is_empty());
         Arc::try_unwrap(server).ok().unwrap().shutdown();
     }
 
@@ -969,9 +881,8 @@ mod tests {
         let due = claim(&registry);
         let outcome = run(&server, &due);
         assert!(outcome.is_err());
-        let scheduler = SchedulerShared::default();
-        registry.resolve(&scheduler, "w", due.generation, outcome);
-        assert!(scheduler.state().outbox.is_empty());
+        registry.resolve("w", due.generation, outcome);
+        assert!(registry.lock().outbox.is_empty());
         assert_eq!(registry.get("w").unwrap().errors, 1);
         // Backpressure is not an error; other submit failures are.
         registry.submission_failed("w", due.generation, &ServerError::Backpressure);
@@ -981,7 +892,7 @@ mod tests {
         // A recheck destroyed unprocessed ends as canceled: the watch is
         // not left in flight.
         let due = claim(&registry);
-        registry.resolve(&scheduler, "w", due.generation, Err(ServerError::Canceled));
+        registry.resolve("w", due.generation, Err(ServerError::Canceled));
         assert!(!registry.lock().watches["w"].inflight);
         assert_eq!(registry.get("w").unwrap().errors, 3);
         Arc::try_unwrap(server).ok().unwrap().shutdown();
@@ -1348,12 +1259,12 @@ mod tests {
         assert_eq!((first.watch.as_str(), first.seq), ("a", 1));
         // ...while B's change resolves into the outbox.
         web.allow(B, 2);
-        wait_for("B's event", || !scheduler.shared.state().outbox.is_empty());
+        wait_for("B's event", || !registry.lock().outbox.is_empty());
         let stopper = {
             let scheduler = scheduler.clone();
             std::thread::spawn(move || scheduler.stop())
         };
-        wait_for("stop", || scheduler.shared.state().stop);
+        wait_for("stop", || registry.lock().stop);
         release.send(()).unwrap();
         stopper.join().unwrap();
         let flushed = rx.try_recv().expect("stop delivered the resolved event");
@@ -1375,22 +1286,5 @@ mod tests {
         }
         server.initiate_shutdown();
         assert!(rx.try_recv().is_err(), "an event arrived after stop");
-    }
-
-    #[test]
-    fn sample_aggregates_counters() {
-        let reg = WatchRegistry::new();
-        reg.put("a", spec("http://shop/"));
-        reg.subscriber_started();
-        reg.record_webhook(true);
-        reg.record_webhook(false);
-        let sample = reg.sample();
-        assert_eq!(sample.registered, 1);
-        assert_eq!(sample.subscribers, 1);
-        assert_eq!(sample.webhook_deliveries, 1);
-        assert_eq!(sample.webhook_failures, 1);
-        assert_eq!(sample.watches.len(), 1);
-        reg.subscriber_finished();
-        assert_eq!(reg.subscribers(), 0);
     }
 }

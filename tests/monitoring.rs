@@ -77,7 +77,6 @@ fn monitored_stack(web: Arc<GatedWeb>) -> (HttpGateway, Arc<ExtractionServer>) {
             event_loops: 2,
             idle_timeout: Duration::from_secs(30),
             monitor_interval: Duration::from_millis(50),
-            monitor_eval_ticks: 4,
             ..GatewayConfig::default()
         },
         server.clone(),

@@ -10,11 +10,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use lixto::core::XmlDesign;
-use lixto::http::{AlertsSnapshot, GatewayObservations, Json, LoopGauges, MetricInputs};
+use lixto::http::{
+    AlertsSnapshot, GatewayObservations, Json, LoopGauges, MetricInputs, WatchSample,
+};
 use lixto::obs::{RuleSnapshot, RuleStat, Severity};
 use lixto::server::{
-    ExtractionRequest, ExtractionServer, RequestSource, ServerConfig, WatchSample, WatchStatus,
-    WrapperRegistry,
+    ExtractionRequest, ExtractionServer, RequestSource, ServerConfig, WatchStatus, WrapperRegistry,
 };
 
 const WRAPPER: &str = r#"offer(S, X) :- document("http://shop/", S), subelem(S, (?.li, []), X)."#;
@@ -447,7 +448,6 @@ fn alerts_fixture() -> AlertsSnapshot {
 /// Two watches, one with an id hostile to the text format.
 fn watches_fixture() -> WatchSample {
     WatchSample {
-        registered: 2,
         subscribers: 1,
         webhook_deliveries: 7,
         webhook_failures: 2,

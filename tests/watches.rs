@@ -134,8 +134,8 @@ fn concurrent_watches_deliver_exact_diffs_once_and_stay_silent_otherwise() {
     // without a single delivery.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let sample = registry.sample();
-        if sample.watches.iter().all(|w| w.ticks >= 3) {
+        let watches = registry.list();
+        if watches.iter().all(|w| w.ticks >= 3) {
             break;
         }
         assert!(Instant::now() < deadline, "watches never ticked");
@@ -145,15 +145,11 @@ fn concurrent_watches_deliver_exact_diffs_once_and_stay_silent_otherwise() {
         rx.try_recv().is_err(),
         "a delivery happened although no page changed"
     );
-    let sample = registry.sample();
+    let watches = registry.list();
     assert!(
-        sample
-            .watches
-            .iter()
-            .all(|w| w.seq == 0 && w.suppressed >= 1),
+        watches.iter().all(|w| w.seq == 0 && w.suppressed >= 1),
         "unchanged ticks must be detected and suppressed: {:?}",
-        sample
-            .watches
+        watches
             .iter()
             .map(|w| (w.id.clone(), w.ticks, w.seq, w.suppressed))
             .collect::<Vec<_>>()
@@ -162,15 +158,14 @@ fn concurrent_watches_deliver_exact_diffs_once_and_stay_silent_otherwise() {
     // Markup-only change: new bytes, the same records. Every watch
     // re-extracts the changed page several times and still delivers
     // nothing.
-    let ticked = registry.sample().watches.iter().map(|w| w.ticks).max();
+    let ticked = registry.list().iter().map(|w| w.ticks).max();
     for i in 0..WATCHES {
         let banner = page(&items_v1(i)).replace("<body>", "<body><p>banner</p>");
         web.put(&shop_url(i), banner);
     }
     let deadline = Instant::now() + Duration::from_secs(30);
     while !registry
-        .sample()
-        .watches
+        .list()
         .iter()
         .all(|w| Some(w.ticks) >= ticked.map(|t| t + 3))
     {
@@ -234,8 +229,8 @@ fn concurrent_watches_deliver_exact_diffs_once_and_stay_silent_otherwise() {
         rx.try_recv().is_err(),
         "a second delivery happened for a single change"
     );
-    let sample = registry.sample();
-    assert!(sample.watches.iter().all(|w| w.seq == 1 && w.errors == 0));
+    let watches = registry.list();
+    assert!(watches.iter().all(|w| w.seq == 1 && w.errors == 0));
 
     scheduler.stop();
     server.initiate_shutdown();
@@ -273,7 +268,6 @@ fn watch_subscriptions_survive_a_gateway_restart() {
             GatewayConfig {
                 event_loops: 1,
                 idle_timeout: Duration::from_secs(10),
-                watch_tick: Duration::from_millis(10),
                 watch_spool: Some(layout.watches.clone()),
                 ..GatewayConfig::default()
             },
@@ -433,7 +427,6 @@ fn live_and_watch_streams_on_one_loop_each_get_only_their_topic() {
         GatewayConfig {
             event_loops: 1,
             idle_timeout: Duration::from_secs(10),
-            watch_tick: Duration::from_millis(10),
             ..GatewayConfig::default()
         },
         server.clone(),
