@@ -122,7 +122,6 @@ mod extract;
 mod routes;
 mod stream;
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -138,7 +137,7 @@ use crate::monitor::{Monitor, TickSample};
 use crate::poll::SelfPipe;
 
 use conn::EventLoop;
-use stream::{broadcast, deliver_watch_event, StreamLine, Streams};
+use stream::{broadcast, watch_sink, StreamLine, Streams};
 
 /// Sizing and protocol knobs for [`HttpGateway::bind`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -404,6 +403,7 @@ pub struct HttpGateway {
     acceptor: std::thread::JoinHandle<()>,
     sampler: std::thread::JoinHandle<()>,
     watch_scheduler: WatchScheduler,
+    webhooks: std::thread::JoinHandle<()>,
     loops: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -422,14 +422,14 @@ const MONITOR_RETENTION: usize = 600;
 /// evidence window is `monitor_interval × MONITOR_EVAL_TICKS`.
 const MONITOR_EVAL_TICKS: u32 = 5;
 /// The longest the watch scheduler sleeps in one go. It also wakes when
-/// the next watch falls due, a recheck resolved a diff or a watch is
-/// registered, so this is only a backstop.
+/// the next watch falls due or a watch is registered, so this is only a
+/// backstop.
 const WATCH_TICK: Duration = Duration::from_millis(250);
 
 impl HttpGateway {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// start the acceptor, event loops, monitor sampler and watch
-    /// scheduler serving `server`.
+    /// start the acceptor, event loops, monitor sampler, watch
+    /// scheduler and webhook thread serving `server`.
     pub fn bind(
         addr: impl ToSocketAddrs,
         config: GatewayConfig,
@@ -515,24 +515,20 @@ impl HttpGateway {
                 .spawn(move || sampler_loop(shared))
                 .expect("spawn monitor sampler")
         };
-        let watch_scheduler = {
-            let sink_shared = shared.clone();
-            let mut webhook_clients = HashMap::new();
-            WatchScheduler::start(
-                shared.server.clone(),
-                shared.watches.clone(),
-                WATCH_TICK,
-                Box::new(move |event| {
-                    deliver_watch_event(&sink_shared, &mut webhook_clients, event)
-                }),
-            )
-        };
+        let (sink, webhooks) = watch_sink(&shared);
+        let watch_scheduler = WatchScheduler::start(
+            shared.server.clone(),
+            shared.watches.clone(),
+            WATCH_TICK,
+            sink,
+        );
         Ok(HttpGateway {
             addr: local_addr,
             shared,
             acceptor,
             sampler,
             watch_scheduler,
+            webhooks,
             loops,
         })
     }
@@ -576,6 +572,7 @@ impl HttpGateway {
             acceptor,
             sampler,
             watch_scheduler,
+            webhooks,
             loops,
         } = self;
         shared.begin_stop();
@@ -583,9 +580,11 @@ impl HttpGateway {
         // loops that are draining their last subscribers.
         shared.monitor.stop();
         let _ = sampler.join();
-        // Same for the watch scheduler: it delivers the diffs already
-        // resolved, then no new watch ticks or deliveries once the loops
-        // start finishing their streams.
+        // Same for the watch scheduler: once it returns, no worker
+        // delivers a diff, and the loops can finish their streams. It
+        // drops the sink, so the webhook thread POSTs what is queued and
+        // exits; it is joined last, so a slow webhook does not hold up
+        // the loops' drain.
         watch_scheduler.stop();
         // Wake the acceptor out of its blocking accept(). A wildcard
         // bind address (0.0.0.0 / ::) is not connectable everywhere, so
@@ -612,6 +611,7 @@ impl HttpGateway {
                 refuse_busy(stream, &shared);
             }
         }
+        let _ = webhooks.join();
         shared.stats()
     }
 }

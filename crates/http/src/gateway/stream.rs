@@ -5,11 +5,20 @@
 //! kind of stream and how webhook deliveries ended. The monitor's ticks
 //! and the watch diffs both reach the event loops through [`broadcast`],
 //! which does nothing while that kind of stream has no subscriber.
+//!
+//! The watch sink ([`watch_sink`]) runs on the pool worker that resolved
+//! a diff, under the watch registry's lock, so it never blocks: it
+//! broadcasts the event and hands a webhook POST to the one
+//! `lixto-webhooks` thread through a bounded queue. That thread alone
+//! makes the POSTs, so a webhook that hangs delays only the webhooks
+//! queued behind it, never rechecks or stream subscribers.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use lixto_obs::warn_event;
@@ -52,6 +61,12 @@ impl Streams {
         }
     }
 
+    /// True while some connection subscribes to a watch's event stream
+    /// (`watch`) or to `GET /debug/live`.
+    fn listening(&self, watch: bool) -> bool {
+        self.subscribers[usize::from(watch)].load(Ordering::Relaxed) > 0
+    }
+
     /// Count how one webhook delivery ended.
     pub(super) fn count_webhook(&self, delivered: bool) {
         self.webhooks[usize::from(delivered)].fetch_add(1, Ordering::Relaxed);
@@ -75,8 +90,7 @@ impl Streams {
 /// event stream), each followed by a self-pipe wake. Skipped entirely
 /// while no connection subscribes to that kind of stream.
 pub(super) fn broadcast(shared: &SharedGateway, topic: Option<&str>, lines: &[String]) {
-    let listening = &shared.streams.subscribers[usize::from(topic.is_some())];
-    if listening.load(Ordering::Relaxed) == 0 {
+    if !shared.streams.listening(topic.is_some()) {
         return;
     }
     let topic = topic.map(|topic| Arc::new(topic.to_string()));
@@ -191,29 +205,85 @@ pub(super) fn start_stream(
     }
 }
 
-/// The watch scheduler's delivery sink: serialize the diff event once,
-/// [`broadcast`] it to the watch's `GET /watches/{id}/events`
-/// subscribers, and POST it to the watch's webhook through a cached
-/// keep-alive client with the default retry policy. Runs on the
-/// scheduler thread, never on an event loop, so the client cache is the
-/// sink's own.
-pub(super) fn deliver_watch_event(
-    shared: &SharedGateway,
-    webhook_clients: &mut HashMap<String, HttpClient>,
-    event: WatchEvent,
-) {
-    let json = watch_event_json(&event).dump();
-    broadcast(shared, Some(&event.watch), std::slice::from_ref(&json));
-    if let Some(webhook) = &event.webhook {
-        let ok = post_webhook(webhook_clients, webhook, &json);
-        shared.streams.count_webhook(ok);
-        if !ok {
-            warn_event!(
-                "watch_webhook_failed",
-                "watch" => event.watch.clone(),
-                "webhook" => webhook.clone(),
-            );
+/// How many webhook POSTs may wait for the `lixto-webhooks` thread.
+/// A delivery that finds the queue full fails at once.
+const WEBHOOK_QUEUE: usize = 256;
+
+/// One webhook POST waiting for the `lixto-webhooks` thread.
+struct WebhookPost {
+    watch: String,
+    url: String,
+    body: String,
+}
+
+/// The watch scheduler's delivery sink, and the `lixto-webhooks`
+/// thread it feeds. The sink serializes a diff event once, and only
+/// when someone takes it: it [`broadcast`]s the event to the watch's
+/// `GET /watches/{id}/events` subscribers and queues it for the watch's
+/// webhook. It runs on a pool worker under the watch registry's lock,
+/// so it never waits: a full queue counts the delivery as failed.
+/// Dropping the sink (the scheduler's `stop` does) closes the queue; the
+/// thread POSTs what is already queued, then exits.
+pub(super) fn watch_sink(
+    shared: &Arc<SharedGateway>,
+) -> (Box<dyn FnMut(WatchEvent) + Send>, JoinHandle<()>) {
+    let (queue, posts) = mpsc::sync_channel(WEBHOOK_QUEUE);
+    let thread = {
+        let shared = shared.clone();
+        std::thread::Builder::new()
+            .name("lixto-webhooks".to_string())
+            .spawn(move || webhook_loop(&shared, posts))
+            .expect("spawn webhook thread")
+    };
+    let shared = shared.clone();
+    let sink = move |event: WatchEvent| {
+        let listening = shared.streams.listening(true);
+        if !listening && event.webhook.is_none() {
+            return;
         }
+        let body = watch_event_json(&event).dump();
+        if listening {
+            broadcast(&shared, Some(&event.watch), std::slice::from_ref(&body));
+        }
+        let Some(url) = event.webhook else {
+            return;
+        };
+        let post = WebhookPost {
+            watch: event.watch,
+            url,
+            body,
+        };
+        // Only a full queue refuses a post while the thread runs.
+        if let Err(TrySendError::Full(post) | TrySendError::Disconnected(post)) =
+            queue.try_send(post)
+        {
+            webhook_ended(&shared, &post, false, "queue_full");
+        }
+    };
+    (Box::new(sink), thread)
+}
+
+/// The `lixto-webhooks` thread: POST each queued event through a
+/// keep-alive client cached per URL, with the default retry policy,
+/// until the sink is dropped and the queue drained.
+fn webhook_loop(shared: &SharedGateway, posts: Receiver<WebhookPost>) {
+    let mut clients = HashMap::new();
+    for post in posts {
+        let delivered = post_webhook(&mut clients, &post.url, &post.body);
+        webhook_ended(shared, &post, delivered, "post_failed");
+    }
+}
+
+/// Count how a webhook delivery ended, and log a failure with `reason`.
+fn webhook_ended(shared: &SharedGateway, post: &WebhookPost, delivered: bool, reason: &str) {
+    shared.streams.count_webhook(delivered);
+    if !delivered {
+        warn_event!(
+            "watch_webhook_failed",
+            "watch" => post.watch.clone(),
+            "webhook" => post.url.clone(),
+            "reason" => reason,
+        );
     }
 }
 

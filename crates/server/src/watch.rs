@@ -9,10 +9,10 @@
 //!   optionally spooled to the durability dir so they survive restarts;
 //! * [`WatchScheduler`] — one thread that queues due watches on the
 //!   pool as *recheck* jobs (watches share the pool's queues and
-//!   backpressure, so they can never starve interactive traffic), sleeps
-//!   until the next watch falls due, and hands non-empty diffs to a
-//!   delivery sink — the gateway fans them out to long-poll subscribers
-//!   and webhook URLs.
+//!   backpressure, so they can never starve interactive traffic) and
+//!   sleeps until the next watch falls due. Starting it installs the
+//!   delivery sink that receives non-empty diffs — the gateway fans them
+//!   out to long-poll subscribers and webhook URLs.
 //!
 //! A recheck fetches the page and stops at the instance snapshot: no
 //! XML, no provenance, no store entry. A page whose content address,
@@ -20,9 +20,14 @@
 //! executed at all. The worker that ran the recheck also resolves it: it
 //! diffs the snapshot against the watch's last one at the *instance*
 //! level ([`lixto_transform::diff_snapshots`] over pattern + text, never
-//! raw-HTML byte equality) and queues a non-empty diff for the scheduler
-//! under the registry lock that ends the recheck, so every event is
-//! queued before the watch can be rechecked again.
+//! raw-HTML byte equality) and hands a non-empty diff to the sink itself,
+//! under the registry lock that ends the recheck. So a watch's events
+//! reach the sink in `seq` order, each before the watch can be rechecked
+//! again, and no thread hop stands between a resolved diff and its
+//! delivery. The sink's contract follows: it runs on a pool worker with
+//! the registry lock held, so it must not block and must not call into
+//! the registry (the gateway's sink hands webhook POSTs to a thread of
+//! its own).
 //!
 //! An unchanged recheck delivers nothing (it only bumps the watch's
 //! `suppressed` counter); the first recheck after registration or restart
@@ -31,10 +36,10 @@
 //! replay a diff the subscriber already saw.
 //!
 //! Each piece of state has one owner. The registry's one mutex guards
-//! the watches and the scheduler's state alike: its stop flag, the
-//! outbox of resolved events it has not delivered yet, and when it plans
-//! to wake. Who listens to the events, and how many webhook POSTs
-//! succeeded, is the delivery sink's business, not this module's.
+//! the watches and the scheduler's state alike: its sink (taken out when
+//! it stops) and when it plans to wake. Who listens to the events, and
+//! how many webhook POSTs succeeded, is the sink's business, not this
+//! module's.
 //!
 //! The spool, `watches.log`, is a log of kind `watches` in the data
 //! directory's one line framing (the crate's `linelog` module); this
@@ -156,14 +161,16 @@ struct Inner {
     spool: Option<LineLog>,
     /// Generations handed out so far.
     generations: u64,
-    /// The scheduler was stopped: rechecks that land now are dropped
-    /// unresolved.
-    stop: bool,
-    /// Resolved events the scheduler has not delivered yet.
-    outbox: Vec<WatchEvent>,
+    /// The running scheduler's delivery sink. `None` before it starts
+    /// and once it stopped: rechecks that land then are dropped
+    /// unresolved, and the scheduler thread exits.
+    sink: Option<Sink>,
     /// When the sleeping scheduler plans to wake; `None` while it works.
     wake_at: Option<Instant>,
 }
+
+/// Receives every delivered [`WatchEvent`]; see [`WatchScheduler::start`].
+type Sink = Box<dyn FnMut(WatchEvent) + Send>;
 
 /// A recheck claimed by [`Inner::take_due`], ready to queue.
 struct Due {
@@ -176,12 +183,11 @@ struct Due {
 /// The registered subscriptions, shared between the scheduler thread,
 /// the workers resolving its rechecks, the management routes and the
 /// metrics renderer. Its one mutex guards the watches and the
-/// scheduler's state (`stop`, outbox, planned wake) alike.
+/// scheduler's state (sink, planned wake) alike.
 pub struct WatchRegistry {
     inner: Mutex<Inner>,
     /// Paired with `inner`: a sleeping scheduler waits on it, and a new
-    /// registration, a queued event or a watch falling due early wakes
-    /// it.
+    /// registration, a watch falling due early or a stop wakes it.
     wake: Condvar,
 }
 
@@ -199,8 +205,7 @@ impl WatchRegistry {
                 watches: HashMap::new(),
                 spool: None,
                 generations: 0,
-                stop: false,
-                outbox: Vec::new(),
+                sink: None,
                 wake_at: None,
             }),
             wake: Condvar::new(),
@@ -314,14 +319,15 @@ impl WatchRegistry {
     }
 
     /// A finished recheck, on the worker that ran it: fold it into its
-    /// watch and queue any event on the scheduler's outbox under the
-    /// lock that ends the recheck, so the event is queued before the
-    /// watch can be rechecked again. Wakes the scheduler when an event
-    /// was queued or the watch falls due before its planned wake. After
-    /// the scheduler stopped, the result is dropped unresolved.
+    /// watch and hand any event to the sink under the lock that ends the
+    /// recheck, so the event is delivered before the watch can be
+    /// rechecked again. Wakes the scheduler only when the watch falls due
+    /// before its planned wake. Without a sink (the scheduler stopped),
+    /// the result is dropped unresolved.
     fn resolve(&self, id: &str, generation: u64, outcome: Result<Recheck, ServerError>) {
-        let mut inner = self.lock();
-        if inner.stop {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if inner.sink.is_none() {
             if let Some(entry) = inner.entry(id, generation) {
                 entry.inflight = false;
             }
@@ -329,10 +335,19 @@ impl WatchRegistry {
         }
         let event = inner.resolve(id, generation, outcome);
         let due = inner.entry(id, generation).map(|entry| entry.next_due);
-        let wake =
-            event.is_some() || matches!((due, inner.wake_at), (Some(due), Some(at)) if due < at);
-        inner.outbox.extend(event);
-        drop(inner);
+        let wake = matches!((due, inner.wake_at), (Some(due), Some(at)) if due < at);
+        if let (Some(event), Some(sink)) = (event, &mut inner.sink) {
+            debug_event!(
+                "watch_event",
+                "watch" => &event.watch,
+                "seq" => event.seq,
+                "added" => event.diff.added.len() as u64,
+                "removed" => event.diff.removed.len() as u64,
+                "changed" => event.diff.changed.len() as u64,
+            );
+            sink(event);
+        }
+        drop(guard);
         if wake {
             self.wake.notify_all();
         }
@@ -491,11 +506,11 @@ fn append_or_warn(spool: &mut LineLog, record: String) {
     }
 }
 
-/// The scheduler thread: queues due watches on the pool as rechecks and
-/// delivers the diffs the workers resolved to the sink. Between passes
-/// it sleeps until the earliest watch not in flight falls due; a worker
-/// wakes it sooner when it queued an event or its watch falls due before
-/// that. So a watch is rechecked every interval, not every tick, and
+/// The scheduler thread: queues due watches on the pool as rechecks.
+/// Between passes it sleeps until the earliest watch not in flight falls
+/// due; a worker wakes it sooner when its watch falls due before that.
+/// So a watch is rechecked every interval, not every tick. The workers
+/// that resolve the rechecks deliver the diffs themselves, so
 /// change-to-notification latency is bounded by the watch interval plus
 /// one extraction.
 pub struct WatchScheduler {
@@ -504,29 +519,24 @@ pub struct WatchScheduler {
 }
 
 impl WatchScheduler {
-    /// Start the scheduler of `registry` (one per registry at a time:
-    /// starting resets its stop flag and drops undelivered events).
-    /// `tick` bounds how long it sleeps in one go; a newly registered
-    /// watch wakes it at once. `sink` receives every delivered
-    /// [`WatchEvent`] (called on the scheduler thread only, outside the
-    /// registry lock, never on a pool worker, so it may keep state of its
-    /// own without a lock).
+    /// Start the scheduler of `registry` (one per registry at a time) and
+    /// install `sink`. `tick` bounds how long it sleeps in one go; a
+    /// newly registered watch wakes it at once. `sink` receives every
+    /// delivered [`WatchEvent`], each watch's in `seq` order. It runs on
+    /// the pool worker that resolved the event, with the registry lock
+    /// held: it must not block and must not call into the registry.
     pub fn start(
         server: Arc<ExtractionServer>,
         registry: Arc<WatchRegistry>,
         tick: Duration,
         sink: Box<dyn FnMut(WatchEvent) + Send>,
     ) -> WatchScheduler {
-        {
-            let mut inner = registry.lock();
-            inner.stop = false;
-            inner.outbox.clear();
-        }
+        registry.lock().sink = Some(sink);
         let tick = tick.max(Duration::from_millis(1));
         let loop_registry = registry.clone();
         let thread = std::thread::Builder::new()
             .name("lixto-watch-scheduler".into())
-            .spawn(move || scheduler_loop(server, loop_registry, tick, sink))
+            .spawn(move || scheduler_loop(server, loop_registry, tick))
             .expect("spawn watch scheduler");
         WatchScheduler {
             registry,
@@ -534,21 +544,23 @@ impl WatchScheduler {
         }
     }
 
-    /// Stop and join the scheduler thread. Every event resolved before
-    /// the call is delivered before it returns; none is delivered after.
-    /// In-flight rechecks keep running in the pool; their results are
-    /// dropped. Idempotent.
+    /// Take the sink out, then join the scheduler thread and drop the
+    /// sink. Every event resolved before the call was delivered; none is
+    /// delivered after it. In-flight rechecks keep running in the pool;
+    /// their results are dropped. Idempotent.
     pub fn stop(&self) {
-        self.registry.lock().stop = true;
-        self.registry.wake.notify_all();
-        if let Some(thread) = self
+        let Some(thread) = self
             .thread
             .lock()
             .expect("scheduler thread slot poisoned")
             .take()
-        {
-            let _ = thread.join();
-        }
+        else {
+            return;
+        };
+        let sink = self.registry.lock().sink.take();
+        self.registry.wake.notify_all();
+        let _ = thread.join();
+        drop(sink);
     }
 }
 
@@ -558,36 +570,11 @@ impl Drop for WatchScheduler {
     }
 }
 
-fn scheduler_loop(
-    server: Arc<ExtractionServer>,
-    registry: Arc<WatchRegistry>,
-    tick: Duration,
-    mut sink: Box<dyn FnMut(WatchEvent) + Send>,
-) {
+fn scheduler_loop(server: Arc<ExtractionServer>, registry: Arc<WatchRegistry>, tick: Duration) {
     let mut inner = registry.lock();
-    loop {
-        let events = std::mem::take(&mut inner.outbox);
-        let stop = inner.stop;
-        let due = if stop {
-            Vec::new()
-        } else {
-            inner.take_due(Instant::now())
-        };
+    while inner.sink.is_some() {
+        let due = inner.take_due(Instant::now());
         drop(inner);
-        for event in events {
-            debug_event!(
-                "watch_event",
-                "watch" => &event.watch,
-                "seq" => event.seq,
-                "added" => event.diff.added.len() as u64,
-                "removed" => event.diff.removed.len() as u64,
-                "changed" => event.diff.changed.len() as u64,
-            );
-            sink(event);
-        }
-        if stop {
-            return;
-        }
         // A full shard queue is fine: the watch retries next interval and
         // interactive traffic keeps its slots.
         for Due {
@@ -605,14 +592,14 @@ fn scheduler_loop(
                 registry.submission_failed(&id, generation, &e);
             }
         }
-        // Sleep until the earliest due watch, a tick at most, unless an
-        // event or stop arrived meanwhile.
+        // Sleep until the earliest due watch, a tick at most, unless stop
+        // arrived meanwhile.
         inner = registry.lock();
         let now = Instant::now();
         let wake_at = inner
             .next_due()
             .map_or(now + tick, |due| due.min(now + tick));
-        if inner.stop || !inner.outbox.is_empty() || wake_at <= now {
+        if inner.sink.is_none() || wake_at <= now {
             continue;
         }
         inner.wake_at = Some(wake_at);
@@ -801,6 +788,15 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(10)).unwrap()
     }
 
+    /// Install a sink on `registry` that records every event it receives,
+    /// as a running scheduler would.
+    fn record(registry: &WatchRegistry) -> Arc<Mutex<Vec<WatchEvent>>> {
+        let delivered = Arc::new(Mutex::new(Vec::new()));
+        let sink = delivered.clone();
+        registry.lock().sink = Some(Box::new(move |event| sink.lock().unwrap().push(event)));
+        delivered
+    }
+
     /// Claim the one watch not in flight, due or not.
     fn claim(registry: &WatchRegistry) -> Due {
         let mut inner = registry.lock();
@@ -820,10 +816,11 @@ mod tests {
         let server = pool(web);
         let registry = Arc::new(WatchRegistry::new());
         registry.put("w", spec("http://shop/"));
+        let delivered = record(&registry);
         let due = claim(&registry);
         registry.remove("w");
         registry.resolve("w", due.generation, run(&server, &due));
-        assert!(registry.lock().outbox.is_empty());
+        assert!(delivered.lock().unwrap().is_empty());
         assert!(registry.get("w").is_none());
         Arc::try_unwrap(server).ok().unwrap().shutdown();
     }
@@ -835,6 +832,7 @@ mod tests {
         let server = pool(web.clone());
         let registry = Arc::new(WatchRegistry::new());
         registry.put("w", spec("http://shop/"));
+        let delivered = record(&registry);
         let old = claim(&registry);
         let old_outcome = run(&server, &old);
         // The replacement is a new subscription: due at once, and
@@ -868,7 +866,7 @@ mod tests {
         assert!(baseline.instances.iter().any(|i| i.text == "new"));
         assert!(baseline.instances.iter().all(|i| i.text != "old"));
         drop(inner);
-        assert!(registry.lock().outbox.is_empty());
+        assert!(delivered.lock().unwrap().is_empty());
         Arc::try_unwrap(server).ok().unwrap().shutdown();
     }
 
@@ -878,11 +876,12 @@ mod tests {
         let server = pool(web); // no pages: every fetch 404s
         let registry = Arc::new(WatchRegistry::new());
         registry.put("w", spec("http://shop/"));
+        let delivered = record(&registry);
         let due = claim(&registry);
         let outcome = run(&server, &due);
         assert!(outcome.is_err());
         registry.resolve("w", due.generation, outcome);
-        assert!(registry.lock().outbox.is_empty());
+        assert!(delivered.lock().unwrap().is_empty());
         assert_eq!(registry.get("w").unwrap().errors, 1);
         // Backpressure is not an error; other submit failures are.
         registry.submission_failed("w", due.generation, &ServerError::Backpressure);
@@ -1209,19 +1208,21 @@ mod tests {
         server.initiate_shutdown();
     }
 
+    /// A wrapper over the one page at `url`.
+    fn program(url: &str) -> String {
+        format!(
+            r#"
+            offer(S, X) :- document("{url}", S), subelem(S, (?.li, []), X).
+            name(S, X)  :- offer(_, S), subelem(S, (.b, []), X).
+            "#
+        )
+    }
+
     #[test]
     fn stop_delivers_resolved_events_and_nothing_after() {
         const A: &str = "http://a/";
         const B: &str = "http://b/";
         const C: &str = "http://c/";
-        let program = |url: &str| {
-            format!(
-                r#"
-                offer(S, X) :- document("{url}", S), subelem(S, (?.li, []), X).
-                name(S, X)  :- offer(_, S), subelem(S, (.b, []), X).
-                "#
-            )
-        };
         let web = Arc::new(GatedWeb::default());
         for url in [A, B, C] {
             web.allow(url, 1);
@@ -1236,55 +1237,91 @@ mod tests {
             };
             registry.put(name, spec);
         }
-        // The sink holds the first event until released.
         let (tx, rx) = mpsc::channel::<WatchEvent>();
-        let (release, released) = mpsc::channel::<()>();
-        let released = Mutex::new(Some(released));
-        let scheduler = Arc::new(WatchScheduler::start(
+        let scheduler = WatchScheduler::start(
             server.clone(),
             registry.clone(),
             Duration::from_millis(2),
             Box::new(move |event| {
                 let _ = tx.send(event);
-                if let Some(released) = released.lock().unwrap().take() {
-                    let _ = released.recv();
-                }
             }),
-        ));
+        );
         // Every watch baselines, and its second fetch is held.
         web.until("three held rechecks", |s| s.held.len() == 3);
-        // A's change reaches the sink, which holds it...
-        web.allow(A, 2);
-        let first = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!((first.watch.as_str(), first.seq), ("a", 1));
-        // ...while B's change resolves into the outbox.
-        web.allow(B, 2);
-        wait_for("B's event", || !registry.lock().outbox.is_empty());
-        let stopper = {
-            let scheduler = scheduler.clone();
-            std::thread::spawn(move || scheduler.stop())
-        };
-        wait_for("stop", || registry.lock().stop);
-        release.send(()).unwrap();
-        stopper.join().unwrap();
-        let flushed = rx.try_recv().expect("stop delivered the resolved event");
-        assert_eq!((flushed.watch.as_str(), flushed.seq), ("b", 1));
+        // A's and B's changes resolve while the scheduler runs: each is
+        // in the sink by the time its recheck has resolved.
+        for (watch, url) in [("a", A), ("b", B)] {
+            web.allow(url, 2);
+            let event = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert_eq!((event.watch.as_str(), event.seq), (watch, 1));
+        }
+        scheduler.stop();
+        // Stop dropped the sink: nothing can be delivered after it.
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
         // C's change lands after stop: dropped unresolved, and the watch
         // is not left in flight.
         let completed = server.metrics().completed;
         web.allow(C, 2);
         wait_for("C's recheck", || server.metrics().completed > completed);
         assert_eq!(web.fetched(C), 2);
-        assert!(rx.try_recv().is_err(), "an event arrived after stop");
         let c = registry.get("c").unwrap();
         assert_eq!((c.ticks, c.seq), (1, 0));
         assert!(!registry.lock().watches["c"].inflight);
-        // The last pass may have queued A's or B's next recheck before it
+        // The scheduler may have queued A's or B's next recheck before it
         // saw stop; let it finish so the pool can drain.
         for url in [A, B, C] {
             web.allow(url, u64::MAX);
         }
         server.initiate_shutdown();
-        assert!(rx.try_recv().is_err(), "an event arrived after stop");
+    }
+
+    #[test]
+    fn each_watch_reaches_the_sink_in_seq_order_without_gaps() {
+        const WATCHES: usize = 16;
+        const EVENTS: usize = 240;
+        let urls: Vec<String> = (0..WATCHES).map(|i| format!("http://w{i}/")).collect();
+        let programs: Vec<(String, String)> = urls
+            .iter()
+            .enumerate()
+            .map(|(i, url)| (format!("w{i}"), program(url)))
+            .collect();
+        let programs: Vec<(&str, &str)> = programs
+            .iter()
+            .map(|(name, program)| (name.as_str(), program.as_str()))
+            .collect();
+        // Every fetch serves new records, so every recheck after the
+        // baseline is an event, resolved on one of four workers.
+        let web = Arc::new(GatedWeb::default());
+        let server = shared_queue_pool(web, &programs, None);
+        let registry = Arc::new(WatchRegistry::new());
+        for (i, url) in urls.iter().enumerate() {
+            let spec = WatchSpec {
+                wrapper: format!("w{i}"),
+                interval: Duration::from_millis(1),
+                ..spec(url)
+            };
+            registry.put(&format!("w{i}"), spec);
+        }
+        let (tx, rx) = mpsc::channel::<(String, u64)>();
+        let scheduler = WatchScheduler::start(
+            server.clone(),
+            registry.clone(),
+            Duration::from_millis(2),
+            Box::new(move |event| {
+                let _ = tx.send((event.watch, event.seq));
+            }),
+        );
+        let mut last: HashMap<String, u64> = HashMap::new();
+        for _ in 0..EVENTS {
+            let (watch, seq) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a diff event");
+            let previous = last.entry(watch.clone()).or_insert(0);
+            assert_eq!(seq, *previous + 1, "watch {watch}");
+            *previous = seq;
+        }
+        scheduler.stop();
+        assert!(last.len() > 1, "only {last:?} delivered");
+        server.initiate_shutdown();
     }
 }

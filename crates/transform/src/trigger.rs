@@ -29,38 +29,16 @@ impl Trigger {
 /// consecutive requests").
 #[derive(Debug, Default, Clone)]
 pub struct ChangeDetector {
-    last: Option<Payload>,
-}
-
-/// What the detector last saw: a textual payload or a word-sized content
-/// address. A transition between the two kinds counts as a change (the
-/// kinds address different value spaces, so equality across them is
-/// meaningless).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Payload {
-    Text(String),
-    Word(u64),
+    last: Option<String>,
 }
 
 impl ChangeDetector {
     /// Record `payload`; true iff it differs from the previous one.
     pub fn changed(&mut self, payload: &str) -> bool {
-        if matches!(&self.last, Some(Payload::Text(last)) if last == payload) {
+        if self.last.as_deref() == Some(payload) {
             false
         } else {
-            self.last = Some(Payload::Text(payload.to_string()));
-            true
-        }
-    }
-
-    /// Word-sized variant of [`changed`](ChangeDetector::changed) for hot
-    /// paths that already hold a content address: compares and stores the
-    /// raw `u64` — no formatting, no allocation, ever.
-    pub fn changed_u64(&mut self, payload: u64) -> bool {
-        if self.last == Some(Payload::Word(payload)) {
-            false
-        } else {
-            self.last = Some(Payload::Word(payload));
+            self.last = Some(payload.to_string());
             true
         }
     }
@@ -88,24 +66,5 @@ mod tests {
         assert!(!d.changed("a"));
         assert!(d.changed("b"));
         assert!(d.changed("a"));
-    }
-
-    #[test]
-    fn change_detection_word_sized() {
-        let mut d = ChangeDetector::default();
-        assert!(d.changed_u64(7));
-        assert!(!d.changed_u64(7));
-        assert!(d.changed_u64(8));
-        assert!(d.changed_u64(7));
-    }
-
-    #[test]
-    fn change_detection_kind_transition_counts_as_change() {
-        let mut d = ChangeDetector::default();
-        assert!(d.changed("7"));
-        // Same digits, different value space: a change both ways.
-        assert!(d.changed_u64(7));
-        assert!(!d.changed_u64(7));
-        assert!(d.changed("7"));
     }
 }

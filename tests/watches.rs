@@ -3,16 +3,20 @@
 //! diff agreeing with a reference recompute — deliver nothing on
 //! unchanged or markup-only ticks, stay fresh within a bounded latency
 //! while all watches tick concurrently, and survive a gateway restart
-//! through the durability spool.
+//! through the durability spool. A webhook that never answers stalls
+//! neither the other watches' streams nor its own watch's rechecks.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::collections::HashMap;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lixto::core::XmlDesign;
-use lixto::elog::SharedWeb;
+use lixto::elog::{SharedWeb, WebSource};
 use lixto::http::{GatewayConfig, HttpClient, HttpGateway, Json};
 use lixto::server::{
     durability_layout, ExtractionRequest, ExtractionServer, RequestSource, ServerConfig,
@@ -508,6 +512,182 @@ fn live_and_watch_streams_on_one_loop_each_get_only_their_topic() {
     }
 
     drop(b);
+    drop(client);
+    gateway.shutdown();
+    server.initiate_shutdown();
+}
+
+/// Serves new records on every fetch of a URL, so every recheck after a
+/// watch's baseline delivers an event.
+#[derive(Default)]
+struct ChurningWeb {
+    fetches: Mutex<HashMap<String, u64>>,
+}
+
+impl WebSource for ChurningWeb {
+    fn fetch(&self, url: &str) -> Option<String> {
+        let mut fetches = self.fetches.lock().unwrap();
+        let n = fetches.entry(url.to_string()).or_insert(0);
+        *n += 1;
+        Some(page(&[format!("{url}#{n}")]))
+    }
+}
+
+/// A webhook endpoint that accepts connections and never answers them,
+/// until [`close`](BlackHole::close) drops them and stops listening.
+struct BlackHole {
+    addr: SocketAddr,
+    accepted: Arc<AtomicUsize>,
+    open: Arc<AtomicBool>,
+    thread: JoinHandle<()>,
+}
+
+impl BlackHole {
+    fn open() -> BlackHole {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let open = Arc::new(AtomicBool::new(true));
+        let thread = {
+            let (accepted, open) = (accepted.clone(), open.clone());
+            std::thread::spawn(move || {
+                let mut held = Vec::new();
+                while open.load(Ordering::Relaxed) {
+                    match listener.accept() {
+                        Ok((stream, _)) => {
+                            held.push(stream);
+                            accepted.fetch_add(1, Ordering::Relaxed);
+                        }
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        Err(e) => panic!("black hole accept: {e}"),
+                    }
+                }
+            })
+        };
+        BlackHole {
+            addr,
+            accepted,
+            open,
+            thread,
+        }
+    }
+
+    fn accepted(&self) -> usize {
+        self.accepted.load(Ordering::Relaxed)
+    }
+
+    /// Reset what it holds and refuse further connections.
+    fn close(self) {
+        self.open.store(false, Ordering::Relaxed);
+        self.thread.join().unwrap();
+    }
+}
+
+/// The number under `keys` in the JSON answer to `GET path`.
+fn number(client: &mut HttpClient, path: &str, keys: &[&str]) -> u64 {
+    let mut json = client
+        .get_accept(path, "application/json")
+        .unwrap()
+        .json()
+        .unwrap();
+    for key in keys {
+        json = json.get(key).unwrap().clone();
+    }
+    json.as_u64().unwrap()
+}
+
+#[test]
+fn a_webhook_that_never_answers_stalls_no_other_delivery() {
+    let web = Arc::new(ChurningWeb::default());
+    let wrappers = Arc::new(WrapperRegistry::new());
+    for i in 0..2 {
+        wrappers
+            .register_source(
+                &format!("shop{i}"),
+                &shop_program(i),
+                XmlDesign::new().root("offers"),
+            )
+            .unwrap();
+    }
+    let server = Arc::new(ExtractionServer::start(
+        ServerConfig::default(),
+        wrappers,
+        web,
+    ));
+    let gateway = HttpGateway::bind(
+        "127.0.0.1:0",
+        GatewayConfig {
+            event_loops: 1,
+            idle_timeout: Duration::from_secs(10),
+            ..GatewayConfig::default()
+        },
+        server.clone(),
+    )
+    .unwrap();
+    let hole = BlackHole::open();
+    let mut client = HttpClient::connect(gateway.addr()).unwrap();
+    // A changes on every recheck and POSTs each change into the black
+    // hole; B changes as often and has no webhook.
+    let a = format!(
+        r#"{{"wrapper":"shop0","url":"{}","interval_ms":1,"webhook":"http://{}/hook"}}"#,
+        shop_url(0),
+        hole.addr
+    );
+    let b = format!(
+        r#"{{"wrapper":"shop1","url":"{}","interval_ms":10}}"#,
+        shop_url(1)
+    );
+    for (id, body) in [("a", a), ("b", b)] {
+        let put = client.put_json(&format!("/watches/{id}"), &body).unwrap();
+        assert_eq!(put.status, 201, "{}", put.text());
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while hole.accepted() == 0 {
+        assert!(Instant::now() < deadline, "A's webhook was never called");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let a_ticks = number(&mut client, "/watches/a", &["ticks"]);
+
+    // While A's first POST hangs, B's subscriber gets three events.
+    let (mut stream, mut raw) =
+        subscribe(gateway.addr(), "/watches/b/events?events=3", "watch_hello");
+    let subscribed = Instant::now();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let ended = stream.read_to_end(&mut raw);
+    let text = String::from_utf8_lossy(&raw);
+    assert!(
+        ended.is_ok() && subscribed.elapsed() < Duration::from_secs(5),
+        "B's stream stalled behind A's webhook: {ended:?} after {:?}: {text}",
+        subscribed.elapsed()
+    );
+    assert_eq!(text.matches(r#""type":"watch_event""#).count(), 3, "{text}");
+
+    // A keeps being rechecked, and its deliveries that found the queue
+    // full failed at once instead of blocking the worker.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while number(&mut client, "/watches/a", &["ticks"]) < a_ticks + 3
+        || number(&mut client, "/metrics", &["watches", "webhook_failures"]) == 0
+    {
+        assert!(
+            Instant::now() < deadline,
+            "A stalled behind its own webhook"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(hole.accepted(), 1, "A's first POST is still hanging");
+    assert_eq!(
+        number(&mut client, "/metrics", &["watches", "webhook_deliveries"]),
+        0
+    );
+
+    // Closing the hole fails the hanging POST and refuses the queued
+    // ones, so shutdown does not wait out the client's read timeout.
+    hole.close();
     drop(client);
     gateway.shutdown();
     server.initiate_shutdown();
