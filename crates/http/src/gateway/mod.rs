@@ -763,6 +763,12 @@ mod tests {
         offer(S, X) :- document("http://shop/", S), subelem(S, (?.li, []), X).
     "#;
 
+    /// A wrapper that crawls from its entry page to the page it links.
+    const CRAWLER: &str = r#"
+        link(S, X) :- document("http://start/", S), subelem(S, (?.a, []), X).
+        page(S, X) :- link(_, S), attrbind(S, href, U), document(U, X).
+    "#;
+
     fn gateway() -> (HttpGateway, Arc<ExtractionServer>) {
         let registry = Arc::new(WrapperRegistry::new());
         registry
@@ -1096,21 +1102,47 @@ mod tests {
         assert_eq!(memo_of(&promoted).as_ref(), Some(&tail));
         assert_eq!(memo_of(&loop_hit(&server, None)).as_ref(), Some(&tail));
 
-        // Invalidation, then re-insert: the page changes (the live
-        // source's change detection drops the entry) and changes back
-        // (the result is recomputed under the same key). The new entry
-        // starts with an empty memo.
         let web_hit = server.execute(request(None, false)).unwrap();
         assert!(web_hit.cache_hit, "same URL and bytes, same entry");
-        web.put(url, "<ul><li>changed</li></ul>");
-        assert!(!server.execute(request(None, false)).unwrap().cache_hit);
-        web.put(url, page);
-        let recomputed = server.execute(request(None, false)).unwrap();
-        assert!(!recomputed.cache_hit);
-        let fresh = loop_hit(&server, None);
+
+        // Invalidation, then re-insert: a crawling wrapper's subpage
+        // changes (crawl revalidation drops the entry, and the result is
+        // recomputed under the same key) and changes back (the same
+        // again). The re-inserted entry starts with an empty memo.
+        server
+            .registry()
+            .register_source("crawler", CRAWLER, XmlDesign::new().root("pages"))
+            .unwrap();
+        web.put(
+            "http://start/",
+            "<body><a href='http://sub/'>next</a></body>",
+        );
+        web.put("http://sub/", "<p>Zürich</p>");
+        let crawl = || {
+            let mut request = request(None, false);
+            request.wrapper = "crawler".into();
+            request.source = RequestSource::Web {
+                url: "http://start/".into(),
+            };
+            server.execute(request).unwrap()
+        };
+        assert!(!crawl().cache_hit);
+        let crawled = crawl();
+        assert!(crawled.cache_hit);
+        assert_streams_like_the_tree(&crawled);
+        let crawl_tail = memo_of(&crawled).expect("filled");
+        web.put("http://sub/", "<p>changed</p>");
+        let changed = crawl();
+        assert!(!changed.cache_hit);
+        assert_eq!(changed.key, crawled.key);
+        web.put("http://sub/", "<p>Zürich</p>");
+        assert!(!crawl().cache_hit);
+        let fresh = crawl();
+        assert!(fresh.cache_hit);
         assert_eq!(memo_of(&fresh), None);
         assert_streams_like_the_tree(&fresh);
-        assert_eq!(memo_of(&fresh).as_ref(), Some(&tail));
+        assert_eq!(memo_of(&fresh).as_ref(), Some(&crawl_tail));
+        assert_eq!(server.metrics().cache.invalidations, 2);
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1121,10 +1153,6 @@ mod tests {
 
         // A crawling wrapper: a result computed with live-web access and
         // one computed self-contained differ, yet share one cache key.
-        const CRAWLER: &str = r#"
-            link(S, X) :- document("http://start/", S), subelem(S, (?.a, []), X).
-            page(S, X) :- link(_, S), attrbind(S, href, U), document(U, X).
-        "#;
         let start_page = "<body><a href='http://sub/'>next</a></body>";
         let web = Arc::new(SharedWeb::new());
         web.put("http://start/", start_page);

@@ -439,7 +439,7 @@ const CACHE: &[Entry<CacheStats>] = &[
     counter("hits", "lixto_cache_hits_total", |c| c.hits, "Cache lookups answered from the cache"),
     counter("misses", "lixto_cache_misses_total", |c| c.misses, "Cache lookups that required a fresh extraction"),
     counter("evictions", "lixto_cache_evictions_total", |c| c.evictions, "Cache entries evicted by the LRU policy"),
-    counter("invalidations", "lixto_cache_invalidations_total", |c| c.invalidations, "Cache entries dropped by change detection or crawl revalidation"),
+    counter("invalidations", "lixto_cache_invalidations_total", |c| c.invalidations, "Cache entries dropped because a crawled subpage failed revalidation"),
     gauge("len", "lixto_cache_entries", |c| c.len as u64, "Cache entries currently held"),
     json_only("capacity", Read::Int(|c| c.capacity as u64)),
     json_only("hit_rate", Read::Float(CacheStats::hit_rate)),

@@ -1,4 +1,6 @@
-//! Content-addressed result cache, sharded across mutex'd segments.
+//! Content-addressed result cache, sharded across mutex'd segments: the
+//! hot tier of the [`TieredStore`](crate::TieredStore), which is its one
+//! user.
 //!
 //! A wrapper is a pure function of (program version, fetched pages) —
 //! the Extractor is deterministic — so results are cached under the
@@ -7,10 +9,11 @@
 //! case for a portal polling slowly-changing sites) cost one extraction.
 //!
 //! The map is split into N independently locked segments selected by the
-//! key's fxhash, so concurrent workers (and now the HTTP gateway's
-//! handler threads) do not serialize on one big mutex. Aggregate
-//! hit/miss/eviction/invalidation counters are kept in shared atomics and
-//! stay exact regardless of which segment served an operation.
+//! key's fxhash, so concurrent workers (and the HTTP gateway's event
+//! loops, which answer hot-tier hits) do not serialize on one big mutex.
+//! Aggregate hit/miss/eviction/invalidation counters are kept in shared
+//! atomics and stay exact regardless of which segment served an
+//! operation.
 //!
 //! Every cached value also carries a *crawl manifest*: the URL and body
 //! hash of each page the extraction fetched beyond the entry document.
@@ -146,8 +149,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted by the LRU policy.
     pub evictions: u64,
-    /// Entries dropped because change detection or crawl revalidation saw
-    /// new source content.
+    /// Entries dropped because their crawl manifest failed to
+    /// revalidate: a page the extraction crawled beyond its entry page
+    /// changed. A changed entry page is not counted: its new bytes have a
+    /// new content address, and the old entry ages out.
     pub invalidations: u64,
     /// Entries currently held.
     pub len: usize,
@@ -167,8 +172,8 @@ impl CacheStats {
     }
 }
 
-/// Most segments a [`ResultCache::new`] cache is split into.
-pub const DEFAULT_CACHE_SEGMENTS: usize = 8;
+/// Most segments a [`ResultCache`] is split into.
+const MAX_SEGMENTS: usize = 8;
 
 /// Smallest per-segment capacity [`ResultCache::new`] will accept when
 /// choosing its segment count: splitting a small cache into one-entry
@@ -177,7 +182,7 @@ const MIN_SEGMENT_CAPACITY: usize = 8;
 
 /// Bounded, thread-safe, content-addressed LRU cache of extraction
 /// results, sharded over independently locked segments.
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     segments: Vec<Mutex<Segment>>,
     segment_capacity: usize,
     hits: AtomicU64,
@@ -193,21 +198,14 @@ struct Segment {
 
 impl ResultCache {
     /// A cache holding at most ~`capacity` entries (min 1), split into
-    /// up to [`DEFAULT_CACHE_SEGMENTS`] segments — fewer for small
-    /// capacities, so each segment keeps at least
-    /// `MIN_SEGMENT_CAPACITY` entries of real LRU behavior (a capacity
-    /// of 8 is one global-LRU segment, exactly as before sharding).
-    pub fn new(capacity: usize) -> ResultCache {
-        let segments = (capacity.max(1) / MIN_SEGMENT_CAPACITY).clamp(1, DEFAULT_CACHE_SEGMENTS);
-        ResultCache::with_segments(capacity, segments)
-    }
-
-    /// A cache with an explicit segment count. The per-segment capacity
-    /// is `ceil(capacity / segments)`, so the total capacity may round up
-    /// slightly; `stats().capacity` reports the effective total.
-    pub fn with_segments(capacity: usize, segments: usize) -> ResultCache {
+    /// up to `MAX_SEGMENTS` segments — fewer for small capacities, so
+    /// each segment keeps at least `MIN_SEGMENT_CAPACITY` entries of real
+    /// LRU behavior (a capacity below 16 is one global-LRU segment). The
+    /// per-segment capacity is `ceil(capacity / segments)`, so the total
+    /// may round up slightly; `stats().capacity` reports it.
+    pub(crate) fn new(capacity: usize) -> ResultCache {
         let capacity = capacity.max(1);
-        let segments = segments.clamp(1, capacity);
+        let segments = (capacity / MIN_SEGMENT_CAPACITY).clamp(1, MAX_SEGMENTS);
         let segment_capacity = capacity.div_ceil(segments);
         ResultCache {
             segments: (0..segments)
@@ -237,7 +235,8 @@ impl ResultCache {
     }
 
     /// Look up `key`, counting a hit or miss and refreshing recency.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
+    #[cfg(test)]
+    fn get(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
         match self.peek(key) {
             Some((value, _)) => {
                 self.record_hit();
@@ -255,7 +254,7 @@ impl ResultCache {
     /// manifest first and then record the lookup as a hit or a miss
     /// depending on the verdict, keeping the aggregate counters exact.
     /// The entry's [`ResponseMemo`] comes along with its value.
-    pub fn peek(&self, key: &CacheKey) -> Option<(Arc<CachedExtraction>, ResponseMemo)> {
+    pub(crate) fn peek(&self, key: &CacheKey) -> Option<(Arc<CachedExtraction>, ResponseMemo)> {
         let mut seg = self.segment(key).lock().expect("cache poisoned");
         seg.clock += 1;
         let clock = seg.clock;
@@ -266,12 +265,12 @@ impl ResultCache {
     }
 
     /// Count one cache hit (pairs with [`ResultCache::peek`]).
-    pub fn record_hit(&self) {
+    pub(crate) fn record_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one cache miss (pairs with [`ResultCache::peek`]).
-    pub fn record_miss(&self) {
+    pub(crate) fn record_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -280,7 +279,7 @@ impl ResultCache {
     /// entry's empty [`ResponseMemo`]; a key that was already present
     /// gets a fresh one too, since the old memo belonged to the old
     /// value.
-    pub fn insert(&self, key: CacheKey, value: Arc<CachedExtraction>) -> ResponseMemo {
+    pub(crate) fn insert(&self, key: CacheKey, value: Arc<CachedExtraction>) -> ResponseMemo {
         let capacity = self.segment_capacity;
         let mut seg = self.segment(&key).lock().expect("cache poisoned");
         seg.clock += 1;
@@ -308,8 +307,9 @@ impl ResultCache {
         memo
     }
 
-    /// Drop `key` because its source content changed; true if present.
-    pub fn invalidate(&self, key: &CacheKey) -> bool {
+    /// Drop `key` because its crawl manifest no longer revalidates; true
+    /// if present.
+    pub(crate) fn invalidate(&self, key: &CacheKey) -> bool {
         let mut seg = self.segment(key).lock().expect("cache poisoned");
         let removed = seg.map.remove(key).is_some();
         if removed {
@@ -319,7 +319,7 @@ impl ResultCache {
     }
 
     /// Current counters.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let len = self
             .segments
             .iter()
@@ -439,7 +439,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         // One segment so the LRU order is global and deterministic.
-        let cache = ResultCache::with_segments(2, 1);
+        let cache = ResultCache::new(2);
         cache.insert(key("w", 1), dummy("1"));
         cache.insert(key("w", 2), dummy("2"));
         // Touch 1 so 2 becomes the LRU victim.
@@ -472,7 +472,7 @@ mod tests {
 
     #[test]
     fn segment_counts_clamp_to_capacity() {
-        let tiny = ResultCache::with_segments(3, 8);
+        let tiny = ResultCache::new(3);
         assert_eq!(tiny.stats().capacity, 3);
         let cache = ResultCache::new(256);
         assert_eq!(cache.stats().capacity, 256);
@@ -534,7 +534,7 @@ mod tests {
         };
         let memo_of = |cache: &ResultCache, k: &CacheKey| cache.peek(k).unwrap().1;
         // One segment of two entries, so eviction is predictable.
-        let cache = ResultCache::with_segments(2, 1);
+        let cache = ResultCache::new(2);
         let k = key("w", 1);
         let inserted = cache.insert(k.clone(), dummy("x"));
         assert_eq!(inserted.get(), None);

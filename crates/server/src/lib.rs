@@ -18,14 +18,14 @@
 //!   job answers its submitter's callback exactly once), with graceful
 //!   [`shutdown`](ExtractionServer::shutdown) that drains queues and
 //!   joins every thread;
-//! * [`cache`] — a content-addressed [`ResultCache`], sharded over
-//!   independently locked segments with exact aggregate counters and a
-//!   crawl manifest per entry (stale subpages are revalidated before a
-//!   hit is served): FxHash of the
-//!   document bytes + wrapper version addresses an
-//!   [`ExtractionResult`](lixto_elog::eval::ExtractionResult), LRU
-//!   eviction, hit/miss/eviction/invalidation counters, and
-//!   invalidation when a live source's content address changes;
+//! * [`cache`] — content addressing: a [`CacheKey`] is the wrapper's
+//!   plan fingerprint plus the FxHash of the document's URL and bytes,
+//!   and it addresses a [`CachedExtraction`] with a crawl manifest (stale
+//!   subpages are revalidated before a hit is served). The key is the
+//!   store's staleness rule: a changed page has a new key, so its old
+//!   entry is never served and only ages out. The module also holds the
+//!   store's hot tier, a sharded LRU with exact hit/miss/eviction/
+//!   invalidation counters ([`CacheStats`]);
 //! * [`store`] — the durable [`TieredStore`]: the sharded LRU as hot
 //!   tier over an append-only, log-structured disk tier with snapshot +
 //!   WAL recovery, TTL and size-budget compaction, and a persisted
@@ -64,7 +64,6 @@ pub use lixto_core::XmlDesign;
 
 pub use cache::{
     content_address, fxhash64, CacheKey, CacheStats, CachedExtraction, CrawlRecord, ResponseMemo,
-    ResultCache, DEFAULT_CACHE_SEGMENTS,
 };
 pub use lixto_elog::{CompileError, ParseError, WrapperPlan};
 pub use lixto_transform::{ChangedEntry, DiffEntry, InstanceDiff};

@@ -4,11 +4,13 @@
 //! Requests are hashed to one of N shards (by wrapper name plus source
 //! identity, so identical work lands on the same queue), each shard owns
 //! a bounded job queue drained by one or more worker threads, and every
-//! completed extraction is stored in the shared content-addressed
-//! [`ResultCache`](crate::ResultCache). Bounded queues give
-//! backpressure two ways: `submit`
-//! blocks the producer when its shard is full,
-//! [`ExtractionServer::try_serve`] returns
+//! completed extraction is stored in the shared [`TieredStore`] under
+//! the content address of the page it read. That key is the store's
+//! staleness rule: a changed page has a new key, so a stale entry is
+//! never served, only left to age out. The one entry dropped on sight is
+//! one whose crawl manifest no longer revalidates. Bounded queues give
+//! backpressure two ways: `submit` blocks the producer when its shard is
+//! full, [`ExtractionServer::try_serve`] returns
 //! [`ServerError::Backpressure`] instead.
 //!
 //! Every queued job answers the same way: it owns its submitter's
@@ -26,7 +28,7 @@
 //!
 //! The watch scheduler queues a second job kind on the same shards, a
 //! *recheck* (`ExtractionServer::try_recheck`): fetch, content
-//! address, change tracking and plan execution as for an extraction,
+//! address and plan execution as for an extraction,
 //! then an instance snapshot instead of XML, provenance and a store
 //! entry, answered through the same kind of callback.
 //!
@@ -40,7 +42,6 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
@@ -412,197 +413,11 @@ pub struct PoolSample {
     pub store_write_errors: u64,
 }
 
-/// Per-(wrapper, url) change detection for `Web`-sourced requests: when
-/// the fetched body differs from the last one seen, the previous cache
-/// entry is proactively invalidated. The tracker compares word-sized
-/// content addresses rather than bodies, so it costs a few dozen bytes,
-/// not a page.
-struct SourceTracker {
-    last_key: Option<CacheKey>,
-    /// Whether a job stored its result under `last_key`. Only such a key
-    /// is reported stale when the page changes: a key only watch
-    /// rechecks saw was never inserted, and invalidating it would take
-    /// the store's disk lock to find nothing.
-    stored: bool,
-    /// Segment-clock value of the last touch, for oldest-first eviction.
-    last_used: u64,
-}
-
-impl SourceTracker {
-    /// Fold in one observation of `key` (see [`SourceTrackers::observe`]).
-    fn observe(&mut self, key: &CacheKey, stored: bool, clock: u64) -> Option<CacheKey> {
-        self.last_used = clock;
-        if self.last_key.as_ref() == Some(key) {
-            self.stored |= stored;
-            return None;
-        }
-        let old = self.last_key.replace(key.clone());
-        let old_stored = std::mem::replace(&mut self.stored, stored);
-        old.filter(|old| old_stored && old.content != key.content)
-    }
-}
-
-/// A `(wrapper, url)` pair, owned or borrowed: lets a segment map keyed
-/// by owned pairs be searched with borrowed strs, so observing a source
-/// already tracked allocates nothing.
-trait SourcePair {
-    fn parts(&self) -> (&str, &str);
-}
-
-impl SourcePair for (String, String) {
-    fn parts(&self) -> (&str, &str) {
-        (&self.0, &self.1)
-    }
-}
-
-impl SourcePair for (&str, &str) {
-    fn parts(&self) -> (&str, &str) {
-        *self
-    }
-}
-
-impl<'a> std::borrow::Borrow<dyn SourcePair + 'a> for (String, String) {
-    fn borrow(&self) -> &(dyn SourcePair + 'a) {
-        self
-    }
-}
-
-/// Hashes as the owned `(String, String)` key does: both strs in order.
-impl std::hash::Hash for dyn SourcePair + '_ {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.parts().hash(state);
-    }
-}
-
-impl PartialEq for dyn SourcePair + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
-    }
-}
-
-impl Eq for dyn SourcePair + '_ {}
-
-/// Cap on tracked (wrapper, url) pairs, split evenly across segments.
-/// Past a segment's share, its coldest tracker is evicted — losing only
-/// the *proactive* invalidation of that one stale entry (content
-/// addressing keeps results correct regardless), never growing without
-/// bound under per-query URLs.
-const MAX_TRACKED_SOURCES: usize = 4096;
-
-/// Segment count for [`SourceTrackers`]. Like the result cache's
-/// segments, this bounds lock contention: `Web`-sourced requests for
-/// different (wrapper, url) pairs take different locks.
-const SOURCE_SEGMENTS: usize = 8;
-
-/// Change trackers for `Web` sources, sharded into fxhash-picked
-/// segments so concurrent workers touching different sources never
-/// serialize on one global lock (the result cache plays the same trick).
-struct SourceTrackers {
-    segments: Vec<Mutex<TrackerSegment>>,
-    /// Per-segment tracker cap; the coldest entry is evicted past it.
-    segment_capacity: usize,
-}
-
-#[derive(Default)]
-struct TrackerSegment {
-    map: HashMap<(String, String), SourceTracker>,
-    /// Recency counter: bumped per touch, stamped into `last_used`.
-    clock: u64,
-}
-
-impl SourceTrackers {
-    fn new() -> SourceTrackers {
-        SourceTrackers::with_limits(SOURCE_SEGMENTS, MAX_TRACKED_SOURCES / SOURCE_SEGMENTS)
-    }
-
-    /// Test constructor: explicit segment count and per-segment cap.
-    fn with_limits(segments: usize, segment_capacity: usize) -> SourceTrackers {
-        SourceTrackers {
-            segments: (0..segments.max(1))
-                .map(|_| Mutex::new(TrackerSegment::default()))
-                .collect(),
-            segment_capacity: segment_capacity.max(1),
-        }
-    }
-
-    /// Which segment a (wrapper, url) pair lives in.
-    fn segment_index(&self, wrapper: &str, url: &str) -> usize {
-        let mut h = fxhash64(wrapper.as_bytes()).rotate_left(1) ^ fxhash64(url.as_bytes());
-        // Murmur finalizer: spread the hash across the high bits so the
-        // modulo below sees all of them.
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        (h as usize) % self.segments.len()
-    }
-
-    /// Record an observation of `key` for (wrapper, url); `stored` says
-    /// whether the caller's job keeps its result in the store under
-    /// `key` (an interactive job does: a hit found it there, a miss
-    /// inserts it; a watch recheck never does). Returns the previous
-    /// key iff the content address changed and a job stored under it —
-    /// the stale entry the caller should invalidate. One segment lock,
-    /// one map lookup by borrowed strs; a source seen for the first time
-    /// allocates its owned key, and a changed key is cloned once.
-    fn observe(&self, wrapper: &str, url: &str, key: &CacheKey, stored: bool) -> Option<CacheKey> {
-        let capacity = self.segment_capacity;
-        let mut seg = self.segments[self.segment_index(wrapper, url)]
-            .lock()
-            .expect("sources poisoned");
-        seg.clock += 1;
-        let clock = seg.clock;
-        if let Some(tracker) = seg.map.get_mut(&(wrapper, url) as &dyn SourcePair) {
-            return tracker.observe(key, stored, clock);
-        }
-        let mut tracker = SourceTracker {
-            last_key: None,
-            stored: false,
-            last_used: 0,
-        };
-        tracker.observe(key, stored, clock);
-        seg.map
-            .insert((wrapper.to_string(), url.to_string()), tracker);
-        if seg.map.len() > capacity {
-            // Oldest-first eviction, skipping the entry just touched:
-            // one cold tracker goes, the hot set survives.
-            if let Some(oldest) = seg
-                .map
-                .iter()
-                .filter(|(_, t)| t.last_used != clock)
-                .min_by_key(|(_, t)| t.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                seg.map.remove(&oldest);
-            }
-        }
-        None
-    }
-
-    /// Hold a segment's lock for the duration of `f` — lets tests prove
-    /// a jammed segment cannot block observations landing elsewhere.
-    #[cfg(test)]
-    fn with_segment_locked<R>(&self, wrapper: &str, url: &str, f: impl FnOnce() -> R) -> R {
-        let _guard = self.segments[self.segment_index(wrapper, url)]
-            .lock()
-            .expect("sources poisoned");
-        f()
-    }
-
-    #[cfg(test)]
-    fn tracked(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.lock().expect("sources poisoned").map.len())
-            .sum()
-    }
-}
-
 struct Shared {
     registry: Arc<WrapperRegistry>,
     store: TieredStore,
     metrics: ServerMetrics,
     web: Arc<dyn WebSource + Send + Sync>,
-    sources: SourceTrackers,
 }
 
 impl Shared {
@@ -766,7 +581,6 @@ impl ExtractionServer {
             store,
             metrics: ServerMetrics::new(),
             web,
-            sources: SourceTrackers::new(),
         });
         let mut queues = Vec::with_capacity(config.shards);
         let mut workers = Vec::new();
@@ -929,11 +743,10 @@ impl ExtractionServer {
 
     /// Queue a watch recheck of `request` (a `Web` source) without
     /// blocking, as [`try_serve`](Self::try_serve) would queue the
-    /// request. The worker fetches the page, addresses it and
-    /// feeds the change tracker (a changed page still drops a stale
-    /// entry of interactive traffic). If the key and every crawled page match
-    /// `seen`, it answers [`Recheck::Unchanged`] without executing;
-    /// otherwise it runs the plan and answers the instance snapshot. It
+    /// request. The worker fetches the page and addresses it. If the key
+    /// and every crawled page match `seen`, it answers
+    /// [`Recheck::Unchanged`] without executing; otherwise it runs the
+    /// plan and answers the instance snapshot. It
     /// renders no XML, builds no provenance and never reads or writes
     /// the store. The job counts as submitted, completed or failed, in
     /// the latency and stage histograms, never as a cache hit or miss.
@@ -1161,15 +974,14 @@ impl Page<'_> {
     }
 }
 
-/// The prologue every job kind shares: fetch a `Web` page, compute its
-/// store key, and feed the change tracker — a changed body drops the
-/// stale entry instead of leaving it to age out of the LRU. `stores`
-/// says whether the job keeps its result under the key (see
-/// [`SourceTrackers::observe`]).
+/// The prologue every job kind shares: fetch a `Web` page and compute
+/// its store key. The key is the content address of the bytes just
+/// fetched, so an entry stored for earlier bytes can never be served for
+/// these; it ages out of the hot tier's LRU, the disk tier's byte budget
+/// or its TTL.
 fn fetch_page<'a>(
     job: &'a Job,
     shared: &Shared,
-    stores: bool,
     stages: &mut StageTimes,
 ) -> Result<(Page<'a>, CacheKey), ServerError> {
     stages.add(Stage::QueueWait, job.submitted_at.elapsed());
@@ -1191,11 +1003,6 @@ fn fetch_page<'a>(
         plan: job.wrapper.plan_id,
         content: job.content.unwrap_or_else(|| content_address(url, &html)),
     };
-    if from_web {
-        if let Some(stale) = shared.sources.observe(&job.wrapper.name, url, &key, stores) {
-            shared.store.invalidate(&stale);
-        }
-    }
     Ok((
         Page {
             url,
@@ -1244,13 +1051,14 @@ fn run_plan(
 
 fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError> {
     let mut stages = StageTimes::new();
-    let (page, key) = fetch_page(job, shared, true, &mut stages)?;
+    let (page, key) = fetch_page(job, shared, &mut stages)?;
     // A candidate only counts as a hit once its crawl manifest
     // revalidates — the entry page being unchanged is not enough for a
-    // wrapper that crawled beyond it. A manifest recorded with the
-    // other fetch capability (live vs. self-contained) cannot be judged
-    // here: recompute, but leave the entry alone — it is still valid
-    // for requests of its own kind.
+    // wrapper that crawled beyond it; a manifest that fails is dropped.
+    // A manifest recorded with the other fetch capability (live vs.
+    // self-contained) cannot be judged here: the job recomputes, and the
+    // `store.insert` below replaces that entry under the same key
+    // without counting an invalidation.
     let cache_started = Instant::now();
     if let Some((cached, memo)) = shared.store.peek_entry(&key) {
         if cached.crawl.is_empty() || cached.crawl_live == page.from_web {
@@ -1266,10 +1074,8 @@ fn process(job: &Job, shared: &Shared) -> Result<ExtractionResponse, ServerError
             }
             shared.store.invalidate(&key);
         }
-        shared.store.record_miss();
-    } else {
-        shared.store.record_miss();
     }
+    shared.store.record_miss();
     stages.add(Stage::CacheLookup, cache_started.elapsed());
     let (result, crawl) = run_plan(job, shared, &page, &mut stages);
     let spec = &job.wrapper.spec;
@@ -1327,7 +1133,7 @@ fn recheck(
     shared: &Shared,
 ) -> Result<(Recheck, StageTimes), ServerError> {
     let mut stages = StageTimes::new();
-    let (page, key) = fetch_page(job, shared, false, &mut stages)?;
+    let (page, key) = fetch_page(job, shared, &mut stages)?;
     if let Some(seen) = seen.filter(|seen| seen.key == key) {
         if crawl_current(&seen.crawl, page.crawl_web(shared)) {
             return Ok((Recheck::Unchanged, stages));
@@ -1474,40 +1280,49 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn web_source_fetches_and_change_invalidates() {
-        // A mutable web page: first two requests see body A (one miss,
-        // one hit), then the page changes and the stale entry must be
-        // invalidated, not merely missed.
-        struct MutableWeb {
-            body: Mutex<String>,
+    /// A `Web` page whose body the test rewrites between requests.
+    struct MutableWeb {
+        body: Mutex<String>,
+    }
+
+    impl WebSource for MutableWeb {
+        fn fetch(&self, url: &str) -> Option<String> {
+            (url == "http://shop/").then(|| self.body.lock().unwrap().clone())
         }
-        impl WebSource for MutableWeb {
-            fn fetch(&self, url: &str) -> Option<String> {
-                (url == "http://shop/").then(|| self.body.lock().unwrap().clone())
-            }
-        }
-        let web = Arc::new(MutableWeb {
-            body: Mutex::new(page(&["first"])),
-        });
-        let server = server_with(web.clone());
-        let req = ExtractionRequest {
+    }
+
+    fn web_req() -> ExtractionRequest {
+        ExtractionRequest {
             trace: None,
             wrapper: "shop".into(),
             version: None,
             source: RequestSource::Web {
                 url: "http://shop/".into(),
             },
-        };
-        let a1 = server.execute(req.clone()).unwrap();
-        let a2 = server.execute(req.clone()).unwrap();
+        }
+    }
+
+    #[test]
+    fn web_source_fetches_and_a_changed_page_misses() {
+        // First two requests see body A (one miss, one hit); then the
+        // page changes: a new content address, so a miss that re-executes
+        // — and nothing is invalidated, A's entry just stays.
+        let web = Arc::new(MutableWeb {
+            body: Mutex::new(page(&["first"])),
+        });
+        let server = server_with(web.clone());
+        let a1 = server.execute(web_req()).unwrap();
+        let a2 = server.execute(web_req()).unwrap();
         assert!(!a1.cache_hit && a2.cache_hit);
         *web.body.lock().unwrap() = page(&["second"]);
-        let b = server.execute(req.clone()).unwrap();
+        let b = server.execute(web_req()).unwrap();
         assert!(!b.cache_hit);
-        assert!(b.xml().contains("second"));
+        assert_ne!(b.key, a1.key);
+        assert!(b.xml().contains("second") && !b.xml().contains("first"));
         let snap = server.metrics();
-        assert_eq!(snap.cache.invalidations, 1);
+        assert_eq!((snap.cache.misses, snap.cache.hits), (2, 1));
+        assert_eq!(snap.cache.invalidations, 0);
+        assert_eq!(snap.cache.len, 2);
         // 404s surface as FetchFailed.
         assert_eq!(
             server
@@ -1522,6 +1337,31 @@ mod tests {
                 .unwrap_err(),
             ServerError::FetchFailed("http://gone/".into())
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_page_that_reverts_hits_its_earlier_entry() {
+        // A, then B, then A again: the third request addresses A's bytes,
+        // whose entry nothing dropped, so it is a hit with A's XML — and
+        // A's provenance still answers after B was served.
+        let web = Arc::new(MutableWeb {
+            body: Mutex::new(page(&["first"])),
+        });
+        let server = server_with(web.clone());
+        let a = server.execute(web_req()).unwrap();
+        assert!(!a.cache_hit);
+        *web.body.lock().unwrap() = page(&["second"]);
+        let b = server.execute(web_req()).unwrap();
+        assert!(!b.cache_hit);
+        let stored = server.provenance(&a.key).expect("A's entry outlives B");
+        assert_eq!(stored.xml, a.xml());
+        *web.body.lock().unwrap() = page(&["first"]);
+        let again = server.execute(web_req()).unwrap();
+        assert!(again.cache_hit, "a reverted page is a hit");
+        assert_eq!(again.key, a.key);
+        assert_eq!(again.xml(), a.xml());
+        assert_eq!(server.metrics().cache.invalidations, 0);
         server.shutdown();
     }
 
@@ -1645,14 +1485,6 @@ mod tests {
         let mut web = StaticWeb::new();
         web.put("http://shop/", html.clone());
         let server = server_with(Arc::new(web));
-        let web_req = ExtractionRequest {
-            trace: None,
-            wrapper: "shop".into(),
-            version: None,
-            source: RequestSource::Web {
-                url: "http://shop/".into(),
-            },
-        };
         let inline = ExtractionRequest {
             trace: None,
             wrapper: "shop".into(),
@@ -1662,9 +1494,9 @@ mod tests {
                 html,
             },
         };
-        assert!(!server.execute(web_req.clone()).unwrap().cache_hit);
+        assert!(!server.execute(web_req()).unwrap().cache_hit);
         assert!(server.execute(inline.clone()).unwrap().cache_hit);
-        assert!(server.execute(web_req).unwrap().cache_hit);
+        assert!(server.execute(web_req()).unwrap().cache_hit);
         assert!(server.execute(inline).unwrap().cache_hit);
         let snap = server.metrics();
         assert_eq!(snap.cache.invalidations, 0);
@@ -1790,14 +1622,6 @@ mod tests {
                 panic!("fetch exploded");
             }
         }
-        let web_req = || ExtractionRequest {
-            trace: None,
-            wrapper: "shop".into(),
-            version: None,
-            source: RequestSource::Web {
-                url: "http://shop/".into(),
-            },
-        };
         let server = server_with(Arc::new(PanickyWeb));
         let (tx, rx) = mpsc::channel();
         let served = server
@@ -1987,16 +1811,11 @@ mod tests {
         let mut web = StaticWeb::new();
         web.put("http://shop/", page(&["web"]));
         let server = server_with(Arc::new(web));
-        let web_req = ExtractionRequest {
-            trace: None,
-            wrapper: "shop".into(),
-            version: None,
-            source: RequestSource::Web {
-                url: "http://shop/".into(),
-            },
-        };
-        assert!(!serve_queued(&server, web_req.clone()).cache_hit);
-        assert!(serve_queued(&server, web_req).cache_hit, "hit via the pool");
+        assert!(!serve_queued(&server, web_req()).cache_hit);
+        assert!(
+            serve_queued(&server, web_req()).cache_hit,
+            "hit via the pool"
+        );
         server.shutdown();
 
         // An inline request whose wrapper crawled beyond its entry page:
@@ -2065,118 +1884,5 @@ mod tests {
         ));
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn key_for(content: u64) -> CacheKey {
-        CacheKey {
-            wrapper: "w".into(),
-            plan: 1,
-            content,
-        }
-    }
-
-    #[test]
-    fn source_trackers_report_stale_key_only_on_change() {
-        let trackers = SourceTrackers::new();
-        // First sighting: a change, but nothing stale to invalidate.
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(10), true), None);
-        // Unchanged content: no change, nothing stale.
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(10), true), None);
-        // Changed content: the previous key comes back for invalidation.
-        assert_eq!(
-            trackers.observe("w", "http://a/", &key_for(11), true),
-            Some(key_for(10))
-        );
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(11), true), None);
-        // An unrelated source does not disturb the first one's state.
-        assert_eq!(trackers.observe("w", "http://b/", &key_for(11), true), None);
-        assert_eq!(
-            trackers.observe("w", "http://a/", &key_for(12), true),
-            Some(key_for(11))
-        );
-    }
-
-    #[test]
-    fn source_trackers_report_only_stale_keys_that_were_stored() {
-        let trackers = SourceTrackers::new();
-        // Rechecks alone: the page changes, but nothing was stored, so
-        // nothing is reported and the store is never consulted.
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(1), false), None);
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(2), false), None);
-        // An interactive job stores the key a recheck saw last; a later
-        // recheck of the same content keeps it marked stored, and the
-        // next change reports it.
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(2), true), None);
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(2), false), None);
-        assert_eq!(
-            trackers.observe("w", "http://a/", &key_for(3), false),
-            Some(key_for(2))
-        );
-        // Key 3 was only rechecked: the next change reports nothing.
-        assert_eq!(trackers.observe("w", "http://a/", &key_for(4), false), None);
-    }
-
-    #[test]
-    fn source_trackers_evict_coldest_entry_not_everything() {
-        // One segment, room for two trackers.
-        let trackers = SourceTrackers::with_limits(1, 2);
-        assert_eq!(
-            trackers.observe("w", "http://cold/", &key_for(1), true),
-            None
-        );
-        assert_eq!(
-            trackers.observe("w", "http://hot/", &key_for(2), true),
-            None
-        );
-        // Keep "hot" fresh, then overflow: "cold" must be the casualty.
-        assert_eq!(
-            trackers.observe("w", "http://hot/", &key_for(2), true),
-            None
-        );
-        assert_eq!(
-            trackers.observe("w", "http://new/", &key_for(3), true),
-            None
-        );
-        assert_eq!(trackers.tracked(), 2);
-        // "hot" survived with its detector state intact: re-observing
-        // the same content is still not a change.
-        assert_eq!(
-            trackers.observe("w", "http://hot/", &key_for(2), true),
-            None
-        );
-        // "cold" was forgotten: it re-registers as a first sighting
-        // rather than reporting key 1 as stale.
-        assert_eq!(
-            trackers.observe("w", "http://cold/", &key_for(9), true),
-            None
-        );
-    }
-
-    #[test]
-    fn source_trackers_jammed_segment_does_not_block_other_segments() {
-        let trackers = Arc::new(SourceTrackers::with_limits(8, 64));
-        // Find a URL that hashes to a different segment than the jammed
-        // one — with 8 segments one exists within a handful of tries.
-        let jammed_url = "http://jammed/";
-        let jammed_seg = trackers.segment_index("w", jammed_url);
-        let other_url = (0..64)
-            .map(|i| format!("http://other-{i}/"))
-            .find(|u| trackers.segment_index("w", u) != jammed_seg)
-            .expect("some url lands in another segment");
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
-        trackers.with_segment_locked("w", jammed_url, || {
-            let trackers = trackers.clone();
-            let other = other_url.clone();
-            let worker = std::thread::spawn(move || {
-                trackers.observe("w", &other, &key_for(5), true);
-                let _ = done_tx.send(());
-            });
-            // The observation on the other segment must complete while
-            // this segment's lock is held.
-            done_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("observe on a different segment completed despite the jammed one");
-            worker.join().unwrap();
-        });
     }
 }

@@ -1,9 +1,9 @@
 //! Durable, provenance-tracked tiered result store.
 //!
-//! The [`TieredStore`] layers the existing in-memory sharded
-//! [`ResultCache`] (the *hot tier*) over an optional append-only,
-//! log-structured *disk tier*, so a restarted gateway serves
-//! previously-cached extractions without re-executing any plan. Every
+//! The [`TieredStore`] layers an in-memory sharded LRU (the *hot tier*)
+//! over an optional append-only, log-structured *disk tier*, so a
+//! restarted gateway serves previously-cached extractions without
+//! re-executing any plan. Every
 //! stored entry carries a [`Provenance`] record — wrapper name and
 //! version, plan fingerprint, source page URL and body hash, and the
 //! producing plan-rule index of every extracted instance — answering
@@ -17,7 +17,8 @@
 //! * `snapshot.log` — a compacted baseline, rewritten atomically
 //!   (tmp-file + rename) by [`TieredStore::compact`];
 //! * `wal.log` — the write-ahead log: every insert appends one `put`
-//!   record, every invalidation one `del` tombstone.
+//!   record, every invalidation (a crawl manifest that failed to
+//!   revalidate) one `del` tombstone.
 //!
 //! Both are logs of the data directory's one line framing (the crate's
 //! `linelog` module: header line, escaped tab-separated fields, torn-tail
@@ -599,8 +600,8 @@ impl DiskTier {
     }
 }
 
-/// The tiered result store: the sharded in-memory [`ResultCache`] as hot
-/// tier, optionally backed by the append-only disk tier described in the
+/// The tiered result store: the sharded in-memory LRU as hot tier,
+/// optionally backed by the append-only disk tier described in the
 /// module docs. All methods take `&self`; the disk tier serializes
 /// behind one mutex (it is off the hot path — the hot tier answers
 /// steady-state traffic, the disk tier absorbs inserts and warm-restart
@@ -632,9 +633,9 @@ impl TieredStore {
     /// Look up `key` without touching the hit/miss counters: hot tier
     /// first, then the disk tier, promoting a disk hit into the hot tier
     /// (pairs with [`record_hit`](TieredStore::record_hit) /
-    /// [`record_miss`](TieredStore::record_miss), exactly like
-    /// [`ResultCache::peek`]). `GET /provenance/{key}` reads the stored
-    /// entry — result, XML and [`Provenance`] — through it.
+    /// [`record_miss`](TieredStore::record_miss)). `GET /provenance/{key}`
+    /// reads the stored entry — result, XML and [`Provenance`] — through
+    /// it.
     pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedExtraction>> {
         self.peek_entry(key).map(|(value, _)| value)
     }
@@ -684,7 +685,10 @@ impl TieredStore {
     }
 
     /// Drop `key` from both tiers (a tombstone is appended so the
-    /// invalidation survives restart); true if either tier held it.
+    /// invalidation survives restart); true if either tier held it. The
+    /// server calls it for one reason only: an entry whose crawl manifest
+    /// no longer revalidates. Entries of changed entry pages are left to
+    /// the LRU, the byte budget and the TTL.
     pub fn invalidate(&self, key: &CacheKey) -> bool {
         let hot = self.hot.invalidate(key);
         let disk = match &self.disk {

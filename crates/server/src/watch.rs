@@ -1083,10 +1083,11 @@ mod tests {
             after.cache.misses, before.cache.misses,
             "no cache miss counted"
         );
-        // The page changed under the interactive entry: the change
-        // tracker still drops it, and nothing took its place.
-        assert_eq!((after.cache.invalidations, after.cache.len), (1, 0));
-        assert_eq!(after.store.disk_len, 0);
+        // The page changed under the interactive entry: its new bytes
+        // have a new content address, so the entry is left alone for the
+        // LRU, and nothing is stored beside it.
+        assert_eq!((after.cache.invalidations, after.cache.len), (0, 1));
+        assert_eq!(after.store.disk_len, 1);
         assert!(
             after.completed > before.completed + 8,
             "rechecks count as completed"

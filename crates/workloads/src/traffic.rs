@@ -251,9 +251,9 @@ pub fn perturbed_page(wrapper: &str, seed: u64, variant: u64, epoch: u64) -> Str
 /// replayed at mutation `epoch` with every document run through
 /// [`perturbed_page`]. Replaying the stream at successive epochs models
 /// sources that mutate between scheduler ticks: every page's bytes
-/// change each epoch (so content-addressed caches miss and change
-/// trackers fire), while the records change only when the content
-/// revision advances: interactive traffic to run beside a watch fleet.
+/// change each epoch (so content-addressed caches miss), while the
+/// records change only when the content revision advances: interactive
+/// traffic to run beside a watch fleet.
 pub fn perturbed_requests(
     seed: u64,
     users: usize,
